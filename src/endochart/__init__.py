@@ -16,8 +16,7 @@ from .fields import (EndoField, VectorField, apply_endo, endo_power,
                      lie_bracket, nijenhuis, nprime, prop22_residual,
                      torsion_S)
 from .flows import (ComputedVectorField, FlowSpec, IntegratorSettings,
-                    flow_differential, integrate_flow, numeric_bracket,
-                    pushforward)
+                    integrate_flow, numeric_bracket)
 from .grammar import parse_expr
 from .structure import (Distribution, StructureProfile, constancy_check,
                         corollary15_report, image_frame, invariant_factors,
@@ -32,12 +31,12 @@ __all__ = [
     "PipelineSettings", "ScalarExpr", "Section", "StructureProfile",
     "VectorField", "apply_endo", "build_chart", "compare_charts",
     "constancy_check", "corollary15_report", "differentiate", "endo_power",
-    "evaluate", "flow_differential", "hk_residuals", "image_frame",
+    "evaluate", "hk_residuals", "image_frame",
     "induction_step", "initial_frame", "integrate_flow", "invariant_factors",
     "involutivity_residual", "is_zero_on_box", "jordan_matrix", "jordanize",
     "kernel_frame", "lie_bracket", "load_field_document", "nijenhuis",
     "nprime", "numeric_bracket", "parse_expr", "prop22_residual",
-    "pushforward", "rank_profile", "sum_distribution", "theorem13_report",
+    "rank_profile", "sum_distribution", "theorem13_report",
     "torsion_S", "validate_adapted_chart", "verify_integral_chart",
     "__version__",
 ]

@@ -6,8 +6,8 @@ Subcommands:
     corpus <name>            run a built-in example end to end
     selftest                 run the internal invariant suites
 
-Exit codes: 0 on pass, 2 on a condition/verification failure, 1 on usage or
-I/O errors.
+Exit codes: 0 on pass, 2 on a condition/verification failure, 1 on usage,
+I/O or field-document errors and zero denominators on the box.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from . import corpus as corpus_mod
 from .charts import (AdaptedChartError, InductionError, NewtonError,
                      PipelineSettings, jordanize, validate_adapted_chart)
-from .expr import Box
+from .expr import Box, EvaluationError
 from .fieldfile import FieldFileError, load_field_document
 from .flows import BoxExitError, IntegratorSettings
 from .reporting import (corollary15_to_dict, hk_to_dict, render_report,
@@ -385,6 +385,10 @@ def main(argv=None) -> int:
         return 1
     except (FieldFileError, FileNotFoundError, IsADirectoryError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except (EvaluationError, ZeroDivisionError) as err:
+        print(f"error: field has a zero denominator on the box ({err}); "
+              "shrink or move the box", file=sys.stderr)
         return 1
     except (NonNilpotentError, AnnihilationError, PivotDegenerationError,
             AdaptedChartError, BoxExitError, NewtonError) as err:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .charts import AdaptedChart, basis_slots, jordan_matrix
+from .charts import AdaptedChart, _orders, basis_slots, jordan_matrix
 from .expr import Box, ScalarExpr, sample_box
 from .fields import EndoField
 
@@ -353,9 +353,7 @@ def example35_solve(spec: Example35Spec, box: Box | None = None,
 def _slot_groups(multiplicities) -> dict:
     """Axis grouping of the slot basis: slot (a, i) sits in group
     (n - a, q(i) - a)."""
-    orders = []
-    for j, dj in enumerate(multiplicities, start=1):
-        orders.extend([j] * dj)
+    orders = _orders(multiplicities)
     n = max(orders)
     groups: dict = {}
     for axis, (a, i) in enumerate(basis_slots(multiplicities)):
@@ -376,9 +374,7 @@ def constant_jordan(multiplicities, box: Box | None = None,
 def _check_prefix_flags(multiplicities):
     """Triangular shears preserve exactly the axis-prefix subspaces, so every
     flag subspace must be a slot-order prefix."""
-    orders = []
-    for j, dj in enumerate(multiplicities, start=1):
-        orders.extend([j] * dj)
+    orders = _orders(multiplicities)
     n = max(orders)
     slots = basis_slots(multiplicities)
     for m in range(0, n):

@@ -19,7 +19,7 @@ __all__ = [
     "Exp", "PosPow", "Box", "ZeroTestResult", "EvaluationError",
     "const", "var", "add", "sub", "mul", "div", "intpow", "exp", "pospow",
     "negate", "differentiate", "evaluate", "substitute", "compile_expr",
-    "compile_vector", "max_depth", "sample_box", "is_zero_on_box",
+    "compile_vector", "sample_box", "is_zero_on_box",
     "kink_arguments",
 ]
 
@@ -355,21 +355,6 @@ def substitute(e: ScalarExpr, mapping: dict[int, ScalarExpr]) -> ScalarExpr:
     raise TypeError(f"unknown node {e!r}")
 
 
-def max_depth(e: ScalarExpr) -> int:
-    if isinstance(e, (Const, Var)):
-        return 1
-    if isinstance(e, Sum):
-        return 1 + max(max_depth(t) for t in e.terms)
-    if isinstance(e, Product):
-        return 1 + max(max_depth(f) for f in e.factors)
-    if isinstance(e, Quotient):
-        return 1 + max(max_depth(e.num), max_depth(e.den))
-    if isinstance(e, (IntPow, Exp, PosPow)):
-        inner = e.base if isinstance(e, IntPow) else e.arg
-        return 1 + max_depth(inner)
-    raise TypeError(f"unknown node {e!r}")
-
-
 def kink_arguments(e: ScalarExpr) -> list[ScalarExpr]:
     """Arguments of all pospow nodes; their zero sets are the kink loci."""
     out: list[ScalarExpr] = []
@@ -486,9 +471,6 @@ class Box:
             half = (hi - lo) / 2.0 * factor
             out.append((mid - half, mid + half))
         return Box(tuple(out))
-
-    def scale(self, factor: float) -> "Box":
-        return self.inflate(factor)
 
     def corners(self) -> np.ndarray:
         d = self.dim

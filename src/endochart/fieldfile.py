@@ -58,12 +58,16 @@ def loads_field_document(text: str, source: str = "<string>") -> FieldDocument:
         d = int(raw["dim"])
     except KeyError:
         raise _fail(f"{source}: missing key 'dim'") from None
+    except (TypeError, ValueError):
+        raise _fail(f"{source}: dim must be an integer") from None
     if d < 1:
         raise _fail(f"{source}: dim must be >= 1")
 
     matrix = raw.get("matrix")
     if matrix is None:
         raise _fail(f"{source}: missing key 'matrix'")
+    if not isinstance(matrix, list):
+        raise _fail(f"{source}: matrix must be a list")
     if all(isinstance(r, list) for r in matrix):
         flat = [e for row in matrix for e in row]
     else:
@@ -76,7 +80,7 @@ def loads_field_document(text: str, source: str = "<string>") -> FieldDocument:
             raise _fail(f"{source}: matrix entry {k} is not a string")
         try:
             entries.append(parse_expr(text_entry))
-        except ParseError as err:
+        except (ParseError, ZeroDivisionError) as err:
             raise _fail(f"{source}: matrix entry {k} ({text_entry!r}): {err}") from err
     rows = tuple(tuple(entries[i * d: (i + 1) * d]) for i in range(d))
     A = EndoField(rows)
@@ -85,7 +89,7 @@ def loads_field_document(text: str, source: str = "<string>") -> FieldDocument:
     if box_raw is None:
         box = Box.cube(d, 1.0)
     else:
-        if len(box_raw) != d:
+        if not isinstance(box_raw, list) or len(box_raw) != d:
             raise _fail(f"{source}: box must list {d} intervals")
         try:
             box = Box(tuple((float(lo), float(hi)) for lo, hi in box_raw))
@@ -95,6 +99,8 @@ def loads_field_document(text: str, source: str = "<string>") -> FieldDocument:
     chart = None
     groups_raw = raw.get("groups")
     if groups_raw is not None:
+        if not isinstance(groups_raw, list):
+            raise _fail(f"{source}: groups must be a list of [i, j, size]")
         sizes = {}
         for item in groups_raw:
             try:
@@ -110,11 +116,17 @@ def loads_field_document(text: str, source: str = "<string>") -> FieldDocument:
     factors = None
     factors_raw = raw.get("factors")
     if factors_raw is not None:
-        factors = tuple(tuple(float(c) for c in f) for f in factors_raw)
+        try:
+            factors = tuple(tuple(float(c) for c in f) for f in factors_raw)
+        except (TypeError, ValueError) as err:
+            raise _fail(f"{source}: factors must be lists of numbers") from err
         if any(len(f) < 2 for f in factors):
             raise _fail(f"{source}: each factor needs degree >= 1")
 
-    eigenvalue = float(raw.get("eigenvalue", 0.0))
+    try:
+        eigenvalue = float(raw.get("eigenvalue", 0.0))
+    except (TypeError, ValueError) as err:
+        raise _fail(f"{source}: eigenvalue must be a number") from err
     return FieldDocument(d, A, box, chart, factors, eigenvalue, source)
 
 

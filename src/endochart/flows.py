@@ -1,17 +1,28 @@
-"""Numeric ODE flows, their differentials, and pushforward of vector fields.
+"""Numeric ODE flows of vector fields and frame transport along them.
 
-The default integrator is fixed-step RK4: determinism and simple error
-budgeting matter more than speed at these dimensions.  An embedded adaptive
-pair is available behind the `integrator` setting.  Differentials come from
-the variational equation co-integrated with the trajectory, never from
-finite differences of the flow map, because the chart construction composes
-several transports and finite-difference noise compounds.
+Flows use fixed-step RK4: determinism and simple error budgeting matter
+more than speed at these dimensions.
+
+Derivatives in the chart construction come from one place per kind of
+field, each with its own step:
+
+- symbolic generators (`CompiledField`) transport frames by the
+  variational equation W' = DV(x) W, co-integrated with the trajectory
+  (`integrate_with_transport`);
+- computed generators (`ComputedVectorField`) have no jacobian, so frames
+  are carried along their flows by central differences of flow maps with
+  step `PipelineSettings.h_transport` (`charts._StageChart.transport_flow`);
+- Lie brackets involving computed fields use central differences of the
+  fields with step `PipelineSettings.h_bracket` (`numeric_bracket`);
+- the verification grid carries its frames through the same per-flow
+  transport as `ChartMap.forward_with_frame`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,9 +31,8 @@ from .fields import VectorField
 
 __all__ = [
     "IntegratorSettings", "FlowSpec", "ComputedVectorField",
-    "CompiledField", "CallableField", "BoxExitError", "StepFailureError",
-    "integrate_flow", "integrate_with_transport", "flow_differential",
-    "pushforward", "numeric_bracket", "as_generator",
+    "CompiledField", "BoxExitError", "integrate_flow",
+    "integrate_with_transport", "numeric_bracket",
 ]
 
 
@@ -33,31 +43,21 @@ class BoxExitError(RuntimeError):
         self.point = tuple(point)
 
 
-class StepFailureError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Configuration keys for the flow integrators."""
+    """Configuration of the fixed-step RK4 flow integrator."""
 
-    integrator: str = "rk4"      # "rk4" | "adaptive"
+    integrator: ClassVar[str] = "rk4"
     step: float = 1e-2           # fixed RK4 step on the unit box
-    rel_tol: float = 1e-9        # adaptive only
-    abs_tol: float = 1e-11       # adaptive only
-    h_jac: float | None = None   # FD step for jacobians of computed fields
     seed: int = 2026
-    max_steps: int = 200_000
 
     def __post_init__(self):
-        if self.step <= 0 or self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("step sizes and tolerances must be positive")
+        if self.step <= 0:
+            raise ValueError("step size must be positive")
 
     def accuracy(self) -> float:
         """Rough global error scale, for test tolerances."""
-        if self.integrator == "rk4":
-            return self.step ** 4
-        return self.rel_tol
+        return self.step ** 4
 
 
 class CompiledField:
@@ -85,49 +85,22 @@ class CompiledField:
         return self._value(p)
 
 
-class CallableField:
-    """Point-evaluable vector field; jacobians by central differences."""
-
-    def __init__(self, fn, dim: int, h_jac: float = 1e-4):
-        self.fn = fn
-        self.dim = dim
-        self.h_jac = h_jac
-
-    @property
-    def symbolic(self) -> bool:
-        return False
-
-    def value(self, p) -> np.ndarray:
-        return np.asarray(self.fn(p), dtype=float)
-
-    def jacobian(self, p) -> np.ndarray:
-        d = self.dim
-        h = self.h_jac
-        J = np.empty((d, d))
-        base = np.asarray(p, dtype=float)
-        for j in range(d):
-            up = base.copy()
-            dn = base.copy()
-            up[j] += h
-            dn[j] -= h
-            J[:, j] = (self.value(up) - self.value(dn)) / (2.0 * h)
-        return J
-
-    def __call__(self, p) -> np.ndarray:
-        return self.value(p)
-
-
-class ComputedVectorField(CallableField):
+class ComputedVectorField:
     """A vector field defined by a procedure, with memoised evaluations.
 
     Evaluation is deterministic given integrator settings; results are
     cached by the point rounded to 12 decimal digits.
     """
 
-    def __init__(self, fn, dim: int, h_jac: float = 1e-4, label: str = "computed"):
-        super().__init__(fn, dim, h_jac)
+    def __init__(self, fn, dim: int, label: str = "computed"):
+        self.fn = fn
+        self.dim = dim
         self.label = label
         self._cache: dict[tuple, np.ndarray] = {}
+
+    @property
+    def symbolic(self) -> bool:
+        return False
 
     def value(self, p) -> np.ndarray:
         key = tuple(round(float(v), 12) for v in p)
@@ -140,31 +113,21 @@ class ComputedVectorField(CallableField):
     def cache_size(self) -> int:
         return len(self._cache)
 
-
-def as_generator(field, h_jac: float = 1e-4):
-    if isinstance(field, VectorField):
-        return CompiledField(field)
-    if isinstance(field, (CompiledField, CallableField)):
-        return field
-    raise TypeError(f"cannot use {field!r} as a flow generator")
+    def __call__(self, p) -> np.ndarray:
+        return self.value(p)
 
 
 @dataclass
 class FlowSpec:
     """A flow problem: generator plus integrator configuration and trust box."""
 
-    generator: object            # CompiledField | CallableField | VectorField
+    generator: object            # CompiledField | ComputedVectorField | VectorField
     settings: IntegratorSettings = IntegratorSettings()
     box: Box | None = None       # working box; trajectories must stay inside
 
     def __post_init__(self):
-        self.generator = as_generator(self.generator)
-
-    def reversed(self) -> "FlowSpec":
-        gen = self.generator
-        neg = CallableField(lambda p: -gen.value(p), gen.dim,
-                            getattr(gen, "h_jac", 1e-4))
-        return FlowSpec(neg, self.settings, self.box)
+        if isinstance(self.generator, VectorField):
+            self.generator = CompiledField(self.generator)
 
 
 def _check_box(spec: FlowSpec, t: float, x: np.ndarray):
@@ -172,13 +135,14 @@ def _check_box(spec: FlowSpec, t: float, x: np.ndarray):
         raise BoxExitError(t, x)
 
 
-def _rk4_point(spec: FlowSpec, x0: np.ndarray, t: float) -> np.ndarray:
-    V = spec.generator.value
+def integrate_flow(spec: FlowSpec, p0, t: float) -> np.ndarray:
+    """Solve x' = V(x), x(0) = p0 up to time t."""
+    x = np.asarray(p0, dtype=float).copy()
     if t == 0.0:
-        return x0.copy()
+        return x
+    V = spec.generator.value
     n = max(1, math.ceil(abs(t) / spec.settings.step))
     h = t / n
-    x = x0.copy()
     for k in range(n):
         k1 = V(x)
         k2 = V(x + 0.5 * h * k1)
@@ -189,16 +153,20 @@ def _rk4_point(spec: FlowSpec, x0: np.ndarray, t: float) -> np.ndarray:
     return x
 
 
-def _rk4_transport(spec: FlowSpec, x0: np.ndarray, t: float,
-                   W0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def integrate_with_transport(spec: FlowSpec, p0, t: float, W0) -> tuple:
+    """Co-integrate the trajectory and the variational equation applied to W0.
+
+    W0 has shape (d, m); returns (x(t), W(t)) with W' = DV(x) W.  The
+    generator must be symbolic: only `CompiledField` has a jacobian.
+    """
+    x = np.asarray(p0, dtype=float).copy()
+    W = np.asarray(W0, dtype=float).copy()
+    if t == 0.0:
+        return x, W
     V = spec.generator.value
     DV = spec.generator.jacobian
-    if t == 0.0:
-        return x0.copy(), W0.copy()
     n = max(1, math.ceil(abs(t) / spec.settings.step))
     h = t / n
-    x = x0.copy()
-    W = W0.copy()
     for k in range(n):
         k1 = V(x)
         K1 = DV(x) @ W
@@ -217,106 +185,9 @@ def _rk4_transport(spec: FlowSpec, x0: np.ndarray, t: float,
     return x, W
 
 
-# Dormand-Prince 5(4) coefficients.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-
-
-def _adaptive_point(spec: FlowSpec, x0: np.ndarray, t: float) -> np.ndarray:
-    V = spec.generator.value
-    if t == 0.0:
-        return x0.copy()
-    s = spec.settings
-    sign = 1.0 if t > 0 else -1.0
-    h = sign * min(abs(t), s.step)
-    x = x0.copy()
-    done = 0.0
-    steps = 0
-    while abs(done) < abs(t):
-        if abs(done + h) > abs(t):
-            h = t - done
-        K = np.empty((7, x.size))
-        K[0] = V(x)
-        for i in range(1, 7):
-            xi = x + h * sum(a * K[j] for j, a in enumerate(_DP_A[i]))
-            K[i] = V(xi)
-        x5 = x + h * (_DP_B5 @ K)
-        x4 = x + h * (_DP_B4 @ K)
-        err = np.max(np.abs(x5 - x4))
-        scale = s.abs_tol + s.rel_tol * max(1.0, float(np.max(np.abs(x5))))
-        if err <= scale:
-            x = x5
-            done += h
-            _check_box(spec, done, x)
-        factor = 0.9 * (scale / err) ** 0.2 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        steps += 1
-        if steps > s.max_steps:
-            raise StepFailureError(f"adaptive integrator exceeded {s.max_steps} steps")
-    return x
-
-
-def integrate_flow(spec: FlowSpec, p0, t: float) -> np.ndarray:
-    """Solve x' = V(x), x(0) = p0 up to time t."""
-    x0 = np.asarray(p0, dtype=float)
-    if spec.settings.integrator == "adaptive":
-        return _adaptive_point(spec, x0, t)
-    return _rk4_point(spec, x0, t)
-
-
-def integrate_with_transport(spec: FlowSpec, p0, t: float, W0) -> tuple:
-    """Co-integrate the trajectory and the variational equation applied to W0.
-
-    W0 has shape (d, m); returns (x(t), W(t)) with W' = DV(x) W.
-    The adaptive integrator is not supported here; transports are part of
-    the deterministic construction path.
-    """
-    x0 = np.asarray(p0, dtype=float)
-    W0 = np.asarray(W0, dtype=float)
-    return _rk4_transport(spec, x0, t, W0)
-
-
-def flow_differential(spec: FlowSpec, p0, t: float) -> np.ndarray:
-    """d(Phi^t)(p0) from the variational equation J' = DV(x(t)) J, J(0) = I."""
-    d = spec.generator.dim
-    _, J = integrate_with_transport(spec, p0, t, np.eye(d))
-    return J
-
-
-def pushforward(spec: FlowSpec, W, t: float, h_jac: float = 1e-4) -> ComputedVectorField:
-    """The field W transported by the time-t flow of spec's generator.
-
-    Evaluation at q integrates backward to p0 = Phi^(-t)(q), then applies
-    the forward flow differential to W(p0).
-    """
-    Wgen = as_generator(W, h_jac)
-    back = spec.reversed()
-
-    def evaluate(q):
-        p0 = integrate_flow(back, q, t)
-        x1, v = integrate_with_transport(spec, p0, t, Wgen.value(p0)[:, None])
-        return v[:, 0]
-
-    return ComputedVectorField(evaluate, Wgen.dim, h_jac,
-                               label=f"pushforward[t={t}]")
-
-
 def numeric_bracket(X, Y, p, h: float = 1e-3) -> np.ndarray:
     """[X, Y](p) via central-difference jacobians of X and Y."""
-    gx = as_generator(X)
-    gy = as_generator(Y)
-    d = gx.dim
+    d = X.dim
     base = np.asarray(p, dtype=float)
     JX = np.empty((d, d))
     JY = np.empty((d, d))
@@ -325,6 +196,6 @@ def numeric_bracket(X, Y, p, h: float = 1e-3) -> np.ndarray:
         dn = base.copy()
         up[j] += h
         dn[j] -= h
-        JX[:, j] = (gx.value(up) - gx.value(dn)) / (2.0 * h)
-        JY[:, j] = (gy.value(up) - gy.value(dn)) / (2.0 * h)
-    return JY @ gx.value(base) - JX @ gy.value(base)
+        JX[:, j] = (X.value(up) - X.value(dn)) / (2.0 * h)
+        JY[:, j] = (Y.value(up) - Y.value(dn)) / (2.0 * h)
+    return JY @ X.value(base) - JX @ Y.value(base)

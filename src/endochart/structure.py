@@ -67,22 +67,29 @@ def _numeric_rank(M: np.ndarray, tol: float) -> tuple[int, bool]:
     return rank, shaky
 
 
-def rank_profile(A: EndoField, p, tol: float = SVD_RELATIVE_THRESHOLD) -> RankResult:
-    """Numeric ranks of A^0 .. A^d at the point `p` via SVD thresholding."""
-    d = A.dim
-    M = np.asarray(A(p), dtype=float)
+def _power_ranks(M: np.ndarray, tol: float) -> tuple[tuple, list]:
+    """Ranks of M^0 .. M^k, stopping at the first zero rank, and the
+    powers whose singular values sit near the rank threshold."""
+    d = M.shape[0]
     ranks = [d]
-    warnings = []
+    shaky_powers = []
     P = np.eye(d)
     for k in range(1, d + 1):
         P = P @ M
         r, shaky = _numeric_rank(P, tol)
         if shaky:
-            warnings.append(f"singular value near rank threshold for power {k}")
+            shaky_powers.append(k)
         ranks.append(r)
         if r == 0:
             break
-    return RankResult(tuple(ranks), tuple(warnings))
+    return tuple(ranks), shaky_powers
+
+
+def rank_profile(A: EndoField, p, tol: float = SVD_RELATIVE_THRESHOLD) -> RankResult:
+    """Numeric ranks of A^0 .. A^d at the point `p` via SVD thresholding."""
+    ranks, shaky = _power_ranks(np.asarray(A(p), dtype=float), tol)
+    return RankResult(ranks, tuple(
+        f"singular value near rank threshold for power {k}" for k in shaky))
 
 
 @dataclass(frozen=True)
@@ -145,21 +152,10 @@ def constancy_check(A: EndoField, box: Box, samples: int = 100,
     first_pt = None
     warnings: list[str] = []
     for p in pts:
-        d = A.dim
-        M = f(p)
-        ranks = [d]
-        P = np.eye(d)
-        for k in range(1, d + 1):
-            P = P @ M
-            r, shaky = _numeric_rank(P, tol)
-            if shaky:
-                warnings.append(
-                    f"singular value near threshold for power {k} at "
-                    f"{tuple(round(float(v), 6) for v in p)}")
-            ranks.append(r)
-            if r == 0:
-                break
-        ranks = tuple(ranks)
+        ranks, shaky = _power_ranks(f(p), tol)
+        warnings.extend(
+            f"singular value near threshold for power {k} at "
+            f"{tuple(round(float(v), 6) for v in p)}" for k in shaky)
         if first is None:
             first, first_pt = ranks, p
         elif ranks != first:
@@ -303,15 +299,10 @@ def _frame_full_rank_check(dist: Distribution, samples: int, seed: int,
                 "shrink the box")
 
 
-def image_frame(A: EndoField, p: int, box: Box, samples: int = 60,
-                seed: int = 2026, tol: float = SVD_RELATIVE_THRESHOLD) -> Distribution:
-    """Frame of rank(A^p) columns of A^p, selected by pivoting at the box center."""
-    d = A.dim
-    Ap = endo_power(A, p)
-    M0 = np.asarray(Ap(box.center), dtype=float)
-    rank, _ = _numeric_rank(M0, tol)
-    # greedy column selection at the center (modified Gram-Schmidt)
-    residual = M0.copy()
+def _select_columns(M: np.ndarray, rank: int) -> list:
+    """Indices of `rank` independent columns of M, ascending, chosen greedily
+    by largest residual norm (modified Gram-Schmidt)."""
+    residual = M.copy()
     chosen: list[int] = []
     for _ in range(rank):
         norms = np.linalg.norm(residual, axis=0)
@@ -321,7 +312,17 @@ def image_frame(A: EndoField, p: int, box: Box, samples: int = 60,
         chosen.append(j)
         q = residual[:, j] / max(norms[j], ABSOLUTE_FLOOR)
         residual -= np.outer(q, q @ residual)
-    chosen.sort()
+    return sorted(chosen)
+
+
+def image_frame(A: EndoField, p: int, box: Box, samples: int = 60,
+                seed: int = 2026, tol: float = SVD_RELATIVE_THRESHOLD) -> Distribution:
+    """Frame of rank(A^p) columns of A^p, selected by pivoting at the box center."""
+    d = A.dim
+    Ap = endo_power(A, p)
+    M0 = np.asarray(Ap(box.center), dtype=float)
+    rank, _ = _numeric_rank(M0, tol)
+    chosen = _select_columns(M0, rank)
     frame = tuple(Ap.column(j + 1) for j in chosen)
     dist = Distribution(frame, len(frame), f"Im A^{p}", box)
     _frame_full_rank_check(dist, samples, seed, tol)
@@ -340,17 +341,7 @@ def sum_distribution(D1: Distribution, D2: Distribution,
         return Distribution((), 0, f"{D1.provenance} + {D2.provenance}", box)
     cols = np.column_stack([F(box.center) for F in fields])
     rank, _ = _numeric_rank(cols, tol)
-    residual = cols.copy()
-    chosen: list[int] = []
-    for _ in range(rank):
-        norms = np.linalg.norm(residual, axis=0)
-        for c in chosen:
-            norms[c] = -1.0
-        j = int(np.argmax(norms))
-        chosen.append(j)
-        q = residual[:, j] / max(norms[j], ABSOLUTE_FLOOR)
-        residual -= np.outer(q, q @ residual)
-    chosen.sort()
+    chosen = _select_columns(cols, rank)
     dist = Distribution(tuple(fields[j] for j in chosen), rank,
                         f"{D1.provenance} + {D2.provenance}", box)
     _frame_full_rank_check(dist, samples, seed, tol)

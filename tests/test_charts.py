@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from endochart import expr as ex
+from endochart import charts
 from endochart.charts import (AdaptedChart, AdaptedChartError, ChartMap,
                               FrameState, InductionError, PipelineSettings,
                               Section, basis_slots, build_chart,
@@ -228,7 +229,7 @@ class TestPipelineInvariants:
         pts = [np.array([0.1, -0.12, 0.3]), np.array([-0.15, 0.1, 0.35])]
         norms = []
         for k in range(pipe.n):
-            fields = [pipe.slot_field(a, i, k) for (a, i) in pipe.slots]
+            fields = [pipe.generator(a, i, k) for (a, i) in pipe.slots]
             worst = 0.0
             for u in range(len(fields)):
                 for v in range(u + 1, len(fields)):
@@ -286,3 +287,42 @@ class TestSectionAndState:
         rep = hk_residuals(state)
         assert rep.passed
         assert {c.clause for c in rep.clauses} == {"1", "2", "3", "4", "5"}
+
+
+class TestOneCheckPerStage:
+    def test_jordanize_checks_each_stage_once(self, monkeypatch):
+        calls = []
+        original = charts.hk_residuals
+
+        def recording(state, *args, **kwargs):
+            calls.append(state.k)
+            return original(state, *args, **kwargs)
+        monkeypatch.setattr(charts, "hk_residuals", recording)
+        data = build_corpus_field("example35-n2")
+        jordanize(data["field"], data["chart"])
+        assert calls == [0, 1]
+
+    def test_initial_frame_message(self):
+        box = Box.cube(4, 1.0)
+        with pytest.raises(InductionError, match="initial frame violates clause"):
+            jordanize(example38_field(), example38_chart(box), FAST)
+
+
+class TestOneFramePath:
+    @pytest.mark.parametrize("name", ["constant-jordan", "conjugated-n2"])
+    def test_verification_exact_on_constant_fields(self, name):
+        data = build_corpus_field(name)
+        result = jordanize(data["field"], data["chart"])
+        assert result.verification.max_deviation == 0.0
+
+    @pytest.mark.parametrize("name", ["example35-n2", "conjugated-n2"])
+    def test_grid_frames_match_forward_with_frame(self, name):
+        data = build_corpus_field(name)
+        chart = jordanize(data["field"], data["chart"], grid=3).chart
+        order = chart._chart.application_order
+        frames = charts._grid_frames(chart, 3)
+        for (sc, tpre), (p, frame) in list(frames.items())[::7]:
+            t = [tpre[order.index(alpha)] for alpha in range(len(order))]
+            q, expect = chart.forward_with_frame(np.array(t + list(sc)))
+            assert q.tobytes() == p.tobytes()
+            assert frame.tobytes() == expect.tobytes()

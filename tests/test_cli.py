@@ -82,6 +82,22 @@ class TestFileCommands:
     def test_bad_usage(self):
         assert main(["check"]) == 1
 
+    def test_zero_denominator_on_box(self, tmp_path, capsys):
+        path = tmp_path / "pole.json"
+        path.write_text('{"dim": 1, "matrix": [["1/x1"]]}')
+        assert main(["check", str(path)]) == 1
+        assert "zero denominator" in capsys.readouterr().err
+
+    def test_compiled_zero_division(self, tmp_path, capsys, monkeypatch):
+        # compiled evaluators raise ZeroDivisionError at plain-float points
+        from endochart import cli
+
+        def divide(*args, **kwargs):
+            return 1.0 / 0.0
+        monkeypatch.setattr(cli, "theorem13_report", divide)
+        assert main(["check", str(DOCS / "triangular-n3.json")]) == 1
+        assert "zero denominator" in capsys.readouterr().err
+
 
 class TestSelftest:
     def test_selftest_passes(self, capsys):

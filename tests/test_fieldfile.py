@@ -85,3 +85,27 @@ class TestErrors:
         with pytest.raises(FieldFileError, match="groups"):
             loads_field_document(
                 '{"dim": 2, "matrix": ["0","0","0","0"], "groups": [[1, 1, 1]]}')
+
+
+MALFORMED = [
+    '{"dim": "abc"}',
+    '{"dim": 1, "matrix": 5}',
+    '{"dim": 1, "matrix": [["0"]], "box": 3}',
+    '{"dim": 1, "matrix": [["0"]], "eigenvalue": "x"}',
+    '{"dim": 1, "matrix": [["0"]], "factors": [["a", 1]]}',
+    '{"dim": 1, "matrix": [["0"]], "factors": 5}',
+    '{"dim": 1, "matrix": [["0"]], "groups": 5}',
+    '{"dim": 1, "matrix": [["1/0"]]}',
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_value_is_a_field_file_error(text, tmp_path, capsys):
+    from endochart.cli import main
+    with pytest.raises(FieldFileError):
+        loads_field_document(text)
+    path = tmp_path / "field.json"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
