@@ -435,9 +435,9 @@ class _TransportedFrame:
             self._cache[key] = hit
         return hit
 
-    def field(self, i: int, label: str) -> ComputedVectorField:
+    def field(self, i: int) -> ComputedVectorField:
         return ComputedVectorField(lambda q, i=i: self.eval_all(q)[:, i],
-                                   self.dim, label=label)
+                                   self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +482,7 @@ class _Pipeline:
         if k not in self._stage_fields:
             chart = self.stage_chart(k - 1)
             frame = _TransportedFrame(chart)
-            self._stage_fields[k] = [
-                frame.field(i, f"Z[{i}]^({k})") for i in range(len(self._z0))]
+            self._stage_fields[k] = [frame.field(i) for i in range(len(self._z0))]
         return self._stage_fields[k]
 
     def generator(self, p: int, i: int, k: int):
@@ -503,8 +502,7 @@ class _Pipeline:
             z = self.z_fields(rep)[i]
             Ap = self._power_ev[p]
             gen = ComputedVectorField(
-                lambda q, z=z, Ap=Ap: Ap(q) @ z.value(q),
-                self.d, label=f"A^{p} Z[{i}]^({rep})")
+                lambda q, z=z, Ap=Ap: Ap(q) @ z.value(q), self.d)
         self._gen_cache[key] = gen
         return gen
 
@@ -793,7 +791,7 @@ class ChartMap:
         if self._frame is None:
             ax = pipe.section.axes[i]
             return CompiledField(coordinate_field(pipe.d, ax + 1))
-        return self._frame.field(i, f"Z[{i}]^(final)")
+        return self._frame.field(i)
 
     def chart_ranges(self) -> list:
         """Per-coordinate ranges in chart space staying inside the box."""

@@ -7,7 +7,8 @@ Subcommands:
     selftest                 run the internal invariant suites
 
 Exit codes: 0 on pass, 2 on a condition/verification failure, 1 on usage,
-I/O or field-document errors and zero denominators on the box.
+I/O or field-document errors and on fields without a finite value on the
+box (a zero denominator, an overflow).
 """
 
 from __future__ import annotations
@@ -386,7 +387,11 @@ def main(argv=None) -> int:
     except (FieldFileError, FileNotFoundError, IsADirectoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (EvaluationError, ZeroDivisionError) as err:
+    except (EvaluationError, OverflowError) as err:
+        print(f"error: field has no finite value on the box ({err}); "
+              "shrink or move the box", file=sys.stderr)
+        return 1
+    except ZeroDivisionError as err:
         print(f"error: field has a zero denominator on the box ({err}); "
               "shrink or move the box", file=sys.stderr)
         return 1

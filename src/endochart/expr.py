@@ -1,10 +1,24 @@
 """Minimal closed-form scalar expression engine.
 
 Expression trees over d real variables with exact symbolic partial
-derivatives, fast numeric evaluation, and deterministic sampled zero tests
-on boxes.  There is deliberately no general simplifier: only constant
-folding and 0/1 absorption happen at construction time.  Deciding whether
-an expression vanishes is done numerically (`is_zero_on_box`).
+derivatives, numeric evaluation, and deterministic sampled zero tests on
+boxes.  There is deliberately no general simplifier: only constant folding
+and 0/1 absorption happen at construction time.  Deciding whether an
+expression vanishes is done numerically (`is_zero_on_box`).
+
+Trees are evaluated on one of two paths, both generated from the same
+emitted source:
+
+- batch (`compile_batch`), for sample sets known up front: one numpy
+  evaluation over a (d, N) point array gives an (m, N) value array.  The
+  condition checks evaluate every sample set this way.  A non-finite value
+  raises `EvaluationError` naming the failing subtree.
+- scalar (`compile_expr`, `compile_vector`), for sequential single points,
+  where each point depends on the last (flow steps, Newton iterations):
+  plain Python float arithmetic, which beats numpy on one point.
+
+`evaluate` walks the tree directly; it is the reference the compiled paths
+are tested against and the way a failing subtree is located.
 """
 
 from __future__ import annotations
@@ -19,12 +33,13 @@ __all__ = [
     "Exp", "PosPow", "Box", "ZeroTestResult", "EvaluationError",
     "const", "var", "add", "sub", "mul", "div", "intpow", "exp", "pospow",
     "negate", "differentiate", "evaluate", "substitute", "compile_expr",
-    "compile_vector", "sample_box", "is_zero_on_box",
-    "kink_arguments",
+    "compile_vector", "compile_batch", "sample_box", "is_zero_on_box",
+    "kink_arguments", "kink_mask",
 ]
 
 class EvaluationError(ArithmeticError):
-    """Raised when evaluation hits a vanishing quotient denominator.
+    """Raised when evaluation hits a vanishing quotient denominator, or a
+    batch evaluation produces a non-finite value.
 
     Carries the offending subtree so callers can report which part of a
     larger expression failed.
@@ -317,12 +332,12 @@ def evaluate(e: ScalarExpr, point) -> float:
     if isinstance(e, Quotient):
         den = evaluate(e.den, point)
         if den == 0.0:
-            raise EvaluationError("zero denominator", e)
+            raise EvaluationError(f"zero denominator in {e}", e)
         return evaluate(e.num, point) / den
     if isinstance(e, IntPow):
         b = evaluate(e.base, point)
         if e.power < 0 and b == 0.0:
-            raise EvaluationError("zero base with negative power", e)
+            raise EvaluationError(f"zero base with negative power in {e}", e)
         return b ** e.power
     if isinstance(e, Exp):
         return math.exp(evaluate(e.arg, point))
@@ -355,6 +370,20 @@ def substitute(e: ScalarExpr, mapping: dict[int, ScalarExpr]) -> ScalarExpr:
     raise TypeError(f"unknown node {e!r}")
 
 
+def _children(e: ScalarExpr) -> tuple:
+    if isinstance(e, Sum):
+        return e.terms
+    if isinstance(e, Product):
+        return e.factors
+    if isinstance(e, Quotient):
+        return (e.num, e.den)
+    if isinstance(e, IntPow):
+        return (e.base,)
+    if isinstance(e, (Exp, PosPow)):
+        return (e.arg,)
+    return ()
+
+
 def kink_arguments(e: ScalarExpr) -> list[ScalarExpr]:
     """Arguments of all pospow nodes; their zero sets are the kink loci."""
     out: list[ScalarExpr] = []
@@ -362,32 +391,26 @@ def kink_arguments(e: ScalarExpr) -> list[ScalarExpr]:
     def walk(node):
         if isinstance(node, PosPow):
             out.append(node.arg)
-            walk(node.arg)
-        elif isinstance(node, Sum):
-            for t in node.terms:
-                walk(t)
-        elif isinstance(node, Product):
-            for f in node.factors:
-                walk(f)
-        elif isinstance(node, Quotient):
-            walk(node.num)
-            walk(node.den)
-        elif isinstance(node, (IntPow, Exp)):
-            walk(node.base if isinstance(node, IntPow) else node.arg)
+        for child in _children(node):
+            walk(child)
 
     walk(e)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Compilation to plain Python callables (the hot-loop evaluation path).
-# Errors degrade to ZeroDivisionError; callers wanting the offending subtree
-# should fall back to `evaluate`.
+# Compilation.  One emitter serves both paths: `x[i]` indexes a point on the
+# scalar path and selects the row of variable i+1 on the batch path, and the
+# namespace supplies the matching exp and pospow.
 
 def _pospow_rt(a: float, k: int) -> float:
     if a < 0.0:
         return 0.0
     return 1.0 if k == 0 else a ** k
+
+
+def _pospow_batch(a: np.ndarray, k: int) -> np.ndarray:
+    return np.where(a < 0.0, 0.0, 1.0 if k == 0 else a ** k)
 
 
 def _emit(e: ScalarExpr) -> str:
@@ -411,10 +434,15 @@ def _emit(e: ScalarExpr) -> str:
 
 
 _NAMESPACE = {"_exp": math.exp, "_pp": _pospow_rt}
+_BATCH_NAMESPACE = {"_exp": np.exp, "_pp": _pospow_batch, "_zeros": np.zeros}
 
 
 def compile_expr(e: ScalarExpr):
-    """Compile to `f(x) -> float` with x an indexable point."""
+    """Compile to `f(x) -> float` with x an indexable point.
+
+    A zero denominator raises ZeroDivisionError; `evaluate` names the
+    offending subtree.
+    """
     src = f"lambda x: {_emit(e)}"
     return eval(src, dict(_NAMESPACE))  # noqa: S307 - generated from our own AST
 
@@ -424,6 +452,72 @@ def compile_vector(exprs) -> "callable":
     body = ",".join(_emit(e) for e in exprs)
     src = f"lambda x: [{body}]"
     return eval(src, dict(_NAMESPACE))  # noqa: S307
+
+
+def compile_batch(exprs) -> "callable":
+    """Compile m expressions to `f(x) -> (m, N) array` for a (d, N) point
+    array x (column n is the n-th point).
+
+    Rows of constant zeros are never evaluated.  Any non-finite value
+    raises `EvaluationError` naming the innermost failing subtree at the
+    first point (in sample order) where a value is not finite.
+    """
+    exprs = tuple(exprs)
+    lines = [f"    out[{i}] = {_emit(e)}" for i, e in enumerate(exprs)
+             if not (isinstance(e, Const) and e.value == 0.0)]
+    src = "\n".join([f"def f(x):\n    out = _zeros(({len(exprs)}, x.shape[1]))",
+                     *lines, "    return out"])
+    namespace = dict(_BATCH_NAMESPACE)
+    exec(src, namespace)  # noqa: S102 - generated from our own AST
+    raw = namespace.pop("f")   # no function <-> globals cycle to wait on gc for
+
+    def f(x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            out = raw(x)
+        if not np.isfinite(out).all():
+            _raise_nonfinite(exprs, x, out)
+        return out
+    return f
+
+
+def _raise_nonfinite(exprs, x: np.ndarray, out: np.ndarray):
+    bad = ~np.isfinite(out)
+    n = int(np.argmax(bad.any(axis=0)))
+    point = tuple(float(v) for v in x[:, n])
+    e = exprs[int(np.argmax(bad[:, n]))]
+    subtree, reason = _failing_subtree(e, point) or (e, f"non-finite value in {e}")
+    where = ", ".join(f"{v:.6g}" for v in point)
+    raise EvaluationError(f"{reason} at ({where})", subtree)
+
+
+def _failing_subtree(e: ScalarExpr, point):
+    """(innermost subtree of e that `evaluate` rejects at point, reason), or
+    None when every subtree evaluates to a finite value there."""
+    for child in _children(e):
+        hit = _failing_subtree(child, point)
+        if hit is not None:
+            return hit
+    try:
+        value = evaluate(e, point)
+    except EvaluationError as err:
+        return e, str(err)
+    except OverflowError:
+        return e, f"overflow in {e}"
+    return None if math.isfinite(value) else (e, f"non-finite value in {e}")
+
+
+def kink_mask(exprs, x, margin: float = 1e-4) -> np.ndarray:
+    """Boolean (N,) mask of the points of a (d, N) array x that lie within
+    `margin` of a pospow kink of any of the expressions.
+
+    One-sided derivatives differ at a kink, so sampled tests skip these
+    points.
+    """
+    args = [a for e in exprs for a in kink_arguments(e)]
+    if not args:
+        return np.zeros(np.shape(x)[1], dtype=bool)
+    return np.any(np.abs(compile_batch(args)(x)) < margin, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +567,10 @@ class Box:
         return Box(tuple(out))
 
     def corners(self) -> np.ndarray:
-        d = self.dim
-        out = np.empty((2 ** d, d))
-        for m in range(2 ** d):
-            for i, (lo, hi) in enumerate(self.bounds):
-                out[m, i] = hi if (m >> i) & 1 else lo
-        return out
+        """All 2^d corners; bit i of the row index selects hi on axis i."""
+        lo, hi = np.array(self.bounds, dtype=float).T
+        bits = (np.arange(2 ** self.dim)[:, None] >> np.arange(self.dim)) & 1
+        return np.where(bits == 1, hi, lo)
 
 
 def sample_box(box: Box, samples: int, seed: int,
@@ -517,20 +609,10 @@ def is_zero_on_box(e: ScalarExpr, box: Box, samples: int = 100,
     Points within `kink_margin` of a pospow kink hyperplane are skipped,
     because one-sided derivatives of upstream expressions differ there.
     """
-    pts = sample_box(box, samples, seed)
-    kinks = [compile_expr(a) for a in kink_arguments(e)]
-    f = compile_expr(e)
-    worst = 0.0
-    witness = tuple(box.center)
-    for p in pts:
-        if kinks and any(abs(k(p)) < kink_margin for k in kinks):
-            continue
-        try:
-            v = abs(f(p))
-        except ZeroDivisionError:
-            evaluate(e, p)  # raises EvaluationError with the subtree
-            raise
-        if v > worst:
-            worst = v
-            witness = tuple(float(x) for x in p)
+    x = sample_box(box, samples, seed).T
+    vals = np.abs(compile_batch([e])(x)[0])
+    vals[kink_mask([e], x, kink_margin)] = 0.0
+    n = int(np.argmax(vals))
+    worst = float(vals[n])
+    witness = tuple(float(v) for v in x[:, n]) if worst > 0.0 else tuple(box.center)
     return ZeroTestResult(worst <= tol, worst, witness, tol)

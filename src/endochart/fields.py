@@ -1,8 +1,9 @@
 """Vector fields, endomorphism fields, Lie brackets, and torsion tensors.
 
-All tensors are computed symbolically.  Tensoriality (checked numerically in
-the test suite) means evaluating them on the d^2 coordinate-field pairs
-determines them completely.
+All tensors here are computed symbolically; they are the reference for the
+numeric tensor kernels of the condition checks (`structure`).
+Tensoriality (checked numerically in the test suite) means evaluating them
+on the d^2 coordinate-field pairs determines them completely.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .expr import Box, ScalarExpr, is_zero_on_box
+from .expr import Box, ScalarExpr
 
 __all__ = [
     "VectorField", "EndoField", "coordinate_field", "zero_field",
     "apply_endo", "endo_power", "lie_bracket", "nijenhuis", "nprime",
     "torsion_S", "prop22_residual", "NonCommutingError", "Prop22Report",
+    "first_max",
 ]
 
 
@@ -149,14 +151,19 @@ class EndoField:
                                   for i in range(d) for j in range(d)])
         return lambda p: np.array(flat(p)).reshape(d, d)
 
+    def batch_evaluator(self):
+        """x -> (N, d, d) values at the points of a (d, N) array x."""
+        d = self.dim
+        flat = ex.compile_batch([e for row in self.entries for e in row])
+        return lambda x: flat(x).T.reshape(-1, d, d)
+
     def __call__(self, p) -> np.ndarray:
         return np.array([[ex.evaluate(e, p) for e in row] for row in self.entries])
 
     def entry_scale(self, box: Box, samples: int = 40, seed: int = 2026) -> float:
         """Max |entry| over a deterministic sample set; tolerance scaling."""
-        pts = ex.sample_box(box, samples, seed)
-        f = self.evaluator()
-        return max(float(np.max(np.abs(f(p)))) for p in pts)
+        x = ex.sample_box(box, samples, seed).T
+        return float(np.max(np.abs(self.batch_evaluator()(x))))
 
 
 def apply_endo(A: EndoField, X: VectorField) -> VectorField:
@@ -222,15 +229,15 @@ def _nprime_raw(A: EndoField, B: EndoField, X: VectorField,
 
 def commutator_residual(A: EndoField, B: EndoField, box: Box,
                         samples: int = 60, seed: int = 2026) -> float:
+    """Max sampled |AB - BA| entry, skipping points near pospow kinks."""
     AB = A.matmul(B)
     BA = B.matmul(A)
-    worst = 0.0
-    for i in range(A.dim):
-        for j in range(A.dim):
-            diff = ex.sub(AB.entries[i][j], BA.entries[i][j])
-            r = is_zero_on_box(diff, box, samples=samples, tol=np.inf, seed=seed)
-            worst = max(worst, r.max_abs)
-    return worst
+    diffs = [ex.sub(a, b) for r1, r2 in zip(AB.entries, BA.entries)
+             for a, b in zip(r1, r2)]
+    x = ex.sample_box(box, samples, seed).T
+    vals = np.abs(ex.compile_batch(diffs)(x))
+    vals[:, ex.kink_mask(diffs, x)] = 0.0
+    return float(np.max(vals))
 
 
 def nprime(A: EndoField, B: EndoField, X: VectorField, Y: VectorField,
@@ -272,14 +279,24 @@ class Prop22Report:
         return max(self.max_residual_i, self.max_residual_ii)
 
 
-def _max_abs_on_points(V: VectorField, pts: np.ndarray) -> tuple[float, tuple]:
-    f = V.evaluator()
-    worst, witness = 0.0, tuple(pts[0])
-    for p in pts:
-        v = float(np.max(np.abs(f(p))))
-        if v > worst:
-            worst, witness = v, tuple(p)
-    return worst, witness
+def first_max(vals: np.ndarray) -> tuple[float, int, int]:
+    """Maximum of a (pairs, N) array of sampled values, with the pair and
+    the point of its first occurrence, pairs in order and points in sample
+    order within a pair; (0.0, 0, 0) when there are no pairs."""
+    if vals.size == 0:
+        return 0.0, 0, 0
+    r, n = divmod(int(np.argmax(vals)), vals.shape[1])
+    return float(vals[r, n]), r, n
+
+
+def _worst_on(fields, x: np.ndarray, default: tuple) -> tuple[float, tuple]:
+    """Max |component| of the vector fields over the points of a (d, N)
+    array, and the first point attaining it (`default` if all vanish)."""
+    d = fields[0].dim
+    vals = ex.compile_batch([c for V in fields for c in V.components])(x)
+    vals = np.max(np.abs(vals.reshape(len(fields), d, -1)), axis=1)
+    worst, _, n = first_max(vals)
+    return worst, (tuple(x[:, n]) if worst > 0.0 else default)
 
 
 def prop22_residual(A: EndoField, p: int, q: int, box: Box,
@@ -295,13 +312,12 @@ def prop22_residual(A: EndoField, p: int, q: int, box: Box,
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
     d = A.dim
-    pts = ex.sample_box(box, samples, seed, include_corners=False)
+    x = ex.sample_box(box, samples, seed, include_corners=False).T
     powers = [endo_power(A, k) for k in range(max(p, q) + 1)]
     Aq = powers[q]
     Ap = powers[p]
 
-    worst_i, wit_i = 0.0, tuple(box.center)
-    worst_ii, wit_ii = 0.0, tuple(box.center)
+    residuals_i, residuals_ii = [], []
     for i in range(1, d + 1):
         X = coordinate_field(d, i)
         for j in range(1, d + 1):
@@ -312,16 +328,14 @@ def prop22_residual(A: EndoField, p: int, q: int, box: Box,
             for k in range(1, q + 1):
                 term = nijenhuis(A, X, apply_endo(powers[k - 1], Y))
                 rhs = rhs + apply_endo(powers[q - k], term)
-            r, w = _max_abs_on_points(lhs - rhs, pts)
-            if r > worst_i:
-                worst_i, wit_i = r, w
+            residuals_i.append(lhs - rhs)
             # identity (ii)
             lhs = _nprime_raw(Ap, Aq, X, Y)
             rhs = zero_field(d)
             for k in range(1, p + 1):
                 term = _nprime_raw(A, Aq, X, apply_endo(powers[k - 1], Y))
                 rhs = rhs + apply_endo(powers[p - k], term)
-            r, w = _max_abs_on_points(lhs - rhs, pts)
-            if r > worst_ii:
-                worst_ii, wit_ii = r, w
+            residuals_ii.append(lhs - rhs)
+    worst_i, wit_i = _worst_on(residuals_i, x, tuple(box.center))
+    worst_ii, wit_ii = _worst_on(residuals_ii, x, tuple(box.center))
     return Prop22Report(worst_i, worst_ii, wit_i, wit_ii)

@@ -92,10 +92,9 @@ class ComputedVectorField:
     cached by the point rounded to 12 decimal digits.
     """
 
-    def __init__(self, fn, dim: int, label: str = "computed"):
+    def __init__(self, fn, dim: int):
         self.fn = fn
         self.dim = dim
-        self.label = label
         self._cache: dict[tuple, np.ndarray] = {}
 
     @property

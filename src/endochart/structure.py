@@ -5,6 +5,12 @@ multiplicities, smooth kernel/image frames from symbolic elimination with a
 frozen pivot pattern, involutivity residual tests, and the structured
 condition reports for the nilpotent and general (user-supplied factors)
 integrability checks.
+
+Every sampled test evaluates its sample set once, point-batched
+(`expr.compile_batch`), and works on stacked arrays: ranks by stacked SVD,
+torsion by einsum over A and its derivatives, involutivity by stacked QR
+projections.  A witness is the first sample point attaining the strict
+maximum, pairs in (i, j) order.
 """
 
 from __future__ import annotations
@@ -15,8 +21,7 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Box, sample_box
-from .fields import (EndoField, VectorField, apply_endo, coordinate_field,
-                     endo_power, lie_bracket, nijenhuis)
+from .fields import EndoField, VectorField, endo_power, first_max, lie_bracket
 
 __all__ = [
     "StructureProfile", "Distribution", "RankResult", "rank_profile",
@@ -57,37 +62,51 @@ class RankResult:
     warnings: tuple = ()
 
 
-def _numeric_rank(M: np.ndarray, tol: float) -> tuple[int, bool]:
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] <= ABSOLUTE_FLOOR:
-        return 0, False
-    threshold = tol * s[0] * M.shape[0]
-    rank = int(np.sum(s > threshold))
-    shaky = bool(np.any((s > threshold / 10.0) & (s < threshold * 10.0)))
-    return rank, shaky
+def _numeric_ranks(Ms: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Numeric ranks of a stack of matrices, and whether each has a
+    singular value near its rank threshold."""
+    s = np.linalg.svd(Ms, compute_uv=False)
+    if s.shape[-1] == 0:
+        return np.zeros(len(Ms), dtype=int), np.zeros(len(Ms), dtype=bool)
+    threshold = tol * s[:, :1] * Ms.shape[1]
+    ranks = np.sum(s > threshold, axis=1)
+    shaky = np.any((s > threshold / 10.0) & (s < threshold * 10.0), axis=1)
+    vanishing = s[:, 0] <= ABSOLUTE_FLOOR
+    ranks[vanishing] = 0
+    shaky[vanishing] = False
+    return ranks, shaky
 
 
-def _power_ranks(M: np.ndarray, tol: float) -> tuple[tuple, list]:
-    """Ranks of M^0 .. M^k, stopping at the first zero rank, and the
-    powers whose singular values sit near the rank threshold."""
-    d = M.shape[0]
-    ranks = [d]
-    shaky_powers = []
-    P = np.eye(d)
-    for k in range(1, d + 1):
-        P = P @ M
-        r, shaky = _numeric_rank(P, tol)
-        if shaky:
-            shaky_powers.append(k)
+def _numeric_rank(M: np.ndarray, tol: float) -> int:
+    return int(_numeric_ranks(M[None], tol)[0][0])
+
+
+def _power_ranks(Ms: np.ndarray, tol: float) -> list:
+    """Per matrix M of a stack: the ranks of M^0 .. M^k, stopping at the
+    first zero rank, and the powers whose singular values sit near the rank
+    threshold."""
+    count, d, _ = Ms.shape
+    ranks, shaky = [np.full(count, d)], [np.zeros(count, dtype=bool)]
+    P = np.broadcast_to(np.eye(d), Ms.shape)
+    reached_zero = np.zeros(count, dtype=bool)
+    for _ in range(d):
+        P = P @ Ms
+        r, s = _numeric_ranks(P, tol)
         ranks.append(r)
-        if r == 0:
+        shaky.append(s)
+        reached_zero |= r == 0
+        if reached_zero.all():
             break
-    return tuple(ranks), shaky_powers
+    out = []
+    for r, s in zip(np.array(ranks).T.tolist(), np.array(shaky).T.tolist()):
+        stop = r.index(0) + 1 if 0 in r else len(r)
+        out.append((tuple(r[:stop]), [k for k in range(1, stop) if s[k]]))
+    return out
 
 
 def rank_profile(A: EndoField, p, tol: float = SVD_RELATIVE_THRESHOLD) -> RankResult:
     """Numeric ranks of A^0 .. A^d at the point `p` via SVD thresholding."""
-    ranks, shaky = _power_ranks(np.asarray(A(p), dtype=float), tol)
+    ranks, shaky = _power_ranks(np.asarray(A(p), dtype=float)[None], tol)[0]
     return RankResult(ranks, tuple(
         f"singular value near rank threshold for power {k}" for k in shaky))
 
@@ -146,30 +165,28 @@ class ConstancyResult:
 def constancy_check(A: EndoField, box: Box, samples: int = 100,
                     seed: int = 2026, tol: float = SVD_RELATIVE_THRESHOLD) -> ConstancyResult:
     """True iff the rank profile of powers is identical at all sampled points."""
-    pts = sample_box(box, samples, seed)
-    f = A.evaluator()
-    first = None
-    first_pt = None
-    warnings: list[str] = []
-    for p in pts:
-        ranks, shaky = _power_ranks(f(p), tol)
-        warnings.extend(
-            f"singular value near threshold for power {k} at "
-            f"{tuple(round(float(v), 6) for v in p)}" for k in shaky)
-        if first is None:
-            first, first_pt = ranks, p
-        elif ranks != first:
-            return ConstancyResult(False, None, first,
-                                   (tuple(float(v) for v in first_pt), first,
-                                    tuple(float(v) for v in p), ranks),
-                                   tuple(warnings[:5]))
+    x = sample_box(box, samples, seed).T
+    profiles = _power_ranks(A.batch_evaluator()(x), tol)
+    first = profiles[0][0]
+    bad = next((n for n, (r, _) in enumerate(profiles) if r != first), None)
+    warnings = [
+        f"singular value near threshold for power {k} at "
+        f"{tuple(round(float(v), 6) for v in x[:, n])}"
+        for n in range(len(profiles) if bad is None else bad + 1)
+        for k in profiles[n][1]][:5]
+    if bad is not None:
+        return ConstancyResult(False, None, first,
+                               (tuple(float(v) for v in x[:, 0]), first,
+                                tuple(float(v) for v in x[:, bad]),
+                                profiles[bad][0]),
+                               tuple(warnings))
     profile = None
-    if first is not None and first[-1] == 0:
+    if first[-1] == 0:
         try:
             profile = invariant_factors(first)
         except (NonNilpotentError, InconsistentRanksError):
             profile = None
-    return ConstancyResult(True, profile, first, None, tuple(warnings[:5]))
+    return ConstancyResult(True, profile, first, None, tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +217,18 @@ class Distribution:
         evs = [F.evaluator() for F in self.frame]
         return lambda p: np.column_stack([e(p) for e in evs])
 
-    def scale_on(self, pts) -> float:
+    def values_on(self, x: np.ndarray) -> np.ndarray:
+        """(N, d, k) frame matrices at the points of a (d, N) array x."""
         if not self.frame:
-            return 0.0
-        m = self.matrix_evaluator()
-        return max(float(np.max(np.abs(m(p)))) for p in pts)
+            return np.zeros((x.shape[1], self.box.dim, 0))
+        flat = ex.compile_batch([c for F in self.frame for c in F.components])
+        return flat(x).reshape(self.rank, self.dim, -1).transpose(2, 1, 0)
 
 
 def _check_pivot_expr(e: ex.ScalarExpr, box: Box, samples: int, seed: int,
                       floor: float, what: str):
-    f = ex.compile_expr(e)
-    vals = [f(p) for p in sample_box(box, samples, seed)]
-    lo, hi = min(vals), max(vals)
+    vals = ex.compile_batch([e])(sample_box(box, samples, seed).T)[0]
+    lo, hi = float(np.min(vals)), float(np.max(vals))
     if min(abs(lo), abs(hi)) < floor or lo * hi <= 0.0:
         raise PivotDegenerationError(
             f"{what} degenerates on the box (range [{lo:.3e}, {hi:.3e}]); "
@@ -230,7 +247,7 @@ def nullspace_frame(M: EndoField, box: Box, provenance: str = "user",
     d = M.dim
     center = box.center
     M0 = np.asarray(M(center), dtype=float)
-    rank, _ = _numeric_rank(M0, tol)
+    rank = _numeric_rank(M0, tol)
 
     rows = [list(r) for r in M.entries]
     work = M0.copy()
@@ -288,15 +305,15 @@ def _frame_full_rank_check(dist: Distribution, samples: int, seed: int,
                            tol: float):
     if not dist.frame:
         return
-    m = dist.matrix_evaluator()
-    for p in sample_box(dist.box, samples, seed):
-        cols = m(p)
-        s = np.linalg.svd(cols, compute_uv=False)
-        if s[-1] <= tol * max(s[0], 1.0) * dist.dim:
-            raise PivotDegenerationError(
-                f"frame ({dist.provenance}) loses rank at "
-            f"{tuple(round(float(v), 6) for v in p)}; "
-                "shrink the box")
+    x = sample_box(dist.box, samples, seed).T
+    s = np.linalg.svd(dist.values_on(x), compute_uv=False)
+    lost = s[:, -1] <= tol * np.maximum(s[:, 0], 1.0) * dist.dim
+    if lost.any():
+        n = int(np.argmax(lost))
+        raise PivotDegenerationError(
+            f"frame ({dist.provenance}) loses rank at "
+            f"{tuple(round(float(v), 6) for v in x[:, n])}; "
+            "shrink the box")
 
 
 def _select_columns(M: np.ndarray, rank: int) -> list:
@@ -321,7 +338,7 @@ def image_frame(A: EndoField, p: int, box: Box, samples: int = 60,
     d = A.dim
     Ap = endo_power(A, p)
     M0 = np.asarray(Ap(box.center), dtype=float)
-    rank, _ = _numeric_rank(M0, tol)
+    rank = _numeric_rank(M0, tol)
     chosen = _select_columns(M0, rank)
     frame = tuple(Ap.column(j + 1) for j in chosen)
     dist = Distribution(frame, len(frame), f"Im A^{p}", box)
@@ -340,7 +357,7 @@ def sum_distribution(D1: Distribution, D2: Distribution,
     if not fields:
         return Distribution((), 0, f"{D1.provenance} + {D2.provenance}", box)
     cols = np.column_stack([F(box.center) for F in fields])
-    rank, _ = _numeric_rank(cols, tol)
+    rank = _numeric_rank(cols, tol)
     chosen = _select_columns(cols, rank)
     dist = Distribution(tuple(fields[j] for j in chosen), rank,
                         f"{D1.provenance} + {D2.provenance}", box)
@@ -366,31 +383,35 @@ class InvolutivityResult:
 
 def involutivity_residual(D: Distribution, box: Box, samples: int = 100,
                           seed: int = 2026, tol: float = 1e-8) -> InvolutivityResult:
-    """Least-squares residual of frame brackets against the frame span.
+    """Residual of frame brackets against the frame span.
 
     A distribution is involutive iff any generating frame is closed under
-    brackets modulo the frame, which is what this measures.
+    brackets modulo the frame, which is what this measures: the norm of
+    each bracket minus its orthogonal projection onto the frame span.  The
+    projection needs a full-rank frame, which kernel frames are by
+    construction and image and sum frames are checked to be.
     """
     k = len(D.frame)
-    pts = sample_box(box, samples, seed)
-    scale = D.scale_on(pts)
-    if k <= 1:
-        return InvolutivityResult(True, 0.0, tol * (1.0 + scale), scale, None, None)
-    mat = D.matrix_evaluator()
-    worst, w_pt, w_pair = 0.0, None, None
-    for i in range(k):
-        for j in range(i + 1, k):
-            b = lie_bracket(D.frame[i], D.frame[j]).evaluator()
-            for p in pts:
-                Fr = mat(p)
-                v = b(p)
-                c, *_ = np.linalg.lstsq(Fr, v, rcond=None)
-                r = float(np.linalg.norm(v - Fr @ c))
-                if r > worst:
-                    worst, w_pt, w_pair = r, tuple(float(v) for v in p), (i, j)
+    x = sample_box(box, samples, seed).T
+    F = D.values_on(x)
+    scale = float(np.max(np.abs(F))) if k else 0.0
     threshold = tol * (1.0 + scale)
+    if k <= 1:
+        return InvolutivityResult(True, 0.0, threshold, scale, None, None)
+    Q = np.linalg.qr(F)[0]                           # (N, d, k)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    brackets = [lie_bracket(D.frame[i], D.frame[j]) for i, j in pairs]
+    V = ex.compile_batch([c for B in brackets for c in B.components])(x)
+    R = np.empty((len(pairs), x.shape[1]))
+    # one pair at a time keeps the temporaries at (d, N)
+    for p, v in enumerate(V.reshape(len(pairs), D.dim, -1)):
+        proj = np.einsum("ndk,nk->dn", Q, np.einsum("ndk,dn->nk", Q, v))
+        R[p] = np.linalg.norm(v - proj, axis=0)
+    worst, r, n = first_max(R)
+    witness = ((tuple(float(v) for v in x[:, n]), pairs[r])
+               if worst > 0.0 else (None, None))
     return InvolutivityResult(worst <= threshold, worst, threshold, scale,
-                              w_pt, w_pair)
+                              *witness)
 
 
 # ---------------------------------------------------------------------------
@@ -408,27 +429,60 @@ class TensorResidual:
         return self.passed
 
 
+# Points per torsion evaluation: bounds the (d^2 + d^3, points) array of A
+# and its derivatives (0.2 MB at d = 7).
+_TORSION_CHUNK = 64
+
+
+def _torsion_kernel(A: EndoField):
+    """x -> torsion of A on the coordinate pairs i < j (0-based, i-major) at
+    the points of a (d, N) array x, as a (pairs, d, N) array
+    [p, m, n] = N(d_i, d_j)^m.
+
+    With A and its partial derivatives evaluated at every point,
+
+        N(d_i, d_j)^m = sum_l (A_li d_l A_mj - A_lj d_l A_mi)
+                        - sum_l A_ml (d_i A_lj - d_j A_li).
+    """
+    d = A.dim
+    entries = [e for row in A.entries for e in row]
+    derivs = [ex.differentiate(e, l) for l in range(1, d + 1) for e in entries]
+    values = ex.compile_batch(entries + derivs)
+
+    def torsion(x: np.ndarray) -> np.ndarray:
+        vals = values(x)
+        Ax = vals[:d * d].reshape(d, d, -1)          # [m, j, n] = A_mj
+        dA = vals[d * d:].reshape(d, d, d, -1)       # [l, m, j, n] = d_l A_mj
+        blocks = [np.empty((0, d, vals.shape[1]))]
+        for i in range(d - 1):                       # the pairs (i, j > i)
+            later = slice(i + 1, d)
+            bracket = (np.einsum("ln,lmjn->jmn", Ax[:, i], dA[:, :, later])
+                       - np.einsum("ljn,lmn->jmn", Ax[:, later], dA[:, :, i]))
+            curl = dA[i, :, later] - dA[later, :, i].transpose(1, 0, 2)  # [l, j, n]
+            blocks.append(bracket - np.einsum("mln,ljn->jmn", Ax, curl))
+        return np.concatenate(blocks)
+    return torsion
+
+
 def nijenhuis_residual(A: EndoField, box: Box, samples: int = 100,
                        seed: int = 2026, tol: float | None = None) -> TensorResidual:
-    """Max sampled norm of the torsion tensor over coordinate-field pairs."""
+    """Max sampled norm of the torsion tensor over coordinate-field pairs.
+
+    Points near a pospow kink of A are skipped.
+    """
     d = A.dim
     if tol is None:
         tol = 1e-9 * (1.0 + A.entry_scale(box, seed=seed))
-    pts = sample_box(box, samples, seed)
-    worst, w_pt, w_pair = 0.0, None, None
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            N = nijenhuis(A, coordinate_field(d, i), coordinate_field(d, j))
-            kinks = [ex.compile_expr(a) for c in N.components
-                     for a in ex.kink_arguments(c)]
-            f = N.evaluator()
-            for p in pts:
-                if kinks and any(abs(k(p)) < 1e-4 for k in kinks):
-                    continue
-                v = float(np.max(np.abs(f(p))))
-                if v > worst:
-                    worst, w_pt, w_pair = v, tuple(float(v) for v in p), (i, j)
-    return TensorResidual(worst <= tol, worst, tol, w_pt, w_pair)
+    x = sample_box(box, samples, seed).T
+    torsion = _torsion_kernel(A)
+    R = np.concatenate([np.max(np.abs(torsion(x[:, n:n + _TORSION_CHUNK])), axis=1)
+                        for n in range(0, x.shape[1], _TORSION_CHUNK)], axis=1)
+    R[:, ex.kink_mask([e for row in A.entries for e in row], x)] = 0.0
+    worst, r, n = first_max(R)
+    pairs = [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
+    witness = ((tuple(float(v) for v in x[:, n]), pairs[r])
+               if worst > 0.0 else (None, None))
+    return TensorResidual(worst <= tol, worst, tol, *witness)
 
 
 # ---------------------------------------------------------------------------
@@ -500,30 +554,18 @@ def corollary15_report(A: EndoField, factors, box: Box, samples: int = 100,
     for coeffs in factors:
         prod = prod.matmul(poly_endo(A, coeffs))
     scale = max(A.entry_scale(box, seed=seed), 1.0)
-    worst = 0.0
-    f = prod.evaluator()
-    for p in sample_box(box, samples, seed):
-        worst = max(worst, float(np.max(np.abs(f(p)))))
+    x = sample_box(box, samples, seed).T
+    worst = float(np.max(np.abs(prod.batch_evaluator()(x))))
     if worst > 1e-8 * (1.0 + scale ** A.dim):
         raise AnnihilationError(
             f"product of supplied factors has residual {worst:.3e} on the box")
 
     factor_ranks = []
     factor_inv = []
-    pts = sample_box(box, samples, seed)
     for coeffs in factors:
         PA = poly_endo(A, coeffs)
-        ev = PA.evaluator()
-        first = None
-        constant = True
-        for p in pts:
-            r, _ = _numeric_rank(ev(p), SVD_RELATIVE_THRESHOLD)
-            if first is None:
-                first = r
-            elif r != first:
-                constant = False
-                break
-        factor_ranks.append((coeffs, first, constant))
+        ranks, _ = _numeric_ranks(PA.batch_evaluator()(x), SVD_RELATIVE_THRESHOLD)
+        factor_ranks.append((coeffs, int(ranks[0]), bool(np.all(ranks == ranks[0]))))
         D = nullspace_frame(PA, box, provenance=f"ker P(A), P={list(coeffs)}",
                             seed=seed)
         factor_inv.append((coeffs, involutivity_residual(

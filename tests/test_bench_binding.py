@@ -45,3 +45,20 @@ def test_tracer_installs_counts_and_uninstalls():
         tracer.uninstall()
     assert (flows.integrate_flow, charts.integrate_flow, charts.hk_residuals,
             charts.ChartMap.forward, flows.ComputedVectorField.value) == originals
+
+
+def test_traced_check_records_structure_spans():
+    from endochart import corpus, structure
+    data = corpus.build_corpus_field("example37")
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        structure.theorem13_report(data["field"], data["box"])
+    finally:
+        tracer.uninstall()
+    _, _, calls = tracer.self_times()
+    # structure.rank: rank_profile at the box center, then constancy_check
+    assert calls["structure.rank"] == 2
+    assert calls["structure.torsion"] == 1
+    assert calls["structure.involutivity"] == 1
+    assert calls["structure.frames"] == 1

@@ -88,6 +88,17 @@ class TestFileCommands:
         assert main(["check", str(path)]) == 1
         assert "zero denominator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("matrix, reason", [
+        ('[["0", "1/(x1+1)"], ["0", "0"]]', "zero denominator"),  # pole at a corner
+        ('[["0", "exp(exp(exp(10*x1)))"], ["0", "0"]]', "overflow"),
+    ])
+    def test_no_finite_value_on_box(self, tmp_path, capsys, matrix, reason):
+        path = tmp_path / "field.json"
+        path.write_text(f'{{"dim": 2, "matrix": {matrix}}}')
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
+
     def test_compiled_zero_division(self, tmp_path, capsys, monkeypatch):
         # compiled evaluators raise ZeroDivisionError at plain-float points
         from endochart import cli
@@ -97,6 +108,16 @@ class TestFileCommands:
         monkeypatch.setattr(cli, "theorem13_report", divide)
         assert main(["check", str(DOCS / "triangular-n3.json")]) == 1
         assert "zero denominator" in capsys.readouterr().err
+
+    def test_scalar_overflow(self, tmp_path, capsys, monkeypatch):
+        # the scalar path (math.exp) raises OverflowError
+        import math
+
+        from endochart import cli
+        monkeypatch.setattr(cli, "theorem13_report",
+                            lambda *args, **kwargs: math.exp(1e3))
+        assert main(["check", str(DOCS / "triangular-n3.json")]) == 1
+        assert "no finite value" in capsys.readouterr().err
 
 
 class TestSelftest:

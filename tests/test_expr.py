@@ -122,11 +122,15 @@ def test_mixed_partials_commute():
 
 def test_compiled_matches_tree_evaluation():
     rng = np.random.default_rng(99)
-    for _ in range(200):
+    exprs, pts = [], rng.uniform(-1, 1, size=(200, 3))
+    for p in pts:
         e = _random_expr(rng, 3, 5)
         f = ex.compile_expr(e)
-        p = rng.uniform(-1, 1, size=3)
         assert f(p) == pytest.approx(ex.evaluate(e, p), rel=1e-13, abs=1e-13)
+        exprs.append(e)
+    batch = ex.compile_batch(exprs)(pts.T)
+    tree = [[ex.evaluate(e, p) for p in pts] for e in exprs]
+    np.testing.assert_allclose(batch, tree, rtol=1e-13, atol=1e-13)
 
 
 def test_substitute():
@@ -178,3 +182,88 @@ class TestGrammar:
     def test_unbalanced(self):
         with pytest.raises(ParseError):
             parse_expr("(x1 + 2")
+
+
+class TestCompileBatch:
+    """The batch path against the scalar path it replaces in the checks."""
+
+    @staticmethod
+    def fields():
+        from pathlib import Path
+
+        from endochart import corpus
+        from endochart.fieldfile import load_field_document
+        out = []
+        for name in corpus.CORPUS:
+            data = corpus.build_corpus_field(name)
+            out.append((name, data["field"], data["box"]))
+        docs = Path(__file__).resolve().parents[1] / "docs" / "examples"
+        for path in sorted(docs.glob("*.json")):
+            doc = load_field_document(path)
+            out.append((path.stem, doc.field, doc.box))
+        spec = corpus.Example35Spec.from_theta(3, analytic=False)
+        out.append(("example35-n3-pospow", corpus.example35_field(spec)[0], spec.box))
+        return out
+
+    @staticmethod
+    def entries_and_derivatives(A):
+        entries = [e for row in A.entries for e in row]
+        return entries + [ex.differentiate(e, i) for i in range(1, A.dim + 1)
+                          for e in entries]
+
+    def assert_paths_agree(self, exprs, pts):
+        batch = ex.compile_batch(exprs)(pts.T)
+        scalar = np.array([ex.compile_vector(exprs)(p) for p in pts]).T
+        np.testing.assert_allclose(batch, scalar, rtol=1e-13, atol=1e-13)
+
+    def test_fields_at_sample_points(self):
+        for name, A, box in self.fields():
+            self.assert_paths_agree(self.entries_and_derivatives(A),
+                                    ex.sample_box(box, 100, 2026))
+
+    def test_fields_beside_kinks(self):
+        kinked = 0
+        for name, A, box in self.fields():
+            exprs = self.entries_and_derivatives(A)
+            kinks = {a for e in exprs for a in ex.kink_arguments(e)}
+            for a in kinks:
+                assert isinstance(a, ex.Var), (name, a)
+                pts = np.repeat(ex.sample_box(box, 10, 3), 4, axis=0)
+                pts[:, a.index - 1] = np.tile([-1e-3, -1e-9, 1e-9, 1e-3],
+                                              len(pts) // 4)
+                self.assert_paths_agree(exprs, pts)
+                kinked += 1
+        assert kinked > 0
+
+    def test_pospow_is_masked(self):
+        e = ex.pospow(ex.var(1), 3)
+        vals = ex.compile_batch([e])(np.array([[-2.0, -0.0, 0.5, 2.0]]))
+        assert vals.tolist() == [[0.0, 0.0, 0.125, 8.0]]
+
+    def test_constant_rows_broadcast(self):
+        vals = ex.compile_batch([ex.const(0.0), ex.const(2.5), ex.var(2)])(
+            np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert vals.tolist() == [[0.0, 0.0], [2.5, 2.5], [3.0, 4.0]]
+
+    def test_zero_denominator_names_subtree(self):
+        den = ex.add(ex.var(1), ex.const(1.0))
+        e = ex.add(ex.var(2), ex.div(ex.const(1.0), den))
+        x = np.array([[0.0, -1.0, -1.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ex.EvaluationError) as err:
+            ex.compile_batch([ex.var(1), e])(x)
+        assert err.value.subtree == ex.div(ex.const(1.0), den)
+        assert "zero denominator" in str(err.value)
+        assert "(-1, 0)" in str(err.value)      # the first bad point
+
+    def test_overflow_names_subtree(self):
+        inner = ex.exp(ex.exp(ex.mul(ex.const(10.0), ex.var(1))))
+        with pytest.raises(ex.EvaluationError) as err:
+            ex.compile_batch([ex.exp(inner)])(np.array([[0.0, 1.0]]))
+        assert err.value.subtree == inner
+        assert "overflow" in str(err.value)
+
+    def test_kink_mask(self):
+        e = ex.mul(ex.var(2), ex.pospow(ex.sub(ex.var(1), ex.const(0.5)), 2))
+        x = np.array([[0.5, 0.50001, 0.6, -1.0], [1.0, 1.0, 1.0, 1.0]])
+        assert ex.kink_mask([e], x).tolist() == [True, True, False, False]
+        assert ex.kink_mask([ex.var(1)], x).tolist() == [False] * 4

@@ -1,17 +1,24 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
+from endochart import corpus
 from endochart import expr as ex
-from endochart.expr import Box
-from endochart.fields import EndoField, apply_endo, coordinate_field, endo_power
+from endochart.expr import Box, sample_box
+from endochart.fields import (EndoField, apply_endo, coordinate_field,
+                              endo_power, nijenhuis)
+from endochart.reporting import theorem13_to_dict
 from endochart.structure import (AnnihilationError, Distribution,
                                  InconsistentRanksError, NonNilpotentError,
                                  PivotDegenerationError, constancy_check,
                                  corollary15_report, image_frame,
                                  invariant_factors, kernel_frame,
-                                 involutivity_residual, nullspace_frame,
-                                 poly_endo, rank_profile, sum_distribution,
-                                 theorem13_report)
+                                 involutivity_residual, nijenhuis_residual,
+                                 nullspace_frame, poly_endo, rank_profile,
+                                 sum_distribution, theorem13_report,
+                                 _torsion_kernel)
 from test_fields import field_37, field_38
 
 BOX4 = Box.cube(4, 1.0)
@@ -129,6 +136,20 @@ class TestConstancy:
         res = constancy_check(A, Box.cube(2, 1.0), samples=60, seed=3)
         assert not res.constant
         assert res.witness is not None
+
+    def test_shaky_warnings_in_point_order(self):
+        # the (2, 3) entry sits within 10x of the rank threshold everywhere
+        small = ex.mul(ex.const(1e-7), ex.add(ex.const(1.0),
+                                              ex.mul(ex.const(0.1), ex.var(1))))
+        rows = [[Z, ex.const(1.0), Z], [Z, Z, small], [Z, Z, Z]]
+        A = EndoField(tuple(tuple(r) for r in rows))
+        box = Box.cube(3, 1.0)
+        res = constancy_check(A, box, samples=20, seed=8)
+        assert res.constant and res.ranks == (3, 2, 1, 0)
+        assert res.warnings == tuple(
+            f"singular value near threshold for power 1 at "
+            f"{tuple(round(float(v), 6) for v in p)}"
+            for p in sample_box(box, 20, 8)[:5])
 
     def test_35_alpha_positive(self):
         alpha1 = ex.mul(ex.var(3), ex.var(3))
@@ -302,3 +323,72 @@ class TestCorollary15:
         P = poly_endo(A, (2.0, -1.0, 1.0))  # 2 - X + X^2
         expect = 2 * np.eye(2) - M + M @ M
         assert np.allclose(P((0.0, 0.0)), expect)
+
+
+TORSION_CASES = {
+    "example38": lambda: corpus.build_corpus_field("example38"),
+    "block-mixed": lambda: corpus.build_corpus_field("block-mixed"),
+    "conjugated-d3": lambda: _oracle(seed=1, d=3, multiplicities=(1, 1)),
+    "conjugated-d4": lambda: _oracle(seed=9, d=4, multiplicities=(2, 1)),
+    "conjugated-d5": lambda: _oracle(seed=3, d=5, multiplicities=(1, 2)),
+    "dense": lambda: {"field": _dense_field(), "box": Box.cube(3, 0.5)},
+}
+
+
+def _dense_field() -> EndoField:
+    """A field with no zero entries and no structure, so every term of the
+    torsion formula contributes."""
+    x1, x2, x3 = ex.var(1), ex.var(2), ex.var(3)
+    rows = [[x2, ex.exp(x1), ex.mul(x3, x1)],
+            [ex.div(1.0, ex.add(2.0, x3)), ex.mul(x1, x2), ex.sub(x3, 0.5)],
+            [ex.intpow(x3, 2), ex.add(x1, 1.0), ex.mul(x2, x2, x3)]]
+    return EndoField(tuple(tuple(r) for r in rows))
+
+
+def _oracle(**kwargs):
+    oracle = corpus.conjugated_constant(shear_degree=2, **kwargs)
+    return {"field": oracle.field, "box": oracle.chart.box}
+
+
+class TestTorsionKernel:
+    """The einsum torsion against the symbolic tensor, its oracle."""
+
+    @pytest.mark.parametrize("name", sorted(TORSION_CASES))
+    def test_matches_symbolic_nijenhuis(self, name):
+        data = TORSION_CASES[name]()
+        A, box = data["field"], data["box"]
+        d = A.dim
+        pts = sample_box(box, 30, 5)
+        pairs = [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
+        kernel = dict(zip(pairs, _torsion_kernel(A)(pts.T), strict=True))
+        for i in range(1, d + 1):
+            for j in range(1, d + 1):
+                f = nijenhuis(A, coordinate_field(d, i),
+                              coordinate_field(d, j)).evaluator()
+                symbolic = np.array([f(p) for p in pts]).T
+                # the kernel covers i < j; the tensor is antisymmetric
+                numeric = (kernel[(i, j)] if i < j else -kernel[(j, i)]
+                           if i > j else np.zeros_like(symbolic))
+                np.testing.assert_allclose(numeric, symbolic,
+                                           rtol=1e-12, atol=1e-12)
+
+    def test_example38_torsion_value(self):
+        # N(d3, d4) = -exp(x2) d1, largest at x2 = 1 on the unit box
+        rep = nijenhuis_residual(corpus.example38_field(), BOX4)
+        assert rep.max_residual == pytest.approx(np.e, rel=1e-14)
+        assert rep.witness_pair == (3, 4)
+        assert rep.witness_point[1] == 1.0
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "check_reports.json"
+
+
+@pytest.mark.parametrize("seed", [2026, 7])
+def test_check_reports_pinned(seed):
+    """Verdicts, residuals, witness points and pairs of `check` on every
+    corpus field, as the CLI renders them."""
+    golden = json.loads(GOLDEN.read_text())
+    for name in corpus.CORPUS:
+        data = corpus.build_corpus_field(name)
+        rep = theorem13_report(data["field"], data["box"], seed=seed)
+        assert theorem13_to_dict(rep) == golden[f"{name}@{seed}"], name
