@@ -26,7 +26,7 @@ import numpy as np
 
 from .expr import Box, sample_box
 from .fields import (EndoField, VectorField, apply_endo, coordinate_field,
-                     endo_power, lie_bracket)
+                     endo_power, first_max, lie_bracket)
 from .flows import (CompiledField, ComputedVectorField, FlowSpec,
                     IntegratorSettings, integrate_flow,
                     integrate_with_transport, numeric_bracket)
@@ -324,16 +324,33 @@ class _StageChart:
     def transport_flow(self, alpha: int, starts: list) -> list:
         """Push (point, frame, time) triples through flow alpha.
 
-        Returns (endpoint, frame) pairs.  Symbolic generators co-integrate
-        the variational equation.  Computed ones take central differences
-        of the flow map, step h_transport, along each unit frame column;
-        all endpoints are integrated before any shifted start, then shifted
-        starts column by column, so computed fields are evaluated in one
-        fixed order however the starts are batched.
+        Returns (endpoint, frame) pairs in the order of the starts.
+        Symbolic generators co-integrate the variational equation; starts
+        with equal flow times share step count and step, so each such group
+        is integrated as one block (a lone start stays a single start).
+        Computed generators take central differences of the flow map, step
+        h_transport, along each unit frame column; all endpoints are
+        integrated before any shifted start, then shifted starts column by
+        column, so computed fields are evaluated in one fixed order however
+        the starts are batched.
         """
         spec = self.specs[alpha]
         if spec.generator.symbolic:
-            return [integrate_with_transport(spec, x, t, W) for x, W, t in starts]
+            groups: dict[float, list] = {}
+            for c, (_, _, t) in enumerate(starts):
+                groups.setdefault(t, []).append(c)
+            out = [None] * len(starts)
+            for t, cols in groups.items():
+                if len(cols) == 1:
+                    x, W, _ = starts[cols[0]]
+                    out[cols[0]] = integrate_with_transport(spec, x, t, W)
+                    continue
+                xs, Ws = integrate_with_transport(
+                    spec, np.column_stack([starts[c][0] for c in cols]), t,
+                    np.stack([starts[c][1] for c in cols]))
+                for n, c in enumerate(cols):
+                    out[c] = (xs[:, n], Ws[n])
+            return out
         h = self.pipeline.settings.h_transport
         ends = [integrate_flow(spec, x, t) for x, _, t in starts]
         frames = [np.zeros_like(W) for _, W, _ in starts]
@@ -872,13 +889,16 @@ def verify_integral_chart(A: EndoField, chart: ChartMap, grid: int = 5,
     of the chart frame fields are measured at a few sampled points.
     """
     st = chart.pipeline.settings
-    Aev = A.evaluator()
-    worst, witness = 0.0, None
-    for (sc, tpre), (p, frame) in _grid_frames(chart, grid).items():
-        mat = np.linalg.solve(frame, Aev(p) @ frame)
-        dev = float(np.max(np.abs(mat - chart.jordan)))
-        if dev > worst:
-            worst, witness = dev, (tuple(sc), tpre, tuple(p))
+    grid_frames = _grid_frames(chart, grid)
+    points = np.array([p for p, _ in grid_frames.values()])
+    frames = np.array([frame for _, frame in grid_frames.values()])
+    mats = np.linalg.solve(frames, A.batch_evaluator()(points.T) @ frames)
+    devs = np.max(np.abs(mats - chart.jordan), axis=(1, 2))
+    worst, _, n = first_max(devs[None, :])
+    witness = None
+    if worst > 0.0:
+        (sc, tpre), (p, _) = list(grid_frames.items())[n]
+        witness = (tuple(sc), tpre, tuple(p))
 
     # pairwise brackets of the chart frame, at sampled points
     max_bracket = 0.0

@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import corpus as corpus_mod
 from .charts import (AdaptedChartError, InductionError, NewtonError,
                      PipelineSettings, jordanize, validate_adapted_chart)
@@ -215,8 +217,6 @@ def _cmd_corpus(args) -> int:
 
 def _cmd_selftest(args) -> int:
     """Fast invariant suites across the modules."""
-    import numpy as np
-
     from . import expr as ex
     from .fields import (coordinate_field, nijenhuis, prop22_residual,
                          _nprime_raw, endo_power)
@@ -398,6 +398,13 @@ def main(argv=None) -> int:
     except (NonNilpotentError, AnnihilationError, PivotDegenerationError,
             AdaptedChartError, BoxExitError, NewtonError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except np.linalg.LinAlgError:
+        # the verification grid's stacked solve raises this on a singular
+        # chart frame; the pipeline's lstsq and SVD calls raise it only on
+        # non-finite values
+        print("error: chart frame is singular on the verification grid",
+              file=sys.stderr)
         return 2
 
 

@@ -8,7 +8,10 @@ field, each with its own step:
 
 - symbolic generators (`CompiledField`) transport frames by the
   variational equation W' = DV(x) W, co-integrated with the trajectory
-  (`integrate_with_transport`);
+  (`integrate_with_transport`).  A transport of many starts (the
+  verification grid's fan-out along one flow) is grouped by flow time and
+  each group is stepped as one (d, N) block with the batch evaluators;
+  a single start uses the point evaluators;
 - computed generators (`ComputedVectorField`) have no jacobian, so frames
   are carried along their flows by central differences of flow maps with
   step `PipelineSettings.h_transport` (`charts._StageChart.transport_flow`);
@@ -26,7 +29,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .expr import Box
+from .expr import Box, compile_batch
 from .fields import VectorField
 
 __all__ = [
@@ -61,13 +64,18 @@ class IntegratorSettings:
 
 
 class CompiledField:
-    """Symbolic vector field with compiled value and jacobian evaluators."""
+    """Symbolic vector field with compiled value and jacobian evaluators.
+
+    The point evaluators take a (d,) point; the batch evaluators take a
+    (d, N) array whose columns are points, and are compiled on first use.
+    """
 
     def __init__(self, field: VectorField):
         self.field = field
         self.dim = field.dim
         self._value = field.evaluator()
         self._jac = None
+        self._batch = None
 
     @property
     def symbolic(self) -> bool:
@@ -80,6 +88,23 @@ class CompiledField:
         if self._jac is None:
             self._jac = self.field.jacobian_evaluator()
         return self._jac(p)
+
+    def batch_value(self, x) -> np.ndarray:
+        """(d, N) values at the columns of a (d, N) point array."""
+        return self._batch_evaluators()[0](x)
+
+    def batch_jacobian(self, x) -> np.ndarray:
+        """(N, d, d) jacobians at the columns of a (d, N) point array."""
+        return self._batch_evaluators()[1](x)
+
+    def _batch_evaluators(self) -> tuple:
+        if self._batch is None:
+            d = self.dim
+            jac = compile_batch([e for row in self.field.jacobian_exprs()
+                                 for e in row])
+            self._batch = (compile_batch(self.field.components),
+                           lambda x: jac(x).T.reshape(-1, d, d))
+        return self._batch
 
     def __call__(self, p) -> np.ndarray:
         return self._value(p)
@@ -130,8 +155,20 @@ class FlowSpec:
 
 
 def _check_box(spec: FlowSpec, t: float, x: np.ndarray):
-    if spec.box is not None and not spec.box.contains(x):
-        raise BoxExitError(t, x)
+    """Raise BoxExitError if the point x, or a column of the (d, N) block
+    x, is outside the working box; a block names its first such column."""
+    box = spec.box
+    if box is None:
+        return
+    if x.ndim == 1:
+        if not box.contains(x):
+            raise BoxExitError(t, x)
+        return
+    lo, hi = np.array(box.bounds, dtype=float).T
+    outside = np.any(np.abs(x - ((lo + hi) / 2.0)[:, None])
+                     > ((hi - lo) / 2.0)[:, None], axis=0)
+    if outside.any():
+        raise BoxExitError(t, x[:, int(np.argmax(outside))])
 
 
 def integrate_flow(spec: FlowSpec, p0, t: float) -> np.ndarray:
@@ -155,15 +192,28 @@ def integrate_flow(spec: FlowSpec, p0, t: float) -> np.ndarray:
 def integrate_with_transport(spec: FlowSpec, p0, t: float, W0) -> tuple:
     """Co-integrate the trajectory and the variational equation applied to W0.
 
-    W0 has shape (d, m); returns (x(t), W(t)) with W' = DV(x) W.  The
-    generator must be symbolic: only `CompiledField` has a jacobian.
+    A single start is p0 of shape (d,) with W0 of shape (d, m); returns
+    (x(t), W(t)) with W' = DV(x) W.  A block of N starts is p0 of shape
+    (d, N), one start per column, with W0 of shape (N, d, m); it returns x
+    as (d, N) and W as (N, d, m), stepped by the batch evaluators with the
+    same step count and step as a single start.  Column n is the
+    single-start result for (p0[:, n], W0[n]) bit for bit when the field's
+    expressions are sums, products and quotients; integer powers and exp
+    run through numpy's array kernels, which may round differently from
+    the scalar ones in the last place.  A block's BoxExitError names the
+    first start, in start order, among those outside the box at the
+    earliest step that leaves it.  The generator must be symbolic: only
+    `CompiledField` has a jacobian.
     """
     x = np.asarray(p0, dtype=float).copy()
     W = np.asarray(W0, dtype=float).copy()
     if t == 0.0:
         return x, W
-    V = spec.generator.value
-    DV = spec.generator.jacobian
+    gen = spec.generator
+    if x.ndim == 1:
+        V, DV = gen.value, gen.jacobian
+    else:
+        V, DV = gen.batch_value, gen.batch_jacobian
     n = max(1, math.ceil(abs(t) / spec.settings.step))
     h = t / n
     for k in range(n):

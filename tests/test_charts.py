@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,9 @@ from endochart.expr import Box
 from endochart.flows import IntegratorSettings
 
 FAST = PipelineSettings(integrator=IntegratorSettings(step=2e-2), hk_samples=3)
+# the inputs of the jordanize-n2 benchmark workload
+JORDANIZE_N2 = ("example35-n2", "constant-jordan", "conjugated-n2",
+                "conjugated-n2-d4")
 
 
 class TestJordanMatrix:
@@ -314,15 +320,90 @@ class TestOneFramePath:
         data = build_corpus_field(name)
         result = jordanize(data["field"], data["chart"])
         assert result.verification.max_deviation == 0.0
+        assert result.verification.deviation_witness is None
 
-    @pytest.mark.parametrize("name", ["example35-n2", "conjugated-n2"])
-    def test_grid_frames_match_forward_with_frame(self, name):
-        data = build_corpus_field(name)
-        chart = jordanize(data["field"], data["chart"], grid=3).chart
+    @staticmethod
+    def assert_grid_frames_match(chart, grid):
+        # grid frames come from block transports, forward_with_frame from
+        # one start at a time
         order = chart._chart.application_order
-        frames = charts._grid_frames(chart, 3)
-        for (sc, tpre), (p, frame) in list(frames.items())[::7]:
+        frames = charts._grid_frames(chart, grid)
+        assert len(frames) == grid ** chart.pipeline.d
+        for (sc, tpre), (p, frame) in frames.items():
             t = [tpre[order.index(alpha)] for alpha in range(len(order))]
             q, expect = chart.forward_with_frame(np.array(t + list(sc)))
             assert q.tobytes() == p.tobytes()
             assert frame.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("name", JORDANIZE_N2)
+    def test_grid_frames_match_forward_with_frame(self, name):
+        data = build_corpus_field(name)
+        chart = jordanize(data["field"], data["chart"]).chart
+        self.assert_grid_frames_match(chart, 5)
+
+    def test_stacked_solve_matches_per_point(self, n3_strong):
+        # one solve per grid point, worst taken in grid order, as the oracle
+        _, A, result = n3_strong
+        chart = result.chart
+        Aev = A.evaluator()
+        worst, witness = 0.0, None
+        for (sc, tpre), (p, frame) in charts._grid_frames(chart, 5).items():
+            mat = np.linalg.solve(frame, Aev(p) @ frame)
+            dev = float(np.max(np.abs(mat - chart.jordan)))
+            if dev > worst:
+                worst, witness = dev, (tuple(sc), tpre, tuple(p))
+        ver = verify_integral_chart(A, chart, grid=5)
+        assert worst > 0.0
+        assert ver.max_deviation == worst
+        assert ver.deviation_witness == witness
+
+    def test_grid_frames_match_on_mixed_flows(self, n3_strong):
+        # the final stage flows one symbolic and one computed generator
+        chart = n3_strong[2].chart
+        assert [g.symbolic for g in chart._chart.generators] == [True, False]
+        self.assert_grid_frames_match(chart, 5)
+
+
+JORDANIZE_GOLDEN = (pathlib.Path(__file__).resolve().parent / "golden"
+                    / "jordanize_reports.json")
+
+
+def _repr_floats(value):
+    """JSON-ready copy of a report value with every float as its repr."""
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, (tuple, list)):
+        return [_repr_floats(v) for v in value]
+    return value
+
+
+def jordanize_answers(name: str, seed: int) -> dict:
+    """Stage clause residuals and witnesses and the verification figures of
+    `jordanize` at the CLI defaults (step 1e-2, grid 5) and the given seed.
+
+    The golden file is written by
+    ``json.dump({f"{n}@{s}": jordanize_answers(n, s) ...}, indent=1)`` over
+    `JORDANIZE_N2` and seeds 2026 and 7.
+    """
+    data = build_corpus_field(name)
+    settings = PipelineSettings(
+        integrator=IntegratorSettings(step=1e-2, seed=seed), seed=seed)
+    result = jordanize(data["field"], data["chart"], settings, grid=5)
+    ver = result.verification
+    return {
+        "stages": [{"k": rep.k,
+                    "clauses": [[c.clause, _repr_floats(c.max_residual),
+                                 _repr_floats(c.witness)]
+                                for c in rep.clauses]}
+                   for rep in result.stage_reports],
+        "max_deviation": _repr_floats(ver.max_deviation),
+        "max_bracket": _repr_floats(ver.max_bracket),
+        "deviation_witness": _repr_floats(ver.deviation_witness),
+    }
+
+
+@pytest.mark.parametrize("seed", [2026, 7])
+@pytest.mark.parametrize("name", JORDANIZE_N2)
+def test_jordanize_reports_pinned(name, seed):
+    golden = json.loads(JORDANIZE_GOLDEN.read_text())
+    assert jordanize_answers(name, seed) == golden[f"{name}@{seed}"]

@@ -119,6 +119,29 @@ class TestFileCommands:
         assert main(["check", str(DOCS / "triangular-n3.json")]) == 1
         assert "no finite value" in capsys.readouterr().err
 
+    def test_singular_verification_frame(self, capsys, monkeypatch):
+        # the stacked solve of the verification grid raises LinAlgError
+        import numpy as np
+
+        from endochart import charts
+
+        def singular(*args, **kwargs):
+            return np.linalg.solve(np.zeros((2, 2, 2)), np.ones((2, 2, 2)))
+        monkeypatch.setattr(charts, "verify_integral_chart", singular)
+        assert main(["jordanize", str(DOCS / "triangular-n3.json")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: chart frame is singular on the verification grid")
+
+    def test_grid_block_leaves_box(self, tmp_path, capsys):
+        # the image field 20 d/dx1 carries every grid row out of the
+        # working box; the first time group is transported as one block
+        path = tmp_path / "fast.json"
+        path.write_text('{"dim": 2, "matrix": [["0", "20"], ["0", "0"]], '
+                        '"groups": [[1, 1, 1], [2, 2, 1]]}')
+        assert main(["jordanize", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: trajectory left the working box at t = -0.080000"]
+
 
 class TestSelftest:
     def test_selftest_passes(self, capsys):

@@ -93,6 +93,57 @@ class TestFlowDifferential:
             assert np.max(np.abs(J[:, j] - col)) <= max(1e-6, 10 * h * h)
 
 
+# sums, products and quotients round identically on the point and the batch
+# evaluators, so block and single-start transports agree bit for bit
+BLOCK_FIELD = VectorField((
+    ex.add(ex.mul(ex.const(0.3), ex.var(2), ex.var(3)), ex.const(0.2)),
+    ex.sub(ex.mul(ex.const(-0.4), ex.var(1), ex.var(1)), ex.var(3)),
+    ex.div(ex.mul(ex.var(1), ex.var(2)), ex.add(ex.const(2.0), ex.var(3)))))
+
+
+def block_starts(count: int, seed: int = 5):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-0.5, 0.5, (3, count)), rng.normal(size=(count, 3, 2))
+
+
+class TestBlockTransport:
+    @pytest.mark.parametrize("t", [0.37, -0.21, 0.0])
+    def test_block_equals_single_starts(self, t):
+        spec = FlowSpec(BLOCK_FIELD, RK4)
+        P, W0 = block_starts(9)
+        xs, Ws = integrate_with_transport(spec, P, t, W0)
+        assert xs.shape == (3, 9) and Ws.shape == (9, 3, 2)
+        for n in range(9):
+            x, W = integrate_with_transport(spec, P[:, n], t, W0[n])
+            assert x.tobytes() == xs[:, n].tobytes()
+            assert W.tobytes() == Ws[n].tobytes()
+
+    def test_column_independent_of_batch_mates(self):
+        spec = FlowSpec(BLOCK_FIELD, RK4)
+        P, W0 = block_starts(9)
+        xs, Ws = integrate_with_transport(spec, P, 0.37, W0)
+        perm = np.random.default_rng(11).permutation(9)
+        xp, Wp = integrate_with_transport(spec, P[:, perm], 0.37, W0[perm])
+        assert xp.tobytes() == np.ascontiguousarray(xs[:, perm]).tobytes()
+        assert Wp.tobytes() == Ws[perm].tobytes()
+        xh, Wh = integrate_with_transport(spec, P[:, 4:], 0.37, W0[4:])
+        assert xh.tobytes() == np.ascontiguousarray(xs[:, 4:]).tobytes()
+        assert Wh.tobytes() == Ws[4:].tobytes()
+
+    def test_box_exit_names_first_start_of_earliest_step(self):
+        # starts 1 and 3 leave at the same, earliest step; start 0 later
+        spec = FlowSpec(coordinate_field(2, 1), RK4, box=Box.cube(2, 1.0))
+        P = np.array([[0.5, 0.8, -0.5, 0.8], [0.1, 0.2, 0.3, -0.4]])
+        W0 = np.repeat(np.eye(2)[None], 4, axis=0)
+        with pytest.raises(BoxExitError) as block:
+            integrate_with_transport(spec, P, 1.0, W0)
+        with pytest.raises(BoxExitError) as single:
+            integrate_with_transport(spec, P[:, 1], 1.0, W0[1])
+        assert block.value.time == single.value.time
+        assert block.value.point == single.value.point
+        assert block.value.point[1] == 0.2
+
+
 class TestGroupLawAndDeterminism:
     def test_group_law(self):
         V = VectorField((ex.add(ex.mul(ex.const(0.3), ex.var(2)), ex.const(0.2)),
