@@ -308,18 +308,112 @@ class _StageChart:
             order.reverse()          # lowest power applied first (innermost)
         self.application_order = order
         box = pipeline.working_box
-        self.specs = [FlowSpec(g, st.integrator, box) for g in self.generators]
+        self.specs = []
+        for (a, i), g in zip(slots, self.generators):
+            if g.symbolic:
+                self.specs.append(FlowSpec(g, st.integrator, box))
+            else:
+                pull = pipeline.pullback(a, i, stage)
+                self.specs.append(FlowSpec(pull, st.integrator, box,
+                                           ambient=pull.point))
         self._recent: list[tuple[np.ndarray, np.ndarray]] = []
+        self._flows: dict[tuple, tuple] = {}
 
     @property
     def n_flows(self) -> int:
         return len(self.flow_slots)
 
     def forward(self, s, t) -> np.ndarray:
-        x = self.section.embed(s)
+        x, at = self.section.embed(s), None
         for alpha in self.application_order:
-            x = integrate_flow(self.specs[alpha], x, float(t[alpha]))
+            spec = self.specs[alpha]
+            if spec.generator.symbolic:
+                x, at = integrate_flow(spec, x, float(t[alpha])), None
+            else:
+                x, at = self._computed_flow(alpha, x, float(t[alpha]), at)
         return x
+
+    def _computed_flow(self, alpha: int, x, t: float, at=None,
+                       near=None) -> tuple:
+        """Endpoint of the computed flow alpha from x after time t, and
+        where it is in the parent chart: (parent, coordinates), or None.
+
+        The flow runs in the parent's coordinates: the same RK4 loop, step
+        count and step as in the ambient space, with the box check on the
+        ambient points.  It starts from `at` when that places x in the
+        same parent chart (x is the end of an earlier flow there), else
+        from `start_coords(x, near)`.  Results are kept by the exact bytes
+        of these inputs: a Newton iteration and the transport after it
+        repeat trajectories, and nothing else decides the result.
+        """
+        parent = self.specs[alpha].generator.parent
+        y0 = at[1] if at is not None and at[0] is parent else None
+        if t == 0.0:
+            return np.array(x, dtype=float), None if y0 is None else at
+        x = np.asarray(x, dtype=float)
+        key = (alpha, t, x.tobytes(),
+               None if y0 is None else y0.tobytes(),
+               None if near is None or y0 is not None else near.tobytes())
+        hit = self._flows.get(key)
+        if hit is None:
+            if y0 is None:
+                y0 = parent.start_coords(x, near)
+            y = integrate_flow(self.specs[alpha], y0, t)
+            hit = (self.specs[alpha].generator.point(y), (parent, y))
+            self._flows[key] = hit
+        return hit[0].copy(), hit[1]
+
+    def start_coords(self, x, near=None) -> np.ndarray:
+        """Chart coordinates y = (t, s) of x: t = 0 when x lies exactly on
+        the section, else one inversion started at the flow times of the
+        chart point `near` (default t = 0)."""
+        x = np.asarray(x, dtype=float)
+        s = self.section.project(x)
+        if np.array_equal(self.section.embed(s), x):
+            t = np.zeros(self.n_flows)
+        else:
+            t0 = np.zeros(self.n_flows) if near is None else near[:self.n_flows]
+            s, t = self.inverse(x, t0)
+        return np.concatenate([t, s])
+
+    def forward_differential(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """Phi(y) and the full differential DPhi(y) at y = (t, s).
+
+        Time columns, in canonical slot order, are each flow's generator
+        value at its endpoint carried through the later flows; section
+        columns are the transported section frame, as `forward_transport`
+        gives them.
+        """
+        y = np.asarray(y, dtype=float)
+        N = self.n_flows
+        x, W = self._compose(y[N:], y[:N], self.section.basis_matrix(),
+                             times=True)
+        m = W.shape[1] - N
+        pos = {alpha: m + k for k, alpha in enumerate(self.application_order)}
+        return x, W[:, [pos[alpha] for alpha in range(N)] + list(range(m))]
+
+    def forward_transport(self, s, t, W0: np.ndarray) -> tuple:
+        """Transport the columns of W0 from sigma(s) through the composition."""
+        return self._compose(s, t, W0, times=False)
+
+    def _compose(self, s, t, W, times: bool) -> tuple:
+        """Transport W from sigma(s) through the flows; with `times`, each
+        flow's generator value at its endpoint joins W as a new column."""
+        x, at = self.section.embed(s), None
+        for alpha in self.application_order:
+            ta = float(t[alpha])
+            gen = self.specs[alpha].generator
+            if gen.symbolic:
+                [(x, W)] = self.transport_flow(alpha, [(x, W, ta)])
+                at = None
+            else:
+                [(x, W, at)] = self._transport_computed(alpha, [(x, W, ta)],
+                                                        [at])
+            if times:
+                v = gen.value(x) if gen.symbolic else gen.ambient_value(
+                    at[1] if at is not None else gen.parent.start_coords(x))
+                W = np.column_stack([W, v])
+        return x, W
 
     def transport_flow(self, alpha: int, starts: list) -> list:
         """Push (point, frame, time) triples through flow alpha.
@@ -329,10 +423,7 @@ class _StageChart:
         with equal flow times share step count and step, so each such group
         is integrated as one block (a lone start stays a single start).
         Computed generators take central differences of the flow map, step
-        h_transport, along each unit frame column; all endpoints are
-        integrated before any shifted start, then shifted starts column by
-        column, so computed fields are evaluated in one fixed order however
-        the starts are batched.
+        h_transport, along each unit frame column (`_transport_computed`).
         """
         spec = self.specs[alpha]
         if spec.generator.symbolic:
@@ -351,27 +442,35 @@ class _StageChart:
                 for n, c in enumerate(cols):
                     out[c] = (xs[:, n], Ws[n])
             return out
+        return [(x, W) for x, W, _ in self._transport_computed(alpha, starts)]
+
+    def _transport_computed(self, alpha: int, starts: list, ats=None) -> list:
+        """`transport_flow` along a computed flow: (endpoint, frame, where
+        the endpoint is in the parent chart) triples in start order.
+
+        Every trajectory, shifted or not, is a `_computed_flow`; `ats` are
+        the starts' places as `_computed_flow` takes them.  A shifted start
+        off the section is inverted from the central start's flow times.
+        """
         h = self.pipeline.settings.h_transport
-        ends = [integrate_flow(spec, x, t) for x, _, t in starts]
-        frames = [np.zeros_like(W) for _, W, _ in starts]
-        for j in range(starts[0][1].shape[1]):
-            live = []
-            for c, (x, W, t) in enumerate(starts):
+        parent = self.specs[alpha].generator.parent
+        out = []
+        for c, (x, W, t) in enumerate(starts):
+            at = None if ats is None else ats[c]
+            if t != 0.0 and (at is None or at[0] is not parent):
+                at = (parent, parent.start_coords(x))
+            end, at_end = self._computed_flow(alpha, x, t, at)
+            frame = np.zeros_like(W)
+            for j in range(W.shape[1]):
                 nw = float(np.linalg.norm(W[:, j]))
                 if nw != 0.0:
-                    live.append((c, x, W[:, j] / nw, nw, t))
-            ups = [integrate_flow(spec, x + h * u, t) for _, x, u, _, t in live]
-            dns = [integrate_flow(spec, x - h * u, t) for _, x, u, _, t in live]
-            for (c, _, _, nw, _), up, dn in zip(live, ups, dns):
-                frames[c][:, j] = nw * (up - dn) / (2.0 * h)
-        return list(zip(ends, frames))
-
-    def forward_transport(self, s, t, W0: np.ndarray) -> tuple:
-        """Transport the columns of W0 from sigma(s) through the composition."""
-        x, W = self.section.embed(s), W0
-        for alpha in self.application_order:
-            [(x, W)] = self.transport_flow(alpha, [(x, W, float(t[alpha]))])
-        return x, W
+                    u = W[:, j] / nw
+                    near = None if at is None else at[1]
+                    up, _ = self._computed_flow(alpha, x + h * u, t, near=near)
+                    dn, _ = self._computed_flow(alpha, x - h * u, t, near=near)
+                    frame[:, j] = nw * (up - dn) / (2.0 * h)
+            out.append((end, frame, at_end))
+        return out
 
     def _guess(self, q: np.ndarray) -> np.ndarray | None:
         best, arg = None, None
@@ -391,7 +490,14 @@ class _StageChart:
 
         The quotient coordinates are preserved by every flow, so s is read
         off q directly and only t is solved for, by damped Gauss-Newton
-        with generator values as approximate jacobian columns.
+        with generator values as approximate jacobian columns.  Newton
+        starts at t0: `ChartMap.coords` passes t = 0, the section
+        projection, where the forward map costs nothing, and
+        `start_coords` passes 0 or the flow times of a neighbouring start,
+        so their answers depend on their arguments alone.  Without t0 (the
+        section-frame evaluations of `_TransportedFrame`) it starts from
+        the flow times of the nearest of the last 8 points so inverted,
+        or 0.
         """
         q = np.asarray(q, dtype=float)
         s = self.section.project(q)
@@ -399,8 +505,9 @@ class _StageChart:
         if N == 0:
             return s, np.zeros(0)
         st = self.pipeline.settings
-        t = np.zeros(N) if t0 is None else np.asarray(t0, dtype=float).copy()
-        if t0 is None:
+        warm = t0 is None
+        t = np.zeros(N) if warm else np.asarray(t0, dtype=float).copy()
+        if warm:
             g = self._guess(q)
             if g is not None:
                 t = g
@@ -411,7 +518,8 @@ class _StageChart:
         tol = st.newton_tol * (1.0 + float(np.linalg.norm(q)))
         for _ in range(st.newton_maxiter):
             if rn <= tol:
-                self._remember(q, t)
+                if warm:
+                    self._remember(q, t)
                 return s, t
             J = np.column_stack([g.value(x) for g in self.generators])
             delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
@@ -428,9 +536,47 @@ class _StageChart:
             else:
                 break
         if rn <= 1e3 * tol:  # accept marginal convergence
-            self._remember(q, t)
+            if warm:
+                self._remember(q, t)
             return s, t
         raise NewtonError(q, rn)
+
+
+class _Pullback:
+    """A computed generator V = A^p Z_i^(r) in the coordinates y = (t, s) of
+    its parent chart P (stage r-1).
+
+    Z_i^(r)(Phi_P(y)) is the section column i of DPhi_P(y), so V pulls back
+    to solve(DPhi_P(y), A^p(Phi_P(y)) DPhi_P(y)[:, N_P + i]) with no
+    inversion of Phi_P.  Phi_P and DPhi_P at the last point are kept: the
+    box check at a step's end and the next step's first stage share it.
+    """
+
+    symbolic = False
+
+    def __init__(self, parent: _StageChart, Ap, i: int):
+        self.parent = parent
+        self.Ap = Ap
+        self.col = parent.n_flows + i
+        self._last = (None, None, None)
+
+    def _at(self, y) -> tuple:
+        key = y.tobytes()
+        if key != self._last[0]:
+            self._last = (key, *self.parent.forward_differential(y))
+        return self._last[1:]
+
+    def point(self, y) -> np.ndarray:
+        """The ambient point Phi_P(y)."""
+        return self._at(y)[0]
+
+    def ambient_value(self, y) -> np.ndarray:
+        """V at the ambient point Phi_P(y)."""
+        x, D = self._at(y)
+        return self.Ap(x) @ D[:, self.col]
+
+    def value(self, y) -> np.ndarray:
+        return np.linalg.solve(self._at(y)[1], self.ambient_value(y))
 
 
 class _TransportedFrame:
@@ -440,10 +586,10 @@ class _TransportedFrame:
         self.chart = chart
         self.dim = chart.section.dim
         self.E = chart.section.basis_matrix()
-        self._cache: dict[tuple, tuple] = {}
+        self._cache: dict[bytes, np.ndarray] = {}
 
     def eval_all(self, q) -> np.ndarray:
-        key = tuple(round(float(v), 12) for v in q)
+        key = np.asarray(q, dtype=float).tobytes()
         hit = self._cache.get(key)
         if hit is None:
             s, t = self.chart.inverse(q)
@@ -522,6 +668,12 @@ class _Pipeline:
                 lambda q, z=z, Ap=Ap: Ap(q) @ z.value(q), self.d)
         self._gen_cache[key] = gen
         return gen
+
+    def pullback(self, p: int, i: int, k: int) -> _Pullback:
+        """The computed generator A^p Z_i^(k) in its parent chart's
+        coordinates."""
+        rep = self.rep_stage(p, k)
+        return _Pullback(self.stage_chart(rep - 1), self._power_ev[p], i)
 
     def stage_chart(self, k: int) -> _StageChart:
         if k not in self._stage_charts:
@@ -769,8 +921,12 @@ class ChartMap:
         return self._chart.forward(s, t)
 
     def coords(self, q, t0=None) -> np.ndarray:
+        """Chart coordinates of q; Newton starts at t0, by default at t = 0
+        (the section projection), so the answer depends on q alone."""
         if self._chart is None:
             return self.pipeline.section.project(q)
+        if t0 is None:
+            t0 = np.zeros(self.n_flows)
         s, t = self._chart.inverse(q, t0)
         return np.concatenate([t, s])
 

@@ -12,9 +12,14 @@ field, each with its own step:
   verification grid's fan-out along one flow) is grouped by flow time and
   each group is stepped as one (d, N) block with the batch evaluators;
   a single start uses the point evaluators;
-- computed generators (`ComputedVectorField`) have no jacobian, so frames
-  are carried along their flows by central differences of flow maps with
-  step `PipelineSettings.h_transport` (`charts._StageChart.transport_flow`);
+- computed generators A^p Z^(r) have no jacobian.  Their flows run in the
+  coordinates y = (t, s) of the parent chart Phi_P (stage r-1): Z^(r) at
+  Phi_P(y) is a section column of DPhi_P(y), which the parent's own
+  transports give (`charts._StageChart.forward_differential`), so a flow
+  step inverts nothing; `FlowSpec.ambient` maps y to the ambient point the
+  box check tests.  Frames are carried along these flows by central
+  differences of flow maps with step `PipelineSettings.h_transport`
+  (`charts._StageChart.transport_flow`);
 - Lie brackets involving computed fields use central differences of the
   fields with step `PipelineSettings.h_bracket` (`numeric_bracket`);
 - the verification grid carries its frames through the same per-flow
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -114,20 +119,21 @@ class ComputedVectorField:
     """A vector field defined by a procedure, with memoised evaluations.
 
     Evaluation is deterministic given integrator settings; results are
-    cached by the point rounded to 12 decimal digits.
+    cached by the exact bytes of the point, so a value is never served for
+    a neighbouring point.
     """
 
     def __init__(self, fn, dim: int):
         self.fn = fn
         self.dim = dim
-        self._cache: dict[tuple, np.ndarray] = {}
+        self._cache: dict[bytes, np.ndarray] = {}
 
     @property
     def symbolic(self) -> bool:
         return False
 
     def value(self, p) -> np.ndarray:
-        key = tuple(round(float(v), 12) for v in p)
+        key = np.asarray(p, dtype=float).tobytes()
         hit = self._cache.get(key)
         if hit is None:
             hit = np.asarray(self.fn(p), dtype=float)
@@ -143,11 +149,16 @@ class ComputedVectorField:
 
 @dataclass
 class FlowSpec:
-    """A flow problem: generator plus integrator configuration and trust box."""
+    """A flow problem: generator plus integrator configuration and trust box.
 
-    generator: object            # CompiledField | ComputedVectorField | VectorField
+    With `ambient` set, the generator lives in other coordinates than the
+    box: `ambient(x)` is the point the box check tests for a state x.
+    """
+
+    generator: object            # VectorField, or any field with value(p)
     settings: IntegratorSettings = IntegratorSettings()
     box: Box | None = None       # working box; trajectories must stay inside
+    ambient: Callable | None = None
 
     def __post_init__(self):
         if isinstance(self.generator, VectorField):
@@ -156,10 +167,13 @@ class FlowSpec:
 
 def _check_box(spec: FlowSpec, t: float, x: np.ndarray):
     """Raise BoxExitError if the point x, or a column of the (d, N) block
-    x, is outside the working box; a block names its first such column."""
+    x, is outside the working box; a block names its first such column.
+    A spec with `ambient` tests the single point ambient(x)."""
     box = spec.box
     if box is None:
         return
+    if spec.ambient is not None:
+        x = spec.ambient(x)
     if x.ndim == 1:
         if not box.contains(x):
             raise BoxExitError(t, x)

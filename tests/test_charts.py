@@ -17,7 +17,8 @@ from endochart.corpus import (Example35Spec, build_corpus_field,
                               example35_field, example38_chart,
                               example38_field)
 from endochart.expr import Box
-from endochart.flows import IntegratorSettings
+from endochart.flows import (BoxExitError, FlowSpec, IntegratorSettings,
+                             integrate_flow)
 
 FAST = PipelineSettings(integrator=IntegratorSettings(step=2e-2), hk_samples=3)
 # the inputs of the jordanize-n2 benchmark workload
@@ -197,13 +198,18 @@ class TestExample35Pipeline:
         assert abs(y1[0] - y2[0]) > 1e-3
 
 
-@pytest.fixture(scope="module")
-def n3_strong():
+def n3_strong_data() -> dict:
     """Strongly nonlinear n = 3 instance (theta = t^2 on a wider box)."""
     spec = Example35Spec.from_theta(3, r=1, box=Box.cube(3, 0.5))
     A, chart = example35_field(spec)
-    result = jordanize(A, chart, FAST, grid=3)
-    return spec, A, result
+    return {"spec": spec, "field": A, "chart": chart}
+
+
+@pytest.fixture(scope="module")
+def n3_strong():
+    data = n3_strong_data()
+    result = jordanize(data["field"], data["chart"], FAST, grid=3)
+    return data["spec"], data["field"], result
 
 
 class TestPipelineInvariants:
@@ -362,6 +368,136 @@ class TestOneFramePath:
         chart = n3_strong[2].chart
         assert [g.symbolic for g in chart._chart.generators] == [True, False]
         self.assert_grid_frames_match(chart, 5)
+
+
+def assemble_chart(name_or_data, settings=PipelineSettings()) -> ChartMap:
+    """The integral chart without stage checks or verification."""
+    data = (build_corpus_field(name_or_data) if isinstance(name_or_data, str)
+            else name_or_data)
+    state = initial_frame(data["field"], data["chart"], settings, check=False)
+    for _ in range(data["chart"].index - 1):
+        state = induction_step(state)
+    return build_chart(state, check=False)
+
+
+def latin_hypercube(ranges, count: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(ranges, dtype=float).T
+    slices = np.column_stack([rng.permutation(count) for _ in ranges])
+    return lo + (slices + rng.uniform(size=slices.shape)) / count * (hi - lo)
+
+
+def ambient_forward(chart: ChartMap, y) -> np.ndarray:
+    """The chart map with every flow integrated in the ambient space on its
+    generator's `value`, computed generators included (the oracle)."""
+    stage = chart._chart
+    s, t = chart.split(y)
+    x = chart.pipeline.section.embed(s)
+    for alpha in stage.application_order:
+        spec = FlowSpec(stage.generators[alpha], stage.specs[alpha].settings,
+                        stage.specs[alpha].box)
+        x = integrate_flow(spec, x, float(t[alpha]))
+    return x
+
+
+class TestParentCoordinateFlows:
+    """Computed generators flow in their parent chart's coordinates."""
+
+    @pytest.mark.parametrize("order", ["desc", "asc"])
+    @pytest.mark.parametrize("name", ["example35-n3", "n3_strong"])
+    def test_forward_matches_ambient_oracle(self, name, order):
+        data = n3_strong_data() if name == "n3_strong" else name
+        chart = assemble_chart(data, PipelineSettings(flow_order=order))
+        stage = chart._chart
+        computed = [a for a, g in enumerate(stage.generators) if not g.symbolic]
+        assert computed
+        # "asc" runs the symbolic flow first: the computed flow starts off
+        # the section, from one inversion of the parent chart
+        assert (stage.application_order[0] in computed) == (order == "desc")
+        for y in chart.sample_coords(4, seed=11):
+            got = chart.forward(y)
+            assert np.max(np.abs(got - ambient_forward(chart, y))) <= 1e-7
+
+    def test_differential_of_stage0_chart(self):
+        pipe = assemble_chart("example35-n3").pipeline
+        stage = pipe.stage_chart(0)
+        N = stage.n_flows
+        E = pipe.section.basis_matrix()
+        h = 1e-5
+        # flow times away from step-count changes under the +-h shifts
+        for y in ([0.0437, -0.0615, 0.052], [-0.0812, 0.0264, -0.073],
+                  [0.0, 0.0, 0.1]):
+            y = np.array(y)
+            x, D = stage.forward_differential(y)
+            s, t = y[N:], y[:N]
+            assert x.tobytes() == stage.forward(s, t).tobytes()
+            _, W = stage.forward_transport(s, t, E)
+            assert D[:, N:].tobytes() == W.tobytes()
+            fd = np.empty_like(D)
+            for j in range(len(y)):
+                up, dn = y.copy(), y.copy()
+                up[j] += h
+                dn[j] -= h
+                fd[:, j] = (stage.forward(up[N:], up[:N])
+                            - stage.forward(dn[N:], dn[:N])) / (2.0 * h)
+            assert np.max(np.abs(fd - D)) <= 1e-6 * np.max(np.abs(D))
+
+    def test_coords_and_forward_are_history_free(self):
+        chart = assemble_chart("example35-n3")
+        ys = latin_hypercube(chart.chart_ranges(), 32, seed=123)
+        first = [chart.coords(chart.forward(y)) for y in ys]
+        fresh = assemble_chart("example35-n3")
+        again = [fresh.coords(fresh.forward(y)) for y in ys[::-1]][::-1]
+        assert [c.tobytes() for c in first] == [c.tobytes() for c in again]
+        for y, c in zip(ys, first):
+            assert np.max(np.abs(c - y)) <= 1e-8
+        # forward on the chart that served the queries equals a fresh one's,
+        # and so do the section-frame values, whose inversions warm-start
+        # from earlier section-frame inversions only
+        other = assemble_chart("example35-n3")
+        for y in ys[:8]:
+            assert chart.forward(y).tobytes() == other.forward(y).tobytes()
+        q = chart.forward(ys[0]) + 1e-3
+        z, z_other = chart.frame_field((0, 0)), other.frame_field((0, 0))
+        assert z.value(q).tobytes() == z_other.value(q).tobytes()
+
+    def test_each_flow_starts_in_its_own_parent(self):
+        # n = 4: the stage-1 flows share the parent stage 0, so the second
+        # starts from the first one's end coordinates; the stage-2 flows
+        # have parents 1 and 0, so the second inverts stage 0.  Both must
+        # match the composition that inverts for every computed flow.
+        pipe = assemble_chart("example35-n4-const", FAST).pipeline
+        for k, tol in ((1, 1e-9), (2, 0.0)):
+            stage = pipe.stage_chart(k)
+            parents = {g.parent for g in (spec.generator for spec in stage.specs)
+                       if not g.symbolic}
+            assert len(parents) == k
+            rng = np.random.default_rng(k)
+            s = rng.uniform(-0.1, 0.1, size=len(pipe.section.axes))
+            t = rng.uniform(-0.05, 0.05, size=stage.n_flows)
+            x = pipe.section.embed(s)
+            for alpha in stage.application_order:
+                spec = stage.specs[alpha]
+                if spec.generator.symbolic:
+                    x = integrate_flow(spec, x, float(t[alpha]))
+                else:
+                    x, _ = stage._computed_flow(alpha, x, float(t[alpha]))
+            assert np.max(np.abs(stage.forward(s, t) - x)) <= tol
+
+    def test_computed_flow_leaving_box(self):
+        # the working box is the chart box; the computed flow (slot (1, 0))
+        # at t = 2 carries sigma(s) out of it
+        settings = PipelineSettings(box_margin=1.0)
+        chart = assemble_chart("example35-n3", settings)
+        stage = chart._chart
+        alpha = stage.flow_slots.index((1, 0))
+        assert not stage.generators[alpha].symbolic
+        y = np.zeros(chart.pipeline.d)
+        y[alpha] = 2.0
+        with pytest.raises(BoxExitError) as err:
+            chart.forward(y)
+        assert 0.0 < err.value.time < 2.0
+        assert not chart.pipeline.working_box.contains(err.value.point)
 
 
 JORDANIZE_GOLDEN = (pathlib.Path(__file__).resolve().parent / "golden"

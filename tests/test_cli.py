@@ -142,6 +142,31 @@ class TestFileCommands:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: trajectory left the working box at t = -0.080000"]
 
+    def test_computed_flow_leaves_box(self, tmp_path, capsys, monkeypatch):
+        # n = 3 with speed 20: the first grid flow to leave the working box
+        # is the computed generator A Z^(1), integrated in the stage-0
+        # chart's coordinates
+        from endochart import charts
+        from endochart.flows import BoxExitError
+        left = []
+        original = charts._StageChart._computed_flow
+
+        def recording(self, *args, **kwargs):
+            try:
+                return original(self, *args, **kwargs)
+            except BoxExitError:
+                left.append(args)
+                raise
+        monkeypatch.setattr(charts._StageChart, "_computed_flow", recording)
+        path = tmp_path / "fast3.json"
+        path.write_text('{"dim": 3, "matrix": [["0", "20", "0"], '
+                        '["0", "0", "20"], ["0", "0", "0"]], '
+                        '"groups": [[1, 1, 1], [2, 2, 1], [3, 3, 1]]}')
+        assert main(["jordanize", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: trajectory left the working box at t = -0.075000"]
+        assert left
+
 
 class TestSelftest:
     def test_selftest_passes(self, capsys):

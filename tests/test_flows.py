@@ -46,6 +46,16 @@ class TestIntegrateFlow:
             integrate_flow(spec, (0.5, 0.0), 1.0)
         assert 0.4 < err.value.time <= 1.0
 
+    def test_ambient_box_check(self):
+        # a flow in other coordinates: the box check tests ambient(x)
+        spec = FlowSpec(coordinate_field(1, 1), RK4, box=Box.cube(1, 1.0),
+                        ambient=lambda y: 2.0 * y)
+        assert integrate_flow(spec, (0.0,), 0.45)[0] == pytest.approx(0.45)
+        with pytest.raises(BoxExitError) as err:
+            integrate_flow(spec, (0.0,), 0.6)
+        assert 0.49 <= err.value.time <= 0.52
+        assert 1.0 < err.value.point[0] <= 1.04
+
     def test_negative_time(self):
         spec = FlowSpec(VectorField((ex.var(1),)), RK4)
         p = integrate_flow(spec, (1.0,), -1.0)
@@ -172,6 +182,14 @@ class TestComputedVectorField:
         field.value((0.5,))
         assert field.cache_size() == 1
         assert len(calls) == 1
+
+    def test_neighbouring_point_is_not_served(self):
+        # the points agree to 12 digits but are different points
+        field = ComputedVectorField(lambda p: np.array(p), 1)
+        a = field.value((0.5,))
+        b = field.value((0.5 + 1e-14,))
+        assert field.cache_size() == 2
+        assert b[0] == 0.5 + 1e-14 and a[0] == 0.5
 
 
 class TestNumericBracket:
