@@ -309,15 +309,12 @@ class _StageChart:
         self.application_order = order
         box = pipeline.working_box
         self.specs = []
-        for (a, i), g in zip(slots, self.generators):
-            if g.symbolic:
-                self.specs.append(FlowSpec(g, st.integrator, box))
-            else:
-                pull = pipeline.pullback(a, i, stage)
-                self.specs.append(FlowSpec(pull, st.integrator, box,
-                                           ambient=pull.point))
+        for a, i in slots:
+            gen = pipeline.flow_generator(a, i, stage)
+            self.specs.append(gen.spec if isinstance(gen, _Pullback)
+                              else FlowSpec(gen, st.integrator, box))
         self._recent: list[tuple[np.ndarray, np.ndarray]] = []
-        self._flows: dict[tuple, tuple] = {}
+        self._last = (None, None, None)
 
     @property
     def n_flows(self) -> int:
@@ -330,38 +327,26 @@ class _StageChart:
             if spec.generator.symbolic:
                 x, at = integrate_flow(spec, x, float(t[alpha])), None
             else:
-                x, at = self._computed_flow(alpha, x, float(t[alpha]), at)
+                x, at, _ = self._computed_flow(alpha, x, float(t[alpha]), at)
         return x
 
     def _computed_flow(self, alpha: int, x, t: float, at=None,
                        near=None) -> tuple:
-        """Endpoint of the computed flow alpha from x after time t, and
-        where it is in the parent chart: (parent, coordinates), or None.
+        """The computed flow alpha from x after time t: (endpoint, where it
+        is in the parent chart, start coordinates).
 
-        The flow runs in the parent's coordinates: the same RK4 loop, step
-        count and step as in the ambient space, with the box check on the
-        ambient points.  It starts from `at` when that places x in the
-        same parent chart (x is the end of an earlier flow there), else
-        from `start_coords(x, near)`.  Results are kept by the exact bytes
-        of these inputs: a Newton iteration and the transport after it
-        repeat trajectories, and nothing else decides the result.
+        A pulled-back generator runs in its parent chart's coordinates
+        (`_Pullback.flow`), starting from `at` = (parent, y) when that
+        places x in the same parent chart (x is the end of an earlier flow
+        there); the end's place is (parent, y_end).  Any other computed
+        generator runs on x itself: place None, start x.
         """
-        parent = self.specs[alpha].generator.parent
-        y0 = at[1] if at is not None and at[0] is parent else None
-        if t == 0.0:
-            return np.array(x, dtype=float), None if y0 is None else at
-        x = np.asarray(x, dtype=float)
-        key = (alpha, t, x.tobytes(),
-               None if y0 is None else y0.tobytes(),
-               None if near is None or y0 is not None else near.tobytes())
-        hit = self._flows.get(key)
-        if hit is None:
-            if y0 is None:
-                y0 = parent.start_coords(x, near)
-            y = integrate_flow(self.specs[alpha], y0, t)
-            hit = (self.specs[alpha].generator.point(y), (parent, y))
-            self._flows[key] = hit
-        return hit[0].copy(), hit[1]
+        gen = self.specs[alpha].generator
+        if not isinstance(gen, _Pullback):
+            return integrate_flow(self.specs[alpha], x, t), None, x
+        y0 = at[1] if at is not None and at[0] is gen.parent else None
+        x, y, y0 = gen.flow(x, t, y0, near)
+        return x, (None if y is None else (gen.parent, y)), y0
 
     def start_coords(self, x, near=None) -> np.ndarray:
         """Chart coordinates y = (t, s) of x: t = 0 when x lies exactly on
@@ -375,6 +360,15 @@ class _StageChart:
             t0 = np.zeros(self.n_flows) if near is None else near[:self.n_flows]
             s, t = self.inverse(x, t0)
         return np.concatenate([t, s])
+
+    def differential(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """`forward_differential` at y, kept for the last y asked: a flow
+        step's box check and the next step's first stage share it, and so
+        do the end of a flow and the start of the next one in this chart."""
+        key = y.tobytes()
+        if key != self._last[0]:
+            self._last = (key, *self.forward_differential(y))
+        return self._last[1:]
 
     def forward_differential(self, y) -> tuple[np.ndarray, np.ndarray]:
         """Phi(y) and the full differential DPhi(y) at y = (t, s).
@@ -402,17 +396,14 @@ class _StageChart:
         x, at = self.section.embed(s), None
         for alpha in self.application_order:
             ta = float(t[alpha])
-            gen = self.specs[alpha].generator
-            if gen.symbolic:
+            if self.specs[alpha].generator.symbolic:
                 [(x, W)] = self.transport_flow(alpha, [(x, W, ta)])
                 at = None
             else:
                 [(x, W, at)] = self._transport_computed(alpha, [(x, W, ta)],
                                                         [at])
             if times:
-                v = gen.value(x) if gen.symbolic else gen.ambient_value(
-                    at[1] if at is not None else gen.parent.start_coords(x))
-                W = np.column_stack([W, v])
+                W = np.column_stack([W, self.generators[alpha].value(x)])
         return x, W
 
     def transport_flow(self, alpha: int, starts: list) -> list:
@@ -450,24 +441,20 @@ class _StageChart:
 
         Every trajectory, shifted or not, is a `_computed_flow`; `ats` are
         the starts' places as `_computed_flow` takes them.  A shifted start
-        off the section is inverted from the central start's flow times.
+        off the section is inverted from the central start's coordinates.
         """
         h = self.pipeline.settings.h_transport
-        parent = self.specs[alpha].generator.parent
         out = []
         for c, (x, W, t) in enumerate(starts):
-            at = None if ats is None else ats[c]
-            if t != 0.0 and (at is None or at[0] is not parent):
-                at = (parent, parent.start_coords(x))
-            end, at_end = self._computed_flow(alpha, x, t, at)
+            end, at_end, y0 = self._computed_flow(
+                alpha, x, t, None if ats is None else ats[c])
             frame = np.zeros_like(W)
             for j in range(W.shape[1]):
                 nw = float(np.linalg.norm(W[:, j]))
                 if nw != 0.0:
                     u = W[:, j] / nw
-                    near = None if at is None else at[1]
-                    up, _ = self._computed_flow(alpha, x + h * u, t, near=near)
-                    dn, _ = self._computed_flow(alpha, x - h * u, t, near=near)
+                    up, _, _ = self._computed_flow(alpha, x + h * u, t, near=y0)
+                    dn, _, _ = self._computed_flow(alpha, x - h * u, t, near=y0)
                     frame[:, j] = nw * (up - dn) / (2.0 * h)
             out.append((end, frame, at_end))
         return out
@@ -548,35 +535,64 @@ class _Pullback:
 
     Z_i^(r)(Phi_P(y)) is the section column i of DPhi_P(y), so V pulls back
     to solve(DPhi_P(y), A^p(Phi_P(y)) DPhi_P(y)[:, N_P + i]) with no
-    inversion of Phi_P.  Phi_P and DPhi_P at the last point are kept: the
-    box check at a step's end and the next step's first stage share it.
+    inversion of Phi_P.  One pullback serves every stage chart that flows
+    along V (`_Pipeline.flow_generator`).
     """
 
     symbolic = False
+    MEMO = 1024     # trajectories kept by each key
 
-    def __init__(self, parent: _StageChart, Ap, i: int):
+    def __init__(self, parent: _StageChart, Ap, i: int, settings, box):
         self.parent = parent
         self.Ap = Ap
         self.col = parent.n_flows + i
-        self._last = (None, None, None)
-
-    def _at(self, y) -> tuple:
-        key = y.tobytes()
-        if key != self._last[0]:
-            self._last = (key, *self.parent.forward_differential(y))
-        return self._last[1:]
+        self.spec = FlowSpec(self, settings, box)
+        self._flows: dict[tuple, tuple] = {}
 
     def point(self, y) -> np.ndarray:
         """The ambient point Phi_P(y)."""
-        return self._at(y)[0]
-
-    def ambient_value(self, y) -> np.ndarray:
-        """V at the ambient point Phi_P(y)."""
-        x, D = self._at(y)
-        return self.Ap(x) @ D[:, self.col]
+        return self.parent.differential(y)[0]
 
     def value(self, y) -> np.ndarray:
-        return np.linalg.solve(self._at(y)[1], self.ambient_value(y))
+        x, D = self.parent.differential(y)
+        return np.linalg.solve(D, self.Ap(x) @ D[:, self.col])
+
+    def flow(self, x, t: float, y0=None, near=None) -> tuple:
+        """The flow from the ambient point x after time t: (endpoint,
+        parent coordinates of the endpoint, start coordinates).
+
+        The flow runs in the parent's coordinates: the same RK4 loop, step
+        count and step as in the ambient space, with the box check on the
+        ambient points.  It starts at y0 when given (x = Phi_P(y0)), else
+        at `start_coords(x, near)`.  Results are kept by the exact bytes of
+        these inputs and, so that no inversion runs before a lookup, by
+        those of (t, start), for every stage chart that flows along V; the
+        last MEMO of each are kept, since a Newton line search, the
+        transport after a Newton solve and the +-h starts on the section
+        repeat recent trajectories.
+        """
+        x = np.asarray(x, dtype=float)
+        if t == 0.0:
+            return x.copy(), y0, y0
+        key = (t, x.tobytes(), None if y0 is None else y0.tobytes(),
+               None if near is None or y0 is not None else near.tobytes())
+        hit = self._flows.get(key)
+        if hit is None:
+            if y0 is None:
+                y0 = self.parent.start_coords(x, near)
+            run = (t, y0.tobytes())
+            hit = self._flows.get(run)
+            if hit is None:
+                y = integrate_flow(self.spec, y0, t)
+                hit = (self.point(y), y, y0)
+                self._keep(run, hit)
+            self._keep(key, hit)
+        return hit[0].copy(), hit[1], hit[2]
+
+    def _keep(self, key: tuple, hit: tuple):
+        self._flows[key] = hit
+        if len(self._flows) > 2 * self.MEMO:
+            del self._flows[next(iter(self._flows))]
 
 
 class _TransportedFrame:
@@ -669,11 +685,29 @@ class _Pipeline:
         self._gen_cache[key] = gen
         return gen
 
-    def pullback(self, p: int, i: int, k: int) -> _Pullback:
-        """The computed generator A^p Z_i^(k) in its parent chart's
-        coordinates."""
+    def flow_generator(self, p: int, i: int, k: int):
+        """The generator the flow of A^p Z_i^(k) is integrated on.
+
+        A computed generator whose parent chart P (stage rep - 1) has only
+        symbolic flows is pulled back to P's coordinates (`_Pullback`);
+        DPhi_P then costs one variational transport per flow.  A parent
+        with computed flows of its own would need central differences of
+        each of them for every RK4 stage, so such a generator (n >= 4)
+        flows in the ambient space on its `value`.
+        """
+        gen = self.generator(p, i, k)
+        if gen.symbolic:
+            return gen
         rep = self.rep_stage(p, k)
-        return _Pullback(self.stage_chart(rep - 1), self._power_ev[p], i)
+        parent = self.stage_chart(rep - 1)
+        if not all(g.symbolic for g in parent.generators):
+            return gen
+        key = ("pullback", p, i, rep)
+        if key not in self._gen_cache:
+            self._gen_cache[key] = _Pullback(
+                parent, self._power_ev[p], i, self.settings.integrator,
+                self.working_box)
+        return self._gen_cache[key]
 
     def stage_chart(self, k: int) -> _StageChart:
         if k not in self._stage_charts:

@@ -12,13 +12,17 @@ field, each with its own step:
   verification grid's fan-out along one flow) is grouped by flow time and
   each group is stepped as one (d, N) block with the batch evaluators;
   a single start uses the point evaluators;
-- computed generators A^p Z^(r) have no jacobian.  Their flows run in the
-  coordinates y = (t, s) of the parent chart Phi_P (stage r-1): Z^(r) at
-  Phi_P(y) is a section column of DPhi_P(y), which the parent's own
-  transports give (`charts._StageChart.forward_differential`), so a flow
-  step inverts nothing; `FlowSpec.ambient` maps y to the ambient point the
-  box check tests.  Frames are carried along these flows by central
-  differences of flow maps with step `PipelineSettings.h_transport`
+- computed generators A^p Z^(r) have no jacobian.  When the flows of the
+  parent chart Phi_P (stage r-1) are all symbolic, theirs run in P's
+  coordinates y = (t, s): Z^(r) at Phi_P(y) is a section column of
+  DPhi_P(y), which P's variational transports give
+  (`charts._StageChart.forward_differential`), so a flow step inverts
+  nothing; the generator's `point` maps y to the ambient point the box
+  check tests.  A parent with computed flows (n >= 4) would need central
+  differences of those for every RK4 stage, so there the flow runs in
+  the ambient space on the generator's `value`, which inverts P.  Frames
+  are carried along computed flows by central differences of flow maps
+  with step `PipelineSettings.h_transport`
   (`charts._StageChart.transport_flow`);
 - Lie brackets involving computed fields use central differences of the
   fields with step `PipelineSettings.h_bracket` (`numeric_bracket`);
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -111,6 +115,10 @@ class CompiledField:
                            lambda x: jac(x).T.reshape(-1, d, d))
         return self._batch
 
+    def point(self, x) -> np.ndarray:
+        """The ambient point of the state x: x itself."""
+        return x
+
     def __call__(self, p) -> np.ndarray:
         return self._value(p)
 
@@ -143,6 +151,10 @@ class ComputedVectorField:
     def cache_size(self) -> int:
         return len(self._cache)
 
+    def point(self, x) -> np.ndarray:
+        """The ambient point of the state x: x itself."""
+        return x
+
     def __call__(self, p) -> np.ndarray:
         return self.value(p)
 
@@ -151,14 +163,14 @@ class ComputedVectorField:
 class FlowSpec:
     """A flow problem: generator plus integrator configuration and trust box.
 
-    With `ambient` set, the generator lives in other coordinates than the
-    box: `ambient(x)` is the point the box check tests for a state x.
+    The generator's `point(x)` is the ambient point of a state x, which the
+    box check tests; it is x itself except for a generator integrated in
+    chart coordinates (`charts._Pullback`).
     """
 
-    generator: object            # VectorField, or any field with value(p)
+    generator: object            # VectorField, or a field with value, point
     settings: IntegratorSettings = IntegratorSettings()
     box: Box | None = None       # working box; trajectories must stay inside
-    ambient: Callable | None = None
 
     def __post_init__(self):
         if isinstance(self.generator, VectorField):
@@ -168,12 +180,11 @@ class FlowSpec:
 def _check_box(spec: FlowSpec, t: float, x: np.ndarray):
     """Raise BoxExitError if the point x, or a column of the (d, N) block
     x, is outside the working box; a block names its first such column.
-    A spec with `ambient` tests the single point ambient(x)."""
+    The point tested is the generator's `point(x)`."""
     box = spec.box
     if box is None:
         return
-    if spec.ambient is not None:
-        x = spec.ambient(x)
+    x = spec.generator.point(x)
     if x.ndim == 1:
         if not box.contains(x):
             raise BoxExitError(t, x)

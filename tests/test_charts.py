@@ -462,16 +462,22 @@ class TestParentCoordinateFlows:
         assert z.value(q).tobytes() == z_other.value(q).tobytes()
 
     def test_each_flow_starts_in_its_own_parent(self):
-        # n = 4: the stage-1 flows share the parent stage 0, so the second
-        # starts from the first one's end coordinates; the stage-2 flows
-        # have parents 1 and 0, so the second inverts stage 0.  Both must
-        # match the composition that inverts for every computed flow.
+        # n = 4: the stage-1 flows pull back to stage 0, the second one
+        # starting from the first one's end coordinates.  At stage 2, A^2 Z
+        # pulls back to stage 0 too, while A Z^(2), whose parent (stage 1)
+        # has computed flows of its own, flows in the ambient space.  Both
+        # compositions must match one that starts every pulled-back flow
+        # from an inversion of its parent.
         pipe = assemble_chart("example35-n4-const", FAST).pipeline
-        for k, tol in ((1, 1e-9), (2, 0.0)):
+        stage0 = pipe.stage_chart(0)
+        for k, tol, ambient in ((1, 1e-9, []), (2, 0.0, [(1, 0)])):
             stage = pipe.stage_chart(k)
-            parents = {g.parent for g in (spec.generator for spec in stage.specs)
-                       if not g.symbolic}
-            assert len(parents) == k
+            pulled = [slot for slot, spec in zip(stage.flow_slots, stage.specs)
+                      if isinstance(spec.generator, charts._Pullback)]
+            assert {stage.specs[stage.flow_slots.index(slot)].generator.parent
+                    for slot in pulled} == {stage0}
+            assert [slot for slot, g in zip(stage.flow_slots, stage.generators)
+                    if not g.symbolic and slot not in pulled] == ambient
             rng = np.random.default_rng(k)
             s = rng.uniform(-0.1, 0.1, size=len(pipe.section.axes))
             t = rng.uniform(-0.05, 0.05, size=stage.n_flows)
@@ -481,8 +487,73 @@ class TestParentCoordinateFlows:
                 if spec.generator.symbolic:
                     x = integrate_flow(spec, x, float(t[alpha]))
                 else:
-                    x, _ = stage._computed_flow(alpha, x, float(t[alpha]))
+                    x, _, _ = stage._computed_flow(alpha, x, float(t[alpha]))
             assert np.max(np.abs(stage.forward(s, t) - x)) <= tol
+
+    @pytest.mark.parametrize("order", ["desc", "asc"])
+    def test_transport_reuses_the_newton_trajectories(self, order,
+                                                      monkeypatch):
+        # eval_all = inverse (Newton, ending on a forward map at the
+        # solution) + forward_transport there: the transport integrates only
+        # the +-h trajectories of the computed flow.  Under "asc" the
+        # computed flow starts off the section, so each start inverts the
+        # parent once: the transport does so for the +-h starts only.
+        settings = PipelineSettings(flow_order=order)
+        runs, starts = [], []
+        integrate = charts.integrate_flow
+        start_inverse = charts._StageChart.inverse
+
+        def counting(spec, p0, t):
+            if isinstance(spec.generator, charts._Pullback) and t != 0.0:
+                runs.append((t, np.asarray(p0).tobytes()))
+            return integrate(spec, p0, t)
+
+        def counting_inverse(self, q, t0=None):
+            if t0 is not None:          # a flow start, not a frame value
+                starts.append(q)
+            return start_inverse(self, q, t0)
+        monkeypatch.setattr(charts, "integrate_flow", counting)
+        monkeypatch.setattr(charts._StageChart, "inverse", counting_inverse)
+        q = np.array([0.031, -0.047, 0.052])
+        assemble_chart("example35-n3", settings)._chart.inverse(q)
+        newton_runs, newton_starts = len(runs), len(starts)
+        assert newton_runs > 0
+        runs.clear()
+        starts.clear()
+        chart = assemble_chart("example35-n3", settings)
+        charts._TransportedFrame(chart._chart).eval_all(q)
+        m = len(chart.pipeline.section.axes)
+        assert len(runs) == newton_runs + 2 * m
+        assert len(set(runs)) == len(runs)
+        if order == "desc":
+            assert newton_starts == 0 and starts == []
+        else:
+            assert newton_starts > 0
+            assert len(starts) == newton_starts + 2 * m
+
+    def test_trajectory_memo_keys_and_bound(self, monkeypatch):
+        # a start on the section resolves to (0, s) whatever `near` says, so
+        # a second lookup with another `near` integrates nothing; the memo
+        # keeps at most 2 MEMO entries (input keys and (t, start) keys)
+        chart = assemble_chart("example35-n3")
+        stage = chart._chart
+        gen = stage.specs[stage.flow_slots.index((1, 0))].generator
+        runs = []
+        integrate = charts.integrate_flow
+
+        def counting(spec, p0, t):
+            runs.append(t)
+            return integrate(spec, p0, t)
+        monkeypatch.setattr(charts, "integrate_flow", counting)
+        x = chart.pipeline.section.embed(np.array([0.05]))
+        a = gen.flow(x, 0.04, near=np.array([0.01, 0.02, 0.05]))
+        b = gen.flow(x, 0.04, near=np.array([-0.03, 0.0, 0.05]))
+        assert len(runs) == 1
+        assert a[0].tobytes() == b[0].tobytes()
+        monkeypatch.setattr(charts._Pullback, "MEMO", 2)
+        for t in (0.01, 0.02, 0.03, 0.05):
+            gen.flow(x, t)
+        assert len(gen._flows) == 4
 
     def test_computed_flow_leaving_box(self):
         # the working box is the chart box; the computed flow (slot (1, 0))

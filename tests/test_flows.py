@@ -46,10 +46,18 @@ class TestIntegrateFlow:
             integrate_flow(spec, (0.5, 0.0), 1.0)
         assert 0.4 < err.value.time <= 1.0
 
-    def test_ambient_box_check(self):
-        # a flow in other coordinates: the box check tests ambient(x)
-        spec = FlowSpec(coordinate_field(1, 1), RK4, box=Box.cube(1, 1.0),
-                        ambient=lambda y: 2.0 * y)
+    def test_box_check_tests_the_generators_point(self):
+        # a flow in other coordinates: the box check tests point(y) = 2 y
+        class Doubled:
+            symbolic = False
+
+            def value(self, y):
+                return np.ones(1)
+
+            def point(self, y):
+                return 2.0 * y
+
+        spec = FlowSpec(Doubled(), RK4, box=Box.cube(1, 1.0))
         assert integrate_flow(spec, (0.0,), 0.45)[0] == pytest.approx(0.45)
         with pytest.raises(BoxExitError) as err:
             integrate_flow(spec, (0.0,), 0.6)
