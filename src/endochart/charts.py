@@ -296,6 +296,8 @@ def validate_adapted_chart(A: EndoField, chart: AdaptedChart,
 class _StageChart:
     """Parametrisation (s, t) -> Phi(sigma(s), t) by the stage's flows."""
 
+    MEMO = 4096     # differentials kept
+
     def __init__(self, pipeline: "_Pipeline", stage: int):
         self.pipeline = pipeline
         self.section = pipeline.section
@@ -314,7 +316,7 @@ class _StageChart:
             self.specs.append(gen.spec if isinstance(gen, _Pullback)
                               else FlowSpec(gen, st.integrator, box))
         self._recent: list[tuple[np.ndarray, np.ndarray]] = []
-        self._last = (None, None, None)
+        self._differentials: dict[bytes, tuple] = {}
 
     @property
     def n_flows(self) -> int:
@@ -362,13 +364,19 @@ class _StageChart:
         return np.concatenate([t, s])
 
     def differential(self, y) -> tuple[np.ndarray, np.ndarray]:
-        """`forward_differential` at y, kept for the last y asked: a flow
-        step's box check and the next step's first stage share it, and so
-        do the end of a flow and the start of the next one in this chart."""
+        """`forward_differential` at y, kept for the last MEMO points asked
+        by their exact bytes.  A flow step's box check and the next step's
+        first stage share a point, and so do the end of a flow and the
+        start of the next one in this chart; trajectories of a pulled-back
+        flow from one start meet the same points again."""
         key = y.tobytes()
-        if key != self._last[0]:
-            self._last = (key, *self.forward_differential(y))
-        return self._last[1:]
+        hit = self._differentials.get(key)
+        if hit is None:
+            hit = self.forward_differential(y)
+            self._differentials[key] = hit
+            if len(self._differentials) > self.MEMO:
+                del self._differentials[next(iter(self._differentials))]
+        return hit
 
     def forward_differential(self, y) -> tuple[np.ndarray, np.ndarray]:
         """Phi(y) and the full differential DPhi(y) at y = (t, s).

@@ -534,7 +534,10 @@ class TestParentCoordinateFlows:
     def test_trajectory_memo_keys_and_bound(self, monkeypatch):
         # a start on the section resolves to (0, s) whatever `near` says, so
         # a second lookup with another `near` integrates nothing; the memo
-        # keeps at most 2 MEMO entries (input keys and (t, start) keys)
+        # keeps at most 2 MEMO entries (input keys and (t, start) keys), and
+        # the parent at most its MEMO differentials
+        monkeypatch.setattr(charts._Pullback, "MEMO", 2)
+        monkeypatch.setattr(charts._StageChart, "MEMO", 3)
         chart = assemble_chart("example35-n3")
         stage = chart._chart
         gen = stage.specs[stage.flow_slots.index((1, 0))].generator
@@ -550,10 +553,10 @@ class TestParentCoordinateFlows:
         b = gen.flow(x, 0.04, near=np.array([-0.03, 0.0, 0.05]))
         assert len(runs) == 1
         assert a[0].tobytes() == b[0].tobytes()
-        monkeypatch.setattr(charts._Pullback, "MEMO", 2)
         for t in (0.01, 0.02, 0.03, 0.05):
             gen.flow(x, t)
         assert len(gen._flows) == 4
+        assert len(gen.parent._differentials) == 3
 
     def test_computed_flow_leaving_box(self):
         # the working box is the chart box; the computed flow (slot (1, 0))
