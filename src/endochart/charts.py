@@ -315,7 +315,6 @@ class _StageChart:
             gen = pipeline.flow_generator(a, i, stage)
             self.specs.append(gen.spec if isinstance(gen, _Pullback)
                               else FlowSpec(gen, st.integrator, box))
-        self._recent: list[tuple[np.ndarray, np.ndarray]] = []
         self._differentials: dict[bytes, tuple] = {}
 
     @property
@@ -467,32 +466,16 @@ class _StageChart:
             out.append((end, frame, at_end))
         return out
 
-    def _guess(self, q: np.ndarray) -> np.ndarray | None:
-        best, arg = None, None
-        for prev_q, prev_t in self._recent:
-            dist = float(np.max(np.abs(prev_q - q)))
-            if best is None or dist < best:
-                best, arg = dist, prev_t
-        return None if arg is None else arg.copy()
-
-    def _remember(self, q: np.ndarray, t: np.ndarray):
-        self._recent.append((q.copy(), t.copy()))
-        if len(self._recent) > 8:
-            self._recent.pop(0)
-
     def inverse(self, q, t0=None) -> tuple[np.ndarray, np.ndarray]:
         """Solve Phi(sigma(s), t) = q for the flow times t.
 
         The quotient coordinates are preserved by every flow, so s is read
         off q directly and only t is solved for, by damped Gauss-Newton
         with generator values as approximate jacobian columns.  Newton
-        starts at t0: `ChartMap.coords` passes t = 0, the section
-        projection, where the forward map costs nothing, and
-        `start_coords` passes 0 or the flow times of a neighbouring start,
-        so their answers depend on their arguments alone.  Without t0 (the
-        section-frame evaluations of `_TransportedFrame`) it starts from
-        the flow times of the nearest of the last 8 points so inverted,
-        or 0.
+        starts at t0, by default t = 0: the section projection, where the
+        forward map costs nothing.  Only `start_coords` passes another
+        start, the flow times of a neighbouring chart point its caller
+        holds, so every answer depends on the arguments alone.
         """
         q = np.asarray(q, dtype=float)
         s = self.section.project(q)
@@ -500,12 +483,7 @@ class _StageChart:
         if N == 0:
             return s, np.zeros(0)
         st = self.pipeline.settings
-        warm = t0 is None
-        t = np.zeros(N) if warm else np.asarray(t0, dtype=float).copy()
-        if warm:
-            g = self._guess(q)
-            if g is not None:
-                t = g
+        t = np.zeros(N) if t0 is None else np.asarray(t0, dtype=float).copy()
         tmax = 4.0 * self.pipeline.chart_box.diameter
         x = self.forward(s, t)
         r = x - q
@@ -513,8 +491,6 @@ class _StageChart:
         tol = st.newton_tol * (1.0 + float(np.linalg.norm(q)))
         for _ in range(st.newton_maxiter):
             if rn <= tol:
-                if warm:
-                    self._remember(q, t)
                 return s, t
             J = np.column_stack([g.value(x) for g in self.generators])
             delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
@@ -531,8 +507,6 @@ class _StageChart:
             else:
                 break
         if rn <= 1e3 * tol:  # accept marginal convergence
-            if warm:
-                self._remember(q, t)
             return s, t
         raise NewtonError(q, rn)
 
@@ -606,6 +580,8 @@ class _Pullback:
 class _TransportedFrame:
     """The stage-(k+1) section fields: Z^(0) on the section, pushed by flows."""
 
+    MEMO = 8192     # frames kept
+
     def __init__(self, chart: _StageChart):
         self.chart = chart
         self.dim = chart.section.dim
@@ -617,9 +593,10 @@ class _TransportedFrame:
         hit = self._cache.get(key)
         if hit is None:
             s, t = self.chart.inverse(q)
-            _, W = self.chart.forward_transport(s, t, self.E)
-            hit = W
+            _, hit = self.chart.forward_transport(s, t, self.E)
             self._cache[key] = hit
+            if len(self._cache) > self.MEMO:
+                del self._cache[next(iter(self._cache))]
         return hit
 
     def field(self, i: int) -> ComputedVectorField:
@@ -635,7 +612,6 @@ class _Pipeline:
                  settings: PipelineSettings, eigenvalue: float = 0.0):
         self.eigenvalue = float(eigenvalue)
         self.A = A.shifted(eigenvalue) if eigenvalue != 0.0 else A
-        self.chart = chart
         self.chart_box = chart.box
         self.working_box = chart.box.inflate(settings.box_margin)
         self.settings = settings
@@ -838,10 +814,9 @@ def hk_residuals(state: FrameState,
         kmat = K.matrix_evaluator()
         for F in K.frame:
             Fg = CompiledField(F)
-            for i, z in enumerate(state.fields):
-                zg = CompiledField(z) if isinstance(z, VectorField) else z
+            for i in range(len(state.fields)):
                 for p in pts:
-                    b = bracket(zg, Fg, p)
+                    b = bracket(fields[(0, i)], Fg, p)
                     r = _span_residual(kmat(p), b)
                     if r > worst:
                         worst, wit = r, (f"[Z[{i}], ker A^{qq} frame]", _pt(p))
@@ -849,12 +824,10 @@ def hk_residuals(state: FrameState,
 
     # clause 3: kernel orders are preserved
     worst, wit = 0.0, None
-    for i, z in enumerate(state.fields):
-        qi = pipe.orders[i]
-        zg = CompiledField(z) if isinstance(z, VectorField) else z
+    for i, qi in enumerate(pipe.orders):
         Aq = pipe._power_ev[qi]
         for p in pts:
-            r = float(np.max(np.abs(Aq(p) @ zg.value(p))))
+            r = float(np.max(np.abs(Aq(p) @ fields[(0, i)].value(p))))
             if r > worst:
                 worst, wit = r, (f"A^{qi} Z[{i}]", _pt(p))
     out.append(ClauseResidual("3", worst, tol_scale * (1 + scale), wit))
@@ -944,8 +917,6 @@ class ChartMap:
         self.jordan = jordan_matrix(pipeline.mults, pipeline.eigenvalue)
         n = pipeline.n
         self._chart = pipeline.stage_chart(n - 2) if n >= 2 else None
-        self._frame = (_TransportedFrame(self._chart) if self._chart is not None
-                       else None)
 
     @property
     def n_flows(self) -> int:
@@ -962,30 +933,22 @@ class ChartMap:
             return self.pipeline.section.embed(s)
         return self._chart.forward(s, t)
 
-    def coords(self, q, t0=None) -> np.ndarray:
-        """Chart coordinates of q; Newton starts at t0, by default at t = 0
-        (the section projection), so the answer depends on q alone."""
+    def coords(self, q) -> np.ndarray:
+        """Chart coordinates of q; Newton starts at t = 0 (the section
+        projection), so the answer depends on q alone."""
         if self._chart is None:
             return self.pipeline.section.project(q)
-        if t0 is None:
-            t0 = np.zeros(self.n_flows)
-        s, t = self._chart.inverse(q, t0)
+        s, t = self._chart.inverse(q)
         return np.concatenate([t, s])
 
     def _frame_at(self, p, W) -> np.ndarray:
         """Chart frame at endpoint p (columns in slot order).
 
-        Time columns are the generator values at p (the final flows
+        Time columns are the frame fields' values at p (the final flows
         commute); section columns are W, the transported section frame.
         """
-        cols = []
-        for (a, i) in self.slots:
-            if a >= 1:
-                cols.append(self._chart.generators[
-                    self._chart.flow_slots.index((a, i))].value(p))
-            else:
-                cols.append(W[:, i])
-        return np.column_stack(cols)
+        return np.column_stack([self.frame_field((a, i)).value(p) if a >= 1
+                                else W[:, i] for a, i in self.slots])
 
     def forward_with_frame(self, y) -> tuple[np.ndarray, np.ndarray]:
         """Endpoint and the chart frame (columns in slot order) at it."""
@@ -999,14 +962,7 @@ class ChartMap:
 
     def frame_field(self, slot):
         """The slot's basis field as a point-evaluable field object."""
-        a, i = slot
-        pipe = self.pipeline
-        if a >= 1:
-            return pipe.generator(a, i, pipe.n - 1)
-        if self._frame is None:
-            ax = pipe.section.axes[i]
-            return CompiledField(coordinate_field(pipe.d, ax + 1))
-        return self._frame.field(i)
+        return self.pipeline.generator(*slot, self.pipeline.n - 1)
 
     def chart_ranges(self) -> list:
         """Per-coordinate ranges in chart space staying inside the box."""

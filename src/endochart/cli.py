@@ -14,6 +14,7 @@ box (a zero denominator, an overflow).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -34,18 +35,35 @@ from .structure import (AnnihilationError, NonNilpotentError,
 __all__ = ["main"]
 
 
+class UsageError(Exception):
+    """An option value the command cannot run with."""
+
+
 def _parse_box(text: str, dim: int) -> Box:
-    parts = text.split(",")
-    if len(parts) == 1:
-        lo, hi = (float(v) for v in parts[0].split(":"))
-        return Box(tuple((lo, hi) for _ in range(dim)))
-    if len(parts) != dim:
-        raise ValueError(f"box needs 1 or {dim} intervals, got {len(parts)}")
-    bounds = []
-    for p in parts:
-        lo, hi = (float(v) for v in p.split(":"))
-        bounds.append((lo, hi))
-    return Box(tuple(bounds))
+    try:
+        intervals = [tuple(float(v) for v in part.split(":"))
+                     for part in text.split(",")]
+        if len(intervals) == 1:
+            intervals *= dim
+        if len(intervals) != dim or any(len(iv) != 2 for iv in intervals):
+            raise ValueError(f"needs 1 or {dim} intervals lo:hi")
+        return Box(tuple(intervals))
+    except ValueError as err:
+        raise UsageError(f"--box {text!r}: {err}") from None
+
+
+_LOWEST = {"samples": 1, "grid": 1, "chart_samples": 0}   # integer options
+
+
+def _check_options(args):
+    """UsageError for an option value outside the range the commands take."""
+    for name, lowest in _LOWEST.items():
+        value = getattr(args, name, lowest)   # pipeline options: not on check
+        if value < lowest:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= "
+                             f"{lowest}, got {value}")
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise UsageError(f"--step must be positive and finite, got {args.step}")
 
 
 def _settings(args) -> PipelineSettings:
@@ -375,6 +393,7 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return 1 if err.code not in (0, None) else 0
     try:
+        _check_options(args)
         if args.command == "check":
             return _cmd_check(args)
         if args.command == "jordanize":
@@ -384,7 +403,8 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             return _cmd_selftest(args)
         return 1
-    except (FieldFileError, FileNotFoundError, IsADirectoryError) as err:
+    except (UsageError, FieldFileError, FileNotFoundError,
+            IsADirectoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (EvaluationError, OverflowError) as err:

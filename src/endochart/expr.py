@@ -34,7 +34,7 @@ __all__ = [
     "const", "var", "add", "sub", "mul", "div", "intpow", "exp", "pospow",
     "negate", "differentiate", "evaluate", "substitute", "compile_expr",
     "compile_vector", "compile_batch", "sample_box", "is_zero_on_box",
-    "kink_arguments", "kink_mask",
+    "kink_arguments", "kink_mask", "constants",
 ]
 
 class EvaluationError(ArithmeticError):
@@ -398,6 +398,13 @@ def kink_arguments(e: ScalarExpr) -> list[ScalarExpr]:
     return out
 
 
+def constants(e: ScalarExpr) -> list[float]:
+    """Values of all constant nodes, folded ones included."""
+    if isinstance(e, Const):
+        return [e.value]
+    return [c for child in _children(e) for c in constants(child)]
+
+
 # ---------------------------------------------------------------------------
 # Compilation.  One emitter serves both paths: `x[i]` indexes a point on the
 # scalar path and selects the row of variable i+1 on the batch path, and the
@@ -531,6 +538,8 @@ class Box:
 
     def __post_init__(self):
         for lo, hi in self.bounds:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"non-finite interval [{lo}, {hi}]")
             if not lo < hi:
                 raise ValueError(f"degenerate interval [{lo}, {hi}]")
 

@@ -16,10 +16,11 @@ A worked example ships with the package documentation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .charts import AdaptedChart
-from .expr import Box, ScalarExpr
+from .expr import Box, constants
 from .fields import EndoField
 from .grammar import ParseError, parse_expr
 
@@ -82,6 +83,9 @@ def loads_field_document(text: str, source: str = "<string>") -> FieldDocument:
             entries.append(parse_expr(text_entry))
         except (ParseError, ZeroDivisionError) as err:
             raise _fail(f"{source}: matrix entry {k} ({text_entry!r}): {err}") from err
+        if not all(math.isfinite(c) for c in constants(entries[-1])):
+            raise _fail(f"{source}: matrix entry {k} ({text_entry!r}) has a "
+                        "non-finite constant")
     rows = tuple(tuple(entries[i * d: (i + 1) * d]) for i in range(d))
     A = EndoField(rows)
 
@@ -122,11 +126,15 @@ def loads_field_document(text: str, source: str = "<string>") -> FieldDocument:
             raise _fail(f"{source}: factors must be lists of numbers") from err
         if any(len(f) < 2 for f in factors):
             raise _fail(f"{source}: each factor needs degree >= 1")
+        if not all(math.isfinite(c) for f in factors for c in f):
+            raise _fail(f"{source}: factor coefficients must be finite")
 
     try:
         eigenvalue = float(raw.get("eigenvalue", 0.0))
     except (TypeError, ValueError) as err:
         raise _fail(f"{source}: eigenvalue must be a number") from err
+    if not math.isfinite(eigenvalue):
+        raise _fail(f"{source}: eigenvalue must be finite")
     return FieldDocument(d, A, box, chart, factors, eigenvalue, source)
 
 

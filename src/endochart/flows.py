@@ -128,8 +128,10 @@ class ComputedVectorField:
 
     Evaluation is deterministic given integrator settings; results are
     cached by the exact bytes of the point, so a value is never served for
-    a neighbouring point.
+    a neighbouring point; an evicted value is recomputed bit for bit.
     """
+
+    MEMO = 8192     # values kept
 
     def __init__(self, fn, dim: int):
         self.fn = fn
@@ -146,6 +148,8 @@ class ComputedVectorField:
         if hit is None:
             hit = np.asarray(self.fn(p), dtype=float)
             self._cache[key] = hit
+            if len(self._cache) > self.MEMO:
+                del self._cache[next(iter(self._cache))]
         return hit
 
     def cache_size(self) -> int:

@@ -452,14 +452,40 @@ class TestParentCoordinateFlows:
         for y, c in zip(ys, first):
             assert np.max(np.abs(c - y)) <= 1e-8
         # forward on the chart that served the queries equals a fresh one's,
-        # and so do the section-frame values, whose inversions warm-start
-        # from earlier section-frame inversions only
+        # and so do the section-frame values
         other = assemble_chart("example35-n3")
         for y in ys[:8]:
             assert chart.forward(y).tobytes() == other.forward(y).tobytes()
         q = chart.forward(ys[0]) + 1e-3
         z, z_other = chart.frame_field((0, 0)), other.frame_field((0, 0))
         assert z.value(q).tobytes() == z_other.value(q).tobytes()
+
+    @pytest.mark.parametrize("name", ["example35-n2", "example35-n3"])
+    def test_section_frame_values_are_history_free(self, name):
+        # each section-frame value inverts the chart at its point: the
+        # values must not depend on the order the points are asked in
+        forward, reverse = assemble_chart(name), assemble_chart(name)
+        ys = latin_hypercube(forward.chart_ranges(), 12, seed=5)
+        qs = [forward.forward(y) for y in ys]
+        slots = [slot for slot in forward.slots if slot[0] == 0]
+
+        def values(chart, points):
+            fields = [chart.frame_field(slot) for slot in slots]
+            return [[z.value(q).tobytes() for z in fields] for q in points]
+        assert values(forward, qs) == values(reverse, qs[::-1])[::-1]
+
+    def test_point_caches_are_bounded(self, monkeypatch):
+        # the field and frame caches keep their last MEMO points; a value
+        # depends on its point alone, so an evicted one comes back bit for bit
+        monkeypatch.setattr(charts.ComputedVectorField, "MEMO", 2)
+        monkeypatch.setattr(charts._TransportedFrame, "MEMO", 2)
+        chart = assemble_chart("example35-n2")
+        frame = charts._TransportedFrame(chart._chart)
+        z = frame.field(0)
+        qs = [chart.forward(y) for y in chart.sample_coords(4, seed=3)]
+        first = [z.value(q).tobytes() for q in qs]
+        assert z.cache_size() == 2 and len(frame._cache) == 2
+        assert z.value(qs[0]).tobytes() == first[0]
 
     def test_each_flow_starts_in_its_own_parent(self):
         # n = 4: the stage-1 flows pull back to stage 0, the second one

@@ -82,6 +82,24 @@ class TestFileCommands:
     def test_bad_usage(self):
         assert main(["check"]) == 1
 
+    @pytest.mark.parametrize("command, option", [
+        (command, option)
+        for command in ("check", "jordanize", "corpus")
+        for option in ("--box=1:0", "--box=a:b", "--box=0:1,0:1,0:1",
+                       "--samples=0", "--step=0", "--step=nan")
+    ] + [(command, option)
+         for command in ("jordanize", "corpus")
+         for option in ("--chart-samples=-1", "--grid=0")])
+    def test_bad_option_value(self, tmp_path, capsys, command, option):
+        # every input is d = 2: example35-n2 and a nilpotent Jordan block
+        path = tmp_path / "block.json"
+        path.write_text('{"dim": 2, "matrix": [["0", "1"], ["0", "0"]], '
+                        '"groups": [[1, 1, 1], [2, 2, 1]]}')
+        target = "example35-n2" if command == "corpus" else str(path)
+        assert main([command, target, option]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
     def test_zero_denominator_on_box(self, tmp_path, capsys):
         path = tmp_path / "pole.json"
         path.write_text('{"dim": 1, "matrix": [["1/x1"]]}')

@@ -96,6 +96,14 @@ MALFORMED = [
     '{"dim": 1, "matrix": [["0"]], "factors": 5}',
     '{"dim": 1, "matrix": [["0"]], "groups": 5}',
     '{"dim": 1, "matrix": [["1/0"]]}',
+    # non-finite numbers: bare nan or inf in the generated evaluators
+    '{"dim": 1, "matrix": [["0"]], "eigenvalue": "nan"}',
+    '{"dim": 1, "matrix": [["0"]], "eigenvalue": 1e400}',
+    '{"dim": 1, "matrix": [["0"]], "factors": [["nan", 1], [-2, 1]]}',
+    '{"dim": 1, "matrix": [["0"]], "box": [[-1, 1e400]]}',
+    '{"dim": 2, "matrix": [["0", "1e400"], ["0", "0"]]}',
+    '{"dim": 2, "matrix": [["0", "1e200*1e200"], ["0", "0"]]}',
+    '{"dim": 2, "matrix": [["0", "x2*(1e200*1e200 - 1e200*1e200)"], ["0", "0"]]}',
 ]
 
 
