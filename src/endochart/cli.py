@@ -238,8 +238,8 @@ def _cmd_selftest(args) -> int:
     from . import expr as ex
     from .fields import (coordinate_field, nijenhuis, prop22_residual,
                          _nprime_raw, endo_power)
-    from .flows import (CompiledField, FlowSpec, IntegratorSettings,
-                        integrate_flow, numeric_bracket)
+    from .flows import (CompiledField, ComputedVectorField, FlowSpec,
+                        IntegratorSettings, integrate_flow, numeric_bracket)
     from .fields import VectorField, lie_bracket
     from .structure import (image_frame, involutivity_residual,
                             nijenhuis_residual)
@@ -310,6 +310,17 @@ def _cmd_selftest(args) -> int:
           f"residual {worst:.2e}")
     c = integrate_flow(FlowSpec(V, IntegratorSettings(step=1e-2)), (0.1, 0.2), 0.64)
     check("flow determinism", a.tobytes() == c.tobytes())
+    # x1 and x2 read only x3, which they do not move: the closed form
+    S = VectorField((ex.exp(ex.mul(ex.const(0.5), ex.var(3))),
+                     ex.mul(ex.const(0.3), ex.var(3), ex.var(3)),
+                     ex.const(0.0)))
+    line = FlowSpec(S, spec.settings)
+    rk4 = FlowSpec(ComputedVectorField(line.generator.value, 3), spec.settings)
+    worst = float(np.max(np.abs(integrate_flow(line, (0.1, 0.2, 0.3), 0.64)
+                                - integrate_flow(rk4, (0.1, 0.2, 0.3), 0.64))))
+    check("straight flow vs RK4",
+          line.generator.straight and worst <= 10 * spec.settings.accuracy(),
+          f"residual {worst:.2e}")
     W = VectorField((ex.exp(ex.var(2)), ex.const(0.0)))
     exact = lie_bracket(V, W)((0.2, -0.1))
     num = numeric_bracket(CompiledField(V), CompiledField(W), (0.2, -0.1), h=1e-4)

@@ -18,7 +18,9 @@ emitted source:
   plain Python float arithmetic, which beats numpy on one point.
 
 `evaluate` walks the tree directly; it is the reference the compiled paths
-are tested against and the way a failing subtree is located.
+are tested against and the way a failing subtree is located.  Both paths
+refuse, when compiling, a tree that holds a non-finite constant (constant
+folding can overflow, as in d/dx of 1e308*x^2) with `EvaluationError`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ __all__ = [
     "const", "var", "add", "sub", "mul", "div", "intpow", "exp", "pospow",
     "negate", "differentiate", "evaluate", "substitute", "compile_expr",
     "compile_vector", "compile_batch", "sample_box", "is_zero_on_box",
-    "kink_arguments", "kink_mask", "constants",
+    "kink_arguments", "kink_mask", "constants", "variables",
 ]
 
 class EvaluationError(ArithmeticError):
@@ -405,6 +407,13 @@ def constants(e: ScalarExpr) -> list[float]:
     return [c for child in _children(e) for c in constants(child)]
 
 
+def variables(e: ScalarExpr) -> set[int]:
+    """1-based indices of the variables that occur in e."""
+    if isinstance(e, Var):
+        return {e.index}
+    return set().union(*(variables(child) for child in _children(e)))
+
+
 # ---------------------------------------------------------------------------
 # Compilation.  One emitter serves both paths: `x[i]` indexes a point on the
 # scalar path and selects the row of variable i+1 on the batch path, and the
@@ -422,6 +431,11 @@ def _pospow_batch(a: np.ndarray, k: int) -> np.ndarray:
 
 def _emit(e: ScalarExpr) -> str:
     if isinstance(e, Const):
+        if not math.isfinite(e.value):
+            # constant folding (say of a derivative) can overflow a finite
+            # field's constants; the generated source would not run
+            raise EvaluationError(
+                f"non-finite constant {e.value!r} in a derived expression", e)
         return repr(e.value)
     if isinstance(e, Var):
         return f"x[{e.index - 1}]"

@@ -1,7 +1,16 @@
 """Numeric ODE flows of vector fields and frame transport along them.
 
 Flows use fixed-step RK4: determinism and simple error budgeting matter
-more than speed at these dimensions.
+more than speed at these dimensions.  A symbolic generator V whose
+components read only coordinates x_j with V_j the constant 0 is
+*straight* (`CompiledField.straight`, decided once per field by which
+variables occur in its components): its flow never moves what V reads, so
+V is constant along its own trajectory and the flow is exactly
+x + tV(x), with differential I + t DV(x) (DV^2 = 0).  Straight flows, of
+one start or of a block, take that closed form instead of RK4 steps; the
+box check still tests the RK4 step points x + k h V(x) (Groebner, *Die
+Lie-Reihen*, 1960: the Lie series of x terminates after its linear term).
+In flag-adapted coordinates most stage-0 generators A^p d/ds are straight.
 
 Derivatives in the chart construction come from one place per kind of
 field, each with its own step:
@@ -34,11 +43,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
 
-from .expr import Box, compile_batch
+from .expr import Box, Const, compile_batch, variables
 from .fields import VectorField
 
 __all__ = [
@@ -89,6 +99,15 @@ class CompiledField:
     @property
     def symbolic(self) -> bool:
         return True
+
+    @cached_property
+    def straight(self) -> bool:
+        """True when no component reads a coordinate x_j whose component
+        V_j is not the constant 0: the flow is then x + tV(x) exactly."""
+        comps = self.field.components
+        moved = {j for j, c in enumerate(comps, 1)
+                 if not (isinstance(c, Const) and c.value == 0.0)}
+        return not any(variables(c) & moved for c in comps)
 
     def value(self, p) -> np.ndarray:
         return self._value(p)
@@ -200,14 +219,53 @@ def _check_box(spec: FlowSpec, t: float, x: np.ndarray):
         raise BoxExitError(t, x[:, int(np.argmax(outside))])
 
 
+def _steps(spec: FlowSpec, t: float) -> tuple[int, float]:
+    """RK4 step count and step for flow time t."""
+    n = max(1, math.ceil(abs(t) / spec.settings.step))
+    return n, t / n
+
+
+def _straight(gen) -> bool:
+    return isinstance(gen, CompiledField) and gen.straight
+
+
+def _check_line(spec: FlowSpec, x: np.ndarray, v: np.ndarray, t: float):
+    """The box check of RK4 on the straight flow x + sV(x) up to time t:
+    BoxExitError at the first step time whose step point x + k h v is
+    outside the box, for a point or a (d, N) block (its first such column).
+
+    Each coordinate of the step points is monotone in k, even rounded, so
+    when the first and the last step points are inside, all are.
+    """
+    box = spec.box
+    if box is None:
+        return
+    n, h = _steps(spec, t)
+    d = x.shape[0]
+    x, v = x.reshape(d, -1), v.reshape(d, -1)
+    lo, hi = np.array(box.bounds, dtype=float).T
+    mid, half = ((lo + hi) / 2.0)[:, None], ((hi - lo) / 2.0)[:, None]
+    ends = x + np.array([h, n * h])[:, None, None] * v
+    if not np.any(np.abs(ends - mid) > half):
+        return
+    P = x + (np.arange(1, n + 1) * h)[:, None, None] * v      # (n, d, N)
+    outside = np.any(np.abs(P - mid) > half, axis=1)          # (n, N)
+    k = int(np.argmax(outside.any(axis=1)))
+    raise BoxExitError((k + 1) * h, P[k, :, int(np.argmax(outside[k]))])
+
+
 def integrate_flow(spec: FlowSpec, p0, t: float) -> np.ndarray:
     """Solve x' = V(x), x(0) = p0 up to time t."""
     x = np.asarray(p0, dtype=float).copy()
     if t == 0.0:
         return x
-    V = spec.generator.value
-    n = max(1, math.ceil(abs(t) / spec.settings.step))
-    h = t / n
+    gen = spec.generator
+    if _straight(gen):
+        v = gen.value(x)
+        _check_line(spec, x, v, t)
+        return x + t * v
+    V = gen.value
+    n, h = _steps(spec, t)
     for k in range(n):
         k1 = V(x)
         k2 = V(x + 0.5 * h * k1)
@@ -232,7 +290,10 @@ def integrate_with_transport(spec: FlowSpec, p0, t: float, W0) -> tuple:
     the scalar ones in the last place.  A block's BoxExitError names the
     first start, in start order, among those outside the box at the
     earliest step that leaves it.  The generator must be symbolic: only
-    `CompiledField` has a jacobian.
+    `CompiledField` has a jacobian.  A straight generator gives
+    (x + tV(x), W + t DV(x) W) with the same box check; its products are
+    elementwise sums, which round alike for a (d, d) jacobian and an
+    (N, d, d) stack, where a stacked matmul would not.
     """
     x = np.asarray(p0, dtype=float).copy()
     W = np.asarray(W0, dtype=float).copy()
@@ -243,8 +304,13 @@ def integrate_with_transport(spec: FlowSpec, p0, t: float, W0) -> tuple:
         V, DV = gen.value, gen.jacobian
     else:
         V, DV = gen.batch_value, gen.batch_jacobian
-    n = max(1, math.ceil(abs(t) / spec.settings.step))
-    h = t / n
+    if _straight(gen):
+        v = V(x)
+        _check_line(spec, x, v, t)
+        D = DV(x)
+        DW = (D[..., :, :, None] * W[..., None, :, :]).sum(-2)
+        return x + t * v, W + t * DW
+    n, h = _steps(spec, t)
     for k in range(n):
         k1 = V(x)
         K1 = DV(x) @ W

@@ -117,6 +117,14 @@ class TestFileCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and reason in err
 
+    def test_non_finite_derived_constant(self, tmp_path, capsys):
+        # finite on the box, but d/dx2 folds 2 * 1e308 to inf
+        path = tmp_path / "huge.json"
+        path.write_text('{"dim": 2, "matrix": [["0", "1e308*x2^2"], ["0", "0"]]}')
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite constant inf" in err
+
     def test_compiled_zero_division(self, tmp_path, capsys, monkeypatch):
         # compiled evaluators raise ZeroDivisionError at plain-float points
         from endochart import cli

@@ -219,3 +219,142 @@ class TestSettings:
     def test_validation(self):
         with pytest.raises(ValueError):
             IntegratorSettings(step=0.0)
+
+
+# reads only x3, x4 and x5, which it does not move; sums, products and
+# quotients, so the point and the batch evaluators round alike
+STRAIGHT_FIELD = VectorField((
+    ex.add(ex.mul(ex.const(0.3), ex.var(3), ex.var(4)),
+           ex.mul(ex.const(0.2), ex.var(5)), ex.const(0.2)),
+    ex.sub(ex.div(ex.var(3), ex.add(ex.const(2.0), ex.var(4))),
+           ex.mul(ex.const(0.1), ex.var(5), ex.var(3))),
+    ex.const(0.0), ex.const(0.0), ex.const(0.0)))
+
+
+def rk4_oracle(spec: FlowSpec) -> FlowSpec:
+    """The same flow problem on a non-symbolic wrapper: always RK4."""
+    cf = spec.generator
+    return FlowSpec(ComputedVectorField(cf.value, cf.dim), spec.settings,
+                    spec.box)
+
+
+def box_exit(run) -> BoxExitError:
+    with pytest.raises(BoxExitError) as err:
+        run()
+    return err.value
+
+
+class TestStraightFlows:
+    def test_flag(self):
+        assert CompiledField(STRAIGHT_FIELD).straight
+        assert CompiledField(coordinate_field(3, 2)).straight
+        assert not CompiledField(BLOCK_FIELD).straight
+        # x2 moves, and the first component reads it
+        assert not CompiledField(VectorField((ex.var(2), ex.const(1.0)))).straight
+        assert not CompiledField(VectorField((ex.var(1),))).straight
+
+    @pytest.mark.parametrize("t", [0.37, -0.21, 1.3])
+    def test_endpoints_match_rk4(self, t):
+        spec = FlowSpec(STRAIGHT_FIELD, RK4)
+        oracle = rk4_oracle(spec)
+        P = np.random.default_rng(7).uniform(-0.5, 0.5, (5, 6))
+        for n in range(6):
+            expect = integrate_flow(oracle, P[:, n], t)
+            assert np.max(np.abs(integrate_flow(spec, P[:, n], t)
+                                 - expect)) <= 1e-12
+            x, _ = integrate_with_transport(spec, P[:, n], t, np.eye(5))
+            assert np.max(np.abs(x - expect)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [0.37, -0.6])
+    def test_frames_match_central_differences_of_rk4(self, t):
+        spec = FlowSpec(STRAIGHT_FIELD, RK4)
+        oracle = rk4_oracle(spec)
+        p0 = np.array([0.1, -0.2, 0.3, -0.15, 0.25])
+        _, J = integrate_with_transport(spec, p0, t, np.eye(5))
+        h = 1e-5
+        for j in range(5):
+            up, dn = p0.copy(), p0.copy()
+            up[j] += h
+            dn[j] -= h
+            col = (integrate_flow(oracle, up, t)
+                   - integrate_flow(oracle, dn, t)) / (2 * h)
+            assert np.max(np.abs(J[:, j] - col)) <= 1e-7
+
+    @pytest.mark.parametrize("start, t", [
+        ((0.5, 0.0, 0.2, 0.1, 0.0), 3.0),      # leaves through x1 = 1
+        ((0.5, 0.0, -0.4, 0.1, 0.0), -6.0),    # leaves backwards through x2 = 1
+        ((-1.3, 0.0, 0.5, 0.0, 0.0), 4.0),     # starts outside, re-enters
+    ])
+    def test_box_exit_matches_rk4(self, start, t):
+        spec = FlowSpec(STRAIGHT_FIELD, RK4, box=Box.cube(5, 1.0))
+        expect = box_exit(lambda: integrate_flow(rk4_oracle(spec), start, t))
+        for run in (lambda: integrate_flow(spec, start, t),
+                    lambda: integrate_with_transport(spec, start, t,
+                                                     np.eye(5))):
+            got = box_exit(run)
+            assert got.time == expect.time
+            assert np.max(np.abs(np.subtract(got.point, expect.point))) <= 1e-12
+
+    def test_block_box_exit_names_first_start_of_earliest_step(self):
+        # start 2 is outside and re-enters: it fails at the first step
+        # time, before start 0 leaves; start 1 stays inside
+        spec = FlowSpec(STRAIGHT_FIELD, RK4, box=Box.cube(5, 1.0))
+        P = np.array([[0.5, 0.0, -1.3, 0.9],
+                      [0.0, 0.0, 0.0, 0.0],
+                      [0.2, 0.1, 0.5, 0.5],
+                      [0.1, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0]])
+        W0 = np.repeat(np.eye(5)[None], 4, axis=0)
+        got = box_exit(lambda: integrate_with_transport(spec, P, 3.0, W0))
+        expect = box_exit(lambda: integrate_flow(rk4_oracle(spec), P[:, 2], 3.0))
+        assert got.time == expect.time
+        assert np.max(np.abs(np.subtract(got.point, expect.point))) <= 1e-12
+        # without start 2, start 3 leaves first
+        got = box_exit(lambda: integrate_with_transport(spec, P[:, [0, 1, 3]],
+                                                        3.0, W0[:3]))
+        expect = box_exit(lambda: integrate_flow(rk4_oracle(spec), P[:, 3], 3.0))
+        assert got.time == expect.time
+        assert np.max(np.abs(np.subtract(got.point, expect.point))) <= 1e-12
+
+    @pytest.mark.parametrize("t", [0.37, -0.21])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_block_equals_single_starts(self, t, m):
+        spec = FlowSpec(STRAIGHT_FIELD, RK4, box=Box.cube(5, 1.0))
+        rng = np.random.default_rng(13)
+        P = rng.uniform(-0.5, 0.5, (5, 9))
+        W0 = rng.normal(size=(9, 5, m))
+        xs, Ws = integrate_with_transport(spec, P, t, W0)
+        assert xs.shape == (5, 9) and Ws.shape == (9, 5, m)
+        for n in range(9):
+            x, W = integrate_with_transport(spec, P[:, n], t, W0[n])
+            assert x.tobytes() == xs[:, n].tobytes()
+            assert W.tobytes() == Ws[n].tobytes()
+
+    # per corpus entry: (power, slot) of each stage-0 flow generator
+    # A^p d/ds and whether it is straight
+    @pytest.mark.parametrize("name, flags", [
+        ("example38", {(1, 0): True, (1, 1): True}),
+        ("example35-n2", {(1, 0): False}),
+        ("example35-n3", {(2, 0): True, (1, 0): False}),
+        ("example35-n3-xn", {(2, 0): True, (1, 0): True}),
+        ("example35-n4-const", {(3, 0): True, (2, 0): True, (1, 0): True}),
+        ("constant-jordan", {(1, 1): True}),
+        ("conjugated-n2", {(1, 1): True}),
+        ("conjugated-n2-d4", {(1, 0): True, (1, 1): True}),
+    ])
+    def test_corpus_flags(self, name, flags):
+        from endochart.charts import initial_frame
+        from endochart.corpus import build_corpus_field
+
+        entry = build_corpus_field(name)
+        pipe = initial_frame(entry["field"], entry["chart"],
+                             check=False).pipeline
+        got = {(a, i): pipe.generator(a, i, 0).straight
+               for a, i in pipe.slots if a >= 1}
+        assert got == flags
+        # the exact test, DV V folding to 0, finds no straight flow more
+        for a, i in got:
+            V = pipe.generator(a, i, 0).field
+            LVV = [ex.add(*[ex.mul(ex.differentiate(c, j + 1), V.components[j])
+                            for j in range(V.dim)]) for c in V.components]
+            assert got[a, i] == all(e == ex.const(0.0) for e in LVV)
