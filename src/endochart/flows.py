@@ -212,11 +212,16 @@ def _check_box(spec: FlowSpec, t: float, x: np.ndarray):
         if not box.contains(x):
             raise BoxExitError(t, x)
         return
-    lo, hi = np.array(box.bounds, dtype=float).T
-    outside = np.any(np.abs(x - ((lo + hi) / 2.0)[:, None])
-                     > ((hi - lo) / 2.0)[:, None], axis=0)
+    outside = _outside(box, x)
     if outside.any():
         raise BoxExitError(t, x[:, int(np.argmax(outside))])
+
+
+def _outside(box: Box, x: np.ndarray) -> np.ndarray:
+    """Mask of the points of x, coordinates along axis -2, outside box."""
+    lo, hi = np.array(box.bounds, dtype=float).T
+    return np.any(np.abs(x - ((lo + hi) / 2.0)[:, None])
+                  > ((hi - lo) / 2.0)[:, None], axis=-2)
 
 
 def _steps(spec: FlowSpec, t: float) -> tuple[int, float]:
@@ -243,13 +248,10 @@ def _check_line(spec: FlowSpec, x: np.ndarray, v: np.ndarray, t: float):
     n, h = _steps(spec, t)
     d = x.shape[0]
     x, v = x.reshape(d, -1), v.reshape(d, -1)
-    lo, hi = np.array(box.bounds, dtype=float).T
-    mid, half = ((lo + hi) / 2.0)[:, None], ((hi - lo) / 2.0)[:, None]
-    ends = x + np.array([h, n * h])[:, None, None] * v
-    if not np.any(np.abs(ends - mid) > half):
+    if not _outside(box, x + np.array([h, n * h])[:, None, None] * v).any():
         return
     P = x + (np.arange(1, n + 1) * h)[:, None, None] * v      # (n, d, N)
-    outside = np.any(np.abs(P - mid) > half, axis=1)          # (n, N)
+    outside = _outside(box, P)                                # (n, N)
     k = int(np.argmax(outside.any(axis=1)))
     raise BoxExitError((k + 1) * h, P[k, :, int(np.argmax(outside[k]))])
 
