@@ -389,9 +389,15 @@ class _StageChart:
         N = self.n_flows
         x, W = self._compose(y[N:], y[:N], self.section.basis_matrix(),
                              times=True)
+        return x, self.chart_columns(W)
+
+    def chart_columns(self, W) -> np.ndarray:
+        """A `_compose(times=True)` frame's columns in chart order: times
+        in canonical slot order, then the section columns."""
+        N = self.n_flows
         m = W.shape[1] - N
         pos = {alpha: m + k for k, alpha in enumerate(self.application_order)}
-        return x, W[:, [pos[alpha] for alpha in range(N)] + list(range(m))]
+        return W[:, [pos[alpha] for alpha in range(N)] + list(range(m))]
 
     def forward_transport(self, s, t, W0: np.ndarray) -> tuple:
         """Transport the columns of W0 from sigma(s) through the composition."""
@@ -756,6 +762,15 @@ def _span_residual(frame_mat: np.ndarray, v: np.ndarray) -> float:
     return float(np.linalg.norm(v - frame_mat @ c))
 
 
+def _bracket(fa, fb, h: float):
+    """p -> [fa, fb](p): the exact `lie_bracket` tree, built once, when both
+    fields are symbolic (`CompiledField`); else `numeric_bracket` with
+    step h."""
+    if isinstance(fa, CompiledField) and isinstance(fb, CompiledField):
+        return lie_bracket(fa.field, fb.field)
+    return lambda p: numeric_bracket(fa, fb, p, h=h)
+
+
 def hk_residuals(state: FrameState,
                  clauses: tuple = ("1", "2", "3", "4", "5")) -> HKReport:
     """Residuals of the five induction-hypothesis clauses at stage k.
@@ -787,11 +802,6 @@ def hk_residuals(state: FrameState,
             scale = max(scale, float(np.max(np.abs(g.value(p)))))
     out = []
 
-    def bracket(fa, fb, p):
-        if isinstance(fa, CompiledField) and isinstance(fb, CompiledField):
-            return lie_bracket(fa.field, fb.field)(p)
-        return numeric_bracket(fa, fb, p, h=st.h_bracket)
-
     # clause 1: section values reproduce the initial frame
     worst, wit = 0.0, None
     if k > 0:
@@ -815,8 +825,9 @@ def hk_residuals(state: FrameState,
         for F in K.frame:
             Fg = CompiledField(F)
             for i in range(len(state.fields)):
+                bracket = _bracket(fields[(0, i)], Fg, st.h_bracket)
                 for p in pts:
-                    b = bracket(fields[(0, i)], Fg, p)
+                    b = bracket(p)
                     r = _span_residual(kmat(p), b)
                     if r > worst:
                         worst, wit = r, (f"[Z[{i}], ker A^{qq} frame]", _pt(p))
@@ -843,10 +854,10 @@ def hk_residuals(state: FrameState,
         slots = [(a, i) for (a, i) in pipe.slots if a >= min_power]
         for u in range(len(slots)):
             for v in range(u + 1, len(slots)):
-                fa = fields[slots[u]]
-                fb = fields[slots[v]]
+                bracket = _bracket(fields[slots[u]], fields[slots[v]],
+                                   st.h_bracket)
                 for p in pts:
-                    b = bracket(fa, fb, p)
+                    b = bracket(p)
                     r = _span_residual(frame_mat(p), b)
                     if r > worst:
                         worst, wit = r, (f"[{slots[u]}, {slots[v]}] vs Im A^{target_power}",
@@ -941,24 +952,14 @@ class ChartMap:
         s, t = self._chart.inverse(q)
         return np.concatenate([t, s])
 
-    def _frame_at(self, p, W) -> np.ndarray:
-        """Chart frame at endpoint p (columns in slot order).
-
-        Time columns are the frame fields' values at p (the final flows
-        commute); section columns are W, the transported section frame.
-        """
-        return np.column_stack([self.frame_field((a, i)).value(p) if a >= 1
-                                else W[:, i] for a, i in self.slots])
-
     def forward_with_frame(self, y) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint and the chart frame (columns in slot order) at it."""
-        s, t = self.split(y)
-        E = self.pipeline.section.basis_matrix()
+        """Endpoint and the chart differential DPhi(y) (columns in slot
+        order)."""
         if self._chart is None:
-            p, W = self.pipeline.section.embed(s), E
-        else:
-            p, W = self._chart.forward_transport(s, t, E)
-        return p, self._frame_at(p, W)
+            s, _ = self.split(y)
+            return (self.pipeline.section.embed(s),
+                    self.pipeline.section.basis_matrix())
+        return self._chart.forward_differential(y)
 
     def frame_field(self, slot):
         """The slot's basis field as a point-evaluable field object."""
@@ -1009,11 +1010,13 @@ class VerificationReport:
 
 
 def _grid_frames(chart: ChartMap, grid: int) -> dict:
-    """Endpoints and chart frames on a chart-space grid.
+    """Endpoints and chart differentials DPhi on a chart-space grid.
 
     The grid fans out over one time axis per flow, in application order, so
     grid points share trajectory prefixes.  Each (point, frame) pair goes
-    through the per-flow transport that `forward_with_frame` composes.
+    through the per-flow transport and takes on each flow's generator value
+    (point evaluator) at its endpoint, as `_StageChart._compose` does, so
+    it equals `forward_with_frame` at its chart point bit for bit.
     Keys are (section coordinates, flow times in application order).
     """
     pipe = chart.pipeline
@@ -1023,24 +1026,26 @@ def _grid_frames(chart: ChartMap, grid: int) -> dict:
     points = {(sc, ()): (pipe.section.embed(np.array(sc, dtype=float)), E)
               for sc in itertools.product(*axes[N:])}
     stage = chart._chart
-    if stage is not None:
-        for alpha in stage.application_order:
-            keys = [(key, float(tv)) for key in points for tv in axes[alpha]]
-            ends = stage.transport_flow(
-                alpha, [(*points[key], tv) for key, tv in keys])
-            points = {(sc, tpre + (tv,)): end
-                      for ((sc, tpre), tv), end in zip(keys, ends)}
-    return {key: (p, chart._frame_at(p, W)) for key, (p, W) in points.items()}
+    if stage is None:
+        return points
+    for alpha in stage.application_order:
+        keys = [(key, float(tv)) for key in points for tv in axes[alpha]]
+        ends = stage.transport_flow(
+            alpha, [(*points[key], tv) for key, tv in keys])
+        value = stage.generators[alpha].value
+        points = {(sc, tpre + (tv,)): (x, np.column_stack([W, value(x)]))
+                  for ((sc, tpre), tv), (x, W) in zip(keys, ends)}
+    return {key: (p, stage.chart_columns(W)) for key, (p, W) in points.items()}
 
 
 def verify_integral_chart(A: EndoField, chart: ChartMap, grid: int = 5,
                           tol: float = 1e-5) -> VerificationReport:
-    """Assemble the field's matrix in the chart frame on a chart-space grid.
+    """Assemble the field's matrix in the chart differential on a grid.
 
-    At each grid point the frame is the chart differential, transported
-    along the flows, and the matrix solve(frame, A(p) frame) is compared
-    entrywise with the constant Jordan matrix.  Pairwise numeric brackets
-    of the chart frame fields are measured at a few sampled points.
+    At each grid point y the frame is DPhi(y) (`_grid_frames`), and the
+    matrix solve(DPhi, A(p) DPhi) is compared entrywise with the constant
+    Jordan matrix.  Pairwise brackets of the frame fields are measured at
+    a few sampled points by the rule of `hk_residuals` (`_bracket`).
     """
     st = chart.pipeline.settings
     grid_frames = _grid_frames(chart, grid)
@@ -1060,11 +1065,12 @@ def verify_integral_chart(A: EndoField, chart: ChartMap, grid: int = 5,
         ys = chart.sample_coords(st.bracket_samples, st.seed + 1)
         pts = [chart.forward(y) for y in ys]
         fields = [chart.frame_field(slot) for slot in chart.slots]
+        brackets = [_bracket(fa, fb, st.h_bracket)
+                    for fa, fb in itertools.combinations(fields, 2)]
         for p in pts:
-            for u in range(len(fields)):
-                for v in range(u + 1, len(fields)):
-                    b = numeric_bracket(fields[u], fields[v], p, h=st.h_bracket)
-                    max_bracket = max(max_bracket, float(np.max(np.abs(b))))
+            for bracket in brackets:
+                max_bracket = max(max_bracket,
+                                  float(np.max(np.abs(bracket(p)))))
     return VerificationReport(worst, max_bracket, grid, chart.jordan,
                               witness, worst <= tol)
 

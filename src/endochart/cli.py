@@ -20,8 +20,10 @@ import sys
 import numpy as np
 
 from . import corpus as corpus_mod
-from .charts import (AdaptedChartError, InductionError, NewtonError,
-                     PipelineSettings, jordanize, validate_adapted_chart)
+from .charts import (AdaptedChart, AdaptedChartError, InductionError,
+                     NewtonError, PipelineSettings, build_chart,
+                     induction_step, initial_frame, jordanize,
+                     validate_adapted_chart)
 from .expr import Box, EvaluationError
 from .fieldfile import FieldFileError, load_field_document
 from .flows import BoxExitError, IntegratorSettings
@@ -139,20 +141,41 @@ def _chart_samples(chart, count, seed) -> list:
     return out
 
 
-def _run_pipeline(field, box, chart, args, eigenvalue=0.0,
-                  conditions_pass=True):
-    settings = _settings(args)
-    result = jordanize(field, chart, settings, eigenvalue=eigenvalue,
-                       grid=args.grid, verify_tol=args.verify_tol)
-    ver = verification_to_dict(result.verification)
-    induction = [hk_to_dict(rep) for rep in result.stage_reports]
-    _statusline("induction residuals", all(r["pass"] for r in induction),
-                "; ".join(f"k={r['k']}" for r in induction))
-    _statusline("constant matrix in chart frame", result.verification.passed,
-                f"max deviation {ver['max_deviation']}, "
-                f"frame brackets {ver['max_frame_bracket']}")
-    samples = _chart_samples(result.chart, args.chart_samples, args.seed)
-    return result, induction, ver, samples
+def _construct(args, kind, source, field, box, chart, eigenvalue) -> int:
+    """The condition checks (skipped when eigenvalue != 0), then the
+    pipeline when they pass or with --force, and one report of both."""
+    conditions, ok = ((None, True) if eigenvalue != 0.0
+                      else _run_conditions(field, box, None, args))
+    stages = {}
+    if chart is not None and (ok or args.force):
+        try:
+            result = jordanize(field, chart, _settings(args),
+                               eigenvalue=eigenvalue, grid=args.grid,
+                               verify_tol=args.verify_tol)
+        except InductionError as err:
+            _statusline("induction residuals", False, str(err))
+            stages = {"induction": [hk_to_dict(err.report)], "error": str(err)}
+            ok = False
+        else:
+            ver = verification_to_dict(result.verification)
+            induction = [hk_to_dict(rep) for rep in result.stage_reports]
+            _statusline("induction residuals",
+                        all(r["pass"] for r in induction),
+                        "; ".join(f"k={r['k']}" for r in induction))
+            _statusline("constant matrix in chart frame",
+                        result.verification.passed,
+                        f"max deviation {ver['max_deviation']}, "
+                        f"frame brackets {ver['max_frame_bracket']}")
+            samples = _chart_samples(result.chart, args.chart_samples,
+                                     args.seed)
+            stages = {"induction": induction,
+                      "verification": {**ver, "chart_samples": samples}}
+            ok = ok and result.verification.passed
+    report = report_to_dict(
+        kind, _field_info(source, field.dim, box), _args_settings(args),
+        conditions=conditions, overall_pass=ok, **stages)
+    _write_report(args, report)
+    return 0 if ok else 2
 
 
 def _cmd_jordanize(args) -> int:
@@ -163,35 +186,9 @@ def _cmd_jordanize(args) -> int:
         return 1
     chart = doc.chart
     if box != doc.box:
-        from .charts import AdaptedChart
         chart = AdaptedChart(doc.dim, doc.chart.groups, box)
-    conditions, ok = _run_conditions(doc.field, box, None, args) \
-        if doc.eigenvalue == 0.0 else (None, True)
-    if not ok and not args.force:
-        report = report_to_dict(
-            "jordanize", _field_info(doc.source, doc.dim, box),
-            _args_settings(args), conditions=conditions, overall_pass=False)
-        _write_report(args, report)
-        return 2
-    try:
-        result, induction, ver, samples = _run_pipeline(
-            doc.field, box, chart, args, eigenvalue=doc.eigenvalue)
-    except InductionError as err:
-        report = report_to_dict(
-            "jordanize", _field_info(doc.source, doc.dim, box),
-            _args_settings(args), conditions=conditions,
-            induction=[hk_to_dict(err.report)], overall_pass=False,
-            error=str(err))
-        _write_report(args, report)
-        _statusline("induction residuals", False, str(err))
-        return 2
-    overall = bool(ok and result.verification.passed)
-    report = report_to_dict(
-        "jordanize", _field_info(doc.source, doc.dim, box),
-        _args_settings(args), conditions=conditions, induction=induction,
-        verification={**ver, "chart_samples": samples}, overall_pass=overall)
-    _write_report(args, report)
-    return 0 if overall else 2
+    return _construct(args, "jordanize", doc.source, doc.field, box, chart,
+                      doc.eigenvalue)
 
 
 def _cmd_corpus(args) -> int:
@@ -204,33 +201,8 @@ def _cmd_corpus(args) -> int:
     field = data["field"]
     box = _parse_box(args.box, field.dim) if args.box else data["box"]
     print(f"corpus field {entry.name}: {entry.description}")
-    conditions, ok = _run_conditions(field, box, None, args)
-    induction = None
-    verification = None
-    error = None
-    if ok and data.get("chart") is not None:
-        try:
-            result, induction, verification, samples = _run_pipeline(
-                field, box, data["chart"], args)
-            verification = {**verification, "chart_samples": samples}
-            ok = result.verification.passed
-        except InductionError as err:
-            induction = [hk_to_dict(err.report)]
-            error = str(err)
-            ok = False
-    elif not ok and args.force and data.get("chart") is not None:
-        try:
-            _run_pipeline(field, box, data["chart"], args)
-        except InductionError as err:
-            induction = [hk_to_dict(err.report)]
-            error = str(err)
-            _statusline("induction residuals", False, str(err))
-    report = report_to_dict(
-        "corpus", _field_info(entry.name, field.dim, box),
-        _args_settings(args), conditions=conditions, induction=induction,
-        verification=verification, overall_pass=ok, error=error)
-    _write_report(args, report)
-    return 0 if ok else 2
+    return _construct(args, "corpus", entry.name, field, box,
+                      data.get("chart"), 0.0)
 
 
 def _cmd_selftest(args) -> int:
@@ -342,6 +314,19 @@ def _cmd_selftest(args) -> int:
           f"residual {t.max_residual:.2e}")
     rep = validate_adapted_chart(oracle.field, oracle.chart, seed=args.seed)
     check("conjugated-constant chart adapted", rep.passed)
+
+    # chart frame: DPhi's columns against central differences of Phi
+    data = corpus_mod.build_corpus_field("conjugated-n2")
+    state = initial_frame(data["field"], data["chart"], check=False)
+    cmap = build_chart(induction_step(state), check=False)
+    worst, h = 0.0, 1e-5
+    for y in cmap.sample_coords(3, args.seed):
+        _, frame = cmap.forward_with_frame(y)
+        for j, e in enumerate(np.eye(len(y))):
+            fd = (cmap.forward(y + h * e) - cmap.forward(y - h * e)) / (2 * h)
+            worst = max(worst, float(np.max(np.abs(frame[:, j] - fd))))
+    check("chart frame is the chart differential", worst <= 1e-6,
+          f"residual {worst:.2e}")
     return 0 if failures == 0 else 2
 
 

@@ -573,11 +573,11 @@ class Box:
     def diameter(self) -> float:
         return max(hi - lo for lo, hi in self.bounds)
 
-    def contains(self, p, margin: float = 0.0) -> bool:
+    def contains(self, p) -> bool:
         for (lo, hi), v in zip(self.bounds, p):
             half = (hi - lo) / 2.0
             mid = (lo + hi) / 2.0
-            if abs(v - mid) > half * (1.0 + margin):
+            if abs(v - mid) > half:
                 return False
         return True
 
@@ -625,16 +625,15 @@ class ZeroTestResult:
 
 
 def is_zero_on_box(e: ScalarExpr, box: Box, samples: int = 100,
-                   tol: float = 1e-9, seed: int = 2026,
-                   kink_margin: float = 1e-4) -> ZeroTestResult:
+                   tol: float = 1e-9, seed: int = 2026) -> ZeroTestResult:
     """Sampled zero test; reports the max |value| and its argmax point.
 
-    Points within `kink_margin` of a pospow kink hyperplane are skipped,
+    Points near a pospow kink hyperplane (`kink_mask`) are skipped,
     because one-sided derivatives of upstream expressions differ there.
     """
     x = sample_box(box, samples, seed).T
     vals = np.abs(compile_batch([e])(x)[0])
-    vals[kink_mask([e], x, kink_margin)] = 0.0
+    vals[kink_mask([e], x)] = 0.0
     n = int(np.argmax(vals))
     worst = float(vals[n])
     witness = tuple(float(v) for v in x[:, n]) if worst > 0.0 else tuple(box.center)

@@ -33,10 +33,11 @@ field, each with its own step:
   are carried along computed flows by central differences of flow maps
   with step `PipelineSettings.h_transport`
   (`charts._StageChart.transport_flow`);
-- Lie brackets involving computed fields use central differences of the
-  fields with step `PipelineSettings.h_bracket` (`numeric_bracket`);
-- the verification grid carries its frames through the same per-flow
-  transport as `ChartMap.forward_with_frame`.
+- Lie brackets follow one rule (`charts._bracket`): the exact tree when
+  both fields are symbolic, else central differences of the fields with
+  step `PipelineSettings.h_bracket` (`numeric_bracket`);
+- the verification grid's frames are the chart differential DPhi, bit for
+  bit as `ChartMap.forward_with_frame` composes it.
 """
 
 from __future__ import annotations

@@ -369,6 +369,63 @@ class TestOneFramePath:
         assert [g.symbolic for g in chart._chart.generators] == [True, False]
         self.assert_grid_frames_match(chart, 5)
 
+    @pytest.mark.parametrize("name", ["example35-n3", "example35-n3-xn"])
+    def test_grid_frames_are_the_chart_differential(self, name):
+        # the time columns are DPhi's, not the final frame fields' values
+        chart = assemble_chart(name)
+        stage = chart._chart
+        order = stage.application_order
+        frames = charts._grid_frames(chart, 3)
+        assert len(frames) == 3 ** chart.pipeline.d
+        for (sc, tpre), (p, frame) in frames.items():
+            t = [tpre[order.index(alpha)] for alpha in range(len(order))]
+            q, D = stage.forward_differential(np.array(t + list(sc)))
+            assert q.tobytes() == p.tobytes()
+            assert frame.tobytes() == D.tobytes()
+
+
+class TestOneBracketRule:
+    def test_verification_brackets_symbolic_pairs_exactly(self, monkeypatch):
+        # the two image slots of conjugated-n2-d4 are symbolic fields
+        chart = assemble_chart("conjugated-n2-d4")
+        fields = [chart.frame_field(slot) for slot in chart.slots]
+        assert sum(f.symbolic for f in fields) == 2
+        pairs = []
+        original = charts.numeric_bracket
+
+        def recording(X, Y, p, h):
+            pairs.append((X.symbolic, Y.symbolic))
+            return original(X, Y, p, h=h)
+        monkeypatch.setattr(charts, "numeric_bracket", recording)
+        verify_integral_chart(chart.pipeline.A, chart, grid=2)
+        samples = chart.pipeline.settings.bracket_samples
+        assert len(pairs) == samples * (len(fields) * (len(fields) - 1) // 2 - 1)
+        assert (True, True) not in pairs
+
+    def test_hk_builds_one_tree_per_symbolic_pair(self, monkeypatch):
+        from endochart.structure import kernel_frame
+        data = build_corpus_field("example35-n3")
+        state = initial_frame(data["field"], data["chart"], FAST, check=False)
+        pipe = state.pipeline
+        calls = []
+        original = charts.lie_bracket
+
+        def recording(X, Y):
+            calls.append((X, Y))
+            return original(X, Y)
+        monkeypatch.setattr(charts, "lie_bracket", recording)
+        hk_residuals(state)
+        # clause 2: section fields against kernel frames; clauses 4 and 5:
+        # slot pairs, all symbolic at stage 0
+        kernel = sum(len(kernel_frame(pipe.A, q, pipe.chart_box,
+                                      seed=pipe.settings.seed).frame)
+                     for q in range(1, pipe.n))
+        slots = len(pipe.slots)
+        images = sum(a >= 1 for a, _ in pipe.slots)
+        assert len(calls) == (kernel * len(state.fields)
+                              + slots * (slots - 1) // 2
+                              + images * (images - 1) // 2)
+
 
 def assemble_chart(name_or_data, settings=PipelineSettings()) -> ChartMap:
     """The integral chart without stage checks or verification."""

@@ -47,6 +47,22 @@ class TestCorpusCommand:
         bad = [c for c in clause.values() if not c["pass"]]
         assert bad and bad[0]["witness"] is not None
 
+    def test_forced_pipeline_is_reported(self, tmp_path, capsys, monkeypatch):
+        # with failed conditions, --force runs the pipeline and reports it
+        from endochart import cli
+        run = cli._run_conditions
+        monkeypatch.setattr(cli, "_run_conditions",
+                            lambda *args: (run(*args)[0], False))
+        out = tmp_path / "r.json"
+        code = main(["corpus", "constant-jordan", "--grid", "3", "--force",
+                     "--out", str(out)])
+        assert code == 2
+        report = json.loads(out.read_text())
+        assert not report["overall"]["pass"]
+        assert [r["k"] for r in report["induction"]] == [0, 1]
+        assert report["verification"]["max_deviation"] == 0.0
+        assert "[PASS] constant matrix in chart frame" in capsys.readouterr().out
+
 
 class TestFileCommands:
     def test_check_diagonalizable(self, tmp_path):
