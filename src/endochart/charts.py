@@ -24,13 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Box, sample_box
+from .expr import Box, compile_batch, sample_box
 from .fields import (EndoField, VectorField, apply_endo, coordinate_field,
                      endo_power, first_max, lie_bracket)
 from .flows import (CompiledField, ComputedVectorField, FlowSpec,
                     IntegratorSettings, integrate_flow,
                     integrate_with_transport, numeric_bracket)
-from .structure import image_frame, kernel_frame
+from .structure import image_frame, kernel_frame, span_residuals
 
 __all__ = [
     "AdaptedChart", "Section", "PipelineSettings", "FrameState", "ChartMap",
@@ -168,7 +168,11 @@ class Section:
         return Section(chart.dim, tuple(chart.section_axes()), tuple(base))
 
     def embed(self, s) -> np.ndarray:
+        """The point sigma(s); for an (m, N) array s, the (d, N) points of
+        its columns."""
         x = np.array(self.offsets, dtype=float)
+        if np.ndim(s) == 2:
+            x = np.repeat(x[:, None], len(s[0]), axis=1)
         for axis, v in zip(self.axes, s):
             x[axis] = v
         return x
@@ -242,52 +246,52 @@ class AdaptedChartReport:
 def validate_adapted_chart(A: EndoField, chart: AdaptedChart,
                            samples: int = 40, seed: int = 2026,
                            tol: float = 1e-7) -> AdaptedChartReport:
-    """Check that the designated coordinate subspaces realise the flag array."""
+    """Check that the designated coordinate subspaces realise the flag array.
+
+    For each (p, q), every axis e of the groups with i <= p, j <= q must lie
+    in ker A^q (residual |A^q e| / scale^q) and in Im A^(n-p) (residual of e
+    off the left singular vectors of A^(n-p) above the rank threshold) at
+    the sample points, evaluated as one block.  Of the first places, in
+    (p, q), point, axis order, of each kind's worst residual over tol, the
+    later one is the witness.
+    """
     n = chart.index
     mults = chart.multiplicities
     box = chart.box
-    pts = sample_box(box, samples, seed, include_corners=False)
-    Aev = A.evaluator()
+    d = A.dim
+    x = sample_box(box, samples, seed, include_corners=False).T
     scale = max(1.0, A.entry_scale(box, seed=seed))
+    M = A.batch_evaluator()(x)
+    powers = [np.linalg.matrix_power(M, e) for e in range(n + 1)]
 
-    def flag_dim(p, q):
-        return sum(min(q, max(0, a - (n - p))) * da
-                   for a, da in enumerate(mults, start=1))
-
-    worst_k, worst_im, witness = 0.0, 0.0, None
-    passed = True
+    # per (p, q): (N, d) residuals of every axis, -1 off the groups' axes
+    flags, kernel, image = [], [], []
     for p in range(1, n + 1):
+        U, s, _ = np.linalg.svd(powers[n - p])
+        Q = U * (s > 1e-10 * np.maximum(1.0, s[:, :1]) * d)[:, None, :]
+        off = np.linalg.norm(np.eye(d) - Q @ Q.transpose(0, 2, 1), axis=1)
         for q in range(1, p + 1):
-            axes = sorted(ax for (i, j), g in chart.groups.items()
-                          if i <= p and j <= q for ax in g)
-            if len(axes) != flag_dim(p, q):
+            axes = [ax for (i, j), g in chart.groups.items()
+                    if i <= p and j <= q for ax in g]
+            if len(axes) != sum(min(q, max(0, a - (n - p))) * da
+                                for a, da in enumerate(mults, start=1)):
                 return AdaptedChartReport(False, math.inf, math.inf,
                                           (p, q, -1, tuple(box.center)))
-            if not axes:
-                continue
-            for pt in pts:
-                M = Aev(pt)
-                Mq = np.linalg.matrix_power(M, q)
-                Mim = np.linalg.matrix_power(M, n - p)
-                U, s, _ = np.linalg.svd(Mim)
-                r = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 0.0) * A.dim))
-                Q = U[:, :r]
-                for ax in axes:
-                    e = np.zeros(A.dim)
-                    e[ax] = 1.0
-                    rk = float(np.linalg.norm(Mq @ e)) / scale ** q
-                    rim = float(np.linalg.norm(e - Q @ (Q.T @ e)))
-                    if rk > worst_k:
-                        worst_k = rk
-                        if rk > tol:
-                            witness = (p, q, ax, _pt(pt))
-                    if rim > worst_im:
-                        worst_im = rim
-                        if rim > tol:
-                            witness = (p, q, ax, _pt(pt))
-                    if rk > tol or rim > tol:
-                        passed = False
-    return AdaptedChartReport(passed, worst_k, worst_im, witness)
+            member = np.isin(np.arange(d), axes)
+            flags.append((p, q))
+            kernel.append(np.where(member, np.linalg.norm(powers[q], axis=1)
+                                   / scale ** q, -1.0))
+            image.append(np.where(member, off, -1.0))
+    worst_k, fk, at_k = first_max(np.reshape(kernel, (len(flags), -1)))
+    worst_im, fi, at_im = first_max(np.reshape(image, (len(flags), -1)))
+    over = [(f, at) for worst, f, at in ((worst_k, fk, at_k),
+                                         (worst_im, fi, at_im)) if worst > tol]
+    witness = None
+    if over:
+        f, at = max(over)
+        point, axis = divmod(at, d)
+        witness = (*flags[f], axis, _pt(x[:, point]))
+    return AdaptedChartReport(not over, worst_k, worst_im, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -755,120 +759,112 @@ class HKReport:
         raise KeyError(name)
 
 
-def _span_residual(frame_mat: np.ndarray, v: np.ndarray) -> float:
-    if frame_mat.shape[1] == 0:
-        return float(np.linalg.norm(v))
-    c, *_ = np.linalg.lstsq(frame_mat, v, rcond=None)
-    return float(np.linalg.norm(v - frame_mat @ c))
-
-
 def _bracket(fa, fb, h: float):
-    """p -> [fa, fb](p): the exact `lie_bracket` tree, built once, when both
-    fields are symbolic (`CompiledField`); else `numeric_bracket` with
-    step h."""
+    """x -> [fa, fb] at the columns of a (d, N) point array x: the exact
+    `lie_bracket` tree, built and compiled once, when both fields are
+    symbolic (`CompiledField`); else `numeric_bracket` with step h at each
+    column."""
     if isinstance(fa, CompiledField) and isinstance(fb, CompiledField):
-        return lie_bracket(fa.field, fb.field)
-    return lambda p: numeric_bracket(fa, fb, p, h=h)
+        return compile_batch(lie_bracket(fa.field, fb.field).components)
+    return lambda x: np.column_stack([numeric_bracket(fa, fb, p, h=h)
+                                      for p in x.T])
+
+
+def _clause(name: str, R: np.ndarray, labels: list, x: np.ndarray,
+            tol: float) -> ClauseResidual:
+    """The clause residual of the (rows, N) sampled residuals R: their
+    maximum, witnessed by the label of the first row and the first point
+    attaining it, rows in order (None when every residual vanishes)."""
+    worst, r, n = first_max(R)
+    return ClauseResidual(name, worst, tol,
+                          (labels[r], _pt(x[:, n])) if worst > 0.0 else None)
 
 
 def hk_residuals(state: FrameState,
                  clauses: tuple = ("1", "2", "3", "4", "5")) -> HKReport:
-    """Residuals of the five induction-hypothesis clauses at stage k.
+    """Residuals of the induction-hypothesis clauses named in `clauses`
+    at stage k; only those clauses are computed.
 
     Clause 4 measures bracket membership of all basis-field pairs in the
     image of A^(k+1); clause 5 the same for image-image pairs one power
     deeper.  At the final stage the target images vanish, so the clause-4/5
-    residuals are raw bracket norms.
+    residuals are raw bracket norms.  Each clause evaluates its sample set
+    as one (d, N) block; span residuals are stacked QR projections
+    (`structure.span_residuals`).
     """
     pipe = state.pipeline
     st = pipe.settings
     k = state.k
     samples = st.hk_samples
     seed = st.seed
-    d = pipe.d
     n = pipe.n
     A = pipe.A
-    symbolic = k == 0
-    tol_scale = st.hk_tol_symbolic if symbolic else st.hk_tol_numeric
 
-    pts = sample_box(pipe.chart_box.inflate(0.7), samples, seed,
-                     include_corners=False, include_center=True)
-    fields = {}
-    for (a, i) in pipe.slots:
-        fields[(a, i)] = pipe.generator(a, i, k)
-    scale = 1.0
-    for g in fields.values():
-        for p in pts[: min(3, len(pts))]:
-            scale = max(scale, float(np.max(np.abs(g.value(p)))))
+    x = sample_box(pipe.chart_box.inflate(0.7), samples, seed,
+                   include_corners=False, include_center=True).T
+    N = x.shape[1]
+    fields = {slot: pipe.generator(*slot, k) for slot in pipe.slots}
+    scale = max(1.0, *(float(np.max(np.abs(g.batch_value(x[:, :3]))))
+                       for g in fields.values()))
+    tol = (st.hk_tol_symbolic if k == 0 else st.hk_tol_numeric) * (1 + scale)
     out = []
 
     # clause 1: section values reproduce the initial frame
-    worst, wit = 0.0, None
-    if k > 0:
-        E = pipe.section.basis_matrix()
-        rng = np.random.default_rng(seed)
-        lo = np.array([pipe.chart_box.bounds[ax][0] for ax in pipe.section.axes])
-        hi = np.array([pipe.chart_box.bounds[ax][1] for ax in pipe.section.axes])
-        for s in rng.uniform(0.6 * lo, 0.6 * hi, size=(samples, len(lo))):
-            q = pipe.section.embed(s)
-            for i, z in enumerate(state.fields):
-                r = float(np.max(np.abs(z.value(q) - E[:, i])))
-                if r > worst:
-                    worst, wit = r, (f"Z[{i}] on section", _pt(q))
-    out.append(ClauseResidual("1", worst, tol_scale * (1 + scale), wit))
+    if "1" in clauses:
+        worst, wit = 0.0, None
+        if k > 0:
+            rng = np.random.default_rng(seed)
+            lo, hi = np.array([pipe.chart_box.bounds[ax]
+                               for ax in pipe.section.axes]).T
+            q = pipe.section.embed(
+                rng.uniform(0.6 * lo, 0.6 * hi, size=(samples, len(lo))).T)
+            E = pipe.section.basis_matrix()
+            R = np.array([np.max(np.abs(z.batch_value(q) - E[:, i:i + 1]),
+                                 axis=0) for i, z in enumerate(state.fields)])
+            worst, point, i = first_max(R.T)    # points outer, fields inner
+            if worst > 0.0:
+                wit = (f"Z[{i}] on section", _pt(q[:, point]))
+        out.append(ClauseResidual("1", worst, tol, wit))
 
     # clause 2: section fields are basic for every kernel foliation
-    worst, wit = 0.0, None
-    for qq in range(1, n):
-        K = kernel_frame(A, qq, pipe.chart_box, seed=seed)
-        kmat = K.matrix_evaluator()
-        for F in K.frame:
-            Fg = CompiledField(F)
-            for i in range(len(state.fields)):
-                bracket = _bracket(fields[(0, i)], Fg, st.h_bracket)
-                for p in pts:
-                    b = bracket(p)
-                    r = _span_residual(kmat(p), b)
-                    if r > worst:
-                        worst, wit = r, (f"[Z[{i}], ker A^{qq} frame]", _pt(p))
-    out.append(ClauseResidual("2", worst, tol_scale * (1 + scale), wit))
+    if "2" in clauses:
+        R, labels = np.zeros((0, N)), []
+        for qq in range(1, n):
+            K = kernel_frame(A, qq, pipe.chart_box, seed=seed)
+            pairs = [(F, i) for F in K.frame for i in range(len(state.fields))]
+            V = [_bracket(fields[(0, i)], CompiledField(F), st.h_bracket)(x)
+                 for F, i in pairs]
+            R = np.concatenate([R, span_residuals(K.values_on(x), V)])
+            labels += [f"[Z[{i}], ker A^{qq} frame]" for _, i in pairs]
+        out.append(_clause("2", R, labels, x, tol))
 
     # clause 3: kernel orders are preserved
-    worst, wit = 0.0, None
-    for i, qi in enumerate(pipe.orders):
-        Aq = pipe._power_ev[qi]
-        for p in pts:
-            r = float(np.max(np.abs(Aq(p) @ fields[(0, i)].value(p))))
-            if r > worst:
-                worst, wit = r, (f"A^{qi} Z[{i}]", _pt(p))
-    out.append(ClauseResidual("3", worst, tol_scale * (1 + scale), wit))
+    if "3" in clauses:
+        R = [np.max(np.abs(np.einsum(
+                 "nij,jn->in", pipe._powers[qi].batch_evaluator()(x),
+                 fields[(0, i)].batch_value(x))), axis=0)
+             for i, qi in enumerate(pipe.orders)]
+        labels = [f"A^{qi} Z[{i}]" for i, qi in enumerate(pipe.orders)]
+        out.append(_clause("3", np.reshape(R, (len(R), N)), labels, x, tol))
 
     # clauses 4 and 5
     def pair_clause(name, min_power, target_power):
-        worst, wit = 0.0, None
         if target_power >= n:
-            frame_mat = lambda p: np.zeros((d, 0))
+            F = np.zeros((N, pipe.d, 0))
         else:
-            im = image_frame(A, target_power, pipe.chart_box, seed=seed)
-            frame_mat = im.matrix_evaluator()
+            F = image_frame(A, target_power, pipe.chart_box,
+                            seed=seed).values_on(x)
         slots = [(a, i) for (a, i) in pipe.slots if a >= min_power]
-        for u in range(len(slots)):
-            for v in range(u + 1, len(slots)):
-                bracket = _bracket(fields[slots[u]], fields[slots[v]],
-                                   st.h_bracket)
-                for p in pts:
-                    b = bracket(p)
-                    r = _span_residual(frame_mat(p), b)
-                    if r > worst:
-                        worst, wit = r, (f"[{slots[u]}, {slots[v]}] vs Im A^{target_power}",
-                                         _pt(p))
-        return ClauseResidual(name, worst, tol_scale * (1 + scale), wit)
+        pairs = list(itertools.combinations(slots, 2))
+        V = [_bracket(fields[u], fields[v], st.h_bracket)(x) for u, v in pairs]
+        labels = [f"[{u}, {v}] vs Im A^{target_power}" for u, v in pairs]
+        return _clause(name, span_residuals(F, V), labels, x, tol)
 
     if "4" in clauses:
         out.append(pair_clause("4", 0, k + 1))
     if "5" in clauses:
         out.append(pair_clause("5", 1, k + 2))
-    return HKReport(k, tuple(c for c in out if c.clause in clauses))
+    return HKReport(k, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -926,12 +922,11 @@ class ChartMap:
         self.pipeline = pipeline
         self.slots = pipeline.slots
         self.jordan = jordan_matrix(pipeline.mults, pipeline.eigenvalue)
-        n = pipeline.n
-        self._chart = pipeline.stage_chart(n - 2) if n >= 2 else None
+        self._chart = pipeline.stage_chart(max(pipeline.n - 2, 0))
 
     @property
     def n_flows(self) -> int:
-        return self._chart.n_flows if self._chart is not None else 0
+        return self._chart.n_flows
 
     def split(self, y):
         y = np.asarray(y, dtype=float)
@@ -940,25 +935,17 @@ class ChartMap:
 
     def forward(self, y) -> np.ndarray:
         s, t = self.split(y)
-        if self._chart is None:
-            return self.pipeline.section.embed(s)
         return self._chart.forward(s, t)
 
     def coords(self, q) -> np.ndarray:
         """Chart coordinates of q; Newton starts at t = 0 (the section
         projection), so the answer depends on q alone."""
-        if self._chart is None:
-            return self.pipeline.section.project(q)
         s, t = self._chart.inverse(q)
         return np.concatenate([t, s])
 
     def forward_with_frame(self, y) -> tuple[np.ndarray, np.ndarray]:
         """Endpoint and the chart differential DPhi(y) (columns in slot
         order)."""
-        if self._chart is None:
-            s, _ = self.split(y)
-            return (self.pipeline.section.embed(s),
-                    self.pipeline.section.basis_matrix())
         return self._chart.forward_differential(y)
 
     def frame_field(self, slot):
@@ -1026,8 +1013,6 @@ def _grid_frames(chart: ChartMap, grid: int) -> dict:
     points = {(sc, ()): (pipe.section.embed(np.array(sc, dtype=float)), E)
               for sc in itertools.product(*axes[N:])}
     stage = chart._chart
-    if stage is None:
-        return points
     for alpha in stage.application_order:
         keys = [(key, float(tv)) for key in points for tv in axes[alpha]]
         ends = stage.transport_flow(
@@ -1063,14 +1048,11 @@ def verify_integral_chart(A: EndoField, chart: ChartMap, grid: int = 5,
     max_bracket = 0.0
     if st.bracket_samples > 0 and len(chart.slots) > 1:
         ys = chart.sample_coords(st.bracket_samples, st.seed + 1)
-        pts = [chart.forward(y) for y in ys]
+        x = np.column_stack([chart.forward(y) for y in ys])
         fields = [chart.frame_field(slot) for slot in chart.slots]
-        brackets = [_bracket(fa, fb, st.h_bracket)
-                    for fa, fb in itertools.combinations(fields, 2)]
-        for p in pts:
-            for bracket in brackets:
-                max_bracket = max(max_bracket,
-                                  float(np.max(np.abs(bracket(p)))))
+        max_bracket = max(
+            float(np.max(np.abs(_bracket(fa, fb, st.h_bracket)(x))))
+            for fa, fb in itertools.combinations(fields, 2))
     return VerificationReport(worst, max_bracket, grid, chart.jordan,
                               witness, worst <= tol)
 

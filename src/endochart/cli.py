@@ -143,9 +143,12 @@ def _chart_samples(chart, count, seed) -> list:
 
 def _construct(args, kind, source, field, box, chart, eigenvalue) -> int:
     """The condition checks (skipped when eigenvalue != 0), then the
-    pipeline when they pass or with --force, and one report of both."""
+    pipeline when they pass or with --force, and one report of both.
+    Both run on `box`: the adapted chart takes it in place of its own."""
     conditions, ok = ((None, True) if eigenvalue != 0.0
                       else _run_conditions(field, box, None, args))
+    if chart is not None and chart.box != box:
+        chart = AdaptedChart(chart.dim, chart.groups, box)
     stages = {}
     if chart is not None and (ok or args.force):
         try:
@@ -184,11 +187,8 @@ def _cmd_jordanize(args) -> int:
     if doc.chart is None:
         print("error: field file has no adapted-chart groups", file=sys.stderr)
         return 1
-    chart = doc.chart
-    if box != doc.box:
-        chart = AdaptedChart(doc.dim, doc.chart.groups, box)
-    return _construct(args, "jordanize", doc.source, doc.field, box, chart,
-                      doc.eigenvalue)
+    return _construct(args, "jordanize", doc.source, doc.field, box,
+                      doc.chart, doc.eigenvalue)
 
 
 def _cmd_corpus(args) -> int:

@@ -10,9 +10,11 @@ Trees are evaluated on one of two paths, both generated from the same
 emitted source:
 
 - batch (`compile_batch`), for sample sets known up front: one numpy
-  evaluation over a (d, N) point array gives an (m, N) value array.  The
-  condition checks evaluate every sample set this way.  A non-finite value
-  raises `EvaluationError` naming the failing subtree.
+  evaluation over a (d, N) point array gives an (m, N) value array.  Every
+  sampled check evaluates its sample set this way: the condition checks,
+  the adapted-chart validation, the induction-hypothesis clauses and the
+  verification's frame brackets.  A non-finite value raises
+  `EvaluationError` naming the failing subtree.
 - scalar (`compile_expr`, `compile_vector`), for sequential single points,
   where each point depends on the last (flow steps, Newton iterations):
   plain Python float arithmetic, which beats numpy on one point.

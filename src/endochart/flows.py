@@ -33,9 +33,11 @@ field, each with its own step:
   are carried along computed flows by central differences of flow maps
   with step `PipelineSettings.h_transport`
   (`charts._StageChart.transport_flow`);
-- Lie brackets follow one rule (`charts._bracket`): the exact tree when
-  both fields are symbolic, else central differences of the fields with
-  step `PipelineSettings.h_bracket` (`numeric_bracket`);
+- Lie brackets follow one rule (`charts._bracket`) and are evaluated as
+  blocks over a (d, N) sample set: the exact tree, compiled for blocks,
+  when both fields are symbolic, else central differences of the fields
+  with step `PipelineSettings.h_bracket` (`numeric_bracket`) at each
+  column;
 - the verification grid's frames are the chart differential DPhi, bit for
   bit as `ChartMap.forward_with_frame` composes it.
 """
@@ -171,6 +173,11 @@ class ComputedVectorField:
             if len(self._cache) > self.MEMO:
                 del self._cache[next(iter(self._cache))]
         return hit
+
+    def batch_value(self, x) -> np.ndarray:
+        """(d, N) values at the columns of a (d, N) point array, one
+        `value` per column."""
+        return np.column_stack([self.value(p) for p in np.asarray(x).T])
 
     def cache_size(self) -> int:
         return len(self._cache)

@@ -9,7 +9,8 @@ integrability checks.
 Every sampled test evaluates its sample set once, point-batched
 (`expr.compile_batch`), and works on stacked arrays: ranks by stacked SVD,
 torsion by einsum over A and its derivatives, involutivity by stacked QR
-projections.  A witness is the first sample point attaining the strict
+projections (`span_residuals`, which the induction clauses of `charts`
+share).  A witness is the first sample point attaining the strict
 maximum, pairs in (i, j) order.
 """
 
@@ -30,7 +31,7 @@ __all__ = [
     "theorem13_report", "corollary15_report", "Theorem13Report",
     "Corollary15Report", "InvolutivityResult", "ConstancyResult",
     "PivotDegenerationError", "NonNilpotentError", "InconsistentRanksError",
-    "AnnihilationError", "poly_endo", "nijenhuis_residual",
+    "AnnihilationError", "poly_endo", "nijenhuis_residual", "span_residuals",
 ]
 
 SVD_RELATIVE_THRESHOLD = 1e-8
@@ -209,14 +210,6 @@ class Distribution:
     def dim(self) -> int:
         return self.frame[0].dim if self.frame else self.box.dim
 
-    def matrix_evaluator(self):
-        """p -> d x k matrix whose columns are the frame vectors at p."""
-        if not self.frame:
-            dim = self.box.dim
-            return lambda p: np.zeros((dim, 0))
-        evs = [F.evaluator() for F in self.frame]
-        return lambda p: np.column_stack([e(p) for e in evs])
-
     def values_on(self, x: np.ndarray) -> np.ndarray:
         """(N, d, k) frame matrices at the points of a (d, N) array x."""
         if not self.frame:
@@ -225,9 +218,9 @@ class Distribution:
         return flat(x).reshape(self.rank, self.dim, -1).transpose(2, 1, 0)
 
 
-def _check_pivot_expr(e: ex.ScalarExpr, box: Box, samples: int, seed: int,
-                      floor: float, what: str):
-    vals = ex.compile_batch([e])(sample_box(box, samples, seed).T)[0]
+def _check_pivot_expr(e: ex.ScalarExpr, x: np.ndarray, floor: float,
+                      what: str):
+    vals = ex.compile_batch([e])(x)[0]
     lo, hi = float(np.min(vals)), float(np.max(vals))
     if min(abs(lo), abs(hi)) < floor or lo * hi <= 0.0:
         raise PivotDegenerationError(
@@ -249,6 +242,7 @@ def nullspace_frame(M: EndoField, box: Box, provenance: str = "user",
     M0 = np.asarray(M(center), dtype=float)
     rank = _numeric_rank(M0, tol)
 
+    x = sample_box(box, samples, seed).T        # the pivot checks' points
     rows = [list(r) for r in M.entries]
     work = M0.copy()
     pivots: list[tuple[int, int]] = []  # (row, col)
@@ -269,7 +263,7 @@ def nullspace_frame(M: EndoField, box: Box, provenance: str = "user",
         pivots.append((br, bc))
         used_rows.add(br)
         used_cols.add(bc)
-        _check_pivot_expr(rows[br][bc], box, samples, seed, pivot_floor,
+        _check_pivot_expr(rows[br][bc], x, pivot_floor,
                           f"elimination pivot at row {br + 1}, column {bc + 1}")
         # eliminate column bc from every other row, numerically and symbolically
         for i in range(d):
@@ -381,6 +375,23 @@ class InvolutivityResult:
         return self.involutive
 
 
+def span_residuals(F: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Norms of sampled vectors minus their projections onto a frame span.
+
+    F is an (N, d, k) stack of full-rank frame values at N points, V a
+    sequence of m (d, N) arrays of vectors at the points.  Returns the
+    (m, N) norms of each vector minus its orthogonal projection onto the
+    span of F's columns, taken with F's stacked QR factor.
+    """
+    Q = np.linalg.qr(F)[0]
+    R = np.empty((len(V), len(F)))
+    # one vector at a time keeps the temporaries at (d, N)
+    for p, v in enumerate(V):
+        proj = np.einsum("ndk,nk->dn", Q, np.einsum("ndk,dn->nk", Q, v))
+        R[p] = np.linalg.norm(v - proj, axis=0)
+    return R
+
+
 def involutivity_residual(D: Distribution, box: Box, samples: int = 100,
                           seed: int = 2026, tol: float = 1e-8) -> InvolutivityResult:
     """Residual of frame brackets against the frame span.
@@ -398,15 +409,10 @@ def involutivity_residual(D: Distribution, box: Box, samples: int = 100,
     threshold = tol * (1.0 + scale)
     if k <= 1:
         return InvolutivityResult(True, 0.0, threshold, scale, None, None)
-    Q = np.linalg.qr(F)[0]                           # (N, d, k)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     brackets = [lie_bracket(D.frame[i], D.frame[j]) for i, j in pairs]
     V = ex.compile_batch([c for B in brackets for c in B.components])(x)
-    R = np.empty((len(pairs), x.shape[1]))
-    # one pair at a time keeps the temporaries at (d, N)
-    for p, v in enumerate(V.reshape(len(pairs), D.dim, -1)):
-        proj = np.einsum("ndk,nk->dn", Q, np.einsum("ndk,dn->nk", Q, v))
-        R[p] = np.linalg.norm(v - proj, axis=0)
+    R = span_residuals(F, V.reshape(len(pairs), D.dim, -1))
     worst, r, n = first_max(R)
     witness = ((tuple(float(v) for v in x[:, n]), pairs[r])
                if worst > 0.0 else (None, None))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 
@@ -80,6 +81,63 @@ class TestValidateAdaptedChart:
         A, chart = constant_jordan((1, 1))
         rep = validate_adapted_chart(A, chart, samples=30, seed=1)
         assert rep.passed
+
+    @staticmethod
+    def per_point_reference(A, chart, samples, seed, tol=1e-7):
+        """The check one point and one axis at a time (the oracle)."""
+        n, d = chart.index, A.dim
+        scale = max(1.0, A.entry_scale(chart.box, seed=seed))
+        pts = ex.sample_box(chart.box, samples, seed, include_corners=False)
+        worst_k, worst_im, witness = 0.0, 0.0, None
+        for p in range(1, n + 1):
+            for q in range(1, p + 1):
+                axes = sorted(ax for (i, j), g in chart.groups.items()
+                              if i <= p and j <= q for ax in g)
+                for pt in pts:
+                    M = A.evaluator()(pt)
+                    U, s, _ = np.linalg.svd(np.linalg.matrix_power(M, n - p))
+                    Q = U[:, :int(np.sum(s > 1e-10 * max(1.0, s[0]) * d))]
+                    for ax in axes:
+                        e = np.eye(d)[ax]
+                        rk = np.linalg.norm(np.linalg.matrix_power(M, q) @ e)
+                        rk /= scale ** q
+                        rim = np.linalg.norm(e - Q @ (Q.T @ e))
+                        if rk > worst_k:
+                            worst_k = rk
+                            if rk > tol:
+                                witness = (p, q, ax, tuple(pt))
+                        if rim > worst_im:
+                            worst_im = rim
+                            if rim > tol:
+                                witness = (p, q, ax, tuple(pt))
+        return worst_k, worst_im, witness
+
+    @pytest.mark.parametrize("name", ["example35-n3", "example35-n3-xn",
+                                      "conjugated-n2-d4"])
+    def test_block_check_matches_per_point_reference(self, name):
+        # every grouping of the chart's axes, adapted or not: same verdict
+        # and witness, residuals equal up to the order of roundings
+        data = build_corpus_field(name)
+        chart = data["chart"]
+        keys = sorted(chart.groups)
+        for perm in itertools.permutations(keys):
+            moved = AdaptedChart(chart.dim, {k: chart.groups[g] for k, g
+                                             in zip(keys, perm)}, chart.box)
+            try:
+                rep = validate_adapted_chart(data["field"], moved,
+                                             samples=12, seed=3)
+            except AdaptedChartError:       # group sizes do not fit
+                continue
+            worst_k, worst_im, witness = self.per_point_reference(
+                data["field"], moved, 12, 3)
+            assert rep.witness == witness
+            assert rep.passed == (witness is None)
+            assert rep.max_kernel_residual == pytest.approx(worst_k,
+                                                            rel=1e-14,
+                                                            abs=1e-14)
+            assert rep.max_image_residual == pytest.approx(worst_im,
+                                                           rel=1e-14,
+                                                           abs=1e-14)
 
 
 class TestConstantJordanPipeline:
@@ -425,6 +483,34 @@ class TestOneBracketRule:
         assert len(calls) == (kernel * len(state.fields)
                               + slots * (slots - 1) // 2
                               + images * (images - 1) // 2)
+
+    def test_hk_computes_only_the_named_clauses(self, monkeypatch):
+        # the final stage reports clauses 1, 3 and 4: no kernel frame is
+        # built and every numeric bracket is a clause-4 slot pair
+        data = build_corpus_field("example35-n2")
+        state = induction_step(initial_frame(data["field"], data["chart"],
+                                             FAST, check=False))
+        frames, brackets = [], []
+        kernel, bracket = charts.kernel_frame, charts.numeric_bracket
+
+        def recording_frame(*args, **kwargs):
+            frames.append(args)
+            return kernel(*args, **kwargs)
+
+        def recording_bracket(X, Y, p, h):
+            brackets.append((X, Y))
+            return bracket(X, Y, p, h=h)
+        monkeypatch.setattr(charts, "kernel_frame", recording_frame)
+        monkeypatch.setattr(charts, "numeric_bracket", recording_bracket)
+        rep = hk_residuals(state, clauses=("1", "3", "4"))
+        assert [c.clause for c in rep.clauses] == ["1", "3", "4"]
+        assert frames == []
+        slots = [state.pipeline.generator(a, i, state.k)
+                 for a, i in state.pipeline.slots]
+        pairs = {(id(X), id(Y)) for X, Y in brackets}
+        assert pairs == {(id(X), id(Y)) for X, Y in
+                         itertools.combinations(slots, 2)}
+        assert len(brackets) == len(pairs) * (FAST.hk_samples + 1)
 
 
 def assemble_chart(name_or_data, settings=PipelineSettings()) -> ChartMap:

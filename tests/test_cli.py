@@ -63,6 +63,19 @@ class TestCorpusCommand:
         assert report["verification"]["max_deviation"] == 0.0
         assert "[PASS] constant matrix in chart frame" in capsys.readouterr().out
 
+    def test_box_override_reaches_the_pipeline(self, tmp_path):
+        # the chart takes the override box too: chart samples lie in the
+        # chart ranges of the 0.2 box (grid scale 0.35)
+        out = tmp_path / "r.json"
+        code = main(["corpus", "constant-jordan", "--box=-0.2:0.2",
+                     "--grid", "2", "--chart-samples", "4",
+                     "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["field"]["box"][0] == [-0.2, 0.2]
+        for sample in report["verification"]["chart_samples"]:
+            assert max(abs(v) for v in sample["coords"]) <= 0.35 * 0.2
+
 
 class TestFileCommands:
     def test_check_diagonalizable(self, tmp_path):
@@ -82,6 +95,22 @@ class TestFileCommands:
         report = json.loads(out.read_text())
         assert report["verification"]["max_deviation"] <= 1e-5
         assert len(report["verification"]["chart_samples"]) == 20
+
+    def test_jordanize_scalar_field(self, tmp_path):
+        # lambda * Id has n = 1: a chart without flows
+        doc = tmp_path / "scalar.json"
+        doc.write_text(json.dumps({
+            "dim": 2, "matrix": [["1.5", "0"], ["0", "1.5"]],
+            "box": [[-0.5, 0.5], [-0.5, 0.5]], "groups": [[1, 1, 2]],
+            "eigenvalue": 1.5}))
+        out = tmp_path / "r.json"
+        code = main(["jordanize", str(doc), "--grid", "3", "--out", str(out)])
+        assert code == 0
+        ver = json.loads(out.read_text())["verification"]
+        assert ver["max_deviation"] == 0.0
+        assert ver["chart_samples"]
+        for sample in ver["chart_samples"]:
+            assert sample["coords"] == sample["point"]
 
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/file.json"]) == 1

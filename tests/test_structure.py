@@ -164,7 +164,7 @@ class TestKernelFrame:
     def test_38_kernel(self):
         D = kernel_frame(field_38(), 1, BOX4)
         assert D.rank == 2
-        cols = D.matrix_evaluator()((0.3, -0.2, 0.5, 0.1))
+        [cols] = D.values_on(np.array([[0.3], [-0.2], [0.5], [0.1]]))
         # ker A = span(d1, d2)
         assert np.allclose(np.abs(cols[:2, :]).sum(), np.abs(cols).sum())
 
@@ -200,7 +200,7 @@ class TestImageFrame:
     def test_power_zero_identity(self):
         D = image_frame(field_38(), 0, BOX4)
         assert D.rank == 4
-        assert np.allclose(D.matrix_evaluator()((0, 0, 0, 0)), np.eye(4))
+        assert np.allclose(D.values_on(np.zeros((4, 1)))[0], np.eye(4))
 
     def test_35_im_a2(self):
         alpha2 = ex.add(ex.const(1.0), ex.mul(ex.const(0.3), ex.var(3)))
