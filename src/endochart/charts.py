@@ -56,7 +56,7 @@ class InductionError(RuntimeError):
 class NewtonError(RuntimeError):
     def __init__(self, point, residual: float):
         super().__init__(
-            f"chart inversion did not converge at {tuple(np.round(point, 6))} "
+            f"chart inversion did not converge at {_pt(np.round(point, 6))} "
             f"(last residual {residual:.3e})")
         self.point = tuple(point)
         self.residual = residual
@@ -67,20 +67,26 @@ class NewtonError(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineSettings:
+    """The values callers set (the command line and benchmark the first two,
+    tests the rest); every other number is a module constant below."""
+
     integrator: IntegratorSettings = IntegratorSettings(step=1e-2)
     seed: int = 2026
     box_margin: float = 1.5          # working-box inflation for flow monitoring
-    newton_tol: float = 1e-10
-    newton_maxiter: int = 50
-    h_bracket: float = 2e-3          # FD step for numeric brackets
-    h_transport: float = 1e-3        # FD step for transports along computed flows
     hk_samples: int = 5
-    hk_tol_symbolic: float = 1e-8    # gate for stage-0 (exact symbolic) residuals
-    hk_tol_numeric: float = 1e-5     # gate for transported-stage residuals
-    grid_scale: float = 0.35         # chart-grid extent relative to the box
-    bracket_samples: int = 4
     flow_order: str = "desc"         # composition order: "desc" | "asc"
     section_offsets: tuple | None = None   # ((axis, value), ...) for sigma
+
+
+NEWTON_TOL = 1e-10       # chart inversion, relative to 1 + |q|
+NEWTON_MAXITER = 50
+H_BRACKET = 2e-3         # FD step for numeric brackets
+H_TRANSPORT = 1e-3       # FD step for transports along computed flows
+HK_TOL_SYMBOLIC = 1e-8   # gate for stage-0 (exact symbolic) residuals
+HK_TOL_NUMERIC = 1e-5    # gate for transported-stage residuals
+GRID_SCALE = 0.35        # chart-grid extent relative to the box
+BRACKET_SAMPLES = 4      # chart points of the verification's frame brackets
+ADAPTED_CHART_TOL = 1e-7   # gate of `validate_adapted_chart`
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +250,16 @@ class AdaptedChartReport:
 
 
 def validate_adapted_chart(A: EndoField, chart: AdaptedChart,
-                           samples: int = 40, seed: int = 2026,
-                           tol: float = 1e-7) -> AdaptedChartReport:
+                           samples: int = 40,
+                           seed: int = 2026) -> AdaptedChartReport:
     """Check that the designated coordinate subspaces realise the flag array.
 
     For each (p, q), every axis e of the groups with i <= p, j <= q must lie
     in ker A^q (residual |A^q e| / scale^q) and in Im A^(n-p) (residual of e
     off the left singular vectors of A^(n-p) above the rank threshold) at
     the sample points, evaluated as one block.  Of the first places, in
-    (p, q), point, axis order, of each kind's worst residual over tol, the
-    later one is the witness.
+    (p, q), point, axis order, of each kind's worst residual over
+    ADAPTED_CHART_TOL, the later one is the witness.
     """
     n = chart.index
     mults = chart.multiplicities
@@ -284,8 +290,8 @@ def validate_adapted_chart(A: EndoField, chart: AdaptedChart,
             image.append(np.where(member, off, -1.0))
     worst_k, fk, at_k = first_max(np.reshape(kernel, (len(flags), -1)))
     worst_im, fi, at_im = first_max(np.reshape(image, (len(flags), -1)))
-    over = [(f, at) for worst, f, at in ((worst_k, fk, at_k),
-                                         (worst_im, fi, at_im)) if worst > tol]
+    kinds = ((worst_k, fk, at_k), (worst_im, fi, at_im))
+    over = [(f, at) for worst, f, at in kinds if worst > ADAPTED_CHART_TOL]
     witness = None
     if over:
         f, at = max(over)
@@ -431,7 +437,7 @@ class _StageChart:
         with equal flow times share step count and step, so each such group
         is integrated as one block (a lone start stays a single start).
         Computed generators take central differences of the flow map, step
-        h_transport, along each unit frame column (`_transport_computed`).
+        H_TRANSPORT, along each unit frame column (`_transport_computed`).
         """
         spec = self.specs[alpha]
         if spec.generator.symbolic:
@@ -460,7 +466,7 @@ class _StageChart:
         the starts' places as `_computed_flow` takes them.  A shifted start
         off the section is inverted from the central start's coordinates.
         """
-        h = self.pipeline.settings.h_transport
+        h = H_TRANSPORT
         out = []
         for c, (x, W, t) in enumerate(starts):
             end, at_end, y0 = self._computed_flow(
@@ -492,14 +498,13 @@ class _StageChart:
         N = self.n_flows
         if N == 0:
             return s, np.zeros(0)
-        st = self.pipeline.settings
         t = np.zeros(N) if t0 is None else np.asarray(t0, dtype=float).copy()
         tmax = 4.0 * self.pipeline.chart_box.diameter
         x = self.forward(s, t)
         r = x - q
         rn = float(np.linalg.norm(r))
-        tol = st.newton_tol * (1.0 + float(np.linalg.norm(q)))
-        for _ in range(st.newton_maxiter):
+        tol = NEWTON_TOL * (1.0 + float(np.linalg.norm(q)))
+        for _ in range(NEWTON_MAXITER):
             if rn <= tol:
                 return s, t
             J = np.column_stack([g.value(x) for g in self.generators])
@@ -759,14 +764,14 @@ class HKReport:
         raise KeyError(name)
 
 
-def _bracket(fa, fb, h: float):
+def _bracket(fa, fb):
     """x -> [fa, fb] at the columns of a (d, N) point array x: the exact
     `lie_bracket` tree, built and compiled once, when both fields are
-    symbolic (`CompiledField`); else `numeric_bracket` with step h at each
-    column."""
+    symbolic (`CompiledField`); else `numeric_bracket` with step H_BRACKET
+    at each column."""
     if isinstance(fa, CompiledField) and isinstance(fb, CompiledField):
         return compile_batch(lie_bracket(fa.field, fb.field).components)
-    return lambda x: np.column_stack([numeric_bracket(fa, fb, p, h=h)
+    return lambda x: np.column_stack([numeric_bracket(fa, fb, p, h=H_BRACKET)
                                       for p in x.T])
 
 
@@ -806,7 +811,7 @@ def hk_residuals(state: FrameState,
     fields = {slot: pipe.generator(*slot, k) for slot in pipe.slots}
     scale = max(1.0, *(float(np.max(np.abs(g.batch_value(x[:, :3]))))
                        for g in fields.values()))
-    tol = (st.hk_tol_symbolic if k == 0 else st.hk_tol_numeric) * (1 + scale)
+    tol = (HK_TOL_SYMBOLIC if k == 0 else HK_TOL_NUMERIC) * (1 + scale)
     out = []
 
     # clause 1: section values reproduce the initial frame
@@ -832,8 +837,7 @@ def hk_residuals(state: FrameState,
         for qq in range(1, n):
             K = kernel_frame(A, qq, pipe.chart_box, seed=seed)
             pairs = [(F, i) for F in K.frame for i in range(len(state.fields))]
-            V = [_bracket(fields[(0, i)], CompiledField(F), st.h_bracket)(x)
-                 for F, i in pairs]
+            V = [_bracket(fields[(0, i)], CompiledField(F))(x) for F, i in pairs]
             R = np.concatenate([R, span_residuals(K.values_on(x), V)])
             labels += [f"[Z[{i}], ker A^{qq} frame]" for _, i in pairs]
         out.append(_clause("2", R, labels, x, tol))
@@ -856,7 +860,7 @@ def hk_residuals(state: FrameState,
                             seed=seed).values_on(x)
         slots = [(a, i) for (a, i) in pipe.slots if a >= min_power]
         pairs = list(itertools.combinations(slots, 2))
-        V = [_bracket(fields[u], fields[v], st.h_bracket)(x) for u, v in pairs]
+        V = [_bracket(fields[u], fields[v])(x) for u, v in pairs]
         labels = [f"[{u}, {v}] vs Im A^{target_power}" for u, v in pairs]
         return _clause(name, span_residuals(F, V), labels, x, tol)
 
@@ -895,16 +899,13 @@ def initial_frame(A: EndoField, chart: AdaptedChart,
     return state
 
 
-def induction_step(state: FrameState, check: bool = False) -> FrameState:
+def induction_step(state: FrameState) -> FrameState:
     """Advance the induction one stage: transport the section frame by the
     flows of the current image fields."""
     pipe = state.pipeline
     if state.k >= pipe.n - 1:
         raise ValueError("induction is already complete")
-    new = FrameState(pipe, state.k + 1)
-    if check:
-        _passed(hk_residuals(new), f"stage {new.k}")
-    return new
+    return FrameState(pipe, state.k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -956,13 +957,12 @@ class ChartMap:
         """Per-coordinate ranges in chart space staying inside the box."""
         pipe = self.pipeline
         box = pipe.chart_box
-        scale = pipe.settings.grid_scale
         half = min((hi - lo) / 2.0 for lo, hi in box.bounds)
-        out = [(-scale * half, scale * half)] * self.n_flows
+        out = [(-GRID_SCALE * half, GRID_SCALE * half)] * self.n_flows
         for ax in pipe.section.axes:
             lo, hi = box.bounds[ax]
             mid, h = (lo + hi) / 2.0, (hi - lo) / 2.0
-            out.append((mid - scale * h, mid + scale * h))
+            out.append((mid - GRID_SCALE * h, mid + GRID_SCALE * h))
         return out
 
     def sample_coords(self, count: int, seed: int) -> np.ndarray:
@@ -1046,12 +1046,12 @@ def verify_integral_chart(A: EndoField, chart: ChartMap, grid: int = 5,
 
     # pairwise brackets of the chart frame, at sampled points
     max_bracket = 0.0
-    if st.bracket_samples > 0 and len(chart.slots) > 1:
-        ys = chart.sample_coords(st.bracket_samples, st.seed + 1)
+    if len(chart.slots) > 1:
+        ys = chart.sample_coords(BRACKET_SAMPLES, st.seed + 1)
         x = np.column_stack([chart.forward(y) for y in ys])
         fields = [chart.frame_field(slot) for slot in chart.slots]
         max_bracket = max(
-            float(np.max(np.abs(_bracket(fa, fb, st.h_bracket)(x))))
+            float(np.max(np.abs(_bracket(fa, fb)(x))))
             for fa, fb in itertools.combinations(fields, 2))
     return VerificationReport(worst, max_bracket, grid, chart.jordan,
                               witness, worst <= tol)

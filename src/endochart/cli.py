@@ -69,8 +69,8 @@ def _check_options(args):
 
 
 def _settings(args) -> PipelineSettings:
-    integ = IntegratorSettings(step=args.step, seed=args.seed)
-    return PipelineSettings(integrator=integ, seed=args.seed)
+    return PipelineSettings(integrator=IntegratorSettings(step=args.step),
+                            seed=args.seed)
 
 
 def _write_report(args, report: dict):

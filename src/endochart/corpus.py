@@ -122,16 +122,14 @@ class Example35Spec:
         return Example35Spec(3, (a_first, a_last), box)
 
     @staticmethod
-    def constant(n: int, values=None, box: Box | None = None) -> "Example35Spec":
-        values = values if values is not None else [0.0] * (n - 2) + [1.0]
+    def constant(n: int, values, box: Box | None = None) -> "Example35Spec":
         return Example35Spec(n, tuple(ex.const(v) for v in values),
                              box or Box.cube(n, 0.4))
 
 
-def _alpha_min_on_box(spec: Example35Spec, samples: int = 80,
-                      seed: int = 2026) -> float:
+def _alpha_min_on_box(spec: Example35Spec) -> float:
     f = ex.compile_expr(spec.alphas[-1])
-    return min(f(p) for p in sample_box(spec.box, samples, seed))
+    return min(f(p) for p in sample_box(spec.box, 80, 2026))
 
 
 def example35_field(spec: Example35Spec) -> tuple[EndoField, AdaptedChart]:
@@ -170,13 +168,11 @@ def _compat_defects(spec: Example35Spec) -> list:
     return out
 
 
-def example35_compat_residual(spec: Example35Spec, samples: int = 100,
-                              seed: int = 2026) -> float:
+def example35_compat_residual(spec: Example35Spec) -> float:
     """Max sampled defect of the compatibility system over the box."""
     worst = 0.0
     for dfct in _compat_defects(spec):
-        r = ex.is_zero_on_box(dfct, spec.box, samples=samples, tol=np.inf,
-                              seed=seed)
+        r = ex.is_zero_on_box(dfct, spec.box, tol=np.inf)
         worst = max(worst, r.max_abs)
     return worst
 
@@ -240,7 +236,6 @@ class OracleChart35:
         self.n = spec.n
         P = example35_P(spec)
         self._P = [ex.compile_expr(p) for p in P]
-        self._P_exprs = P
         self._dP1_dxn = ex.compile_expr(ex.differentiate(P[0], spec.n)) \
             if spec.n >= 2 else None
         self._memo: dict[tuple, np.ndarray] = {}
@@ -335,15 +330,12 @@ class OracleChart35:
         return np.array([self._component_general(m, x) for m in range(1, self.n + 1)])
 
 
-def example35_solve(spec: Example35Spec, box: Box | None = None,
-                    panels: int = 1024, compat_tol: float = 1e-8) -> OracleChart35:
+def example35_solve(spec: Example35Spec, panels: int = 1024) -> OracleChart35:
     """Quadrature chart for the triangular family; requires zero torsion."""
     resid = example35_compat_residual(spec)
-    if resid > compat_tol:
+    if resid > 1e-8:
         raise CompatibilityError(
-            f"compatibility residual {resid:.3e} exceeds {compat_tol:.1e}")
-    if box is not None and box != spec.box:
-        spec = Example35Spec(spec.n, spec.alphas, box)
+            f"compatibility residual {resid:.3e} exceeds 1.0e-08")
     return OracleChart35(spec, panels)
 
 
@@ -362,10 +354,10 @@ def _slot_groups(multiplicities) -> dict:
     return {k: tuple(v) for k, v in groups.items()}
 
 
-def constant_jordan(multiplicities, box: Box | None = None,
-                    eigenvalue: float = 0.0) -> tuple[EndoField, AdaptedChart]:
+def constant_jordan(multiplicities,
+                    box: Box | None = None) -> tuple[EndoField, AdaptedChart]:
     """The constant field in its own slot basis, with the natural grouping."""
-    M = jordan_matrix(multiplicities, eigenvalue)
+    M = jordan_matrix(multiplicities)
     d = M.shape[0]
     box = box or Box.cube(d, 0.5)
     return EndoField.from_constant(M), AdaptedChart(d, _slot_groups(multiplicities), box)
@@ -406,8 +398,7 @@ class ConjugatedOracle:
 
 def conjugated_constant(seed: int, d: int, multiplicities,
                         shear_degree: int = 2, box: Box | None = None,
-                        eigenvalue: float = 0.0,
-                        amplitude: float = 0.25) -> ConjugatedOracle:
+                        eigenvalue: float = 0.0) -> ConjugatedOracle:
     """A(x) = Dphi(w) M Dphi(w)^(-1) at w = phi^(-1)(x), for a triangular
     polynomial shear phi.
 
@@ -435,7 +426,7 @@ def conjugated_constant(seed: int, d: int, multiplicities,
         n_terms = int(rng.integers(1, 3))
         for _ in range(n_terms):
             deg = int(rng.integers(1, shear_degree + 1))
-            coeff = float(rng.uniform(0.08, amplitude) * rng.choice([-1.0, 1.0]))
+            coeff = float(rng.uniform(0.08, 0.25) * rng.choice([-1.0, 1.0]))
             factor = ex.const(coeff)
             for _ in range(deg):
                 v = int(rng.choice(later))
@@ -493,8 +484,8 @@ def _entry_example38():
             "chart": example38_chart(box)}
 
 
-def _entry_example35(n, theta_r=3, radius=0.3):
-    spec = Example35Spec.from_theta(n, r=theta_r, box=Box.cube(n, radius))
+def _entry_example35(n, radius=0.3):
+    spec = Example35Spec.from_theta(n, box=Box.cube(n, radius))
     A, chart = example35_field(spec)
     return {"field": A, "box": spec.box, "chart": chart, "spec": spec}
 

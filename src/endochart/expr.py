@@ -530,9 +530,9 @@ def _failing_subtree(e: ScalarExpr, point):
     return None if math.isfinite(value) else (e, f"non-finite value in {e}")
 
 
-def kink_mask(exprs, x, margin: float = 1e-4) -> np.ndarray:
+def kink_mask(exprs, x) -> np.ndarray:
     """Boolean (N,) mask of the points of a (d, N) array x that lie within
-    `margin` of a pospow kink of any of the expressions.
+    1e-4 of a pospow kink of any of the expressions.
 
     One-sided derivatives differ at a kink, so sampled tests skip these
     points.
@@ -540,7 +540,7 @@ def kink_mask(exprs, x, margin: float = 1e-4) -> np.ndarray:
     args = [a for e in exprs for a in kink_arguments(e)]
     if not args:
         return np.zeros(np.shape(x)[1], dtype=bool)
-    return np.any(np.abs(compile_batch(args)(x)) < margin, axis=0)
+    return np.any(np.abs(compile_batch(args)(x)) < 1e-4, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +560,8 @@ class Box:
                 raise ValueError(f"degenerate interval [{lo}, {hi}]")
 
     @staticmethod
-    def cube(dim: int, radius: float, center: float = 0.0) -> "Box":
-        return Box(tuple((center - radius, center + radius) for _ in range(dim)))
+    def cube(dim: int, radius: float) -> "Box":
+        return Box(tuple((-radius, radius) for _ in range(dim)))
 
     @property
     def dim(self) -> int:

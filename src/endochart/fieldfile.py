@@ -47,6 +47,18 @@ def _fail(msg: str) -> FieldFileError:
     return FieldFileError(msg)
 
 
+def _integer(v) -> int:
+    if type(v) is not int:      # JSON floats, strings and booleans
+        raise TypeError(f"{v!r} is not an integer")
+    return v
+
+
+def _real(v) -> float:
+    if isinstance(v, bool):     # float() takes them as 0 and 1
+        raise TypeError(f"{v!r} is not a number")
+    return float(v)
+
+
 def loads_field_document(text: str, source: str = "<string>") -> FieldDocument:
     try:
         raw = json.loads(text)
@@ -56,10 +68,10 @@ def loads_field_document(text: str, source: str = "<string>") -> FieldDocument:
     if not isinstance(raw, dict):
         raise _fail(f"{source}: top level must be an object")
     try:
-        d = int(raw["dim"])
+        d = _integer(raw["dim"])
     except KeyError:
         raise _fail(f"{source}: missing key 'dim'") from None
-    except (TypeError, ValueError):
+    except TypeError:
         raise _fail(f"{source}: dim must be an integer") from None
     if d < 1:
         raise _fail(f"{source}: dim must be >= 1")
@@ -69,14 +81,14 @@ def loads_field_document(text: str, source: str = "<string>") -> FieldDocument:
         raise _fail(f"{source}: missing key 'matrix'")
     if not isinstance(matrix, list):
         raise _fail(f"{source}: matrix must be a list")
-    if all(isinstance(r, list) for r in matrix):
-        flat = [e for row in matrix for e in row]
-    else:
-        flat = list(matrix)
-    if len(flat) != d * d:
-        raise _fail(f"{source}: matrix must have {d * d} entries, got {len(flat)}")
+    if all(isinstance(r, list) for r in matrix):     # rows, else row-major
+        if len(matrix) != d or any(len(row) != d for row in matrix):
+            raise _fail(f"{source}: matrix must have {d} rows of {d} entries")
+        matrix = [e for row in matrix for e in row]
+    if len(matrix) != d * d:
+        raise _fail(f"{source}: matrix must have {d * d} entries, got {len(matrix)}")
     entries = []
-    for k, text_entry in enumerate(flat):
+    for k, text_entry in enumerate(matrix):
         if not isinstance(text_entry, str):
             raise _fail(f"{source}: matrix entry {k} is not a string")
         try:
@@ -96,7 +108,7 @@ def loads_field_document(text: str, source: str = "<string>") -> FieldDocument:
         if not isinstance(box_raw, list) or len(box_raw) != d:
             raise _fail(f"{source}: box must list {d} intervals")
         try:
-            box = Box(tuple((float(lo), float(hi)) for lo, hi in box_raw))
+            box = Box(tuple((_real(lo), _real(hi)) for lo, hi in box_raw))
         except (TypeError, ValueError) as err:
             raise _fail(f"{source}: bad box: {err}") from err
 
@@ -108,7 +120,7 @@ def loads_field_document(text: str, source: str = "<string>") -> FieldDocument:
         sizes = {}
         for item in groups_raw:
             try:
-                i, j, size = (int(v) for v in item)
+                i, j, size = (_integer(v) for v in item)
             except (TypeError, ValueError) as err:
                 raise _fail(f"{source}: group entries must be [i, j, size]") from err
             sizes[(i, j)] = size
@@ -121,7 +133,7 @@ def loads_field_document(text: str, source: str = "<string>") -> FieldDocument:
     factors_raw = raw.get("factors")
     if factors_raw is not None:
         try:
-            factors = tuple(tuple(float(c) for c in f) for f in factors_raw)
+            factors = tuple(tuple(_real(c) for c in f) for f in factors_raw)
         except (TypeError, ValueError) as err:
             raise _fail(f"{source}: factors must be lists of numbers") from err
         if any(len(f) < 2 for f in factors):
@@ -130,7 +142,7 @@ def loads_field_document(text: str, source: str = "<string>") -> FieldDocument:
             raise _fail(f"{source}: factor coefficients must be finite")
 
     try:
-        eigenvalue = float(raw.get("eigenvalue", 0.0))
+        eigenvalue = _real(raw.get("eigenvalue", 0.0))
     except (TypeError, ValueError) as err:
         raise _fail(f"{source}: eigenvalue must be a number") from err
     if not math.isfinite(eigenvalue):

@@ -31,13 +31,11 @@ field, each with its own step:
   differences of those for every RK4 stage, so there the flow runs in
   the ambient space on the generator's `value`, which inverts P.  Frames
   are carried along computed flows by central differences of flow maps
-  with step `PipelineSettings.h_transport`
-  (`charts._StageChart.transport_flow`);
+  with step `charts.H_TRANSPORT` (`charts._StageChart.transport_flow`);
 - Lie brackets follow one rule (`charts._bracket`) and are evaluated as
   blocks over a (d, N) sample set: the exact tree, compiled for blocks,
   when both fields are symbolic, else central differences of the fields
-  with step `PipelineSettings.h_bracket` (`numeric_bracket`) at each
-  column;
+  with step `charts.H_BRACKET` (`numeric_bracket`) at each column;
 - the verification grid's frames are the chart differential DPhi, bit for
   bit as `ChartMap.forward_with_frame` composes it.
 """

@@ -36,6 +36,7 @@ __all__ = [
 
 SVD_RELATIVE_THRESHOLD = 1e-8
 ABSOLUTE_FLOOR = 1e-12
+INVOLUTIVITY_TOL = 1e-8   # bracket residual gate, times 1 + frame scale
 
 
 class PivotDegenerationError(ValueError):
@@ -63,13 +64,13 @@ class RankResult:
     warnings: tuple = ()
 
 
-def _numeric_ranks(Ms: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _numeric_ranks(Ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Numeric ranks of a stack of matrices, and whether each has a
     singular value near its rank threshold."""
     s = np.linalg.svd(Ms, compute_uv=False)
     if s.shape[-1] == 0:
         return np.zeros(len(Ms), dtype=int), np.zeros(len(Ms), dtype=bool)
-    threshold = tol * s[:, :1] * Ms.shape[1]
+    threshold = SVD_RELATIVE_THRESHOLD * s[:, :1] * Ms.shape[1]
     ranks = np.sum(s > threshold, axis=1)
     shaky = np.any((s > threshold / 10.0) & (s < threshold * 10.0), axis=1)
     vanishing = s[:, 0] <= ABSOLUTE_FLOOR
@@ -78,11 +79,11 @@ def _numeric_ranks(Ms: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return ranks, shaky
 
 
-def _numeric_rank(M: np.ndarray, tol: float) -> int:
-    return int(_numeric_ranks(M[None], tol)[0][0])
+def _numeric_rank(M: np.ndarray) -> int:
+    return int(_numeric_ranks(M[None])[0][0])
 
 
-def _power_ranks(Ms: np.ndarray, tol: float) -> list:
+def _power_ranks(Ms: np.ndarray) -> list:
     """Per matrix M of a stack: the ranks of M^0 .. M^k, stopping at the
     first zero rank, and the powers whose singular values sit near the rank
     threshold."""
@@ -92,7 +93,7 @@ def _power_ranks(Ms: np.ndarray, tol: float) -> list:
     reached_zero = np.zeros(count, dtype=bool)
     for _ in range(d):
         P = P @ Ms
-        r, s = _numeric_ranks(P, tol)
+        r, s = _numeric_ranks(P)
         ranks.append(r)
         shaky.append(s)
         reached_zero |= r == 0
@@ -105,9 +106,9 @@ def _power_ranks(Ms: np.ndarray, tol: float) -> list:
     return out
 
 
-def rank_profile(A: EndoField, p, tol: float = SVD_RELATIVE_THRESHOLD) -> RankResult:
+def rank_profile(A: EndoField, p) -> RankResult:
     """Numeric ranks of A^0 .. A^d at the point `p` via SVD thresholding."""
-    ranks, shaky = _power_ranks(np.asarray(A(p), dtype=float)[None], tol)[0]
+    ranks, shaky = _power_ranks(np.asarray(A(p), dtype=float)[None])[0]
     return RankResult(ranks, tuple(
         f"singular value near rank threshold for power {k}" for k in shaky))
 
@@ -164,10 +165,10 @@ class ConstancyResult:
 
 
 def constancy_check(A: EndoField, box: Box, samples: int = 100,
-                    seed: int = 2026, tol: float = SVD_RELATIVE_THRESHOLD) -> ConstancyResult:
+                    seed: int = 2026) -> ConstancyResult:
     """True iff the rank profile of powers is identical at all sampled points."""
     x = sample_box(box, samples, seed).T
-    profiles = _power_ranks(A.batch_evaluator()(x), tol)
+    profiles = _power_ranks(A.batch_evaluator()(x))
     first = profiles[0][0]
     bad = next((n for n, (r, _) in enumerate(profiles) if r != first), None)
     warnings = [
@@ -218,20 +219,17 @@ class Distribution:
         return flat(x).reshape(self.rank, self.dim, -1).transpose(2, 1, 0)
 
 
-def _check_pivot_expr(e: ex.ScalarExpr, x: np.ndarray, floor: float,
-                      what: str):
+def _check_pivot_expr(e: ex.ScalarExpr, x: np.ndarray, what: str):
     vals = ex.compile_batch([e])(x)[0]
     lo, hi = float(np.min(vals)), float(np.max(vals))
-    if min(abs(lo), abs(hi)) < floor or lo * hi <= 0.0:
+    if min(abs(lo), abs(hi)) < 1e-7 or lo * hi <= 0.0:
         raise PivotDegenerationError(
             f"{what} degenerates on the box (range [{lo:.3e}, {hi:.3e}]); "
             "shrink the box")
 
 
 def nullspace_frame(M: EndoField, box: Box, provenance: str = "user",
-                    samples: int = 60, seed: int = 2026,
-                    tol: float = SVD_RELATIVE_THRESHOLD,
-                    pivot_floor: float = 1e-7) -> Distribution:
+                    seed: int = 2026) -> Distribution:
     """Smooth frame spanning ker M(x) on the box.
 
     Symbolic Gauss-Jordan elimination with the pivot pattern chosen at the
@@ -240,9 +238,9 @@ def nullspace_frame(M: EndoField, box: Box, provenance: str = "user",
     d = M.dim
     center = box.center
     M0 = np.asarray(M(center), dtype=float)
-    rank = _numeric_rank(M0, tol)
+    rank = _numeric_rank(M0)
 
-    x = sample_box(box, samples, seed).T        # the pivot checks' points
+    x = sample_box(box, 60, seed).T        # the pivot checks' points
     rows = [list(r) for r in M.entries]
     work = M0.copy()
     pivots: list[tuple[int, int]] = []  # (row, col)
@@ -263,7 +261,7 @@ def nullspace_frame(M: EndoField, box: Box, provenance: str = "user",
         pivots.append((br, bc))
         used_rows.add(br)
         used_cols.add(bc)
-        _check_pivot_expr(rows[br][bc], x, pivot_floor,
+        _check_pivot_expr(rows[br][bc], x,
                           f"elimination pivot at row {br + 1}, column {bc + 1}")
         # eliminate column bc from every other row, numerically and symbolically
         for i in range(d):
@@ -288,20 +286,20 @@ def nullspace_frame(M: EndoField, box: Box, provenance: str = "user",
     return Distribution(tuple(frame), len(frame), provenance, box)
 
 
-def kernel_frame(A: EndoField, p: int, box: Box, samples: int = 60,
-                 seed: int = 2026, tol: float = SVD_RELATIVE_THRESHOLD) -> Distribution:
+def kernel_frame(A: EndoField, p: int, box: Box,
+                 seed: int = 2026) -> Distribution:
     """Smooth frame spanning ker A^p on the box."""
     return nullspace_frame(endo_power(A, p), box, provenance=f"ker A^{p}",
-                           samples=samples, seed=seed, tol=tol)
+                           seed=seed)
 
 
-def _frame_full_rank_check(dist: Distribution, samples: int, seed: int,
-                           tol: float):
+def _frame_full_rank_check(dist: Distribution, seed: int = 2026):
     if not dist.frame:
         return
-    x = sample_box(dist.box, samples, seed).T
+    x = sample_box(dist.box, 60, seed).T
     s = np.linalg.svd(dist.values_on(x), compute_uv=False)
-    lost = s[:, -1] <= tol * np.maximum(s[:, 0], 1.0) * dist.dim
+    lost = (s[:, -1] <= SVD_RELATIVE_THRESHOLD * np.maximum(s[:, 0], 1.0)
+            * dist.dim)
     if lost.any():
         n = int(np.argmax(lost))
         raise PivotDegenerationError(
@@ -326,23 +324,21 @@ def _select_columns(M: np.ndarray, rank: int) -> list:
     return sorted(chosen)
 
 
-def image_frame(A: EndoField, p: int, box: Box, samples: int = 60,
-                seed: int = 2026, tol: float = SVD_RELATIVE_THRESHOLD) -> Distribution:
+def image_frame(A: EndoField, p: int, box: Box,
+                seed: int = 2026) -> Distribution:
     """Frame of rank(A^p) columns of A^p, selected by pivoting at the box center."""
     d = A.dim
     Ap = endo_power(A, p)
     M0 = np.asarray(Ap(box.center), dtype=float)
-    rank = _numeric_rank(M0, tol)
+    rank = _numeric_rank(M0)
     chosen = _select_columns(M0, rank)
     frame = tuple(Ap.column(j + 1) for j in chosen)
     dist = Distribution(frame, len(frame), f"Im A^{p}", box)
-    _frame_full_rank_check(dist, samples, seed, tol)
+    _frame_full_rank_check(dist, seed)
     return dist
 
 
-def sum_distribution(D1: Distribution, D2: Distribution,
-                     samples: int = 60, seed: int = 2026,
-                     tol: float = SVD_RELATIVE_THRESHOLD) -> Distribution:
+def sum_distribution(D1: Distribution, D2: Distribution) -> Distribution:
     """Concatenated frame reduced to full rank by pivoting at the box center."""
     if D1.box != D2.box:
         raise ValueError("distributions must share a box")
@@ -351,11 +347,11 @@ def sum_distribution(D1: Distribution, D2: Distribution,
     if not fields:
         return Distribution((), 0, f"{D1.provenance} + {D2.provenance}", box)
     cols = np.column_stack([F(box.center) for F in fields])
-    rank = _numeric_rank(cols, tol)
+    rank = _numeric_rank(cols)
     chosen = _select_columns(cols, rank)
     dist = Distribution(tuple(fields[j] for j in chosen), rank,
                         f"{D1.provenance} + {D2.provenance}", box)
-    _frame_full_rank_check(dist, samples, seed, tol)
+    _frame_full_rank_check(dist)
     return dist
 
 
@@ -393,7 +389,7 @@ def span_residuals(F: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def involutivity_residual(D: Distribution, box: Box, samples: int = 100,
-                          seed: int = 2026, tol: float = 1e-8) -> InvolutivityResult:
+                          seed: int = 2026) -> InvolutivityResult:
     """Residual of frame brackets against the frame span.
 
     A distribution is involutive iff any generating frame is closed under
@@ -406,7 +402,7 @@ def involutivity_residual(D: Distribution, box: Box, samples: int = 100,
     x = sample_box(box, samples, seed).T
     F = D.values_on(x)
     scale = float(np.max(np.abs(F))) if k else 0.0
-    threshold = tol * (1.0 + scale)
+    threshold = INVOLUTIVITY_TOL * (1.0 + scale)
     if k <= 1:
         return InvolutivityResult(True, 0.0, threshold, scale, None, None)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
@@ -509,8 +505,8 @@ class Theorem13Report:
 
 
 def theorem13_report(A: EndoField, box: Box, samples: int = 100,
-                     seed: int = 2026, tol: float | None = None,
-                     involutivity_tol: float = 1e-8) -> Theorem13Report:
+                     seed: int = 2026,
+                     tol: float | None = None) -> Theorem13Report:
     """Verdicts for the three integrability conditions of a nilpotent field."""
     ranks = rank_profile(A, box.center)
     if ranks.ranks[-1] != 0:
@@ -524,9 +520,8 @@ def theorem13_report(A: EndoField, box: Box, samples: int = 100,
     if profile is not None:
         for p in range(1, profile.index):
             D = kernel_frame(A, p, box, seed=seed)
-            res = involutivity_residual(D, box, samples=samples, seed=seed,
-                                        tol=involutivity_tol)
-            kernel_inv.append((p, res))
+            kernel_inv.append((p, involutivity_residual(
+                D, box, samples=samples, seed=seed)))
     ok = (constancy.constant and profile is not None and torsion.passed
           and all(bool(r) for _, r in kernel_inv))
     return Theorem13Report(profile, constancy, torsion, tuple(kernel_inv), ok)
@@ -549,8 +544,8 @@ class Corollary15Report:
 
 
 def corollary15_report(A: EndoField, factors, box: Box, samples: int = 100,
-                       seed: int = 2026, tol: float | None = None,
-                       involutivity_tol: float = 1e-8) -> Corollary15Report:
+                       seed: int = 2026,
+                       tol: float | None = None) -> Corollary15Report:
     """Condition verdicts for a general field with user-supplied invariant factors."""
     factors = [tuple(float(c) for c in f) for f in factors]
     if not factors:
@@ -570,12 +565,12 @@ def corollary15_report(A: EndoField, factors, box: Box, samples: int = 100,
     factor_inv = []
     for coeffs in factors:
         PA = poly_endo(A, coeffs)
-        ranks, _ = _numeric_ranks(PA.batch_evaluator()(x), SVD_RELATIVE_THRESHOLD)
+        ranks, _ = _numeric_ranks(PA.batch_evaluator()(x))
         factor_ranks.append((coeffs, int(ranks[0]), bool(np.all(ranks == ranks[0]))))
         D = nullspace_frame(PA, box, provenance=f"ker P(A), P={list(coeffs)}",
                             seed=seed)
         factor_inv.append((coeffs, involutivity_residual(
-            D, box, samples=samples, seed=seed, tol=involutivity_tol)))
+            D, box, samples=samples, seed=seed)))
     torsion = nijenhuis_residual(A, box, samples=samples, seed=seed, tol=tol)
     ok = (all(c for _, _, c in factor_ranks) and torsion.passed
           and all(bool(r) for _, r in factor_inv))

@@ -456,7 +456,7 @@ class TestOneBracketRule:
             return original(X, Y, p, h=h)
         monkeypatch.setattr(charts, "numeric_bracket", recording)
         verify_integral_chart(chart.pipeline.A, chart, grid=2)
-        samples = chart.pipeline.settings.bracket_samples
+        samples = charts.BRACKET_SAMPLES
         assert len(pairs) == samples * (len(fields) * (len(fields) - 1) // 2 - 1)
         assert (True, True) not in pairs
 

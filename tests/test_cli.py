@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -203,6 +206,21 @@ class TestFileCommands:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "error: chart frame is singular on the verification grid")
 
+    def test_newton_failure(self, capsys, monkeypatch):
+        # a chart inversion that does not converge is a pipeline failure
+        import numpy as np
+
+        from endochart import cli
+        from endochart.charts import NewtonError
+
+        def diverge(*args, **kwargs):
+            raise NewtonError(np.zeros(3), 1.0)
+        monkeypatch.setattr(cli, "jordanize", diverge)
+        assert main(["jordanize", str(DOCS / "triangular-n3.json")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: chart inversion did not converge at "
+                       "(0.0, 0.0, 0.0) (last residual 1.000e+00)"]
+
     def test_grid_block_leaves_box(self, tmp_path, capsys):
         # the image field 20 d/dx1 carries every grid row out of the
         # working box; the first time group is transported as one block
@@ -237,6 +255,21 @@ class TestFileCommands:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: trajectory left the working box at t = -0.075000"]
         assert left
+
+
+class TestModuleEntryPoint:
+    def test_python_m_endochart_runs_a_corpus_entry(self):
+        # `python -m endochart` needs only the source tree on the path
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src),
+                                             os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "endochart", "corpus", "constant-jordan",
+             "--grid", "2", "--chart-samples", "0"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+            text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert "[PASS] constant matrix in chart frame" in run.stdout
 
 
 class TestSelftest:

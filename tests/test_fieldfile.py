@@ -104,6 +104,16 @@ MALFORMED = [
     '{"dim": 2, "matrix": [["0", "1e400"], ["0", "0"]]}',
     '{"dim": 2, "matrix": [["0", "1e200*1e200"], ["0", "0"]]}',
     '{"dim": 2, "matrix": [["0", "x2*(1e200*1e200 - 1e200*1e200)"], ["0", "0"]]}',
+    # values that int() or float() would reflow or truncate
+    '{"dim": 2, "matrix": [["0", "1", "0"], ["0"]]}',
+    '{"dim": 2.7, "matrix": [["0", "0"], ["0", "0"]]}',
+    '{"dim": "2", "matrix": [["0", "0"], ["0", "0"]]}',
+    '{"dim": true, "matrix": [["0"]]}',
+    '{"dim": 2, "matrix": [["0", "0"], ["0", "0"]], "groups": [[1.9, 1, 1], [2, 2, 1]]}',
+    '{"dim": 2, "matrix": [["0", "0"], ["0", "0"]], "groups": [[true, 1, 1], [2, 2, 1]]}',
+    '{"dim": 1, "matrix": [["0"]], "factors": [[0, true]]}',
+    '{"dim": 1, "matrix": [["0"]], "eigenvalue": true}',
+    '{"dim": 1, "matrix": [["0"]], "box": [[false, true]]}',
 ]
 
 
