@@ -29,7 +29,7 @@ from .fields import (EndoField, VectorField, apply_endo, coordinate_field,
                      endo_power, first_max, lie_bracket)
 from .flows import (CompiledField, ComputedVectorField, FlowSpec,
                     IntegratorSettings, integrate_flow,
-                    integrate_with_transport, numeric_bracket)
+                    integrate_with_transport)
 from .structure import image_frame, kernel_frame, span_residuals
 
 __all__ = [
@@ -80,7 +80,7 @@ class PipelineSettings:
 
 NEWTON_TOL = 1e-10       # chart inversion, relative to 1 + |q|
 NEWTON_MAXITER = 50
-H_BRACKET = 2e-3         # FD step for numeric brackets
+H_BRACKET = 2e-3         # FD step in chart coordinates for brackets
 H_TRANSPORT = 1e-3       # FD step for transports along computed flows
 HK_TOL_SYMBOLIC = 1e-8   # gate for stage-0 (exact symbolic) residuals
 HK_TOL_NUMERIC = 1e-5    # gate for transported-stage residuals
@@ -359,6 +359,19 @@ class _StageChart:
         x, y, y0 = gen.flow(x, t, y0, near)
         return x, (None if y is None else (gen.parent, y)), y0
 
+    def chart_ranges(self) -> list:
+        """Per-coordinate ranges, flow times then section coordinates, that
+        keep the chart inside the box: GRID_SCALE of the smallest half-width
+        for times, of each section axis's half-width about its middle."""
+        box = self.pipeline.chart_box
+        half = min((hi - lo) / 2.0 for lo, hi in box.bounds)
+        out = [(-GRID_SCALE * half, GRID_SCALE * half)] * self.n_flows
+        for ax in self.section.axes:
+            lo, hi = box.bounds[ax]
+            mid, h = (lo + hi) / 2.0, (hi - lo) / 2.0
+            out.append((mid - GRID_SCALE * h, mid + GRID_SCALE * h))
+        return out
+
     def start_coords(self, x, near=None) -> np.ndarray:
         """Chart coordinates y = (t, s) of x: t = 0 when x lies exactly on
         the section, else one inversion started at the flow times of the
@@ -377,7 +390,8 @@ class _StageChart:
         by their exact bytes.  A flow step's box check and the next step's
         first stage share a point, and so do the end of a flow and the
         start of the next one in this chart; trajectories of a pulled-back
-        flow from one start meet the same points again."""
+        flow from one start meet the same points again; the shifted chart
+        points of `_along` repeat across the bracket pairs of a field."""
         key = y.tobytes()
         hit = self._differentials.get(key)
         if hit is None:
@@ -624,7 +638,7 @@ class _TransportedFrame:
 
 class _Pipeline:
     def __init__(self, A: EndoField, chart: AdaptedChart,
-                 settings: PipelineSettings, eigenvalue: float = 0.0):
+                 settings: PipelineSettings, eigenvalue: float):
         self.eigenvalue = float(eigenvalue)
         self.A = A.shifted(eigenvalue) if eigenvalue != 0.0 else A
         self.chart_box = chart.box
@@ -639,6 +653,7 @@ class _Pipeline:
         self.d = chart.dim
         self._powers = [endo_power(self.A, p) for p in range(self.n + 1)]
         self._power_ev = [P.evaluator() for P in self._powers]
+        self._power_batch: dict[int, object] = {}
         # stage data
         self._z0 = [coordinate_field(self.d, ax + 1)
                     for ax in self.section.axes]
@@ -683,6 +698,21 @@ class _Pipeline:
                 lambda q, z=z, Ap=Ap: Ap(q) @ z.value(q), self.d)
         self._gen_cache[key] = gen
         return gen
+
+    def power_batch(self, p: int):
+        """The batch evaluator of A^p, compiled on first use."""
+        if p not in self._power_batch:
+            self._power_batch[p] = self._powers[p].batch_evaluator()
+        return self._power_batch[p]
+
+    def chart_field(self, p: int, i: int, k: int) -> "_ChartField":
+        """A^p Z_i^(k) as the stage checks and frame brackets read it: a
+        symbolic generator as itself, any other field from the parent chart
+        (stage k-1) at the chart points where the samples already are."""
+        if k == 0 or (p > 0 and self.rep_stage(p, k) == 0):
+            return _ChartField(gen=self.generator(p, i, k))
+        return _ChartField(col=self.stage_chart(k - 1).n_flows + i,
+                           power=self.power_batch(p) if p > 0 else None)
 
     def flow_generator(self, p: int, i: int, k: int):
         """The generator the flow of A^p Z_i^(k) is integrated on.
@@ -764,15 +794,95 @@ class HKReport:
         raise KeyError(name)
 
 
-def _bracket(fa, fb):
-    """x -> [fa, fb] at the columns of a (d, N) point array x: the exact
-    `lie_bracket` tree, built and compiled once, when both fields are
-    symbolic (`CompiledField`); else `numeric_bracket` with step H_BRACKET
-    at each column."""
-    if isinstance(fa, CompiledField) and isinstance(fb, CompiledField):
-        return compile_batch(lie_bracket(fa.field, fb.field).components)
-    return lambda x: np.column_stack([numeric_bracket(fa, fb, p, h=H_BRACKET)
-                                      for p in x.T])
+@dataclass(frozen=True)
+class _Samples:
+    """Sample points x, (d, N); on a stage chart also their chart points y,
+    with x = Phi(y), and the differentials DPhi(y), (N, d, d)."""
+
+    x: np.ndarray
+    chart: _StageChart | None = None
+    y: np.ndarray | None = None
+    D: np.ndarray | None = None
+
+    @staticmethod
+    def on(chart: _StageChart, y: np.ndarray) -> "_Samples":
+        """The chart points that are the columns of y, by
+        `chart.differential`: no chart inversion."""
+        pairs = [chart.differential(c) for c in y.T]
+        return _Samples(np.column_stack([x for x, _ in pairs]), chart, y,
+                        np.stack([D for _, D in pairs]))
+
+
+class _ChartField:
+    """A stage field as the stage checks and frame brackets read it at a
+    `_Samples` block.
+
+    A symbolic field `gen` (a `CompiledField`) is evaluated at the ambient
+    points.  Any other field is A^p Z_i^(k), read where the parent chart P
+    (stage k-1) already is: Z_i^(k)(Phi_P(y)) is the column `col` = N_P + i
+    of DPhi_P(y), and A^p Z_i^(k) is A^p(Phi_P(y)) times that column
+    (`power` the batch evaluator of A^p, None for the section field).
+    """
+
+    def __init__(self, gen=None, col: int = -1, power=None):
+        self.gen, self.col, self.power = gen, col, power
+
+    @property
+    def symbolic(self) -> bool:
+        return self.gen is not None
+
+    @property
+    def constant(self) -> bool:
+        """True for a section field: the constant e_col in P's coordinates."""
+        return self.gen is None and self.power is None
+
+    def value(self, pts: _Samples) -> np.ndarray:
+        """(d, N) values at the ambient points."""
+        if self.gen is not None:
+            return self.gen.batch_value(pts.x)
+        z = pts.D[:, :, self.col].T
+        if self.power is None:
+            return z
+        return np.einsum("nij,jn->in", self.power(pts.x), z)
+
+    def pulled(self, pts: _Samples) -> np.ndarray:
+        """(d, N) values in P's coordinates: solve(DPhi, value), or e_col."""
+        if self.constant:
+            e = np.zeros(pts.y.shape)
+            e[self.col] = 1.0
+            return e
+        return np.linalg.solve(pts.D, self.value(pts).T[:, :, None])[:, :, 0].T
+
+
+def _along(f: _ChartField, v: np.ndarray, pts: _Samples) -> np.ndarray:
+    """The derivative of f's chart-coordinate values along the (d, N)
+    directions v at the chart points: 0 for a constant field, else a central
+    difference in y with step H_BRACKET."""
+    if f.constant:
+        return np.zeros_like(v)
+    up = _Samples.on(pts.chart, pts.y + H_BRACKET * v)
+    dn = _Samples.on(pts.chart, pts.y - H_BRACKET * v)
+    return (f.pulled(up) - f.pulled(dn)) / (2.0 * H_BRACKET)
+
+
+def _bracket(fa: _ChartField, fb: _ChartField):
+    """pts -> [fa, fb] at the points of a `_Samples` block.
+
+    Two symbolic fields take the exact `lie_bracket` tree, built and
+    compiled once, at the ambient points.  Any other pair is bracketed in
+    the chart coordinates y, since [Phi_* X, Phi_* Y] = Phi_* [X, Y]: with
+    X, Y the fields' values there, [fa, fb] = DPhi (D_X Y - D_Y X) at y
+    (`_along`), which needs chart differentials and no chart inversion.
+    """
+    if fa.symbolic and fb.symbolic:
+        tree = compile_batch(lie_bracket(fa.gen.field, fb.gen.field).components)
+        return lambda pts: tree(pts.x)
+
+    def chart_rule(pts: _Samples) -> np.ndarray:
+        X, Y = fa.pulled(pts), fb.pulled(pts)
+        return np.einsum("nij,jn->in", pts.D,
+                         _along(fb, X, pts) - _along(fa, Y, pts))
+    return chart_rule
 
 
 def _clause(name: str, R: np.ndarray, labels: list, x: np.ndarray,
@@ -793,8 +903,12 @@ def hk_residuals(state: FrameState,
     Clause 4 measures bracket membership of all basis-field pairs in the
     image of A^(k+1); clause 5 the same for image-image pairs one power
     deeper.  At the final stage the target images vanish, so the clause-4/5
-    residuals are raw bracket norms.  Each clause evaluates its sample set
-    as one (d, N) block; span residuals are stacked QR projections
+    residuals are raw bracket norms.  Stage 0 samples the box.  A later
+    stage samples chart points y of its parent chart P (stage k-1), in
+    P's `chart_ranges`, at the ambient points Phi_P(y): the stage fields
+    are read off DPhi_P(y) (`_ChartField`) and brackets follow `_bracket`,
+    so no value inverts a chart.  Each clause evaluates its sample set as
+    one (d, N) block; span residuals are stacked QR projections
     (`structure.span_residuals`).
     """
     pipe = state.pipeline
@@ -805,13 +919,23 @@ def hk_residuals(state: FrameState,
     n = pipe.n
     A = pipe.A
 
-    x = sample_box(pipe.chart_box.inflate(0.7), samples, seed,
-                   include_corners=False, include_center=True).T
+    if k == 0:
+        pts = _Samples(sample_box(pipe.chart_box.inflate(0.7), samples, seed,
+                                  include_corners=False,
+                                  include_center=True).T)
+    else:
+        parent = pipe.stage_chart(k - 1)
+        pts = _Samples.on(parent, sample_box(
+            Box(tuple(parent.chart_ranges())), samples, seed,
+            include_corners=False, include_center=True).T)
+    x = pts.x
     N = x.shape[1]
-    fields = {slot: pipe.generator(*slot, k) for slot in pipe.slots}
-    scale = max(1.0, *(float(np.max(np.abs(g.batch_value(x[:, :3]))))
-                       for g in fields.values()))
+    fields = {slot: pipe.chart_field(*slot, k) for slot in pipe.slots}
+    values = {slot: f.value(pts) for slot, f in fields.items()}
+    scale = max(1.0, *(float(np.max(np.abs(v[:, :3])))
+                       for v in values.values()))
     tol = (HK_TOL_SYMBOLIC if k == 0 else HK_TOL_NUMERIC) * (1 + scale)
+    m = len(pipe.section.axes)
     out = []
 
     # clause 1: section values reproduce the initial frame
@@ -821,14 +945,16 @@ def hk_residuals(state: FrameState,
             rng = np.random.default_rng(seed)
             lo, hi = np.array([pipe.chart_box.bounds[ax]
                                for ax in pipe.section.axes]).T
-            q = pipe.section.embed(
-                rng.uniform(0.6 * lo, 0.6 * hi, size=(samples, len(lo))).T)
+            s = rng.uniform(0.6 * lo, 0.6 * hi, size=(samples, m)).T
+            on = _Samples.on(parent,
+                             np.vstack([np.zeros((parent.n_flows, samples)), s]))
             E = pipe.section.basis_matrix()
-            R = np.array([np.max(np.abs(z.batch_value(q) - E[:, i:i + 1]),
-                                 axis=0) for i, z in enumerate(state.fields)])
+            R = np.array([np.max(np.abs(fields[(0, i)].value(on)
+                                        - E[:, i:i + 1]), axis=0)
+                          for i in range(m)])
             worst, point, i = first_max(R.T)    # points outer, fields inner
             if worst > 0.0:
-                wit = (f"Z[{i}] on section", _pt(q[:, point]))
+                wit = (f"Z[{i}] on section", _pt(on.x[:, point]))
         out.append(ClauseResidual("1", worst, tol, wit))
 
     # clause 2: section fields are basic for every kernel foliation
@@ -836,17 +962,17 @@ def hk_residuals(state: FrameState,
         R, labels = np.zeros((0, N)), []
         for qq in range(1, n):
             K = kernel_frame(A, qq, pipe.chart_box, seed=seed)
-            pairs = [(F, i) for F in K.frame for i in range(len(state.fields))]
-            V = [_bracket(fields[(0, i)], CompiledField(F))(x) for F, i in pairs]
+            pairs = [(F, i) for F in K.frame for i in range(m)]
+            V = [_bracket(fields[(0, i)], _ChartField(gen=CompiledField(F)))(pts)
+                 for F, i in pairs]
             R = np.concatenate([R, span_residuals(K.values_on(x), V)])
             labels += [f"[Z[{i}], ker A^{qq} frame]" for _, i in pairs]
         out.append(_clause("2", R, labels, x, tol))
 
     # clause 3: kernel orders are preserved
     if "3" in clauses:
-        R = [np.max(np.abs(np.einsum(
-                 "nij,jn->in", pipe._powers[qi].batch_evaluator()(x),
-                 fields[(0, i)].batch_value(x))), axis=0)
+        R = [np.max(np.abs(np.einsum("nij,jn->in", pipe.power_batch(qi)(x),
+                                     values[(0, i)])), axis=0)
              for i, qi in enumerate(pipe.orders)]
         labels = [f"A^{qi} Z[{i}]" for i, qi in enumerate(pipe.orders)]
         out.append(_clause("3", np.reshape(R, (len(R), N)), labels, x, tol))
@@ -860,7 +986,7 @@ def hk_residuals(state: FrameState,
                             seed=seed).values_on(x)
         slots = [(a, i) for (a, i) in pipe.slots if a >= min_power]
         pairs = list(itertools.combinations(slots, 2))
-        V = [_bracket(fields[u], fields[v])(x) for u, v in pairs]
+        V = [_bracket(fields[u], fields[v])(pts) for u, v in pairs]
         labels = [f"[{u}, {v}] vs Im A^{target_power}" for u, v in pairs]
         return _clause(name, span_residuals(F, V), labels, x, tol)
 
@@ -955,15 +1081,7 @@ class ChartMap:
 
     def chart_ranges(self) -> list:
         """Per-coordinate ranges in chart space staying inside the box."""
-        pipe = self.pipeline
-        box = pipe.chart_box
-        half = min((hi - lo) / 2.0 for lo, hi in box.bounds)
-        out = [(-GRID_SCALE * half, GRID_SCALE * half)] * self.n_flows
-        for ax in pipe.section.axes:
-            lo, hi = box.bounds[ax]
-            mid, h = (lo + hi) / 2.0, (hi - lo) / 2.0
-            out.append((mid - GRID_SCALE * h, mid + GRID_SCALE * h))
-        return out
+        return self._chart.chart_ranges()
 
     def sample_coords(self, count: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -1030,9 +1148,10 @@ def verify_integral_chart(A: EndoField, chart: ChartMap, grid: int = 5,
     At each grid point y the frame is DPhi(y) (`_grid_frames`), and the
     matrix solve(DPhi, A(p) DPhi) is compared entrywise with the constant
     Jordan matrix.  Pairwise brackets of the frame fields are measured at
-    a few sampled points by the rule of `hk_residuals` (`_bracket`).
+    a few sampled chart points of the chart's own stage chart, the final
+    stage's parent, by the rule of `hk_residuals` (`_bracket`): the fields
+    are read off DPhi there, and no value inverts the chart.
     """
-    st = chart.pipeline.settings
     grid_frames = _grid_frames(chart, grid)
     points = np.array([p for p, _ in grid_frames.values()])
     frames = np.array([frame for _, frame in grid_frames.values()])
@@ -1044,14 +1163,15 @@ def verify_integral_chart(A: EndoField, chart: ChartMap, grid: int = 5,
         (sc, tpre), (p, _) = list(grid_frames.items())[n]
         witness = (tuple(sc), tpre, tuple(p))
 
-    # pairwise brackets of the chart frame, at sampled points
+    # pairwise brackets of the chart frame, at sampled chart points
     max_bracket = 0.0
     if len(chart.slots) > 1:
-        ys = chart.sample_coords(BRACKET_SAMPLES, st.seed + 1)
-        x = np.column_stack([chart.forward(y) for y in ys])
-        fields = [chart.frame_field(slot) for slot in chart.slots]
+        pipe = chart.pipeline
+        ys = chart.sample_coords(BRACKET_SAMPLES, pipe.settings.seed + 1)
+        pts = _Samples.on(chart._chart, ys.T)
+        fields = [pipe.chart_field(*slot, pipe.n - 1) for slot in chart.slots]
         max_bracket = max(
-            float(np.max(np.abs(_bracket(fa, fb)(x))))
+            float(np.max(np.abs(_bracket(fa, fb)(pts))))
             for fa, fb in itertools.combinations(fields, 2))
     return VerificationReport(worst, max_bracket, grid, chart.jordan,
                               witness, worst <= tol)

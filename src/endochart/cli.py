@@ -416,11 +416,12 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except np.linalg.LinAlgError:
-        # the verification grid's stacked solve raises this on a singular
-        # chart frame; the pipeline's lstsq and SVD calls raise it only on
-        # non-finite values
-        print("error: chart frame is singular on the verification grid",
-              file=sys.stderr)
+        # solves by the chart differential raise this where it is singular:
+        # the stage checks' (fields pulled back to chart coordinates) and
+        # the verification grid's; the pipeline's lstsq and SVD calls raise
+        # it only on non-finite values
+        print("error: chart differential is singular at a stage-check "
+              "sample or on the verification grid", file=sys.stderr)
         return 2
 
 

@@ -230,7 +230,7 @@ class OracleChart35:
     components.
     """
 
-    def __init__(self, spec: Example35Spec, panels: int = 1024):
+    def __init__(self, spec: Example35Spec, panels: int):
         self.spec = spec
         self.panels = panels
         self.n = spec.n

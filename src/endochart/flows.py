@@ -33,9 +33,13 @@ field, each with its own step:
   are carried along computed flows by central differences of flow maps
   with step `charts.H_TRANSPORT` (`charts._StageChart.transport_flow`);
 - Lie brackets follow one rule (`charts._bracket`) and are evaluated as
-  blocks over a (d, N) sample set: the exact tree, compiled for blocks,
-  when both fields are symbolic, else central differences of the fields
-  with step `charts.H_BRACKET` (`numeric_bracket`) at each column;
+  blocks over a sample set: the exact tree, compiled for blocks, when both
+  fields are symbolic; else in the coordinates y of the stage chart the
+  samples are chart points of, as DPhi (D_X Y - D_Y X) with the fields
+  pulled back by solves with DPhi and directional derivatives by central
+  differences in y with step `charts.H_BRACKET`, so no bracket inverts a
+  chart.  `numeric_bracket` (central differences of ambient fields) stays
+  as the reference a test holds that rule to;
 - the verification grid's frames are the chart differential DPhi, bit for
   bit as `ChartMap.forward_with_frame` composes it.
 """
@@ -171,11 +175,6 @@ class ComputedVectorField:
             if len(self._cache) > self.MEMO:
                 del self._cache[next(iter(self._cache))]
         return hit
-
-    def batch_value(self, x) -> np.ndarray:
-        """(d, N) values at the columns of a (d, N) point array, one
-        `value` per column."""
-        return np.column_stack([self.value(p) for p in np.asarray(x).T])
 
     def cache_size(self) -> int:
         return len(self._cache)

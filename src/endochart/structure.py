@@ -228,7 +228,7 @@ def _check_pivot_expr(e: ex.ScalarExpr, x: np.ndarray, what: str):
             "shrink the box")
 
 
-def nullspace_frame(M: EndoField, box: Box, provenance: str = "user",
+def nullspace_frame(M: EndoField, box: Box, provenance: str,
                     seed: int = 2026) -> Distribution:
     """Smooth frame spanning ker M(x) on the box.
 

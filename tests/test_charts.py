@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from endochart import expr as ex
-from endochart import charts
+from endochart import charts, flows
 from endochart.charts import (AdaptedChart, AdaptedChartError, ChartMap,
                               FrameState, InductionError, PipelineSettings,
                               Section, basis_slots, build_chart,
@@ -19,7 +19,7 @@ from endochart.corpus import (Example35Spec, build_corpus_field,
                               example38_field)
 from endochart.expr import Box
 from endochart.flows import (BoxExitError, FlowSpec, IntegratorSettings,
-                             integrate_flow)
+                             integrate_flow, numeric_bracket)
 
 FAST = PipelineSettings(integrator=IntegratorSettings(step=2e-2), hk_samples=3)
 # the inputs of the jordanize-n2 benchmark workload
@@ -444,21 +444,60 @@ class TestOneFramePath:
 
 class TestOneBracketRule:
     def test_verification_brackets_symbolic_pairs_exactly(self, monkeypatch):
-        # the two image slots of conjugated-n2-d4 are symbolic fields
+        # the two image slots of conjugated-n2-d4 are symbolic fields: their
+        # pair takes the one exact tree, every other pair the chart rule
         chart = assemble_chart("conjugated-n2-d4")
         fields = [chart.frame_field(slot) for slot in chart.slots]
         assert sum(f.symbolic for f in fields) == 2
-        pairs = []
-        original = charts.numeric_bracket
+        trees = []
+        original = charts.lie_bracket
 
-        def recording(X, Y, p, h):
-            pairs.append((X.symbolic, Y.symbolic))
-            return original(X, Y, p, h=h)
-        monkeypatch.setattr(charts, "numeric_bracket", recording)
+        def recording(X, Y):
+            trees.append((X, Y))
+            return original(X, Y)
+        monkeypatch.setattr(charts, "lie_bracket", recording)
         verify_integral_chart(chart.pipeline.A, chart, grid=2)
-        samples = charts.BRACKET_SAMPLES
-        assert len(pairs) == samples * (len(fields) * (len(fields) - 1) // 2 - 1)
-        assert (True, True) not in pairs
+        assert trees == [(fields[0].field, fields[1].field)]
+
+    @pytest.mark.parametrize("name", JORDANIZE_N2)
+    def test_jordanize_n2_inverts_nothing(self, name, monkeypatch):
+        # stage checks and frame brackets read the fields off the chart
+        # differential: no chart inversion and no ambient numeric bracket
+        calls = {"inverse": 0, "numeric_bracket": 0}
+        inverse = charts._StageChart.inverse
+
+        def counting_inverse(self, *args, **kwargs):
+            calls["inverse"] += 1
+            return inverse(self, *args, **kwargs)
+
+        def counting_bracket(*args, **kwargs):
+            calls["numeric_bracket"] += 1
+            return numeric_bracket(*args, **kwargs)
+        monkeypatch.setattr(charts._StageChart, "inverse", counting_inverse)
+        for module in (flows, charts):
+            monkeypatch.setattr(module, "numeric_bracket", counting_bracket,
+                                raising=False)
+        data = build_corpus_field(name)
+        result = jordanize(data["field"], data["chart"])
+        assert all(rep.passed for rep in result.stage_reports)
+        assert calls == {"inverse": 0, "numeric_bracket": 0}
+
+    def test_chart_rule_matches_numeric_bracket(self):
+        # stage 1 of example35-n3: [A Z^(1), Z^(1)] in the stage-0 chart's
+        # coordinates against central differences of the ambient fields,
+        # which invert that chart at every neighbour, at the same points
+        pipe = assemble_chart("example35-n3").pipeline
+        parent = pipe.stage_chart(0)
+        y = ex.sample_box(Box(tuple(parent.chart_ranges())), 5, 2026,
+                          include_corners=False).T
+        pts = charts._Samples.on(parent, y)
+        rule = charts._bracket(pipe.chart_field(1, 0, 1),
+                               pipe.chart_field(0, 0, 1))(pts)
+        X, Z = pipe.generator(1, 0, 1), pipe.generator(0, 0, 1)
+        ambient = np.column_stack([numeric_bracket(X, Z, p, h=charts.H_BRACKET)
+                                   for p in pts.x.T])
+        assert np.max(np.abs(rule)) >= 4e-4
+        assert np.max(np.abs(rule - ambient)) <= 1e-6
 
     def test_hk_builds_one_tree_per_symbolic_pair(self, monkeypatch):
         from endochart.structure import kernel_frame
@@ -486,31 +525,31 @@ class TestOneBracketRule:
 
     def test_hk_computes_only_the_named_clauses(self, monkeypatch):
         # the final stage reports clauses 1, 3 and 4: no kernel frame is
-        # built and every numeric bracket is a clause-4 slot pair
+        # built and the one bracket taken is the clause-4 slot pair
+        # [(1, 0), (0, 0)]: the symbolic A Z^(0) and the section field
         data = build_corpus_field("example35-n2")
         state = induction_step(initial_frame(data["field"], data["chart"],
                                              FAST, check=False))
+        pipe = state.pipeline
+        assert pipe.slots == [(1, 0), (0, 0)]
         frames, brackets = [], []
-        kernel, bracket = charts.kernel_frame, charts.numeric_bracket
+        kernel, bracket = charts.kernel_frame, charts._bracket
 
         def recording_frame(*args, **kwargs):
             frames.append(args)
             return kernel(*args, **kwargs)
 
-        def recording_bracket(X, Y, p, h):
-            brackets.append((X, Y))
-            return bracket(X, Y, p, h=h)
+        def recording_bracket(fa, fb):
+            brackets.append((fa, fb))
+            return bracket(fa, fb)
         monkeypatch.setattr(charts, "kernel_frame", recording_frame)
-        monkeypatch.setattr(charts, "numeric_bracket", recording_bracket)
+        monkeypatch.setattr(charts, "_bracket", recording_bracket)
         rep = hk_residuals(state, clauses=("1", "3", "4"))
         assert [c.clause for c in rep.clauses] == ["1", "3", "4"]
         assert frames == []
-        slots = [state.pipeline.generator(a, i, state.k)
-                 for a, i in state.pipeline.slots]
-        pairs = {(id(X), id(Y)) for X, Y in brackets}
-        assert pairs == {(id(X), id(Y)) for X, Y in
-                         itertools.combinations(slots, 2)}
-        assert len(brackets) == len(pairs) * (FAST.hk_samples + 1)
+        [(fa, fb)] = brackets
+        assert fa.gen is pipe.generator(1, 0, 1)
+        assert fb.constant and fb.col == pipe.stage_chart(0).n_flows
 
 
 def assemble_chart(name_or_data, settings=PipelineSettings()) -> ChartMap:

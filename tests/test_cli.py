@@ -204,7 +204,30 @@ class TestFileCommands:
         monkeypatch.setattr(charts, "verify_integral_chart", singular)
         assert main(["jordanize", str(DOCS / "triangular-n3.json")]) == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
-            "error: chart frame is singular on the verification grid")
+            "error: chart differential is singular at a stage-check sample "
+            "or on the verification grid")
+
+    def test_singular_stage_check_differential(self, capsys, monkeypatch):
+        # the stage-1 check pulls fields back by solves with DPhi of the
+        # stage-0 chart, which raise LinAlgError where DPhi is singular
+        import numpy as np
+
+        from endochart import charts
+        original = charts._StageChart.forward_differential
+        verified = []
+
+        def singular(self, y):
+            x, D = original(self, y)
+            return x, np.zeros_like(D)
+        monkeypatch.setattr(charts._StageChart, "forward_differential",
+                            singular)
+        monkeypatch.setattr(charts, "verify_integral_chart",
+                            lambda *args, **kwargs: verified.append(args))
+        assert main(["jordanize", str(DOCS / "triangular-n3.json")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: chart differential is singular at a stage-check sample "
+            "or on the verification grid")
+        assert verified == []     # the stage check raised first
 
     def test_newton_failure(self, capsys, monkeypatch):
         # a chart inversion that does not converge is a pipeline failure
@@ -221,20 +244,50 @@ class TestFileCommands:
         assert err == ["error: chart inversion did not converge at "
                        "(0.0, 0.0, 0.0) (last residual 1.000e+00)"]
 
+    FAST2 = ('{"dim": 2, "matrix": [["0", "20"], ["0", "0"]], '
+             '"groups": [[1, 1, 1], [2, 2, 1]]}')
+    FAST3 = ('{"dim": 3, "matrix": [["0", "20", "0"], '
+             '["0", "0", "20"], ["0", "0", "0"]], '
+             '"groups": [[1, 1, 1], [2, 2, 1], [3, 3, 1]]}')
+
+    @staticmethod
+    def unchecked_chart(path):
+        """The document's chart, assembled without stage checks."""
+        from endochart.charts import build_chart, induction_step, initial_frame
+        from endochart.fieldfile import load_field_document
+        doc = load_field_document(path)
+        state = initial_frame(doc.field, doc.chart, check=False)
+        for _ in range(doc.chart.index - 1):
+            state = induction_step(state)
+        return doc.field, build_chart(state, check=False)
+
     def test_grid_block_leaves_box(self, tmp_path, capsys):
-        # the image field 20 d/dx1 carries every grid row out of the
-        # working box; the first time group is transported as one block
+        # the image field 20 d/dx1 carries the stage-1 check's chart points
+        # out of the working box before the verification grid runs
         path = tmp_path / "fast.json"
-        path.write_text('{"dim": 2, "matrix": [["0", "20"], ["0", "0"]], '
-                        '"groups": [[1, 1, 1], [2, 2, 1]]}')
+        path.write_text(self.FAST2)
         assert main(["jordanize", str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: trajectory left the working box at t = -0.080000"]
+        assert err == ["error: trajectory left the working box at t = -0.078172"]
+        # the grid alone: the first time group is transported as one block,
+        # and its first start leaves the box first
+        from endochart.charts import verify_integral_chart
+        from endochart.flows import BoxExitError
+        field, chart = self.unchecked_chart(path)
+        with pytest.raises(BoxExitError, match=r"at t = -0\.080000$"):
+            verify_integral_chart(field, chart)
 
     def test_computed_flow_leaves_box(self, tmp_path, capsys, monkeypatch):
-        # n = 3 with speed 20: the first grid flow to leave the working box
-        # is the computed generator A Z^(1), integrated in the stage-0
-        # chart's coordinates
+        # n = 3 with speed 20: the stage-1 check's chart points leave the
+        # working box first
+        path = tmp_path / "fast3.json"
+        path.write_text(self.FAST3)
+        assert main(["jordanize", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: trajectory left the working box at t = 0.078351"]
+        # the grid alone: the first grid flow to leave the working box is
+        # the computed generator A Z^(1), integrated in the stage-0 chart's
+        # coordinates
         from endochart import charts
         from endochart.flows import BoxExitError
         left = []
@@ -247,13 +300,9 @@ class TestFileCommands:
                 left.append(args)
                 raise
         monkeypatch.setattr(charts._StageChart, "_computed_flow", recording)
-        path = tmp_path / "fast3.json"
-        path.write_text('{"dim": 3, "matrix": [["0", "20", "0"], '
-                        '["0", "0", "20"], ["0", "0", "0"]], '
-                        '"groups": [[1, 1, 1], [2, 2, 1], [3, 3, 1]]}')
-        assert main(["jordanize", str(path)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: trajectory left the working box at t = -0.075000"]
+        field, chart = self.unchecked_chart(path)
+        with pytest.raises(BoxExitError, match=r"at t = -0\.075000$"):
+            charts.verify_integral_chart(field, chart)
         assert left
 
 
