@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Box, compile_batch, sample_box
-from .fields import (EndoField, VectorField, apply_endo, coordinate_field,
+from .fields import (EndoField, apply_endo, coordinate_field,
                      endo_power, first_max, lie_bracket)
 from .flows import (CompiledField, ComputedVectorField, FlowSpec,
                     IntegratorSettings, integrate_flow,
-                    integrate_with_transport)
+                    integrate_with_transport, transport_block)
 from .structure import image_frame, kernel_frame, span_residuals
 
 __all__ = [
@@ -307,6 +307,7 @@ class _StageChart:
     """Parametrisation (s, t) -> Phi(sigma(s), t) by the stage's flows."""
 
     MEMO = 4096     # differentials kept
+    FRAMES = 8192   # section frames kept
 
     def __init__(self, pipeline: "_Pipeline", stage: int):
         self.pipeline = pipeline
@@ -319,6 +320,10 @@ class _StageChart:
         if st.flow_order == "desc":
             order.reverse()          # lowest power applied first (innermost)
         self.application_order = order
+        # chart order (t by slot, s) of the composition's (s, t applied) rows
+        m = len(self.section.axes)
+        self.chart_order = [m + order.index(a) for a in range(len(slots))]
+        self.chart_order += list(range(m))
         box = pipeline.working_box
         self.specs = []
         for a, i in slots:
@@ -326,6 +331,7 @@ class _StageChart:
             self.specs.append(gen.spec if isinstance(gen, _Pullback)
                               else FlowSpec(gen, st.integrator, box))
         self._differentials: dict[bytes, tuple] = {}
+        self._frames: dict[bytes, np.ndarray] = {}
 
     @property
     def n_flows(self) -> int:
@@ -386,12 +392,12 @@ class _StageChart:
         return np.concatenate([t, s])
 
     def differential(self, y) -> tuple[np.ndarray, np.ndarray]:
-        """`forward_differential` at y, kept for the last MEMO points asked
-        by their exact bytes.  A flow step's box check and the next step's
-        first stage share a point, and so do the end of a flow and the
-        start of the next one in this chart; trajectories of a pulled-back
-        flow from one start meet the same points again; the shifted chart
-        points of `_along` repeat across the bracket pairs of a field."""
+        """`forward_differential` at the chart point y, kept for the last
+        MEMO points asked by their exact bytes.  A flow step's box check and
+        the next step's first stage share a point, and so do the end of a
+        flow and the start of the next one in this chart; trajectories of a
+        pulled-back flow from one start meet the same points again.  Blocks
+        (`_Samples.on`) do not pass through this memo."""
         key = y.tobytes()
         hit = self._differentials.get(key)
         if hit is None:
@@ -402,7 +408,8 @@ class _StageChart:
         return hit
 
     def forward_differential(self, y) -> tuple[np.ndarray, np.ndarray]:
-        """Phi(y) and the full differential DPhi(y) at y = (t, s).
+        """Phi(y) and the full differential DPhi(y) at y = (t, s), or at the
+        columns of a (dim, N) block y as (d, N) points and (N, d, d) DPhi.
 
         Time columns, in canonical slot order, are each flow's generator
         value at its endpoint carried through the later flows; section
@@ -411,90 +418,75 @@ class _StageChart:
         """
         y = np.asarray(y, dtype=float)
         N = self.n_flows
-        x, W = self._compose(y[N:], y[:N], self.section.basis_matrix(),
-                             times=True)
-        return x, self.chart_columns(W)
-
-    def chart_columns(self, W) -> np.ndarray:
-        """A `_compose(times=True)` frame's columns in chart order: times
-        in canonical slot order, then the section columns."""
-        N = self.n_flows
-        m = W.shape[1] - N
-        pos = {alpha: m + k for k, alpha in enumerate(self.application_order)}
-        return W[:, [pos[alpha] for alpha in range(N)] + list(range(m))]
+        E = self.section.basis_matrix()
+        if y.ndim == 2:
+            E = np.repeat(E[None], y.shape[1], axis=0)
+        x, W = self._compose(y[N:], y[:N], E, times=True)
+        return x, W[..., self.chart_order]
 
     def forward_transport(self, s, t, W0: np.ndarray) -> tuple:
         """Transport the columns of W0 from sigma(s) through the composition."""
         return self._compose(s, t, W0, times=False)
 
+    def section_frame(self, q) -> np.ndarray:
+        """The section fields Z^(k+1)(q) of the next stage as columns: one
+        inversion, then `forward_transport` there.  Kept for the last FRAMES
+        points by their exact bytes; a value depends on q alone."""
+        key = np.asarray(q, dtype=float).tobytes()
+        hit = self._frames.get(key)
+        if hit is None:
+            s, t = self.inverse(q)
+            _, hit = self.forward_transport(s, t, self.section.basis_matrix())
+            self._frames[key] = hit
+            if len(self._frames) > self.FRAMES:
+                del self._frames[next(iter(self._frames))]
+        return hit
+
     def _compose(self, s, t, W, times: bool) -> tuple:
         """Transport W from sigma(s) through the flows; with `times`, each
-        flow's generator value at its endpoint joins W as a new column."""
+        flow's generator value at its endpoint joins W as a new column.  A
+        block (s, t of shape (., N), W of shape (N, d, m)) takes a symbolic
+        flow in one `transport_block`, a computed one column by column."""
         x, at = self.section.embed(s), None
+        block = x.ndim == 2
         for alpha in self.application_order:
-            ta = float(t[alpha])
-            if self.specs[alpha].generator.symbolic:
-                [(x, W)] = self.transport_flow(alpha, [(x, W, ta)])
+            spec = self.specs[alpha]
+            if spec.generator.symbolic:
                 at = None
+                if block:
+                    x, W = transport_block(spec, x, t[alpha], W)
+                else:
+                    x, W = integrate_with_transport(spec, x, float(t[alpha]), W)
+            elif block:
+                x, W, at = zip(*[
+                    self._transport_computed(alpha, *start) for start in
+                    zip(x.T, W, t[alpha], at or itertools.repeat(None))])
+                x, W = np.column_stack(x), np.stack(W)
             else:
-                [(x, W, at)] = self._transport_computed(alpha, [(x, W, ta)],
-                                                        [at])
+                x, W, at = self._transport_computed(alpha, x, W, t[alpha], at)
             if times:
-                W = np.column_stack([W, self.generators[alpha].value(x)])
+                value = self.generators[alpha].value
+                v = np.array([value(c) for c in x.T]) if block else value(x)
+                W = np.concatenate([W, v[..., None]], axis=-1)
         return x, W
 
-    def transport_flow(self, alpha: int, starts: list) -> list:
-        """Push (point, frame, time) triples through flow alpha.
-
-        Returns (endpoint, frame) pairs in the order of the starts.
-        Symbolic generators co-integrate the variational equation; starts
-        with equal flow times share step count and step, so each such group
-        is integrated as one block (a lone start stays a single start).
-        Computed generators take central differences of the flow map, step
-        H_TRANSPORT, along each unit frame column (`_transport_computed`).
-        """
-        spec = self.specs[alpha]
-        if spec.generator.symbolic:
-            groups: dict[float, list] = {}
-            for c, (_, _, t) in enumerate(starts):
-                groups.setdefault(t, []).append(c)
-            out = [None] * len(starts)
-            for t, cols in groups.items():
-                if len(cols) == 1:
-                    x, W, _ = starts[cols[0]]
-                    out[cols[0]] = integrate_with_transport(spec, x, t, W)
-                    continue
-                xs, Ws = integrate_with_transport(
-                    spec, np.column_stack([starts[c][0] for c in cols]), t,
-                    np.stack([starts[c][1] for c in cols]))
-                for n, c in enumerate(cols):
-                    out[c] = (xs[:, n], Ws[n])
-            return out
-        return [(x, W) for x, W, _ in self._transport_computed(alpha, starts)]
-
-    def _transport_computed(self, alpha: int, starts: list, ats=None) -> list:
-        """`transport_flow` along a computed flow: (endpoint, frame, where
-        the endpoint is in the parent chart) triples in start order.
-
-        Every trajectory, shifted or not, is a `_computed_flow`; `ats` are
-        the starts' places as `_computed_flow` takes them.  A shifted start
-        off the section is inverted from the central start's coordinates.
-        """
-        h = H_TRANSPORT
-        out = []
-        for c, (x, W, t) in enumerate(starts):
-            end, at_end, y0 = self._computed_flow(
-                alpha, x, t, None if ats is None else ats[c])
-            frame = np.zeros_like(W)
-            for j in range(W.shape[1]):
-                nw = float(np.linalg.norm(W[:, j]))
-                if nw != 0.0:
-                    u = W[:, j] / nw
-                    up, _, _ = self._computed_flow(alpha, x + h * u, t, near=y0)
-                    dn, _, _ = self._computed_flow(alpha, x - h * u, t, near=y0)
-                    frame[:, j] = nw * (up - dn) / (2.0 * h)
-            out.append((end, frame, at_end))
-        return out
+    def _transport_computed(self, alpha: int, x, W, t, at) -> tuple:
+        """(endpoint, frame, the endpoint's place in the parent chart) of the
+        computed flow alpha from x, at place `at`, after time t; the frame W
+        goes by central differences of the flow map, step H_TRANSPORT, along
+        each unit column.  A shifted start off the section is inverted from
+        the central start's coordinates."""
+        h, t = H_TRANSPORT, float(t)
+        end, at_end, y0 = self._computed_flow(alpha, x, t, at)
+        frame = np.zeros_like(W)
+        for j in range(W.shape[1]):
+            nw = float(np.linalg.norm(W[:, j]))
+            if nw != 0.0:
+                u = W[:, j] / nw
+                up, _, _ = self._computed_flow(alpha, x + h * u, t, near=y0)
+                dn, _, _ = self._computed_flow(alpha, x - h * u, t, near=y0)
+                frame[:, j] = nw * (up - dn) / (2.0 * h)
+        return end, frame, at_end
 
     def inverse(self, q, t0=None) -> tuple[np.ndarray, np.ndarray]:
         """Solve Phi(sigma(s), t) = q for the flow times t.
@@ -606,31 +598,19 @@ class _Pullback:
             del self._flows[next(iter(self._flows))]
 
 
-class _TransportedFrame:
-    """The stage-(k+1) section fields: Z^(0) on the section, pushed by flows."""
+class _SectionField:
+    """The section field Z_i^(k+1) at ambient points: column i of the
+    stage-k chart's `section_frame`, which keeps the values."""
 
-    MEMO = 8192     # frames kept
+    symbolic = False
 
-    def __init__(self, chart: _StageChart):
+    def __init__(self, chart: _StageChart, i: int):
         self.chart = chart
+        self.i = i
         self.dim = chart.section.dim
-        self.E = chart.section.basis_matrix()
-        self._cache: dict[bytes, np.ndarray] = {}
 
-    def eval_all(self, q) -> np.ndarray:
-        key = np.asarray(q, dtype=float).tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
-            s, t = self.chart.inverse(q)
-            _, hit = self.chart.forward_transport(s, t, self.E)
-            self._cache[key] = hit
-            if len(self._cache) > self.MEMO:
-                del self._cache[next(iter(self._cache))]
-        return hit
-
-    def field(self, i: int) -> ComputedVectorField:
-        return ComputedVectorField(lambda q, i=i: self.eval_all(q)[:, i],
-                                   self.dim)
+    def value(self, q) -> np.ndarray:
+        return self.chart.section_frame(q)[:, self.i]
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +637,6 @@ class _Pipeline:
         # stage data
         self._z0 = [coordinate_field(self.d, ax + 1)
                     for ax in self.section.axes]
-        self._stage_fields: dict[int, list] = {0: self._z0}
         self._stage_charts: dict[int, _StageChart] = {}
         self._gen_cache: dict[tuple, object] = {}
 
@@ -671,18 +650,11 @@ class _Pipeline:
         """
         return max(0, min(k, self.n - p - 1))
 
-    def z_fields(self, k: int) -> list:
-        if k not in self._stage_fields:
-            chart = self.stage_chart(k - 1)
-            frame = _TransportedFrame(chart)
-            self._stage_fields[k] = [frame.field(i) for i in range(len(self._z0))]
-        return self._stage_fields[k]
-
     def generator(self, p: int, i: int, k: int):
         """The field A^p Z_i^(k) as a flow generator (stage-reduced)."""
         if p == 0:
-            z = self.z_fields(k)[i]
-            return CompiledField(z) if isinstance(z, VectorField) else z
+            return (CompiledField(self._z0[i]) if k == 0
+                    else _SectionField(self.stage_chart(k - 1), i))
         rep = self.rep_stage(p, k)
         key = (p, i, rep)
         hit = self._gen_cache.get(key)
@@ -692,7 +664,7 @@ class _Pipeline:
             sym = apply_endo(self._powers[p], self._z0[i])
             gen = CompiledField(sym)
         else:
-            z = self.z_fields(rep)[i]
+            z = self.generator(0, i, rep)
             Ap = self._power_ev[p]
             gen = ComputedVectorField(
                 lambda q, z=z, Ap=Ap: Ap(q) @ z.value(q), self.d)
@@ -753,7 +725,8 @@ class FrameState:
 
     @property
     def fields(self) -> list:
-        return self.pipeline.z_fields(self.k)
+        return [self.pipeline.generator(0, i, self.k)
+                for i in range(len(self.pipeline.section.axes))]
 
     @property
     def kernel_orders(self) -> list:
@@ -806,11 +779,10 @@ class _Samples:
 
     @staticmethod
     def on(chart: _StageChart, y: np.ndarray) -> "_Samples":
-        """The chart points that are the columns of y, by
-        `chart.differential`: no chart inversion."""
-        pairs = [chart.differential(c) for c in y.T]
-        return _Samples(np.column_stack([x for x, _ in pairs]), chart, y,
-                        np.stack([D for _, D in pairs]))
+        """The chart points that are the columns of y, by one
+        `chart.forward_differential` of the block: no chart inversion."""
+        x, D = chart.forward_differential(y)
+        return _Samples(x, chart, y, D)
 
 
 class _ChartField:
@@ -1114,61 +1086,48 @@ class VerificationReport:
     passed: bool
 
 
-def _grid_frames(chart: ChartMap, grid: int) -> dict:
-    """Endpoints and chart differentials DPhi on a chart-space grid.
-
-    The grid fans out over one time axis per flow, in application order, so
-    grid points share trajectory prefixes.  Each (point, frame) pair goes
-    through the per-flow transport and takes on each flow's generator value
-    (point evaluator) at its endpoint, as `_StageChart._compose` does, so
-    it equals `forward_with_frame` at its chart point bit for bit.
-    Keys are (section coordinates, flow times in application order).
-    """
-    pipe = chart.pipeline
-    N = chart.n_flows
+def _grid(chart: ChartMap, grid: int) -> tuple[list, np.ndarray]:
+    """The verification grid: keys (section coordinates, then flow times in
+    application order) in the order of the flows' fan-out, section
+    coordinates outermost, and the (dim, grid^dim) block of chart points."""
+    N, stage = chart.n_flows, chart._chart
     axes = [np.linspace(lo, hi, grid) for lo, hi in chart.chart_ranges()]
-    E = pipe.section.basis_matrix()
-    points = {(sc, ()): (pipe.section.embed(np.array(sc, dtype=float)), E)
-              for sc in itertools.product(*axes[N:])}
-    stage = chart._chart
-    for alpha in stage.application_order:
-        keys = [(key, float(tv)) for key in points for tv in axes[alpha]]
-        ends = stage.transport_flow(
-            alpha, [(*points[key], tv) for key, tv in keys])
-        value = stage.generators[alpha].value
-        points = {(sc, tpre + (tv,)): (x, np.column_stack([W, value(x)]))
-                  for ((sc, tpre), tv), (x, W) in zip(keys, ends)}
-    return {key: (p, stage.chart_columns(W)) for key, (p, W) in points.items()}
+    keys = list(itertools.product(
+        *axes[N:], *(axes[a] for a in stage.application_order)))
+    return keys, np.array(keys, dtype=float).T[stage.chart_order]
 
 
 def verify_integral_chart(A: EndoField, chart: ChartMap, grid: int = 5,
                           tol: float = 1e-5) -> VerificationReport:
     """Assemble the field's matrix in the chart differential on a grid.
 
-    At each grid point y the frame is DPhi(y) (`_grid_frames`), and the
+    The frames DPhi(y) at the grid points (`_grid`) are one
+    `forward_differential` of the grid as a block.  At each grid point the
     matrix solve(DPhi, A(p) DPhi) is compared entrywise with the constant
-    Jordan matrix.  Pairwise brackets of the frame fields are measured at
-    a few sampled chart points of the chart's own stage chart, the final
-    stage's parent, by the rule of `hk_residuals` (`_bracket`): the fields
-    are read off DPhi there, and no value inverts the chart.
+    Jordan matrix; the witness is (section coordinates, flow times in
+    application order, point).  Pairwise brackets of the frame fields are
+    measured at a few sampled chart points of the chart's own stage chart,
+    the final stage's parent, by the rule of `hk_residuals` (`_bracket`):
+    the fields are read off DPhi there, and no value inverts the chart.
     """
-    grid_frames = _grid_frames(chart, grid)
-    points = np.array([p for p, _ in grid_frames.values()])
-    frames = np.array([frame for _, frame in grid_frames.values()])
-    mats = np.linalg.solve(frames, A.batch_evaluator()(points.T) @ frames)
+    stage = chart._chart
+    keys, y = _grid(chart, grid)
+    points, frames = stage.forward_differential(y)
+    mats = np.linalg.solve(frames, A.batch_evaluator()(points) @ frames)
     devs = np.max(np.abs(mats - chart.jordan), axis=(1, 2))
     worst, _, n = first_max(devs[None, :])
     witness = None
     if worst > 0.0:
-        (sc, tpre), (p, _) = list(grid_frames.items())[n]
-        witness = (tuple(sc), tpre, tuple(p))
+        m = len(chart.pipeline.section.axes)
+        witness = (keys[n][:m], tuple(float(v) for v in keys[n][m:]),
+                   tuple(points[:, n]))
 
     # pairwise brackets of the chart frame, at sampled chart points
     max_bracket = 0.0
     if len(chart.slots) > 1:
         pipe = chart.pipeline
         ys = chart.sample_coords(BRACKET_SAMPLES, pipe.settings.seed + 1)
-        pts = _Samples.on(chart._chart, ys.T)
+        pts = _Samples.on(stage, ys.T)
         fields = [pipe.chart_field(*slot, pipe.n - 1) for slot in chart.slots]
         max_bracket = max(
             float(np.max(np.abs(_bracket(fa, fb)(pts))))

@@ -87,8 +87,9 @@ def _statusline(label: str, ok: bool, detail: str = ""):
     print(f"[{mark}] {label}" + (f": {detail}" if detail else ""))
 
 
-def _run_conditions(field, box, factors, args):
-    """Returns (conditions dict, pass flag)."""
+def _run_conditions(field, box, factors, eigenvalue, args):
+    """Returns (conditions dict, pass flag).  Without factors the checks run
+    on A - eigenvalue * Id, whose torsion and kernel flag are A's own."""
     if factors:
         rep = corollary15_report(field, factors, box, samples=args.samples,
                                  seed=args.seed, tol=args.tol)
@@ -100,8 +101,16 @@ def _run_conditions(field, box, factors, args):
         _statusline("factor kernels involutive", all(
             f["involutive"] for f in cond["factor_involutivity"]))
         return cond, rep.integrable_conditions
-    rep = theorem13_report(field, box, samples=args.samples, seed=args.seed,
-                           tol=args.tol)
+    try:
+        rep = theorem13_report(field.shifted(eigenvalue) if eigenvalue
+                               else field, box, samples=args.samples,
+                               seed=args.seed, tol=args.tol)
+    except NonNilpotentError:
+        if not eigenvalue:
+            raise
+        raise NonNilpotentError(
+            f"A - {eigenvalue!r} * Id is not nilpotent at the box center: "
+            f"{eigenvalue!r} is not the field's only eigenvalue there") from None
     cond = theorem13_to_dict(rep)
     _statusline("constant invariant factors",
                 cond["constant_invariant_factors"]["pass"])
@@ -122,7 +131,8 @@ def _field_info(doc_or_name, dim, box) -> dict:
 def _cmd_check(args) -> int:
     doc = load_field_document(args.field_file)
     box = _parse_box(args.box, doc.dim) if args.box else doc.box
-    conditions, ok = _run_conditions(doc.field, box, doc.factors, args)
+    conditions, ok = _run_conditions(doc.field, box, doc.factors,
+                                     doc.eigenvalue, args)
     report = report_to_dict(
         "corollary15" if doc.factors else "theorem13",
         _field_info(doc.source, doc.dim, box),
@@ -142,11 +152,10 @@ def _chart_samples(chart, count, seed) -> list:
 
 
 def _construct(args, kind, source, field, box, chart, eigenvalue) -> int:
-    """The condition checks (skipped when eigenvalue != 0), then the
-    pipeline when they pass or with --force, and one report of both.
-    Both run on `box`: the adapted chart takes it in place of its own."""
-    conditions, ok = ((None, True) if eigenvalue != 0.0
-                      else _run_conditions(field, box, None, args))
+    """The condition checks, then the pipeline when they pass or with
+    --force, and one report of both.  Both run on `box`: the adapted chart
+    takes it in place of its own."""
+    conditions, ok = _run_conditions(field, box, None, eigenvalue, args)
     if chart is not None and chart.box != box:
         chart = AdaptedChart(chart.dim, chart.groups, box)
     stages = {}

@@ -16,11 +16,11 @@ Derivatives in the chart construction come from one place per kind of
 field, each with its own step:
 
 - symbolic generators (`CompiledField`) transport frames by the
-  variational equation W' = DV(x) W, co-integrated with the trajectory
-  (`integrate_with_transport`).  A transport of many starts (the
-  verification grid's fan-out along one flow) is grouped by flow time and
-  each group is stepped as one (d, N) block with the batch evaluators;
-  a single start uses the point evaluators;
+  variational equation W' = DV(x) W, co-integrated with the trajectory.
+  A single start (`integrate_with_transport`) uses the point evaluators; a
+  block of starts (`transport_block`: a stage check's sample set or the
+  verification grid, as chart points) gives each column its own flow time
+  and steps all columns together with the batch evaluators;
 - computed generators A^p Z^(r) have no jacobian.  When the flows of the
   parent chart Phi_P (stage r-1) are all symbolic, theirs run in P's
   coordinates y = (t, s): Z^(r) at Phi_P(y) is a section column of
@@ -31,7 +31,8 @@ field, each with its own step:
   differences of those for every RK4 stage, so there the flow runs in
   the ambient space on the generator's `value`, which inverts P.  Frames
   are carried along computed flows by central differences of flow maps
-  with step `charts.H_TRANSPORT` (`charts._StageChart.transport_flow`);
+  with step `charts.H_TRANSPORT`, one start at a time
+  (`charts._StageChart._transport_computed`);
 - Lie brackets follow one rule (`charts._bracket`) and are evaluated as
   blocks over a sample set: the exact tree, compiled for blocks, when both
   fields are symbolic; else in the coordinates y of the stage chart the
@@ -40,8 +41,9 @@ field, each with its own step:
   differences in y with step `charts.H_BRACKET`, so no bracket inverts a
   chart.  `numeric_bracket` (central differences of ambient fields) stays
   as the reference a test holds that rule to;
-- the verification grid's frames are the chart differential DPhi, bit for
-  bit as `ChartMap.forward_with_frame` composes it.
+- the chart differential DPhi at one chart point or at a block of them is
+  `charts._StageChart.forward_differential`, the one path that the stage
+  checks, the frame brackets and the verification grid read frames from.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .fields import VectorField
 __all__ = [
     "IntegratorSettings", "FlowSpec", "ComputedVectorField",
     "CompiledField", "BoxExitError", "integrate_flow",
-    "integrate_with_transport", "numeric_bracket",
+    "integrate_with_transport", "transport_block", "numeric_bracket",
 ]
 
 
@@ -205,10 +207,10 @@ class FlowSpec:
             self.generator = CompiledField(self.generator)
 
 
-def _check_box(spec: FlowSpec, t: float, x: np.ndarray):
+def _check_box(spec: FlowSpec, t, x: np.ndarray):
     """Raise BoxExitError if the point x, or a column of the (d, N) block
-    x, is outside the working box; a block names its first such column.
-    The point tested is the generator's `point(x)`."""
+    x, is outside the working box; a block names its first such column c,
+    at its time t[c].  The point tested is the generator's `point(x)`."""
     box = spec.box
     if box is None:
         return
@@ -219,7 +221,8 @@ def _check_box(spec: FlowSpec, t: float, x: np.ndarray):
         return
     outside = _outside(box, x)
     if outside.any():
-        raise BoxExitError(t, x[:, int(np.argmax(outside))])
+        c = int(np.argmax(outside))
+        raise BoxExitError(float(t[c]), x[:, c])
 
 
 def _outside(box: Box, x: np.ndarray) -> np.ndarray:
@@ -239,26 +242,28 @@ def _straight(gen) -> bool:
     return isinstance(gen, CompiledField) and gen.straight
 
 
-def _check_line(spec: FlowSpec, x: np.ndarray, v: np.ndarray, t: float):
-    """The box check of RK4 on the straight flow x + sV(x) up to time t:
-    BoxExitError at the first step time whose step point x + k h v is
-    outside the box, for a point or a (d, N) block (its first such column).
-
-    Each coordinate of the step points is monotone in k, even rounded, so
-    when the first and the last step points are inside, all are.
+def _check_line(spec: FlowSpec, x: np.ndarray, v: np.ndarray, n, h):
+    """The box check of RK4 on the straight flow x + sV(x) with n steps of
+    size h (for a (d, N) block, one n and h per column): BoxExitError at
+    the first step whose step point x + k h v is outside the box, naming a
+    block's first column out there.  Each coordinate of the step points is
+    monotone in k, even rounded, so when the first and the last step
+    points are inside, all are.
     """
     box = spec.box
     if box is None:
         return
-    n, h = _steps(spec, t)
     d = x.shape[0]
     x, v = x.reshape(d, -1), v.reshape(d, -1)
-    if not _outside(box, x + np.array([h, n * h])[:, None, None] * v).any():
+    if not _outside(box, x + np.array([h, n * h]).reshape(2, 1, -1) * v).any():
         return
-    P = x + (np.arange(1, n + 1) * h)[:, None, None] * v      # (n, d, N)
-    outside = _outside(box, P)                                # (n, N)
-    k = int(np.argmax(outside.any(axis=1)))
-    raise BoxExitError((k + 1) * h, P[k, :, int(np.argmax(outside[k]))])
+    n, h = np.broadcast_to(n, x.shape[1:]), np.broadcast_to(h, x.shape[1:])
+    k = np.arange(1, int(n.max()) + 1)[:, None]
+    P = x + (k * h)[:, None, :] * v                       # (K, d, N)
+    outside = _outside(box, P) & (k <= n)                 # (K, N)
+    step = int(np.argmax(outside.any(axis=1)))
+    c = int(np.argmax(outside[step]))
+    raise BoxExitError((step + 1) * float(h[c]), P[step, :, c])
 
 
 def integrate_flow(spec: FlowSpec, p0, t: float) -> np.ndarray:
@@ -267,12 +272,12 @@ def integrate_flow(spec: FlowSpec, p0, t: float) -> np.ndarray:
     if t == 0.0:
         return x
     gen = spec.generator
+    n, h = _steps(spec, t)
     if _straight(gen):
         v = gen.value(x)
-        _check_line(spec, x, v, t)
+        _check_line(spec, x, v, n, h)
         return x + t * v
     V = gen.value
-    n, h = _steps(spec, t)
     for k in range(n):
         k1 = V(x)
         k2 = V(x + 0.5 * h * k1)
@@ -283,56 +288,83 @@ def integrate_flow(spec: FlowSpec, p0, t: float) -> np.ndarray:
     return x
 
 
-def integrate_with_transport(spec: FlowSpec, p0, t: float, W0) -> tuple:
-    """Co-integrate the trajectory and the variational equation applied to W0.
+def _line(spec: FlowSpec, V, DV, x, W, n, h, tx, tw) -> tuple:
+    """(x + tV(x), W + t DV(x) W) on a straight flow, box-checked; tx and
+    tw are t shaped for x and W.  DV W is an elementwise sum, which rounds
+    alike for one (d, d) jacobian and an (N, d, d) stack."""
+    v = V(x)
+    _check_line(spec, x, v, n, h)
+    return x + tx * v, W + tw * (DV(x)[..., :, :, None]
+                                 * W[..., None, :, :]).sum(-2)
 
-    A single start is p0 of shape (d,) with W0 of shape (d, m); returns
-    (x(t), W(t)) with W' = DV(x) W.  A block of N starts is p0 of shape
-    (d, N), one start per column, with W0 of shape (N, d, m); it returns x
-    as (d, N) and W as (N, d, m), stepped by the batch evaluators with the
-    same step count and step as a single start.  Column n is the
-    single-start result for (p0[:, n], W0[n]) bit for bit when the field's
-    expressions are sums, products and quotients; integer powers and exp
-    run through numpy's array kernels, which may round differently from
-    the scalar ones in the last place.  A block's BoxExitError names the
-    first start, in start order, among those outside the box at the
-    earliest step that leaves it.  The generator must be symbolic: only
-    `CompiledField` has a jacobian.  A straight generator gives
-    (x + tV(x), W + t DV(x) W) with the same box check; its products are
-    elementwise sums, which round alike for a (d, d) jacobian and an
-    (N, d, d) stack, where a stacked matmul would not.
+
+def _rk4_transport_step(V, DV, x, W, hx, hw) -> tuple:
+    """One RK4 step of (x, W) with W' = DV(x) W; hx and hw are the step,
+    shaped to broadcast over x and over W."""
+    k1 = V(x)
+    K1 = DV(x) @ W
+    x2 = x + 0.5 * hx * k1
+    k2 = V(x2)
+    K2 = DV(x2) @ (W + 0.5 * hw * K1)
+    x3 = x + 0.5 * hx * k2
+    k3 = V(x3)
+    K3 = DV(x3) @ (W + 0.5 * hw * K2)
+    x4 = x + hx * k3
+    k4 = V(x4)
+    K4 = DV(x4) @ (W + hw * K3)
+    return (x + (hx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+            W + (hw / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4))
+
+
+def integrate_with_transport(spec: FlowSpec, p0, t: float, W0) -> tuple:
+    """Co-integrate the trajectory from the start p0, shape (d,), and the
+    variational equation W' = DV(x) W applied to W0, shape (d, m), on the
+    point evaluators: (x(t), W(t)).  The generator must be symbolic: only
+    `CompiledField` has a jacobian.  A straight generator takes `_line`.
     """
     x = np.asarray(p0, dtype=float).copy()
     W = np.asarray(W0, dtype=float).copy()
     if t == 0.0:
         return x, W
     gen = spec.generator
-    if x.ndim == 1:
-        V, DV = gen.value, gen.jacobian
-    else:
-        V, DV = gen.batch_value, gen.batch_jacobian
-    if _straight(gen):
-        v = V(x)
-        _check_line(spec, x, v, t)
-        D = DV(x)
-        DW = (D[..., :, :, None] * W[..., None, :, :]).sum(-2)
-        return x + t * v, W + t * DW
     n, h = _steps(spec, t)
+    if _straight(gen):
+        return _line(spec, gen.value, gen.jacobian, x, W, n, h, t, t)
     for k in range(n):
-        k1 = V(x)
-        K1 = DV(x) @ W
-        x2 = x + 0.5 * h * k1
-        k2 = V(x2)
-        K2 = DV(x2) @ (W + 0.5 * h * K1)
-        x3 = x + 0.5 * h * k2
-        k3 = V(x3)
-        K3 = DV(x3) @ (W + 0.5 * h * K2)
-        x4 = x + h * k3
-        k4 = V(x4)
-        K4 = DV(x4) @ (W + h * K3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        W = W + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+        x, W = _rk4_transport_step(gen.value, gen.jacobian, x, W, h, h)
         _check_box(spec, (k + 1) * h, x)
+    return x, W
+
+
+def transport_block(spec: FlowSpec, x, t, W) -> tuple:
+    """`integrate_with_transport` for N starts, the columns of x (d, N),
+    each with its own time t[c] and frame W[c] (W is (N, d, m)), on the
+    batch evaluators.  Column c takes its single start's step count and
+    step; one with t[c] = 0 or whose steps are done is left as it is.  It
+    equals its single start bit for bit when the field's expressions are
+    sums, products and quotients (numpy's array kernels may round integer
+    powers and exp differently in the last place).  Each column is
+    box-checked at its own step times; a BoxExitError names the first
+    column out at the earliest step index."""
+    x, W = np.array(x, dtype=float), np.array(W, dtype=float)
+    t = np.asarray(t, dtype=float)
+    live = np.flatnonzero(t != 0.0)
+    if live.size == 0:
+        return x, W
+    gen = spec.generator
+    n = np.maximum(1, np.ceil(np.abs(t[live]) / spec.settings.step)).astype(int)
+    h = t[live] / n
+    if _straight(gen):
+        x[:, live], W[live] = _line(spec, gen.batch_value, gen.batch_jacobian,
+                                    x[:, live], W[live], n, h, t[live],
+                                    t[live, None, None])
+        return x, W
+    for k in range(int(n.max())):
+        cols, hk = live[n > k], h[n > k]
+        x[:, cols], W[cols] = _rk4_transport_step(
+            gen.batch_value, gen.batch_jacobian, x[:, cols], W[cols], hk,
+            hk[:, None, None])
+        _check_box(spec, (k + 1) * hk, x[:, cols])
     return x, W
 
 

@@ -197,6 +197,18 @@ class TestConjugatedPipeline:
         assert result.verification.max_deviation <= 1e-5
         assert result.verification.max_bracket <= 1e-5
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_n3_fields(self, seed):
+        # the final chart flows the computed generator A Z^(1): the stage-2
+        # check and the verification grid take the block path's column by
+        # column branch for it
+        oracle = conjugated_constant(seed=seed, d=3, multiplicities=(0, 0, 1))
+        result = jordanize(oracle.field, oracle.chart)
+        assert [g.symbolic for g in result.chart._chart.generators] == [
+            True, False]
+        assert all(rep.passed for rep in result.stage_reports)
+        assert result.verification.passed
+
     def test_chart_matches_known_inverse_up_to_section_choice(self):
         # with quotient slots unsheared, the two charts differ only by the
         # section mismatch: ŷ(Φ(y)) = y - (g_1(y_2, y_3), 0, 0)
@@ -390,13 +402,12 @@ class TestOneFramePath:
     def assert_grid_frames_match(chart, grid):
         # grid frames come from block transports, forward_with_frame from
         # one start at a time
-        order = chart._chart.application_order
-        frames = charts._grid_frames(chart, grid)
+        _, y = charts._grid(chart, grid)
+        points, frames = chart._chart.forward_differential(y)
         assert len(frames) == grid ** chart.pipeline.d
-        for (sc, tpre), (p, frame) in frames.items():
-            t = [tpre[order.index(alpha)] for alpha in range(len(order))]
-            q, expect = chart.forward_with_frame(np.array(t + list(sc)))
-            assert q.tobytes() == p.tobytes()
+        for n, frame in enumerate(frames):
+            q, expect = chart.forward_with_frame(y[:, n])
+            assert q.tobytes() == points[:, n].tobytes()
             assert frame.tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("name", JORDANIZE_N2)
@@ -411,7 +422,11 @@ class TestOneFramePath:
         chart = result.chart
         Aev = A.evaluator()
         worst, witness = 0.0, None
-        for (sc, tpre), (p, frame) in charts._grid_frames(chart, 5).items():
+        keys, y = charts._grid(chart, 5)
+        points, frames = chart._chart.forward_differential(y)
+        m = len(chart.pipeline.section.axes)
+        for key, p, frame in zip(keys, points.T, frames):
+            sc, tpre = key[:m], tuple(float(v) for v in key[m:])
             mat = np.linalg.solve(frame, Aev(p) @ frame)
             dev = float(np.max(np.abs(mat - chart.jordan)))
             if dev > worst:
@@ -433,13 +448,66 @@ class TestOneFramePath:
         chart = assemble_chart(name)
         stage = chart._chart
         order = stage.application_order
-        frames = charts._grid_frames(chart, 3)
+        m = len(chart.pipeline.section.axes)
+        keys, y = charts._grid(chart, 3)
+        points, frames = stage.forward_differential(y)
         assert len(frames) == 3 ** chart.pipeline.d
-        for (sc, tpre), (p, frame) in frames.items():
+        for key, p, frame in zip(keys, points.T, frames):
+            sc, tpre = key[:m], key[m:]
             t = [tpre[order.index(alpha)] for alpha in range(len(order))]
             q, D = stage.forward_differential(np.array(t + list(sc)))
             assert q.tobytes() == p.tobytes()
             assert frame.tobytes() == D.tobytes()
+
+    def test_samples_take_one_block_transport_per_symbolic_flow(
+            self, monkeypatch):
+        # stage 0 of example35-n3 flows two symbolic generators: a sample
+        # block of N chart points is two transport_block calls of N columns
+        # and no single-start transport
+        stage = assemble_chart("example35-n3").pipeline.stage_chart(0)
+        assert stage.n_flows == 2
+        assert all(g.symbolic for g in stage.generators)
+        blocks, singles = [], []
+        block, single = charts.transport_block, charts.integrate_with_transport
+
+        def recording_block(spec, x, t, W):
+            blocks.append(x.shape[1])
+            return block(spec, x, t, W)
+
+        def recording_single(*args):
+            singles.append(args)
+            return single(*args)
+        monkeypatch.setattr(charts, "transport_block", recording_block)
+        monkeypatch.setattr(charts, "integrate_with_transport",
+                            recording_single)
+        y = ex.sample_box(Box(tuple(stage.chart_ranges())), 7, 2026,
+                          include_corners=False).T
+        N = y.shape[1]
+        pts = charts._Samples.on(stage, y)
+        assert blocks == [N, N] and singles == []
+        for n in range(N):
+            x, D = stage.forward_differential(y[:, n])
+            assert x.tobytes() == pts.x[:, n].tobytes()
+            assert D.tobytes() == pts.D[n].tobytes()
+
+    @pytest.mark.parametrize("name", ["example35-n3", "n3_strong"])
+    def test_samples_leave_the_differential_memo_alone(self, name):
+        # the final chart of both flows a computed generator, which the
+        # block takes column by column through _transport_computed; the
+        # fields have x^4 terms, which the batch evaluators of the symbolic
+        # flow may round differently in the last place
+        data = n3_strong_data() if name == "n3_strong" else name
+        stage = assemble_chart(data)._chart
+        assert not all(g.symbolic for g in stage.generators)
+        before = dict(stage._differentials)
+        y = ex.sample_box(Box(tuple(stage.chart_ranges())), 4, 7,
+                          include_corners=False).T
+        pts = charts._Samples.on(stage, y)
+        assert stage._differentials == before
+        for n in range(y.shape[1]):
+            x, D = stage.forward_differential(y[:, n])
+            assert np.allclose(x, pts.x[:, n], rtol=1e-14, atol=1e-16)
+            assert np.allclose(D, pts.D[n], rtol=1e-14, atol=1e-16)
 
 
 class TestOneBracketRule:
@@ -657,17 +725,16 @@ class TestParentCoordinateFlows:
         assert values(forward, qs) == values(reverse, qs[::-1])[::-1]
 
     def test_point_caches_are_bounded(self, monkeypatch):
-        # the field and frame caches keep their last MEMO points; a value
+        # the section-frame cache keeps its last FRAMES points; a value
         # depends on its point alone, so an evicted one comes back bit for bit
-        monkeypatch.setattr(charts.ComputedVectorField, "MEMO", 2)
-        monkeypatch.setattr(charts._TransportedFrame, "MEMO", 2)
+        monkeypatch.setattr(charts._StageChart, "FRAMES", 2)
         chart = assemble_chart("example35-n2")
-        frame = charts._TransportedFrame(chart._chart)
-        z = frame.field(0)
+        z = chart.frame_field((0, 0))
         qs = [chart.forward(y) for y in chart.sample_coords(4, seed=3)]
         first = [z.value(q).tobytes() for q in qs]
-        assert z.cache_size() == 2 and len(frame._cache) == 2
+        assert len(chart._chart._frames) == 2
         assert z.value(qs[0]).tobytes() == first[0]
+        assert len(chart._chart._frames) == 2
 
     def test_each_flow_starts_in_its_own_parent(self):
         # n = 4: the stage-1 flows pull back to stage 0, the second one
@@ -701,7 +768,7 @@ class TestParentCoordinateFlows:
     @pytest.mark.parametrize("order", ["desc", "asc"])
     def test_transport_reuses_the_newton_trajectories(self, order,
                                                       monkeypatch):
-        # eval_all = inverse (Newton, ending on a forward map at the
+        # section_frame = inverse (Newton, ending on a forward map at the
         # solution) + forward_transport there: the transport integrates only
         # the +-h trajectories of the computed flow.  Under "asc" the
         # computed flow starts off the section, so each start inverts the
@@ -729,7 +796,7 @@ class TestParentCoordinateFlows:
         runs.clear()
         starts.clear()
         chart = assemble_chart("example35-n3", settings)
-        charts._TransportedFrame(chart._chart).eval_all(q)
+        chart._chart.section_frame(q)
         m = len(chart.pipeline.section.axes)
         assert len(runs) == newton_runs + 2 * m
         assert len(set(runs)) == len(runs)

@@ -306,6 +306,66 @@ class TestFileCommands:
         assert left
 
 
+class TestScalarPlusNilpotent:
+    """Documents with an eigenvalue: A = lambda * Id + N is decided by the
+    conditions on N = A - lambda * Id, whose torsion and kernel flag are
+    A's own for constant lambda."""
+
+    @staticmethod
+    def run(tmp_path, command, doc):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        code = main([command, str(path), "--out", str(out)])
+        return code, json.loads(out.read_text()) if out.exists() else None
+
+    @pytest.mark.parametrize("command", ["check", "jordanize"])
+    def test_jordan_block_passes(self, tmp_path, command):
+        code, report = self.run(tmp_path, command, {
+            "dim": 2, "matrix": [["2", "1"], ["0", "2"]], "eigenvalue": 2.0,
+            "groups": [[1, 1, 1], [2, 2, 1]]})
+        assert code == 0
+        cond = report["conditions"]
+        assert cond["constant_invariant_factors"]["pass"]
+        assert cond["nijenhuis_zero"]["pass"]
+        if command == "jordanize":
+            assert report["verification"]["max_deviation"] == 0.0
+
+    def test_conjugated_field_passes(self, tmp_path):
+        from endochart.corpus import conjugated_constant
+        from endochart.fieldfile import FieldDocument, dump_field_document
+        oracle = conjugated_constant(seed=3, d=3, multiplicities=(1, 1),
+                                     eigenvalue=-0.75)
+        doc = FieldDocument(3, oracle.field, oracle.chart.box, oracle.chart,
+                            None, -0.75, "conjugated")
+        code, report = self.run(tmp_path, "jordanize",
+                                json.loads(dump_field_document(doc)))
+        assert code == 0
+        assert report["conditions"]["nijenhuis_zero"]["pass"]
+        assert report["verification"]["max_deviation"] <= 1e-5
+
+    @pytest.mark.parametrize("command", ["check", "jordanize"])
+    def test_wrong_eigenvalue_names_it(self, tmp_path, command, capsys):
+        code, report = self.run(tmp_path, command, {
+            "dim": 2, "matrix": [["2", "1"], ["0", "3"]], "eigenvalue": 2.0,
+            "groups": [[1, 1, 1], [2, 2, 1]]})
+        assert code == 2 and report is None
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: A - 2.0 * Id is not nilpotent at the box center: 2.0 is "
+            "not the field's only eigenvalue there")
+
+    @pytest.mark.parametrize("command", ["check", "jordanize"])
+    def test_torsion_failure(self, tmp_path, command):
+        # 2 * Id plus the nonzero-torsion field of example 3.8
+        code, report = self.run(tmp_path, command, {
+            "dim": 4, "eigenvalue": 2.0, "groups": [[1, 1, 2], [2, 2, 2]],
+            "matrix": [["2", "0", "exp(x2)", "0"], ["0", "2", "0", "1"],
+                       ["0", "0", "2", "0"], ["0", "0", "0", "2"]]})
+        assert code == 2
+        assert not report["conditions"]["nijenhuis_zero"]["pass"]
+        assert "verification" not in report
+
+
 class TestModuleEntryPoint:
     def test_python_m_endochart_runs_a_corpus_entry(self):
         # `python -m endochart` needs only the source tree on the path

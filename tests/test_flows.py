@@ -9,7 +9,8 @@ from endochart.fields import VectorField, coordinate_field, lie_bracket
 from endochart.flows import (BoxExitError, CompiledField,
                              ComputedVectorField, FlowSpec,
                              IntegratorSettings, integrate_flow,
-                             integrate_with_transport, numeric_bracket)
+                             integrate_with_transport, numeric_bracket,
+                             transport_block)
 
 RK4 = IntegratorSettings(step=1e-2)
 
@@ -124,27 +125,63 @@ def block_starts(count: int, seed: int = 5):
     return rng.uniform(-0.5, 0.5, (3, count)), rng.normal(size=(count, 3, 2))
 
 
+def assert_block_equals_single_starts(spec, P, t, W0):
+    xs, Ws = transport_block(spec, P, t, W0)
+    assert xs.shape == P.shape and Ws.shape == W0.shape
+    for n in range(P.shape[1]):
+        x, W = integrate_with_transport(spec, P[:, n], float(t[n]), W0[n])
+        assert x.tobytes() == xs[:, n].tobytes()
+        assert W.tobytes() == Ws[n].tobytes()
+
+
 class TestBlockTransport:
     @pytest.mark.parametrize("t", [0.37, -0.21, 0.0])
     def test_block_equals_single_starts(self, t):
         spec = FlowSpec(BLOCK_FIELD, RK4)
         P, W0 = block_starts(9)
-        xs, Ws = integrate_with_transport(spec, P, t, W0)
-        assert xs.shape == (3, 9) and Ws.shape == (9, 3, 2)
-        for n in range(9):
-            x, W = integrate_with_transport(spec, P[:, n], t, W0[n])
-            assert x.tobytes() == xs[:, n].tobytes()
-            assert W.tobytes() == Ws[n].tobytes()
+        assert_block_equals_single_starts(spec, P, np.full(9, t), W0)
+
+    @pytest.mark.parametrize("field", [BLOCK_FIELD, "straight"])
+    def test_mixed_times_equal_single_starts(self, field):
+        # each column takes its own step count and step; t = 0 columns and
+        # columns whose steps are done are left as they are
+        field = STRAIGHT_FIELD if field == "straight" else field
+        spec = FlowSpec(field, RK4, box=Box.cube(field.dim, 2.0))
+        rng = np.random.default_rng(3)
+        P = rng.uniform(-0.5, 0.5, (field.dim, 8))
+        W0 = rng.normal(size=(8, field.dim, 2))
+        t = np.array([0.37, 0.0, -0.21, 0.004, 0.0, 0.37, -0.6, 0.1])
+        assert_block_equals_single_starts(spec, P, t, W0)
+        xs, Ws = transport_block(spec, P, t, W0)
+        assert xs[:, 1].tobytes() == P[:, 1].tobytes()
+        assert Ws[4].tobytes() == W0[4].tobytes()
+
+    def test_mixed_times_box_exit_is_a_single_starts(self):
+        # start 0 leaves at step 25 of 40, start 1 at step 5 of 100; start
+        # 2 is outside the box but has t = 0, so nothing checks it
+        spec = FlowSpec(BLOCK_FIELD, RK4, box=Box.cube(3, 0.6))
+        P = np.array([[0.55, 0.59, 0.9], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        W0 = np.repeat(np.eye(3)[None], 3, axis=0)
+        t = np.array([0.4, 1.0, 0.0])
+        single = [box_exit(lambda n=n: integrate_with_transport(
+            spec, P[:, n], float(t[n]), W0[n])) for n in range(2)]
+        got = box_exit(lambda: transport_block(spec, P, t, W0))
+        assert single[0].time > single[1].time
+        assert (got.time, got.point) == (single[1].time, single[1].point)
+        got = box_exit(lambda: transport_block(spec, P[:, [0, 2]], t[[0, 2]],
+                                               W0[:2]))
+        assert (got.time, got.point) == (single[0].time, single[0].point)
 
     def test_column_independent_of_batch_mates(self):
         spec = FlowSpec(BLOCK_FIELD, RK4)
         P, W0 = block_starts(9)
-        xs, Ws = integrate_with_transport(spec, P, 0.37, W0)
+        t = np.full(9, 0.37)
+        xs, Ws = transport_block(spec, P, t, W0)
         perm = np.random.default_rng(11).permutation(9)
-        xp, Wp = integrate_with_transport(spec, P[:, perm], 0.37, W0[perm])
+        xp, Wp = transport_block(spec, P[:, perm], t, W0[perm])
         assert xp.tobytes() == np.ascontiguousarray(xs[:, perm]).tobytes()
         assert Wp.tobytes() == Ws[perm].tobytes()
-        xh, Wh = integrate_with_transport(spec, P[:, 4:], 0.37, W0[4:])
+        xh, Wh = transport_block(spec, P[:, 4:], t[4:], W0[4:])
         assert xh.tobytes() == np.ascontiguousarray(xs[:, 4:]).tobytes()
         assert Wh.tobytes() == Ws[4:].tobytes()
 
@@ -154,7 +191,7 @@ class TestBlockTransport:
         P = np.array([[0.5, 0.8, -0.5, 0.8], [0.1, 0.2, 0.3, -0.4]])
         W0 = np.repeat(np.eye(2)[None], 4, axis=0)
         with pytest.raises(BoxExitError) as block:
-            integrate_with_transport(spec, P, 1.0, W0)
+            transport_block(spec, P, np.full(4, 1.0), W0)
         with pytest.raises(BoxExitError) as single:
             integrate_with_transport(spec, P[:, 1], 1.0, W0[1])
         assert block.value.time == single.value.time
@@ -305,16 +342,30 @@ class TestStraightFlows:
                       [0.1, 0.0, 0.0, 0.0],
                       [0.0, 0.0, 0.0, 0.0]])
         W0 = np.repeat(np.eye(5)[None], 4, axis=0)
-        got = box_exit(lambda: integrate_with_transport(spec, P, 3.0, W0))
+        got = box_exit(lambda: transport_block(spec, P, np.full(4, 3.0), W0))
         expect = box_exit(lambda: integrate_flow(rk4_oracle(spec), P[:, 2], 3.0))
         assert got.time == expect.time
         assert np.max(np.abs(np.subtract(got.point, expect.point))) <= 1e-12
         # without start 2, start 3 leaves first
-        got = box_exit(lambda: integrate_with_transport(spec, P[:, [0, 1, 3]],
-                                                        3.0, W0[:3]))
+        got = box_exit(lambda: transport_block(spec, P[:, [0, 1, 3]],
+                                               np.full(3, 3.0), W0[:3]))
         expect = box_exit(lambda: integrate_flow(rk4_oracle(spec), P[:, 3], 3.0))
         assert got.time == expect.time
         assert np.max(np.abs(np.subtract(got.point, expect.point))) <= 1e-12
+
+    def test_mixed_times_box_exit_checks_only_each_columns_steps(self):
+        # start 1 would leave after 25 steps of its size, but it takes 20:
+        # the error is start 0's, which leaves at step 243 of 300
+        spec = FlowSpec(STRAIGHT_FIELD, RK4, box=Box.cube(5, 1.0))
+        P = np.array([[0.5, 0.95], [0.0, 0.0], [0.2, 0.0], [0.1, 0.0],
+                      [0.0, 0.0]])
+        W0 = np.repeat(np.eye(5)[None], 2, axis=0)
+        t = np.array([3.0, 0.2])
+        integrate_with_transport(spec, P[:, 1], 0.2, W0[1])
+        got = box_exit(lambda: transport_block(spec, P, t, W0))
+        expect = box_exit(lambda: integrate_with_transport(spec, P[:, 0], 3.0,
+                                                           W0[0]))
+        assert (got.time, got.point) == (expect.time, expect.point)
 
     @pytest.mark.parametrize("t", [0.37, -0.21])
     @pytest.mark.parametrize("m", [1, 3])
@@ -323,12 +374,7 @@ class TestStraightFlows:
         rng = np.random.default_rng(13)
         P = rng.uniform(-0.5, 0.5, (5, 9))
         W0 = rng.normal(size=(9, 5, m))
-        xs, Ws = integrate_with_transport(spec, P, t, W0)
-        assert xs.shape == (5, 9) and Ws.shape == (9, 5, m)
-        for n in range(9):
-            x, W = integrate_with_transport(spec, P[:, n], t, W0[n])
-            assert x.tobytes() == xs[:, n].tobytes()
-            assert W.tobytes() == Ws[n].tobytes()
+        assert_block_equals_single_starts(spec, P, np.full(9, t), W0)
 
     # per corpus entry: (power, slot) of each stage-0 flow generator
     # A^p d/ds and whether it is straight
