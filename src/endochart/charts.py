@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -776,6 +776,7 @@ class _Samples:
     chart: _StageChart | None = None
     y: np.ndarray | None = None
     D: np.ndarray | None = None
+    _shifts: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def on(chart: _StageChart, y: np.ndarray) -> "_Samples":
@@ -783,6 +784,20 @@ class _Samples:
         `chart.forward_differential` of the block: no chart inversion."""
         x, D = chart.forward_differential(y)
         return _Samples(x, chart, y, D)
+
+    def along(self, f: "_ChartField", g: "_ChartField") -> np.ndarray:
+        """The derivative of f's chart-coordinate values along g's at the
+        chart points: 0 for a constant field f, else a central difference in
+        y with step H_BRACKET.  The two blocks shifted along g are kept by
+        field, since every bracket pair with g differentiates along it."""
+        if f.constant:
+            return np.zeros(self.y.shape)
+        if g not in self._shifts:
+            v = H_BRACKET * g.pulled(self)
+            self._shifts[g] = (_Samples.on(self.chart, self.y + v),
+                               _Samples.on(self.chart, self.y - v))
+        up, dn = self._shifts[g]
+        return (f.pulled(up) - f.pulled(dn)) / (2.0 * H_BRACKET)
 
 
 class _ChartField:
@@ -826,17 +841,6 @@ class _ChartField:
         return np.linalg.solve(pts.D, self.value(pts).T[:, :, None])[:, :, 0].T
 
 
-def _along(f: _ChartField, v: np.ndarray, pts: _Samples) -> np.ndarray:
-    """The derivative of f's chart-coordinate values along the (d, N)
-    directions v at the chart points: 0 for a constant field, else a central
-    difference in y with step H_BRACKET."""
-    if f.constant:
-        return np.zeros_like(v)
-    up = _Samples.on(pts.chart, pts.y + H_BRACKET * v)
-    dn = _Samples.on(pts.chart, pts.y - H_BRACKET * v)
-    return (f.pulled(up) - f.pulled(dn)) / (2.0 * H_BRACKET)
-
-
 def _bracket(fa: _ChartField, fb: _ChartField):
     """pts -> [fa, fb] at the points of a `_Samples` block.
 
@@ -844,16 +848,16 @@ def _bracket(fa: _ChartField, fb: _ChartField):
     compiled once, at the ambient points.  Any other pair is bracketed in
     the chart coordinates y, since [Phi_* X, Phi_* Y] = Phi_* [X, Y]: with
     X, Y the fields' values there, [fa, fb] = DPhi (D_X Y - D_Y X) at y
-    (`_along`), which needs chart differentials and no chart inversion.
+    (`_Samples.along`), which needs chart differentials and no chart
+    inversion.
     """
     if fa.symbolic and fb.symbolic:
         tree = compile_batch(lie_bracket(fa.gen.field, fb.gen.field).components)
         return lambda pts: tree(pts.x)
 
     def chart_rule(pts: _Samples) -> np.ndarray:
-        X, Y = fa.pulled(pts), fb.pulled(pts)
         return np.einsum("nij,jn->in", pts.D,
-                         _along(fb, X, pts) - _along(fa, Y, pts))
+                         pts.along(fb, fa) - pts.along(fa, fb))
     return chart_rule
 
 

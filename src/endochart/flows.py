@@ -233,7 +233,7 @@ def _outside(box: Box, x: np.ndarray) -> np.ndarray:
 
 
 def _steps(spec: FlowSpec, t: float) -> tuple[int, float]:
-    """RK4 step count and step for flow time t."""
+    """RK4 step count and step for flow time t (a block's column's too)."""
     n = max(1, math.ceil(abs(t) / spec.settings.step))
     return n, t / n
 
@@ -339,9 +339,9 @@ def integrate_with_transport(spec: FlowSpec, p0, t: float, W0) -> tuple:
 def transport_block(spec: FlowSpec, x, t, W) -> tuple:
     """`integrate_with_transport` for N starts, the columns of x (d, N),
     each with its own time t[c] and frame W[c] (W is (N, d, m)), on the
-    batch evaluators.  Column c takes its single start's step count and
-    step; one with t[c] = 0 or whose steps are done is left as it is.  It
-    equals its single start bit for bit when the field's expressions are
+    batch evaluators.  Column c takes `_steps` of t[c], as its single
+    start does; one with t[c] = 0 or whose steps are done is left as it is.
+    It equals its single start bit for bit when the field's expressions are
     sums, products and quotients (numpy's array kernels may round integer
     powers and exp differently in the last place).  Each column is
     box-checked at its own step times; a BoxExitError names the first
@@ -352,8 +352,7 @@ def transport_block(spec: FlowSpec, x, t, W) -> tuple:
     if live.size == 0:
         return x, W
     gen = spec.generator
-    n = np.maximum(1, np.ceil(np.abs(t[live]) / spec.settings.step)).astype(int)
-    h = t[live] / n
+    n, h = map(np.array, zip(*(_steps(spec, tc) for tc in t[live].tolist())))
     if _straight(gen):
         x[:, live], W[live] = _line(spec, gen.batch_value, gen.batch_jacobian,
                                     x[:, live], W[live], n, h, t[live],

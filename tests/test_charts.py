@@ -18,8 +18,9 @@ from endochart.corpus import (Example35Spec, build_corpus_field,
                               example35_field, example38_chart,
                               example38_field)
 from endochart.expr import Box
-from endochart.flows import (BoxExitError, FlowSpec, IntegratorSettings,
-                             integrate_flow, numeric_bracket)
+from endochart.flows import (BoxExitError, ComputedVectorField, FlowSpec,
+                             IntegratorSettings, integrate_flow,
+                             numeric_bracket)
 
 FAST = PipelineSettings(integrator=IntegratorSettings(step=2e-2), hk_samples=3)
 # the inputs of the jordanize-n2 benchmark workload
@@ -567,6 +568,24 @@ class TestOneBracketRule:
         assert np.max(np.abs(rule)) >= 4e-4
         assert np.max(np.abs(rule - ambient)) <= 1e-6
 
+    def test_pairs_sharing_a_field_share_its_shifts(self, monkeypatch):
+        # stage 1 of example35-n3, clauses 4 and 5: the samples are shifted
+        # along each of the three fields once, whichever pairs and clauses
+        # differentiate along it, so no block of chart points repeats
+        pipe = assemble_chart("example35-n3").pipeline
+        blocks = []
+        original = charts._StageChart.forward_differential
+
+        def recording(self, y):
+            if np.ndim(y) == 2:
+                blocks.append(np.asarray(y).tobytes())
+            return original(self, y)
+        monkeypatch.setattr(charts._StageChart, "forward_differential",
+                            recording)
+        hk_residuals(FrameState(pipe, 1), clauses=("4", "5"))
+        assert len(pipe.slots) == 3
+        assert len(set(blocks)) == len(blocks) == 1 + 2 * 3
+
     def test_hk_builds_one_tree_per_symbolic_pair(self, monkeypatch):
         from endochart.structure import kernel_frame
         data = build_corpus_field("example35-n3")
@@ -725,9 +744,11 @@ class TestParentCoordinateFlows:
         assert values(forward, qs) == values(reverse, qs[::-1])[::-1]
 
     def test_point_caches_are_bounded(self, monkeypatch):
-        # the section-frame cache keeps its last FRAMES points; a value
-        # depends on its point alone, so an evicted one comes back bit for bit
+        # the section-frame cache keeps its last FRAMES points and a computed
+        # field A^p Z its last MEMO values; a value depends on its point
+        # alone, so an evicted one comes back bit for bit
         monkeypatch.setattr(charts._StageChart, "FRAMES", 2)
+        monkeypatch.setattr(ComputedVectorField, "MEMO", 2)
         chart = assemble_chart("example35-n2")
         z = chart.frame_field((0, 0))
         qs = [chart.forward(y) for y in chart.sample_coords(4, seed=3)]
@@ -735,6 +756,15 @@ class TestParentCoordinateFlows:
         assert len(chart._chart._frames) == 2
         assert z.value(qs[0]).tobytes() == first[0]
         assert len(chart._chart._frames) == 2
+        # n = 3: A Z^(1) is computed from the stage-0 section frame
+        chart = assemble_chart("example35-n3")
+        az = chart.pipeline.generator(1, 0, 1)
+        assert isinstance(az, ComputedVectorField)
+        qs = [chart.forward(y) for y in chart.sample_coords(4, seed=3)]
+        first = [az.value(q).tobytes() for q in qs]
+        assert az.cache_size() == 2
+        assert az.value(qs[0]).tobytes() == first[0]
+        assert az.cache_size() == 2
 
     def test_each_flow_starts_in_its_own_parent(self):
         # n = 4: the stage-1 flows pull back to stage 0, the second one

@@ -228,6 +228,17 @@ class TestComputedVectorField:
         assert field.cache_size() == 1
         assert len(calls) == 1
 
+    def test_evicts_the_oldest_value(self, monkeypatch):
+        # the last MEMO values are kept; an evicted one is recomputed
+        monkeypatch.setattr(ComputedVectorField, "MEMO", 2)
+        calls = []
+        field = ComputedVectorField(lambda p: calls.append(p) or np.array(p), 1)
+        for p in (0.1, 0.2, 0.3):
+            field.value((p,))
+        assert field.cache_size() == 2
+        assert field.value((0.1,))[0] == 0.1 and len(calls) == 4
+        assert field.cache_size() == 2
+
     def test_neighbouring_point_is_not_served(self):
         # the points agree to 12 digits but are different points
         field = ComputedVectorField(lambda p: np.array(p), 1)
