@@ -307,7 +307,6 @@ class _StageChart:
     """Parametrisation (s, t) -> Phi(sigma(s), t) by the stage's flows."""
 
     MEMO = 4096     # differentials kept
-    FRAMES = 8192   # section frames kept
 
     def __init__(self, pipeline: "_Pipeline", stage: int):
         self.pipeline = pipeline
@@ -331,7 +330,6 @@ class _StageChart:
             self.specs.append(gen.spec if isinstance(gen, _Pullback)
                               else FlowSpec(gen, st.integrator, box))
         self._differentials: dict[bytes, tuple] = {}
-        self._frames: dict[bytes, np.ndarray] = {}
 
     @property
     def n_flows(self) -> int:
@@ -430,17 +428,10 @@ class _StageChart:
 
     def section_frame(self, q) -> np.ndarray:
         """The section fields Z^(k+1)(q) of the next stage as columns: one
-        inversion, then `forward_transport` there.  Kept for the last FRAMES
-        points by their exact bytes; a value depends on q alone."""
-        key = np.asarray(q, dtype=float).tobytes()
-        hit = self._frames.get(key)
-        if hit is None:
-            s, t = self.inverse(q)
-            _, hit = self.forward_transport(s, t, self.section.basis_matrix())
-            self._frames[key] = hit
-            if len(self._frames) > self.FRAMES:
-                del self._frames[next(iter(self._frames))]
-        return hit
+        inversion, then `forward_transport` there.  Not kept: the A^p Z
+        fields that read it keep their own values (`ComputedVectorField`)."""
+        s, t = self.inverse(q)
+        return self.forward_transport(s, t, self.section.basis_matrix())[1]
 
     def _compose(self, s, t, W, times: bool) -> tuple:
         """Transport W from sigma(s) through the flows; with `times`, each
@@ -600,7 +591,7 @@ class _Pullback:
 
 class _SectionField:
     """The section field Z_i^(k+1) at ambient points: column i of the
-    stage-k chart's `section_frame`, which keeps the values."""
+    stage-k chart's `section_frame`."""
 
     symbolic = False
 
@@ -718,19 +709,11 @@ class _Pipeline:
 
 @dataclass
 class FrameState:
-    """Induction step k with the section fields and their image basis."""
+    """Induction step k of the pipeline, whose `generator` gives the
+    section fields and their image basis."""
 
     pipeline: _Pipeline
     k: int
-
-    @property
-    def fields(self) -> list:
-        return [self.pipeline.generator(0, i, self.k)
-                for i in range(len(self.pipeline.section.axes))]
-
-    @property
-    def kernel_orders(self) -> list:
-        return self.pipeline.orders
 
 
 # ---------------------------------------------------------------------------
@@ -1050,10 +1033,6 @@ class ChartMap:
         """Endpoint and the chart differential DPhi(y) (columns in slot
         order)."""
         return self._chart.forward_differential(y)
-
-    def frame_field(self, slot):
-        """The slot's basis field as a point-evaluable field object."""
-        return self.pipeline.generator(*slot, self.pipeline.n - 1)
 
     def chart_ranges(self) -> list:
         """Per-coordinate ranges in chart space staying inside the box."""

@@ -223,7 +223,7 @@ def _cmd_selftest(args) -> int:
                         IntegratorSettings, integrate_flow, numeric_bracket)
     from .fields import VectorField, lie_bracket
     from .structure import (image_frame, involutivity_residual,
-                            nijenhuis_residual)
+                            nijenhuis_residual, torsion_tol)
 
     failures = 0
 
@@ -268,15 +268,16 @@ def _cmd_selftest(args) -> int:
     check("torsion reduction identities (nonzero torsion)",
           r.max_residual <= 1e-9, f"residual {r.max_residual:.2e}")
 
-    t37 = nijenhuis_residual(A37, box4, samples=60, seed=args.seed)
+    x = ex.sample_box(box4, 60, args.seed).T
+    t37 = nijenhuis_residual(A37, x, torsion_tol(A37, box4, args.seed))
     check("counterexample pair: vanishing torsion", t37.passed,
           f"residual {t37.max_residual:.2e}")
-    t38 = nijenhuis_residual(A38, box4, samples=60, seed=args.seed)
+    t38 = nijenhuis_residual(A38, x, torsion_tol(A38, box4, args.seed))
     check("counterexample pair: nonzero torsion", not t38.passed,
           f"residual {t38.max_residual:.2e}")
 
     D = image_frame(A37, 1, box4, seed=args.seed)
-    res = involutivity_residual(D, box4, samples=40, seed=args.seed)
+    res = involutivity_residual(D, ex.sample_box(box4, 40, args.seed).T)
     check("image distribution involutive", bool(res),
           f"residual {res.max_residual:.2e}")
 
@@ -317,8 +318,9 @@ def _cmd_selftest(args) -> int:
     oracle = corpus_mod.conjugated_constant(seed=args.seed, d=3,
                                             multiplicities=(1, 1),
                                             shear_degree=2)
-    t = nijenhuis_residual(oracle.field, oracle.chart.box, samples=60,
-                           seed=args.seed)
+    obox = oracle.chart.box
+    t = nijenhuis_residual(oracle.field, ex.sample_box(obox, 60, args.seed).T,
+                           torsion_tol(oracle.field, obox, args.seed))
     check("conjugated-constant torsion vanishes", t.passed,
           f"residual {t.max_residual:.2e}")
     rep = validate_adapted_chart(oracle.field, oracle.chart, seed=args.seed)

@@ -1,9 +1,13 @@
 """Vector fields, endomorphism fields, Lie brackets, and torsion tensors.
 
-All tensors here are computed symbolically; they are the reference for the
-numeric tensor kernels of the condition checks (`structure`).
-Tensoriality (checked numerically in the test suite) means evaluating them
-on the d^2 coordinate-field pairs determines them completely.
+The tensors come two ways.  `nijenhuis`, `nprime` and `torsion_S` build
+expression trees; they are the reference.  Every sampled torsion of the
+condition layer comes from one numeric kernel instead, `nprime_kernel`:
+N'_{A,B} depends only on the 1-jets of A and B at a point, so it is an
+einsum over A, B and their first partials evaluated on the sample block
+(`jet_evaluator`, and `power_jets` for the powers of A).  N_A is N'_{A,A}.
+Tensoriality means evaluating a torsion on the d^2 coordinate-field pairs
+determines it completely.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ from . import expr as ex
 from .expr import Box, ScalarExpr
 
 __all__ = [
-    "VectorField", "EndoField", "coordinate_field", "zero_field",
+    "VectorField", "EndoField", "coordinate_field",
     "apply_endo", "endo_power", "lie_bracket", "nijenhuis", "nprime",
     "torsion_S", "prop22_residual", "NonCommutingError", "Prop22Report",
-    "first_max",
+    "first_max", "jet_evaluator", "power_jets", "nprime_kernel",
 ]
 
 
@@ -80,10 +84,6 @@ def coordinate_field(d: int, i: int) -> VectorField:
     comps = [ex.const(0.0)] * d
     comps[i - 1] = ex.const(1.0)
     return VectorField(tuple(comps))
-
-
-def zero_field(d: int) -> VectorField:
-    return VectorField(tuple([ex.const(0.0)] * d))
 
 
 @dataclass(frozen=True)
@@ -286,14 +286,51 @@ def first_max(vals: np.ndarray) -> tuple[float, int, int]:
     return float(vals[r, n]), r, n
 
 
-def _worst_on(fields, x: np.ndarray, default: tuple) -> tuple[float, tuple]:
-    """Max |component| of the vector fields over the points of a (d, N)
-    array, and the first point attaining it (`default` if all vanish)."""
-    d = fields[0].dim
-    vals = ex.compile_batch([c for V in fields for c in V.components])(x)
-    vals = np.max(np.abs(vals.reshape(len(fields), d, -1)), axis=1)
-    worst, _, n = first_max(vals)
-    return worst, (tuple(x[:, n]) if worst > 0.0 else default)
+def jet_evaluator(A: EndoField):
+    """x -> the 1-jet of A at the points of a (d, N) array x: the values
+    [m, j, n] = A_mj and the first partials [l, m, j, n] = d_l A_mj."""
+    d = A.dim
+    entries = [e for row in A.entries for e in row]
+    derivs = [ex.differentiate(e, l) for l in range(1, d + 1) for e in entries]
+    values = ex.compile_batch(entries + derivs)
+
+    def jet(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        vals = values(x)
+        return vals[:d * d].reshape(d, d, -1), vals[d * d:].reshape(d, d, d, -1)
+    return jet
+
+
+def power_jets(jet: tuple, k: int) -> list:
+    """The 1-jets of A^0 .. A^k from A's, by the product rule
+    d(A^k) = d(A^(k-1)) A + A^(k-1) dA."""
+    A, dA = jet
+    d = A.shape[0]
+    jets = [(np.broadcast_to(np.eye(d)[:, :, None], A.shape), np.zeros(dA.shape)),
+            jet]
+    for _ in range(2, k + 1):
+        P, dP = jets[-1]
+        jets.append((np.einsum("mon,ojn->mjn", P, A),
+                     np.einsum("lmon,ojn->lmjn", dP, A)
+                     + np.einsum("mon,lojn->lmjn", P, dA)))
+    return jets[:k + 1]
+
+
+def nprime_kernel(a: tuple, b: tuple, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """N'_{A,B}(d_i, d_j) from the 1-jets a of A and b of B (`jet_evaluator`)
+    on the coordinate pairs of the index arrays i and j (0-based), as a
+    (pairs, d, N) array [p, m, n] = N'_{A,B}(d_(i_p), d_(j_p))^m:
+
+        sum_l (A_li d_l B_mj - B_lj d_l A_mi)
+        - sum_l (A_ml d_i B_lj - B_ml d_j A_li).
+
+    N_A is N'_{A,A}.  Nothing here assumes that A and B commute.
+    """
+    (A, dA), (B, dB) = a, b
+    bracket = (np.einsum("lpn,lmpn->pmn", A[:, i], dB[:, :, j])
+               - np.einsum("lpn,lmpn->pmn", B[:, j], dA[:, :, i]))
+    inner = (np.einsum("mln,pln->pmn", A, dB[i, :, j])
+             - np.einsum("mln,pln->pmn", B, dA[j, :, i]))
+    return bracket - inner
 
 
 def prop22_residual(A: EndoField, p: int, q: int, box: Box,
@@ -304,35 +341,31 @@ def prop22_residual(A: EndoField, p: int, q: int, box: Box,
     (ii) N'_{A^p, A^q}(X, Y) = sum_{k=1}^p A^(p-k) N'_{A, A^q}(X, A^(k-1) Y)
 
     Both hold for any nilpotent A, vanishing torsion or not; the report is
-    the max over coordinate-field pairs and sampled points.
+    the max over coordinate-field pairs and sampled points.  Every torsion
+    comes from the 1-jets of the powers (`nprime_kernel`); the right-hand
+    sides contract them with the powers, by tensoriality:
+    T(d_i, A^(k-1) d_j) = sum_l (A^(k-1))_lj T(d_i, d_l), which holds for
+    N_A and, since A and A^q commute, for N'_{A, A^q}.
     """
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
     d = A.dim
     x = ex.sample_box(box, samples, seed, include_corners=False).T
-    powers = [endo_power(A, k) for k in range(max(p, q) + 1)]
-    Aq = powers[q]
-    Ap = powers[p]
+    powers = power_jets(jet_evaluator(A)(x), max(p, q))
+    pairs = np.indices((d, d)).reshape(2, -1)
 
-    residuals_i, residuals_ii = [], []
-    for i in range(1, d + 1):
-        X = coordinate_field(d, i)
-        for j in range(1, d + 1):
-            Y = coordinate_field(d, j)
-            # identity (i)
-            lhs = _nprime_raw(A, Aq, X, Y)
-            rhs = zero_field(d)
-            for k in range(1, q + 1):
-                term = nijenhuis(A, X, apply_endo(powers[k - 1], Y))
-                rhs = rhs + apply_endo(powers[q - k], term)
-            residuals_i.append(lhs - rhs)
-            # identity (ii)
-            lhs = _nprime_raw(Ap, Aq, X, Y)
-            rhs = zero_field(d)
-            for k in range(1, p + 1):
-                term = _nprime_raw(A, Aq, X, apply_endo(powers[k - 1], Y))
-                rhs = rhs + apply_endo(powers[p - k], term)
-            residuals_ii.append(lhs - rhs)
-    worst_i, wit_i = _worst_on(residuals_i, x, tuple(box.center))
-    worst_ii, wit_ii = _worst_on(residuals_ii, x, tuple(box.center))
+    def torsion(a: int, b: int) -> np.ndarray:    # [i, j, m, n]
+        return nprime_kernel(powers[a], powers[b], *pairs).reshape(d, d, d, -1)
+
+    def reduced(T: np.ndarray, r: int) -> np.ndarray:
+        return sum(np.einsum("mon,ljn,ilon->ijmn", powers[r - k][0],
+                             powers[k - 1][0], T) for k in range(1, r + 1))
+
+    def worst(R: np.ndarray) -> tuple[float, tuple]:
+        value, _, n = first_max(np.max(np.abs(R.reshape(d * d, d, -1)), axis=1))
+        return value, (tuple(x[:, n]) if value > 0.0 else tuple(box.center))
+
+    n_aq = torsion(1, q)
+    worst_i, wit_i = worst(n_aq - reduced(torsion(1, 1), q))
+    worst_ii, wit_ii = worst(torsion(p, q) - reduced(n_aq, p))
     return Prop22Report(worst_i, worst_ii, wit_i, wit_ii)

@@ -6,12 +6,13 @@ frozen pivot pattern, involutivity residual tests, and the structured
 condition reports for the nilpotent and general (user-supplied factors)
 integrability checks.
 
-Every sampled test evaluates its sample set once, point-batched
-(`expr.compile_batch`), and works on stacked arrays: ranks by stacked SVD,
-torsion by einsum over A and its derivatives, involutivity by stacked QR
-projections (`span_residuals`, which the induction clauses of `charts`
-share).  A witness is the first sample point attaining the strict
-maximum, pairs in (i, j) order.
+Each condition report draws one sample set and passes its (d, N) point
+block to the rank, torsion and involutivity checks.  Every check evaluates
+it point-batched (`expr.compile_batch`) and works on stacked arrays: ranks
+by stacked SVD, torsion by the 1-jet kernel `fields.nprime_kernel`,
+involutivity by stacked QR projections (`span_residuals`, which the
+induction clauses of `charts` share).  A witness is the first sample point
+attaining the strict maximum, pairs in (i, j) order.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Box, sample_box
-from .fields import EndoField, VectorField, endo_power, first_max, lie_bracket
+from .fields import (EndoField, VectorField, endo_power, first_max,
+                     jet_evaluator, lie_bracket, nprime_kernel)
 
 __all__ = [
     "StructureProfile", "Distribution", "RankResult", "rank_profile",
@@ -31,7 +33,8 @@ __all__ = [
     "theorem13_report", "corollary15_report", "Theorem13Report",
     "Corollary15Report", "InvolutivityResult", "ConstancyResult",
     "PivotDegenerationError", "NonNilpotentError", "InconsistentRanksError",
-    "AnnihilationError", "poly_endo", "nijenhuis_residual", "span_residuals",
+    "AnnihilationError", "poly_endo", "nijenhuis_residual", "torsion_tol",
+    "span_residuals",
 ]
 
 SVD_RELATIVE_THRESHOLD = 1e-8
@@ -164,10 +167,9 @@ class ConstancyResult:
         return self.constant
 
 
-def constancy_check(A: EndoField, box: Box, samples: int = 100,
-                    seed: int = 2026) -> ConstancyResult:
-    """True iff the rank profile of powers is identical at all sampled points."""
-    x = sample_box(box, samples, seed).T
+def constancy_check(A: EndoField, x: np.ndarray) -> ConstancyResult:
+    """True iff the rank profile of powers is identical at the points of
+    a (d, N) array x."""
     profiles = _power_ranks(A.batch_evaluator()(x))
     first = profiles[0][0]
     bad = next((n for n, (r, _) in enumerate(profiles) if r != first), None)
@@ -388,9 +390,9 @@ def span_residuals(F: np.ndarray, V: np.ndarray) -> np.ndarray:
     return R
 
 
-def involutivity_residual(D: Distribution, box: Box, samples: int = 100,
-                          seed: int = 2026) -> InvolutivityResult:
-    """Residual of frame brackets against the frame span.
+def involutivity_residual(D: Distribution, x: np.ndarray) -> InvolutivityResult:
+    """Residual of frame brackets against the frame span, at the points of
+    a (d, N) array x.
 
     A distribution is involutive iff any generating frame is closed under
     brackets modulo the frame, which is what this measures: the norm of
@@ -399,7 +401,6 @@ def involutivity_residual(D: Distribution, box: Box, samples: int = 100,
     construction and image and sum frames are checked to be.
     """
     k = len(D.frame)
-    x = sample_box(box, samples, seed).T
     F = D.values_on(x)
     scale = float(np.max(np.abs(F))) if k else 0.0
     threshold = INVOLUTIVITY_TOL * (1.0 + scale)
@@ -431,58 +432,36 @@ class TensorResidual:
         return self.passed
 
 
-# Points per torsion evaluation: bounds the (d^2 + d^3, points) array of A
-# and its derivatives (0.2 MB at d = 7).
+# Points per torsion evaluation: bounds the (d^2 + d^3, points) 1-jet of A
+# (0.2 MB at d = 7).
 _TORSION_CHUNK = 64
 
 
-def _torsion_kernel(A: EndoField):
-    """x -> torsion of A on the coordinate pairs i < j (0-based, i-major) at
-    the points of a (d, N) array x, as a (pairs, d, N) array
-    [p, m, n] = N(d_i, d_j)^m.
-
-    With A and its partial derivatives evaluated at every point,
-
-        N(d_i, d_j)^m = sum_l (A_li d_l A_mj - A_lj d_l A_mi)
-                        - sum_l A_ml (d_i A_lj - d_j A_li).
-    """
-    d = A.dim
-    entries = [e for row in A.entries for e in row]
-    derivs = [ex.differentiate(e, l) for l in range(1, d + 1) for e in entries]
-    values = ex.compile_batch(entries + derivs)
-
-    def torsion(x: np.ndarray) -> np.ndarray:
-        vals = values(x)
-        Ax = vals[:d * d].reshape(d, d, -1)          # [m, j, n] = A_mj
-        dA = vals[d * d:].reshape(d, d, d, -1)       # [l, m, j, n] = d_l A_mj
-        blocks = [np.empty((0, d, vals.shape[1]))]
-        for i in range(d - 1):                       # the pairs (i, j > i)
-            later = slice(i + 1, d)
-            bracket = (np.einsum("ln,lmjn->jmn", Ax[:, i], dA[:, :, later])
-                       - np.einsum("ljn,lmn->jmn", Ax[:, later], dA[:, :, i]))
-            curl = dA[i, :, later] - dA[later, :, i].transpose(1, 0, 2)  # [l, j, n]
-            blocks.append(bracket - np.einsum("mln,ljn->jmn", Ax, curl))
-        return np.concatenate(blocks)
-    return torsion
+def torsion_tol(A: EndoField, box: Box, seed: int = 2026) -> float:
+    """The default torsion gate, 1e-9 (1 + A's entry scale on the box)."""
+    return 1e-9 * (1.0 + A.entry_scale(box, seed=seed))
 
 
-def nijenhuis_residual(A: EndoField, box: Box, samples: int = 100,
-                       seed: int = 2026, tol: float | None = None) -> TensorResidual:
-    """Max sampled norm of the torsion tensor over coordinate-field pairs.
+def nijenhuis_residual(A: EndoField, x: np.ndarray, tol: float) -> TensorResidual:
+    """Max norm of the torsion tensor over the coordinate pairs i < j at the
+    points of a (d, N) array x, against the gate `tol` (`torsion_tol`).
 
+    The torsion is N'_{A,A} from A's 1-jet (`fields.nprime_kernel`).
     Points near a pospow kink of A are skipped.
     """
     d = A.dim
-    if tol is None:
-        tol = 1e-9 * (1.0 + A.entry_scale(box, seed=seed))
-    x = sample_box(box, samples, seed).T
-    torsion = _torsion_kernel(A)
+    jet = jet_evaluator(A)
+    pairs = np.triu_indices(d, 1)
+
+    def torsion(xc: np.ndarray) -> np.ndarray:
+        a = jet(xc)
+        return nprime_kernel(a, a, *pairs)
     R = np.concatenate([np.max(np.abs(torsion(x[:, n:n + _TORSION_CHUNK])), axis=1)
                         for n in range(0, x.shape[1], _TORSION_CHUNK)], axis=1)
     R[:, ex.kink_mask([e for row in A.entries for e in row], x)] = 0.0
     worst, r, n = first_max(R)
-    pairs = [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
-    witness = ((tuple(float(v) for v in x[:, n]), pairs[r])
+    witness = ((tuple(float(v) for v in x[:, n]),
+                tuple(int(ij[r]) + 1 for ij in pairs))
                if worst > 0.0 else (None, None))
     return TensorResidual(worst <= tol, worst, tol, *witness)
 
@@ -507,21 +486,23 @@ class Theorem13Report:
 def theorem13_report(A: EndoField, box: Box, samples: int = 100,
                      seed: int = 2026,
                      tol: float | None = None) -> Theorem13Report:
-    """Verdicts for the three integrability conditions of a nilpotent field."""
+    """Verdicts for the three integrability conditions of a nilpotent field,
+    each on the one sample set the report draws."""
     ranks = rank_profile(A, box.center)
     if ranks.ranks[-1] != 0:
         raise NonNilpotentError(
             "field is not nilpotent at the box center; supply its invariant "
             "factors and run the general check instead")
-    constancy = constancy_check(A, box, samples=samples, seed=seed)
+    x = sample_box(box, samples, seed).T
+    constancy = constancy_check(A, x)
     profile = constancy.profile
-    torsion = nijenhuis_residual(A, box, samples=samples, seed=seed, tol=tol)
+    torsion = nijenhuis_residual(
+        A, x, torsion_tol(A, box, seed) if tol is None else tol)
     kernel_inv = []
     if profile is not None:
         for p in range(1, profile.index):
             D = kernel_frame(A, p, box, seed=seed)
-            kernel_inv.append((p, involutivity_residual(
-                D, box, samples=samples, seed=seed)))
+            kernel_inv.append((p, involutivity_residual(D, x)))
     ok = (constancy.constant and profile is not None and torsion.passed
           and all(bool(r) for _, r in kernel_inv))
     return Theorem13Report(profile, constancy, torsion, tuple(kernel_inv), ok)
@@ -569,9 +550,9 @@ def corollary15_report(A: EndoField, factors, box: Box, samples: int = 100,
         factor_ranks.append((coeffs, int(ranks[0]), bool(np.all(ranks == ranks[0]))))
         D = nullspace_frame(PA, box, provenance=f"ker P(A), P={list(coeffs)}",
                             seed=seed)
-        factor_inv.append((coeffs, involutivity_residual(
-            D, box, samples=samples, seed=seed)))
-    torsion = nijenhuis_residual(A, box, samples=samples, seed=seed, tol=tol)
+        factor_inv.append((coeffs, involutivity_residual(D, x)))
+    torsion = nijenhuis_residual(
+        A, x, torsion_tol(A, box, seed) if tol is None else tol)
     ok = (all(c for _, _, c in factor_ranks) and torsion.passed
           and all(bool(r) for _, r in factor_inv))
     return Corollary15Report(tuple(factor_ranks), torsion, tuple(factor_inv), ok)

@@ -25,7 +25,7 @@ from endochart.flows import IntegratorSettings
 from endochart.structure import (image_frame, invariant_factors,
                                  involutivity_residual, kernel_frame,
                                  nijenhuis_residual, rank_profile,
-                                 sum_distribution)
+                                 sum_distribution, torsion_tol)
 from test_structure import kernel_chain_multiplicities, random_nilpotent
 
 SETTINGS = PipelineSettings(integrator=IntegratorSettings(step=1e-2))
@@ -98,7 +98,7 @@ def test_criterion_1_counterexample_pair(tmp_path):
 
 
 def test_criterion_2_reduction_identities():
-    with _Budget("criterion 2: torsion reduction identities", 30.0):
+    with _Budget("criterion 2: torsion reduction identities", 2.0):
         worst = 0.0
         for name in CORPUS:
             data = build_corpus_field(name)
@@ -121,13 +121,14 @@ def test_criterion_3_image_and_sum_involutivity():
         for name in CORPUS:
             data = build_corpus_field(name)
             A, box = data["field"], data["box"]
-            torsion = nijenhuis_residual(A, box, samples=60, seed=7)
+            x = sample_box(box, 60, 7).T
+            torsion = nijenhuis_residual(A, x, torsion_tol(A, box, 7))
             if not torsion.passed:
                 continue  # nonzero torsion: hypotheses not met
             n = invariant_factors(rank_profile(A, box.center).ranks).index
             for p in range(1, n):
                 D = image_frame(A, p, box, seed=7)
-                res = involutivity_residual(D, box, samples=60, seed=7)
+                res = involutivity_residual(D, x)
                 assert res.max_residual <= 1e-8, (name, "Im", p, res.max_residual)
             t13 = theorem13_report(A, box, samples=60, seed=7)
             if not t13.integrable:
@@ -136,7 +137,7 @@ def test_criterion_3_image_and_sum_involutivity():
                 K = kernel_frame(A, p, box, seed=7)
                 for q in range(1, n):
                     S = sum_distribution(K, image_frame(A, q, box, seed=7))
-                    res = involutivity_residual(S, box, samples=60, seed=7)
+                    res = involutivity_residual(S, x)
                     assert res.max_residual <= 1e-8, (name, p, q, res.max_residual)
                     checked_sums += 1
         assert checked_sums >= 8
@@ -147,7 +148,7 @@ def test_criterion_3_image_and_sum_involutivity():
         S = sum_distribution(kernel_frame(A, 1, box, seed=7),
                              image_frame(A, 1, box, seed=7))
         assert S.rank == 3
-        res = involutivity_residual(S, box, samples=60, seed=7)
+        res = involutivity_residual(S, sample_box(box, 60, 7).T)
         assert res.max_residual >= 0.05
 
 
@@ -211,7 +212,8 @@ def test_criterion_8_property_floor():
         for name in CORPUS:
             data = build_corpus_field(name)
             A, box = data["field"], data["box"]
-            if not nijenhuis_residual(A, box, samples=40, seed=7).passed:
+            x = sample_box(box, 40, 7).T
+            if not nijenhuis_residual(A, x, torsion_tol(A, box, 7)).passed:
                 continue
             n = invariant_factors(rank_profile(A, box.center).ranks).index
             from endochart.fields import VectorField, apply_endo, endo_power

@@ -155,7 +155,7 @@ class TestConstantJordanPipeline:
         state = initial_frame(A, chart, FAST)
         state1 = induction_step(state)
         q = (0.2, 0.1, -0.1)
-        for i, z in enumerate(state1.fields):
+        for i, z in enumerate(section_fields(state1)):
             e = np.zeros(3)
             e[chart.section_axes()[i]] = 1.0
             assert np.max(np.abs(z.value(q) - e)) <= 1e-9
@@ -291,7 +291,7 @@ class TestPipelineInvariants:
         for y in chart.sample_coords(5, seed=9):
             p, frame = chart.forward_with_frame(y)
             for col, slot in enumerate(chart.slots):
-                v = chart.frame_field(slot).value(p)
+                v = frame_field(chart, slot).value(p)
                 assert np.max(np.abs(frame[:, col] - v)) <= 1e-5
 
     def test_inverse_roundtrip(self, n3_strong):
@@ -360,8 +360,8 @@ class TestSectionAndState:
         A, chart = example35_field(spec)
         state = initial_frame(A, chart, FAST)
         assert state.k == 0
-        assert state.kernel_orders == [3]
-        assert len(state.fields) == 1
+        assert state.pipeline.orders == [3]
+        assert len(section_fields(state)) == 1
 
     def test_hk_report_structure(self):
         spec = Example35Spec.from_theta(3)
@@ -516,7 +516,7 @@ class TestOneBracketRule:
         # the two image slots of conjugated-n2-d4 are symbolic fields: their
         # pair takes the one exact tree, every other pair the chart rule
         chart = assemble_chart("conjugated-n2-d4")
-        fields = [chart.frame_field(slot) for slot in chart.slots]
+        fields = [frame_field(chart, slot) for slot in chart.slots]
         assert sum(f.symbolic for f in fields) == 2
         trees = []
         original = charts.lie_bracket
@@ -606,7 +606,7 @@ class TestOneBracketRule:
                      for q in range(1, pipe.n))
         slots = len(pipe.slots)
         images = sum(a >= 1 for a, _ in pipe.slots)
-        assert len(calls) == (kernel * len(state.fields)
+        assert len(calls) == (kernel * len(section_fields(state))
                               + slots * (slots - 1) // 2
                               + images * (images - 1) // 2)
 
@@ -647,6 +647,18 @@ def assemble_chart(name_or_data, settings=PipelineSettings()) -> ChartMap:
     for _ in range(data["chart"].index - 1):
         state = induction_step(state)
     return build_chart(state, check=False)
+
+
+def frame_field(chart: ChartMap, slot):
+    """The slot's basis field of the chart's final stage, as a
+    point-evaluable field object."""
+    return chart.pipeline.generator(*slot, chart.pipeline.n - 1)
+
+
+def section_fields(state) -> list:
+    """The section fields Z_i^(k) of an induction state."""
+    pipe = state.pipeline
+    return [pipe.generator(0, i, state.k) for i in range(len(pipe.section.axes))]
 
 
 def latin_hypercube(ranges, count: int, seed: int) -> np.ndarray:
@@ -726,7 +738,7 @@ class TestParentCoordinateFlows:
         for y in ys[:8]:
             assert chart.forward(y).tobytes() == other.forward(y).tobytes()
         q = chart.forward(ys[0]) + 1e-3
-        z, z_other = chart.frame_field((0, 0)), other.frame_field((0, 0))
+        z, z_other = frame_field(chart, (0, 0)), frame_field(other, (0, 0))
         assert z.value(q).tobytes() == z_other.value(q).tobytes()
 
     @pytest.mark.parametrize("name", ["example35-n2", "example35-n3"])
@@ -739,24 +751,15 @@ class TestParentCoordinateFlows:
         slots = [slot for slot in forward.slots if slot[0] == 0]
 
         def values(chart, points):
-            fields = [chart.frame_field(slot) for slot in slots]
+            fields = [frame_field(chart, slot) for slot in slots]
             return [[z.value(q).tobytes() for z in fields] for q in points]
         assert values(forward, qs) == values(reverse, qs[::-1])[::-1]
 
     def test_point_caches_are_bounded(self, monkeypatch):
-        # the section-frame cache keeps its last FRAMES points and a computed
-        # field A^p Z its last MEMO values; a value depends on its point
-        # alone, so an evicted one comes back bit for bit
-        monkeypatch.setattr(charts._StageChart, "FRAMES", 2)
-        monkeypatch.setattr(ComputedVectorField, "MEMO", 2)
-        chart = assemble_chart("example35-n2")
-        z = chart.frame_field((0, 0))
-        qs = [chart.forward(y) for y in chart.sample_coords(4, seed=3)]
-        first = [z.value(q).tobytes() for q in qs]
-        assert len(chart._chart._frames) == 2
-        assert z.value(qs[0]).tobytes() == first[0]
-        assert len(chart._chart._frames) == 2
+        # a computed field A^p Z keeps its last MEMO values; a value depends
+        # on its point alone, so an evicted one comes back bit for bit.
         # n = 3: A Z^(1) is computed from the stage-0 section frame
+        monkeypatch.setattr(ComputedVectorField, "MEMO", 2)
         chart = assemble_chart("example35-n3")
         az = chart.pipeline.generator(1, 0, 1)
         assert isinstance(az, ComputedVectorField)

@@ -13,7 +13,7 @@ from endochart.corpus import (CORPUS, CompatibilityError, Example35Spec,
                               example38_field, theta_expr)
 from endochart.fields import coordinate_field, nijenhuis
 from endochart.structure import (nijenhuis_residual, rank_profile,
-                                 theorem13_report)
+                                 theorem13_report, torsion_tol)
 
 
 class TestCounterexamplePair:
@@ -88,7 +88,8 @@ class TestCompatibility:
         spec = Example35Spec(3, (ex.const(0.0), ex.add(ex.const(1.0), ex.var(1))), box)
         resid = example35_compat_residual(spec)
         A, _ = example35_field(spec)
-        torsion = nijenhuis_residual(A, box, samples=60, seed=3)
+        torsion = nijenhuis_residual(A, sample_box(box, 60, 3).T,
+                                     torsion_tol(A, box, 3))
         assert resid > 0.1
         assert not torsion.passed and torsion.max_residual > 0.1
 
@@ -99,7 +100,9 @@ class TestCompatibility:
         spec = Example35Spec(3, (ex.var(2), ex.const(1.0)), box)
         assert example35_compat_residual(spec) == 0.0
         A, _ = example35_field(spec)
-        assert nijenhuis_residual(A, box, samples=60, seed=3).max_residual <= 1e-12
+        torsion = nijenhuis_residual(A, sample_box(box, 60, 3).T,
+                                     torsion_tol(A, box, 3))
+        assert torsion.max_residual <= 1e-12
 
     @pytest.mark.parametrize("make", [
         lambda: Example35Spec.constant(3, [0.2, 1.0]),
@@ -115,7 +118,8 @@ class TestCompatibility:
             else (None, None)
         if A is None:
             return
-        torsion = nijenhuis_residual(A, spec.box, samples=60, seed=4)
+        torsion = nijenhuis_residual(A, sample_box(spec.box, 60, 4).T,
+                                     torsion_tol(A, spec.box, 4))
         assert (resid <= 1e-12) == (torsion.max_residual <= 1e-10)
 
 
@@ -227,8 +231,9 @@ class TestConjugatedConstant:
     def test_torsion_vanishes(self):
         oracle = conjugated_constant(seed=5, d=3, multiplicities=(1, 1),
                                      shear_degree=2)
-        res = nijenhuis_residual(oracle.field, oracle.chart.box, samples=80,
-                                 seed=6)
+        box = oracle.chart.box
+        res = nijenhuis_residual(oracle.field, sample_box(box, 80, 6).T,
+                                 torsion_tol(oracle.field, box, 6))
         assert res.max_residual <= 1e-9
 
     def test_theorem13_passes(self):

@@ -6,7 +6,7 @@ from endochart.expr import Box, is_zero_on_box
 from endochart.fields import (EndoField, NonCommutingError, VectorField,
                               apply_endo, coordinate_field, endo_power,
                               lie_bracket, nijenhuis, nprime, prop22_residual,
-                              torsion_S, zero_field)
+                              torsion_S)
 
 BOX4 = Box.cube(4, 1.0)
 

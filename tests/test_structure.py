@@ -4,11 +4,13 @@ import pathlib
 import numpy as np
 import pytest
 
-from endochart import corpus
+from endochart import corpus, structure
 from endochart import expr as ex
 from endochart.expr import Box, sample_box
-from endochart.fields import (EndoField, apply_endo, coordinate_field,
-                              endo_power, nijenhuis)
+from endochart.fields import (EndoField, _nprime_raw, apply_endo,
+                              coordinate_field, endo_power, jet_evaluator,
+                              nijenhuis, nprime_kernel, power_jets)
+from endochart.fieldfile import load_field_document
 from endochart.reporting import theorem13_to_dict
 from endochart.structure import (AnnihilationError, Distribution,
                                  InconsistentRanksError, NonNilpotentError,
@@ -18,7 +20,7 @@ from endochart.structure import (AnnihilationError, Distribution,
                                  involutivity_residual, nijenhuis_residual,
                                  nullspace_frame, poly_endo, rank_profile,
                                  sum_distribution, theorem13_report,
-                                 _torsion_kernel)
+                                 torsion_tol)
 from test_fields import field_37, field_38
 
 BOX4 = Box.cube(4, 1.0)
@@ -126,14 +128,15 @@ class TestConstancy:
     def test_constant_matrix(self):
         rng = np.random.default_rng(1)
         M, _ = random_nilpotent(rng, 4)
-        res = constancy_check(EndoField.from_constant(M), BOX4, samples=50, seed=2)
+        res = constancy_check(EndoField.from_constant(M),
+                              sample_box(BOX4, 50, 2).T)
         assert res.constant and res.profile is not None
 
     def test_rank_drop_detected(self):
         # superdiagonal entry x1 drops rank on the hyperplane x1 = 0
         rows = [[Z, ex.var(1)], [Z, Z]]
         A = EndoField(tuple(tuple(r) for r in rows))
-        res = constancy_check(A, Box.cube(2, 1.0), samples=60, seed=3)
+        res = constancy_check(A, sample_box(Box.cube(2, 1.0), 60, 3).T)
         assert not res.constant
         assert res.witness is not None
 
@@ -144,7 +147,7 @@ class TestConstancy:
         rows = [[Z, ex.const(1.0), Z], [Z, Z, small], [Z, Z, Z]]
         A = EndoField(tuple(tuple(r) for r in rows))
         box = Box.cube(3, 1.0)
-        res = constancy_check(A, box, samples=20, seed=8)
+        res = constancy_check(A, sample_box(box, 20, 8).T)
         assert res.constant and res.ranks == (3, 2, 1, 0)
         assert res.warnings == tuple(
             f"singular value near threshold for power 1 at "
@@ -155,7 +158,7 @@ class TestConstancy:
         alpha1 = ex.mul(ex.var(3), ex.var(3))
         alpha2 = ex.add(ex.const(1.0), ex.mul(ex.const(0.2), ex.var(3)))
         A = field_35_n3(alpha1, alpha2)
-        res = constancy_check(A, Box.cube(3, 0.5), samples=60, seed=4)
+        res = constancy_check(A, sample_box(Box.cube(3, 0.5), 60, 4).T)
         assert res.constant
         assert res.profile.multiplicities == (0, 0, 1)
 
@@ -214,19 +217,19 @@ class TestImageFrame:
 class TestInvolutivity:
     def test_37_kernel_not_involutive(self):
         D = kernel_frame(field_37(), 1, BOX4)
-        res = involutivity_residual(D, BOX4, samples=100, seed=6)
+        res = involutivity_residual(D, sample_box(BOX4, 100, 6).T)
         assert not res.involutive
         assert res.max_residual >= 0.05
 
     def test_38_kernel_involutive(self):
         D = kernel_frame(field_38(), 1, BOX4)
-        res = involutivity_residual(D, BOX4, samples=100, seed=6)
+        res = involutivity_residual(D, sample_box(BOX4, 100, 6).T)
         assert res.involutive
         assert res.max_residual <= 1e-9
 
     def test_image_involutive_when_torsion_vanishes(self):
         D = image_frame(field_37(), 1, BOX4)
-        res = involutivity_residual(D, BOX4, samples=60, seed=6)
+        res = involutivity_residual(D, sample_box(BOX4, 60, 6).T)
         assert res.involutive
 
 
@@ -251,7 +254,7 @@ class TestSumDistribution:
         A = field_35_n3(alpha1, alpha2)
         box = Box.cube(3, 0.4)
         S = sum_distribution(kernel_frame(A, 1, box), image_frame(A, 2, box))
-        res = involutivity_residual(S, box, samples=60, seed=7)
+        res = involutivity_residual(S, sample_box(box, 60, 7).T)
         assert res.involutive
 
 
@@ -351,33 +354,66 @@ def _oracle(**kwargs):
 
 
 class TestTorsionKernel:
-    """The einsum torsion against the symbolic tensor, its oracle."""
+    """The 1-jet torsion kernel against the symbolic tensors, its oracle."""
 
     @pytest.mark.parametrize("name", sorted(TORSION_CASES))
     def test_matches_symbolic_nijenhuis(self, name):
+        # N_A = N'_{A,A}, and N'_{A,A^q} for q = 1, 2 from the powers' jets
         data = TORSION_CASES[name]()
         A, box = data["field"], data["box"]
         d = A.dim
         pts = sample_box(box, 30, 5)
-        pairs = [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
-        kernel = dict(zip(pairs, _torsion_kernel(A)(pts.T), strict=True))
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                f = nijenhuis(A, coordinate_field(d, i),
-                              coordinate_field(d, j)).evaluator()
+        jets = power_jets(jet_evaluator(A)(pts.T), 2)
+        pairs = [(i, j) for i in range(1, d + 1) for j in range(1, d + 1)]
+        index = np.array(pairs).T - 1
+        kernels = {q: dict(zip(pairs, nprime_kernel(jets[1], jets[q], *index),
+                               strict=True)) for q in (1, 2)}
+        for i, j in pairs:
+            X, Y = coordinate_field(d, i), coordinate_field(d, j)
+            references = [(1, nijenhuis(A, X, Y))] + [
+                (q, _nprime_raw(A, endo_power(A, q), X, Y)) for q in (1, 2)]
+            for q, tensor in references:
+                f = tensor.evaluator()
                 symbolic = np.array([f(p) for p in pts]).T
-                # the kernel covers i < j; the tensor is antisymmetric
-                numeric = (kernel[(i, j)] if i < j else -kernel[(j, i)]
-                           if i > j else np.zeros_like(symbolic))
-                np.testing.assert_allclose(numeric, symbolic,
+                np.testing.assert_allclose(kernels[q][(i, j)], symbolic,
                                            rtol=1e-12, atol=1e-12)
 
     def test_example38_torsion_value(self):
         # N(d3, d4) = -exp(x2) d1, largest at x2 = 1 on the unit box
-        rep = nijenhuis_residual(corpus.example38_field(), BOX4)
+        A = corpus.example38_field()
+        rep = nijenhuis_residual(A, sample_box(BOX4, 100, 2026).T,
+                                 torsion_tol(A, BOX4))
         assert rep.max_residual == pytest.approx(np.e, rel=1e-14)
         assert rep.witness_pair == (3, 4)
         assert rep.witness_point[1] == 1.0
+
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
+
+
+@pytest.mark.parametrize("report", ["theorem13", "corollary15"])
+def test_report_draws_its_sample_set_once(monkeypatch, report):
+    # the rank, torsion and involutivity checks read the one sample set
+    # their report draws
+    draws = []
+    original = structure.sample_box
+
+    def recording(box, samples, seed, **kwargs):
+        draws.append((box, samples, seed))
+        return original(box, samples, seed, **kwargs)
+    monkeypatch.setattr(structure, "sample_box", recording)
+    if report == "theorem13":
+        data = corpus.build_corpus_field("example37")
+        box = data["box"]
+        rep = theorem13_report(data["field"], box, samples=100, seed=7)
+        assert len(rep.kernel_involutivity) == 1
+    else:
+        doc = load_field_document(EXAMPLES / "diagonalizable.json")
+        box = doc.box
+        rep = corollary15_report(doc.field, doc.factors, box, samples=100,
+                                 seed=7)
+        assert len(rep.factor_involutivity) == 2
+    assert draws.count((box, 100, 7)) == 1
 
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "check_reports.json"
