@@ -367,13 +367,10 @@ class _StageChart:
         """Per-coordinate ranges, flow times then section coordinates, that
         keep the chart inside the box: GRID_SCALE of the smallest half-width
         for times, of each section axis's half-width about its middle."""
-        box = self.pipeline.chart_box
-        half = min((hi - lo) / 2.0 for lo, hi in box.bounds)
-        out = [(-GRID_SCALE * half, GRID_SCALE * half)] * self.n_flows
+        _, _, mid, half = self.pipeline.chart_box.mid_half
+        out = [(-GRID_SCALE * min(half), GRID_SCALE * min(half))] * self.n_flows
         for ax in self.section.axes:
-            lo, hi = box.bounds[ax]
-            mid, h = (lo + hi) / 2.0, (hi - lo) / 2.0
-            out.append((mid - GRID_SCALE * h, mid + GRID_SCALE * h))
+            out.append((mid[ax] - GRID_SCALE * half[ax], mid[ax] + GRID_SCALE * half[ax]))
         return out
 
     def start_coords(self, x, near=None) -> np.ndarray:

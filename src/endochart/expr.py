@@ -6,18 +6,19 @@ boxes.  There is deliberately no general simplifier: only constant folding
 and 0/1 absorption happen at construction time.  Deciding whether an
 expression vanishes is done numerically (`is_zero_on_box`).
 
-Trees are evaluated on one of two paths, both generated from the same
-emitted source:
+Trees are compiled by one emitter, which computes each subtree that
+occurs more than once (equal subtrees from `differentiate` are distinct
+objects) once into a local, for one of two paths:
 
 - batch (`compile_batch`), for sample sets known up front: one numpy
-  evaluation over a (d, N) point array gives an (m, N) value array.  Every
-  sampled check evaluates its sample set this way: the condition checks,
-  the adapted-chart validation, the induction-hypothesis clauses and the
-  verification's frame brackets.  A non-finite value raises
+  evaluation over a (d, N) point array gives an (m, N) value array, as
+  every sampled check evaluates its sample set.  A non-finite value raises
   `EvaluationError` naming the failing subtree.
-- scalar (`compile_expr`, `compile_vector`), for sequential single points,
-  where each point depends on the last (flow steps, Newton iterations):
-  plain Python float arithmetic, which beats numpy on one point.
+- scalar (`compile_expr`, `compile_vector`), for sequential single points
+  (flow steps, Newton iterations): Python float arithmetic at any point (an
+  ndarray point is converted once), which beats numpy on one point.  Only
+  sums, products and quotients agree bit for bit with the batch path:
+  numpy's array kernels round `**` and `exp` differently in the last place.
 
 `evaluate` walks the tree directly; it is the reference the compiled paths
 are tested against and the way a failing subtree is located.  Both paths
@@ -28,7 +29,9 @@ folding can overflow, as in d/dx of 1e308*x^2) with `EvaluationError`.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -419,7 +422,8 @@ def variables(e: ScalarExpr) -> set[int]:
 # ---------------------------------------------------------------------------
 # Compilation.  One emitter serves both paths: `x[i]` indexes a point on the
 # scalar path and selects the row of variable i+1 on the batch path, and the
-# namespace supplies the matching exp and pospow.
+# namespace supplies the matching exp and pospow.  An operation's source is
+# open + sep.join(operands' source) + close, with its power put in close.
 
 def _pospow_rt(a: float, k: int) -> float:
     if a < 0.0:
@@ -431,71 +435,100 @@ def _pospow_batch(a: np.ndarray, k: int) -> np.ndarray:
     return np.where(a < 0.0, 0.0, 1.0 if k == 0 else a ** k)
 
 
-def _emit(e: ScalarExpr) -> str:
-    if isinstance(e, Const):
-        if not math.isfinite(e.value):
-            # constant folding (say of a derivative) can overflow a finite
-            # field's constants; the generated source would not run
-            raise EvaluationError(
-                f"non-finite constant {e.value!r} in a derived expression", e)
-        return repr(e.value)
-    if isinstance(e, Var):
-        return f"x[{e.index - 1}]"
-    if isinstance(e, Sum):
-        return "(" + "+".join(_emit(t) for t in e.terms) + ")"
-    if isinstance(e, Product):
-        return "(" + "*".join(_emit(f) for f in e.factors) + ")"
-    if isinstance(e, Quotient):
-        return f"({_emit(e.num)}/{_emit(e.den)})"
-    if isinstance(e, IntPow):
-        return f"({_emit(e.base)})**{e.power}"
-    if isinstance(e, Exp):
-        return f"_exp({_emit(e.arg)})"
-    if isinstance(e, PosPow):
-        return f"_pp({_emit(e.arg)},{e.power})"
-    raise TypeError(f"unknown node {e!r}")
+_FORMS = {Sum: ("(", "+", ")"), Product: ("(", "*", ")"), Quotient: ("(", "/", ")"),
+          IntPow: ("(", "", ")**{}"), Exp: ("_exp(", "", ")"),
+          PosPow: ("_pp(", "", ",{})")}
 
 
-_NAMESPACE = {"_exp": math.exp, "_pp": _pospow_rt}
-_BATCH_NAMESPACE = {"_exp": np.exp, "_pp": _pospow_batch, "_zeros": np.zeros}
+def _emit(exprs) -> tuple[list[str], list[str]]:
+    """(assignments, one expression per tree) computing the trees exprs, each
+    operation used more than once computed once into a local `_k`.  Keyed by
+    text, with operands by value number, equal subtrees that are distinct
+    objects (as `differentiate` builds them) share one local."""
+    numbers: dict = {}   # (type, operands, power) -> value number, in order
+
+    def ref(e):     # the source of a leaf, or the value number of an operation
+        kind = type(e)
+        if kind is Const:
+            if not math.isfinite(e.value):
+                # constant folding (say of a derivative) can overflow a
+                # finite field's constants; the generated source would not run
+                raise EvaluationError(
+                    f"non-finite constant {e.value!r} in a derived expression", e)
+            return repr(e.value)
+        if kind is Var:
+            return f"x[{e.index - 1}]"
+        key = (kind, tuple(map(ref, _children(e))),
+               e.power if kind is IntPow or kind is PosPow else None)
+        return numbers.setdefault(key, len(numbers))
+
+    roots = [ref(e) for e in exprs]
+    uses = Counter(roots + [a for _, args, _ in numbers for a in args])
+    lines, texts = [], []
+    for vn, (kind, args, power) in enumerate(numbers):
+        op, sep, close = _FORMS[kind]
+        texts.append(op + sep.join([texts[a] if type(a) is int else a for a in args])
+                     + close.format(power))
+        if uses[vn] > 1:
+            lines.append(f"_{vn} = {texts[vn]}")
+            texts[vn] = f"_{vn}"
+    return lines, [texts[r] if type(r) is int else r for r in roots]
+
+
+_NAMESPACE = {"_exp": math.exp, "_pp": _pospow_rt, "_ndarray": np.ndarray}
+
+
+def _define(body: list[str], namespace: dict):
+    """The function `f(x)` with the body lines, in a copy of namespace."""
+    namespace = dict(namespace)
+    exec("def f(x):\n    " + "\n    ".join(body), namespace)  # noqa: S102
+    return namespace.pop("f")   # no function <-> globals cycle to wait on gc for
+
+
+_TO_FLOATS = "x = x.tolist() if x.__class__ is _ndarray else x"
 
 
 def compile_expr(e: ScalarExpr):
-    """Compile to `f(x) -> float` with x an indexable point.
-
-    A zero denominator raises ZeroDivisionError; `evaluate` names the
-    offending subtree.
-    """
-    src = f"lambda x: {_emit(e)}"
-    return eval(src, dict(_NAMESPACE))  # noqa: S307 - generated from our own AST
+    """Compile to `f(x) -> float` with x an indexable point.  A zero
+    denominator raises ZeroDivisionError, an integer power that overflows
+    OverflowError; `evaluate` names the offending subtree."""
+    lines, (value,) = _emit([e])
+    return _define([_TO_FLOATS, *lines, f"return {value}"], _NAMESPACE)
 
 
 def compile_vector(exprs) -> "callable":
     """Compile a sequence of expressions to `f(x) -> list[float]`."""
-    body = ",".join(_emit(e) for e in exprs)
-    src = f"lambda x: [{body}]"
-    return eval(src, dict(_NAMESPACE))  # noqa: S307
+    exprs = tuple(exprs)
+    lines, values = _emit(exprs)
+    if all(type(e) is Const for e in exprs):    # no code to generate
+        consts = [e.value for e in exprs]
+        return lambda x: list(consts)
+    return _define([_TO_FLOATS, *lines, f"return [{','.join(values)}]"], _NAMESPACE)
 
 
 def compile_batch(exprs) -> "callable":
     """Compile m expressions to `f(x) -> (m, N) array` for a (d, N) point
     array x (column n is the n-th point).
 
-    Rows of constant zeros are never evaluated.  Any non-finite value
+    Constant rows are filled, never evaluated.  Any non-finite value
     raises `EvaluationError` naming the innermost failing subtree at the
     first point (in sample order) where a value is not finite.
     """
     exprs = tuple(exprs)
-    lines = [f"    out[{i}] = {_emit(e)}" for i, e in enumerate(exprs)
-             if not (isinstance(e, Const) and e.value == 0.0)]
-    src = "\n".join([f"def f(x):\n    out = _zeros(({len(exprs)}, x.shape[1]))",
-                     *lines, "    return out"])
-    namespace = dict(_BATCH_NAMESPACE)
-    exec(src, namespace)  # noqa: S102 - generated from our own AST
-    raw = namespace.pop("f")   # no function <-> globals cycle to wait on gc for
+    consts = np.array([[e.value if type(e) is Const else 0.0] for e in exprs])
+    if not np.isfinite(consts).all():
+        _emit(exprs)    # raises EvaluationError naming the constant
+    rows = [i for i, e in enumerate(exprs) if type(e) is not Const]
+    lines, values = _emit([exprs[i] for i in rows])
+    raw = rows and _define(
+        ["out = _consts.repeat(x.shape[1], 1)", *lines,
+         *(f"out[{i}] = {v}" for i, v in zip(rows, values)), "return out"],
+        {"_exp": np.exp, "_pp": _pospow_batch, "_consts": consts})
 
     def f(x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if not raw:
+            return consts.repeat(x.shape[1], 1)
         with np.errstate(all="ignore"):
             out = raw(x)
         if not np.isfinite(out).all():
@@ -575,21 +608,20 @@ class Box:
     def diameter(self) -> float:
         return max(hi - lo for lo, hi in self.bounds)
 
+    @cached_property
+    def mid_half(self) -> tuple:
+        """Midpoints and half widths, as (d, 1) arrays and as lists."""
+        mid = [(lo + hi) / 2.0 for lo, hi in self.bounds]
+        half = [(hi - lo) / 2.0 for lo, hi in self.bounds]
+        return np.array(mid)[:, None], np.array(half)[:, None], mid, half
+
     def contains(self, p) -> bool:
-        for (lo, hi), v in zip(self.bounds, p):
-            half = (hi - lo) / 2.0
-            mid = (lo + hi) / 2.0
-            if abs(v - mid) > half:
-                return False
-        return True
+        p = p.tolist() if isinstance(p, np.ndarray) else p
+        return not any(abs(v - m) > h for v, m, h in zip(p, *self.mid_half[2:]))
 
     def inflate(self, factor: float) -> "Box":
-        out = []
-        for lo, hi in self.bounds:
-            mid = (lo + hi) / 2.0
-            half = (hi - lo) / 2.0 * factor
-            out.append((mid - half, mid + half))
-        return Box(tuple(out))
+        _, _, mid, half = self.mid_half
+        return Box(tuple((m - h * factor, m + h * factor) for m, h in zip(mid, half)))
 
     def corners(self) -> np.ndarray:
         """All 2^d corners; bit i of the row index selects hi on axis i."""

@@ -227,9 +227,8 @@ def _check_box(spec: FlowSpec, t, x: np.ndarray):
 
 def _outside(box: Box, x: np.ndarray) -> np.ndarray:
     """Mask of the points of x, coordinates along axis -2, outside box."""
-    lo, hi = np.array(box.bounds, dtype=float).T
-    return np.any(np.abs(x - ((lo + hi) / 2.0)[:, None])
-                  > ((hi - lo) / 2.0)[:, None], axis=-2)
+    mid, half = box.mid_half[:2]
+    return np.any(np.abs(x - mid) > half, axis=-2)
 
 
 def _steps(spec: FlowSpec, t: float) -> tuple[int, float]:
@@ -248,10 +247,12 @@ def _check_line(spec: FlowSpec, x: np.ndarray, v: np.ndarray, n, h):
     the first step whose step point x + k h v is outside the box, naming a
     block's first column out there.  Each coordinate of the step points is
     monotone in k, even rounded, so when the first and the last step
-    points are inside, all are.
+    points are inside (for a single start, by `Box.contains`), all are.
     """
     box = spec.box
     if box is None:
+        return
+    if x.ndim == 1 and box.contains(x + h * v) and box.contains(x + (n * h) * v):
         return
     d = x.shape[0]
     x, v = x.reshape(d, -1), v.reshape(d, -1)

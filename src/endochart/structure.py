@@ -535,10 +535,10 @@ def corollary15_report(A: EndoField, factors, box: Box, samples: int = 100,
     prod = EndoField.identity(A.dim)
     for coeffs in factors:
         prod = prod.matmul(poly_endo(A, coeffs))
-    scale = max(A.entry_scale(box, seed=seed), 1.0)
+    scale = A.entry_scale(box, seed=seed)
     x = sample_box(box, samples, seed).T
     worst = float(np.max(np.abs(prod.batch_evaluator()(x))))
-    if worst > 1e-8 * (1.0 + scale ** A.dim):
+    if worst > 1e-8 * (1.0 + max(scale, 1.0) ** A.dim):
         raise AnnihilationError(
             f"product of supplied factors has residual {worst:.3e} on the box")
 
@@ -551,8 +551,8 @@ def corollary15_report(A: EndoField, factors, box: Box, samples: int = 100,
         D = nullspace_frame(PA, box, provenance=f"ker P(A), P={list(coeffs)}",
                             seed=seed)
         factor_inv.append((coeffs, involutivity_residual(D, x)))
-    torsion = nijenhuis_residual(
-        A, x, torsion_tol(A, box, seed) if tol is None else tol)
+    torsion = nijenhuis_residual(   # the `torsion_tol` gate, from that scale
+        A, x, 1e-9 * (1.0 + scale) if tol is None else tol)
     ok = (all(c for _, _, c in factor_ranks) and torsion.passed
           and all(bool(r) for _, r in factor_inv))
     return Corollary15Report(tuple(factor_ranks), torsion, tuple(factor_inv), ok)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -267,3 +268,101 @@ class TestCompileBatch:
         x = np.array([[0.5, 0.50001, 0.6, -1.0], [1.0, 1.0, 1.0, 1.0]])
         assert ex.kink_mask([e], x).tolist() == [True, True, False, False]
         assert ex.kink_mask([ex.var(1)], x).tolist() == [False] * 4
+
+
+def _unshared_source(e) -> str:
+    """The scalar source of e with no sharing: one inline expression, as
+    the scalar path emitted before subtrees were shared."""
+    if isinstance(e, ex.Const):
+        return repr(e.value)
+    if isinstance(e, ex.Var):
+        return f"x[{e.index - 1}]"
+    if isinstance(e, (ex.Sum, ex.Product)):
+        sep = "+" if isinstance(e, ex.Sum) else "*"
+        return "(" + sep.join(map(_unshared_source, ex._children(e))) + ")"
+    if isinstance(e, ex.Quotient):
+        return f"({_unshared_source(e.num)}/{_unshared_source(e.den)})"
+    if isinstance(e, ex.IntPow):
+        return f"({_unshared_source(e.base)})**{e.power}"
+    if isinstance(e, ex.Exp):
+        return f"_exp({_unshared_source(e.arg)})"
+    return f"_pp({_unshared_source(e.arg)},{e.power})"
+
+
+class TestScalarPath:
+    """The scalar path on Python floats with shared subtrees, against the
+    reference it replaced: un-shared source evaluated on the numpy scalars
+    that indexing an ndarray point gives."""
+
+    @staticmethod
+    def scalar_exprs(A):
+        """A's entries and first partials, and the jacobian entries of every
+        symbolic flow generator A^p d/dx_j (p >= 1) the chart pipeline
+        compiles."""
+        from endochart.fields import apply_endo, coordinate_field, endo_power
+        exprs = TestCompileBatch.entries_and_derivatives(A)
+        for p in range(1, A.dim):
+            Ap = endo_power(A, p)
+            if all(isinstance(e, ex.Const) and e.value == 0.0
+                   for row in Ap.entries for e in row):
+                break
+            for j in range(1, A.dim + 1):
+                V = apply_endo(Ap, coordinate_field(A.dim, j))
+                exprs += [e for row in V.jacobian_exprs() for e in row]
+        return exprs
+
+    def test_bits_equal_the_unshared_numpy_scalar_evaluation(self):
+        namespace = {"_exp": math.exp, "_pp": ex._pospow_rt}
+        for name, A, box in TestCompileBatch.fields():
+            exprs = self.scalar_exprs(A)
+            new = ex.compile_vector(exprs)
+            ref = eval("lambda x: [" + ",".join(map(_unshared_source, exprs))
+                       + "]", namespace)
+            pts = ex.sample_box(box, 1000, 11)
+            assert len(pts) >= 1000
+            got = np.array([new(p) for p in pts])
+            expect = np.array([ref(p) for p in pts], dtype=float)
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          expect.view(np.uint64), err_msg=name)
+
+    def test_shared_subtree_is_computed_once(self, monkeypatch):
+        # example35-n3's stage-0 generator A d/ds (s = x3): each of its 5
+        # non-zero jacobian entries holds x2 x3^4 + 1
+        from endochart import corpus
+        from endochart.fields import apply_endo, coordinate_field
+        from endochart.flows import CompiledField
+        A = corpus.build_corpus_field("example35-n3")["field"]
+        V = apply_endo(A, coordinate_field(3, 3))
+        jac = [e for row in V.jacobian_exprs() for e in row]
+        assert sum(not isinstance(e, ex.Const) for e in jac) == 5
+        assert all("((x[1]*(x[2])**4)+1.0)" in _unshared_source(e)
+                   for e in jac if not isinstance(e, ex.Const))
+        generator, bodies, define = CompiledField(V), [], ex._define
+        monkeypatch.setattr(ex, "_define", lambda body, namespace: (
+            bodies.append(body) or define(body, namespace)))
+        generator.jacobian(np.array([0.1, 0.2, 0.25]))
+        (body,) = bodies
+        assert "\n".join(body).count("+1.0)") == 1
+        assert any(re.fullmatch(r"_\d+ = \(\(x\[1\]\*_\d+\)\+1\.0\)", line)
+                   for line in body)
+
+    def test_zero_denominator_at_an_ndarray_point(self):
+        e = ex.div(ex.const(1.0), ex.var(1))
+        point = np.array([0.0, 1.0])
+        with pytest.raises(ZeroDivisionError):
+            ex.compile_expr(e)(point)
+        with pytest.raises(ZeroDivisionError):
+            ex.compile_vector([ex.var(2), e])(point)
+
+    def test_integer_power_overflow(self):
+        e = ex.intpow(ex.var(1), 400)
+        with pytest.raises(OverflowError):
+            ex.compile_expr(e)(np.array([1e10]))
+        with pytest.raises(OverflowError):
+            ex.compile_vector([e])(np.array([1e10]))
+
+    def test_values_are_python_floats(self):
+        f = ex.compile_vector([ex.mul(ex.var(1), ex.var(2)), ex.const(2.0)])
+        assert [type(v) for v in f(np.array([0.5, 3.0]))] == [float, float]
+        assert f((0.5, 3.0)) == [1.5, 2.0]
+        assert type(ex.compile_expr(ex.var(1))(np.array([0.25]))) is float

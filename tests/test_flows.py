@@ -415,3 +415,76 @@ class TestStraightFlows:
             LVV = [ex.add(*[ex.mul(ex.differentiate(c, j + 1), V.components[j])
                             for j in range(V.dim)]) for c in V.components]
             assert got[a, i] == all(e == ex.const(0.0) for e in LVV)
+
+
+def flow_outcome(run):
+    """("exit", time, point) of the BoxExitError run raises, or ("inside",)."""
+    try:
+        run()
+    except BoxExitError as err:
+        return ("exit", err.time, err.point)
+    return ("inside",)
+
+
+class TestSingleStartLineCheck:
+    # straight: V reads x2 only, and x2 does not move
+    FIELD = VectorField((ex.add(ex.const(0.3), ex.mul(ex.const(0.2), ex.var(2))),
+                         ex.const(0.0)))
+
+    @staticmethod
+    def starts(spec, t: float, step: int) -> dict:
+        """Starts whose step point `step` (1, or the last of flow time t)
+        has first coordinate on the box face x1 = sign(t) exactly, and the
+        nearest ones just outside and just inside it, as the line check
+        computes the step point."""
+        n = max(1, math.ceil(abs(t) / spec.settings.step))
+        scale = t / n if step == 1 else n * (t / n)
+        v = spec.generator.value(np.array([0.0, 0.5]))
+        bound = math.copysign(1.0, t)
+        s = bound - scale * v[0] - 40 * np.spacing(1.0)
+        found = {}
+        for _ in range(160):
+            x = np.array([s, 0.5])
+            p = (x + scale * v)[0]
+            kind = "on" if p == bound else "out" if abs(p) > 1.0 else "in"
+            if kind not in found or abs(p - bound) < found[kind][1]:
+                found[kind] = (x, abs(p - bound))
+            s = np.nextafter(s, np.inf)
+        assert set(found) == {"on", "out", "in"}
+        return {kind: x for kind, (x, _) in found.items()}
+
+    @pytest.mark.parametrize("t", [0.5, -0.5])
+    @pytest.mark.parametrize("step", [1, "last"])
+    def test_matches_a_one_column_block(self, t, step):
+        spec = FlowSpec(self.FIELD, RK4, box=Box.cube(2, 1.0))
+        outcomes = {}
+        for kind, x in self.starts(spec, t, step).items():
+            block = flow_outcome(lambda: transport_block(
+                spec, x[:, None], np.array([t]), np.eye(2)[None]))
+            for run in (lambda: integrate_flow(spec, x, t),
+                        lambda: integrate_with_transport(spec, x, t, np.eye(2))):
+                assert flow_outcome(run) == block, kind
+            outcomes[kind] = block
+        # the last step point decides alone; a first one on or inside the
+        # face leaves the last one outside, a first one outside fails there
+        kinds = {kind: got[0] for kind, got in outcomes.items()}
+        if step == "last":
+            assert kinds == {"on": "inside", "out": "exit", "in": "inside"}
+        else:
+            assert set(kinds.values()) == {"exit"}
+            assert outcomes["out"][1] == t / 50
+            assert abs(outcomes["on"][1]) > abs(t) / 50
+
+
+def test_zero_denominator_at_a_single_start(monkeypatch, capsys):
+    # the point evaluator works on Python floats, so 1/x1 at x1 = 0 raises
+    # instead of stepping on inf until the box check fails
+    from endochart import cli
+    spec = FlowSpec(VectorField((ex.div(ex.const(1.0), ex.var(1)), ex.const(1.0))),
+                    RK4, box=Box.cube(2, 1.0))
+    with pytest.raises(ZeroDivisionError):
+        integrate_flow(spec, (0.0, 0.0), 0.5)
+    monkeypatch.setattr(cli, "_cmd_selftest",
+                        lambda args: integrate_flow(spec, (0.0, 0.0), 0.5))
+    assert cli.main(["selftest"]) == 1
+    assert "zero denominator" in capsys.readouterr().err

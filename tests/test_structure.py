@@ -416,7 +416,22 @@ def test_report_draws_its_sample_set_once(monkeypatch, report):
     assert draws.count((box, 100, 7)) == 1
 
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "check_reports.json"
+def test_corollary15_report_computes_the_entry_scale_once(monkeypatch):
+    # the annihilation gate and the torsion gate share one entry scale
+    calls = []
+    original = EndoField.entry_scale
+
+    def counting(self, box, seed=2026):
+        calls.append(seed)
+        return original(self, box, seed=seed)
+    monkeypatch.setattr(EndoField, "entry_scale", counting)
+    doc = load_field_document(EXAMPLES / "diagonalizable.json")
+    rep = corollary15_report(doc.field, doc.factors, doc.box, seed=7)
+    assert calls == [7]
+    assert rep.torsion.tol == torsion_tol(doc.field, doc.box, 7)
+
+
+GOLDEN =pathlib.Path(__file__).resolve().parent / "golden" / "check_reports.json"
 
 
 @pytest.mark.parametrize("seed", [2026, 7])
