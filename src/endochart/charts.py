@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import Box, compile_batch, sample_box
-from .fields import (EndoField, apply_endo, coordinate_field,
+from .fields import (EndoField, VectorField, apply_endo, coordinate_field,
                      endo_power, first_max, lie_bracket)
 from .flows import (CompiledField, ComputedVectorField, FlowSpec,
                     IntegratorSettings, integrate_flow,
@@ -627,6 +627,7 @@ class _Pipeline:
                     for ax in self.section.axes]
         self._stage_charts: dict[int, _StageChart] = {}
         self._gen_cache: dict[tuple, object] = {}
+        self._compiled: dict[VectorField, CompiledField] = {}
 
     # -- frame fields ------------------------------------------------------
 
@@ -639,18 +640,18 @@ class _Pipeline:
         return max(0, min(k, self.n - p - 1))
 
     def generator(self, p: int, i: int, k: int):
-        """The field A^p Z_i^(k) as a flow generator (stage-reduced)."""
-        if p == 0:
-            return (CompiledField(self._z0[i]) if k == 0
-                    else _SectionField(self.stage_chart(k - 1), i))
+        """The field A^p Z_i^(k) as a flow generator (stage-reduced); a
+        symbolic one is compiled once per pipeline."""
+        if p == 0 and k > 0:
+            return _SectionField(self.stage_chart(k - 1), i)
         rep = self.rep_stage(p, k)
         key = (p, i, rep)
         hit = self._gen_cache.get(key)
         if hit is not None:
             return hit
         if rep == 0:
-            sym = apply_endo(self._powers[p], self._z0[i])
-            gen = CompiledField(sym)
+            gen = self.compiled(apply_endo(self._powers[p], self._z0[i])
+                                if p else self._z0[i])
         else:
             z = self.generator(0, i, rep)
             Ap = self._power_ev[p]
@@ -658,6 +659,14 @@ class _Pipeline:
                 lambda q, z=z, Ap=Ap: Ap(q) @ z.value(q), self.d)
         self._gen_cache[key] = gen
         return gen
+
+    def compiled(self, field: VectorField) -> CompiledField:
+        """The pipeline's one `CompiledField` of a symbolic field, by value:
+        a section field and a kernel frame field that are equal share it."""
+        hit = self._compiled.get(field)
+        if hit is None:
+            hit = self._compiled[field] = CompiledField(field)
+        return hit
 
     def power_batch(self, p: int):
         """The batch evaluator of A^p, compiled on first use."""
@@ -918,11 +927,12 @@ def hk_residuals(state: FrameState,
         R, labels = np.zeros((0, N)), []
         for qq in range(1, n):
             K = kernel_frame(A, qq, pipe.chart_box, seed=seed)
-            pairs = [(F, i) for F in K.frame for i in range(m)]
-            V = [_bracket(fields[(0, i)], _ChartField(gen=CompiledField(F)))(pts)
-                 for F, i in pairs]
+            frame = [_ChartField(gen=pipe.compiled(F)) for F in K.frame]
+            V = [_bracket(fields[(0, i)], F)(pts) for F in frame
+                 for i in range(m)]
             R = np.concatenate([R, span_residuals(K.values_on(x), V)])
-            labels += [f"[Z[{i}], ker A^{qq} frame]" for _, i in pairs]
+            labels += [f"[Z[{i}], ker A^{qq} frame]" for _ in frame
+                       for i in range(m)]
         out.append(_clause("2", R, labels, x, tol))
 
     # clause 3: kernel orders are preserved

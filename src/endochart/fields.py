@@ -69,12 +69,6 @@ class VectorField:
         return [[ex.differentiate(self.components[i], j + 1) for j in range(d)]
                 for i in range(d)]
 
-    def jacobian_evaluator(self):
-        d = self.dim
-        rows = self.jacobian_exprs()
-        flat = ex.compile_vector([rows[i][j] for i in range(d) for j in range(d)])
-        return lambda p: np.array(flat(p)).reshape(d, d)
-
     def __call__(self, p) -> np.ndarray:
         return np.array([ex.evaluate(c, p) for c in self.components])
 

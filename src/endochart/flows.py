@@ -1,12 +1,25 @@
 """Numeric ODE flows of vector fields and frame transport along them.
 
 Flows use fixed-step RK4: determinism and simple error budgeting matter
-more than speed at these dimensions.  A symbolic generator V whose
-components read only coordinates x_j with V_j the constant 0 is
-*straight* (`CompiledField.straight`, decided once per field by which
-variables occur in its components): its flow never moves what V reads, so
-V is constant along its own trajectory and the flow is exactly
-x + tV(x), with differential I + t DV(x) (DV^2 = 0).  Straight flows, of
+more than speed at these dimensions.
+
+A symbolic generator V (`CompiledField`) has one rule for single starts,
+blocks of starts and straight flows: a frame W is transported by RK4 of
+the state Y = (x, W) with right-hand side (V(x), DV(x) W), the
+variational equation co-integrated with the trajectory (Hairer, Norsett &
+Wanner, *Solving ODEs I*, sec. I.14), compiled once per field and frame
+width m with (DV W)_ic summed in j order; a plain flow is m = 0.  Single
+starts step lists of Python floats, one compiled call per RK4 stage; a
+block (`transport_block`) steps the stacked (d + d m, N) array, one flow
+time per column.  So W's columns transport alone, bit for bit, and block
+columns equal single starts on fields built from sums, products and
+quotients.
+
+V is *straight* (`CompiledField.straight`, decided once per field by which
+variables occur in its components) when its components read only
+coordinates x_j with V_j the constant 0: its flow never moves what V
+reads, so V is constant along its own trajectory and the flow is exactly
+Y + tF(Y) with F the same right-hand side (DV^2 = 0).  Straight flows, of
 one start or of a block, take that closed form instead of RK4 steps; the
 box check still tests the RK4 step points x + k h V(x) (Groebner, *Die
 Lie-Reihen*, 1960: the Lie series of x terminates after its linear term).
@@ -15,16 +28,13 @@ In flag-adapted coordinates most stage-0 generators A^p d/ds are straight.
 Derivatives in the chart construction come from one place per kind of
 field, each with its own step:
 
-- symbolic generators (`CompiledField`) transport frames by the
-  variational equation W' = DV(x) W, co-integrated with the trajectory.
-  A single start (`integrate_with_transport`) uses the point evaluators; a
-  block of starts (`transport_block`: a stage check's sample set or the
-  verification grid, as chart points) gives each column its own flow time
-  and steps all columns together with the batch evaluators;
-- computed generators A^p Z^(r) have no jacobian.  When the flows of the
-  parent chart Phi_P (stage r-1) are all symbolic, theirs run in P's
-  coordinates y = (t, s): Z^(r) at Phi_P(y) is a section column of
-  DPhi_P(y), which P's variational transports give
+- symbolic generators transport frames by the variational equation, as
+  above;
+- computed generators A^p Z^(r) have no jacobian; their flows step numpy
+  arrays on the generator's `value`.  When the flows of the parent chart
+  Phi_P (stage r-1) are all symbolic, theirs run in P's coordinates
+  y = (t, s): Z^(r) at Phi_P(y) is a section column of DPhi_P(y), which
+  P's variational transports give
   (`charts._StageChart.forward_differential`), so a flow step inverts
   nothing; the generator's `point` maps y to the ambient point the box
   check tests.  A parent with computed flows (n >= 4) would need central
@@ -55,7 +65,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .expr import Box, Const, compile_batch, variables
+from .expr import (Box, Const, Var, add, compile_batch, compile_vector, mul,
+                   variables)
 from .fields import VectorField
 
 __all__ = [
@@ -90,18 +101,21 @@ class IntegratorSettings:
 
 
 class CompiledField:
-    """Symbolic vector field with compiled value and jacobian evaluators.
+    """Symbolic vector field V, compiled as the right-hand side of the flow
+    of Y = (x, W) for a frame W of width m:
 
-    The point evaluators take a (d,) point; the batch evaluators take a
-    (d, N) array whose columns are points, and are compiled on first use.
+        Y' = (V(x), K),  K_ic = sum_j d_jV_i(x) W_jc, summed in j order.
+
+    Y is flat: x, then W row by row.  Each width is compiled on first use:
+    on Python floats for single starts (`rhs`), and for blocks whose
+    columns are states (`batch_rhs`).  The width 0 is V alone.
     """
 
     def __init__(self, field: VectorField):
         self.field = field
         self.dim = field.dim
-        self._value = field.evaluator()
-        self._jac = None
-        self._batch = None
+        self._point: dict[int, object] = {}
+        self._block: dict[int, object] = {}
 
     @property
     def symbolic(self) -> bool:
@@ -116,37 +130,46 @@ class CompiledField:
                  if not (isinstance(c, Const) and c.value == 0.0)}
         return not any(variables(c) & moved for c in comps)
 
-    def value(self, p) -> np.ndarray:
-        return self._value(p)
+    def rhs(self, m: int):
+        """`f(Y) -> list[float]`, the right-hand side at a flat state Y of
+        width m (a list of Python floats, or an array)."""
+        f = self._point.get(m)
+        if f is None:
+            f = self._point[m] = compile_vector(self._trees(m))
+        return f
 
-    def jacobian(self, p) -> np.ndarray:
-        if self._jac is None:
-            self._jac = self.field.jacobian_evaluator()
-        return self._jac(p)
+    def batch_rhs(self, m: int):
+        """`f(Y) -> (d + d m, N)` right-hand sides at the columns of a
+        (d + d m, N) state array."""
+        f = self._block.get(m)
+        if f is None:
+            f = self._block[m] = compile_batch(self._trees(m))
+        return f
+
+    def _trees(self, m: int) -> list:
+        """V's components, then K_ic for i, c in order."""
+        trees = list(self.field.components)
+        if m == 0:
+            return trees
+        d = self.dim
+        for row in self.field.jacobian_exprs():
+            trees += [add(*[mul(e, Var(d + 1 + j * m + c))
+                            for j, e in enumerate(row)]) for c in range(m)]
+        return trees
+
+    def value(self, p) -> np.ndarray:
+        return np.array(self.rhs(0)(p))
 
     def batch_value(self, x) -> np.ndarray:
         """(d, N) values at the columns of a (d, N) point array."""
-        return self._batch_evaluators()[0](x)
-
-    def batch_jacobian(self, x) -> np.ndarray:
-        """(N, d, d) jacobians at the columns of a (d, N) point array."""
-        return self._batch_evaluators()[1](x)
-
-    def _batch_evaluators(self) -> tuple:
-        if self._batch is None:
-            d = self.dim
-            jac = compile_batch([e for row in self.field.jacobian_exprs()
-                                 for e in row])
-            self._batch = (compile_batch(self.field.components),
-                           lambda x: jac(x).T.reshape(-1, d, d))
-        return self._batch
+        return self.batch_rhs(0)(x)
 
     def point(self, x) -> np.ndarray:
         """The ambient point of the state x: x itself."""
         return x
 
     def __call__(self, p) -> np.ndarray:
-        return self._value(p)
+        return self.value(p)
 
 
 class ComputedVectorField:
@@ -237,23 +260,23 @@ def _steps(spec: FlowSpec, t: float) -> tuple[int, float]:
     return n, t / n
 
 
-def _straight(gen) -> bool:
-    return isinstance(gen, CompiledField) and gen.straight
-
-
-def _check_line(spec: FlowSpec, x: np.ndarray, v: np.ndarray, n, h):
+def _check_line(spec: FlowSpec, x, v, n, h):
     """The box check of RK4 on the straight flow x + sV(x) with n steps of
-    size h (for a (d, N) block, one n and h per column): BoxExitError at
-    the first step whose step point x + k h v is outside the box, naming a
-    block's first column out there.  Each coordinate of the step points is
-    monotone in k, even rounded, so when the first and the last step
-    points are inside (for a single start, by `Box.contains`), all are.
+    size h: of a single start, x and v lists of Python floats, or of a
+    (d, N) block, one n and h per column.  BoxExitError at the first step
+    whose step point x + k h v is outside the box, naming a block's first
+    column out there.  Each coordinate of the step points is monotone in k,
+    even rounded, so when the first and the last step points are inside
+    (for a single start, by `Box.contains`), all are.
     """
     box = spec.box
     if box is None:
         return
-    if x.ndim == 1 and box.contains(x + h * v) and box.contains(x + (n * h) * v):
-        return
+    if isinstance(x, list):
+        if (box.contains([a + h * b for a, b in zip(x, v)])
+                and box.contains([a + (n * h) * b for a, b in zip(x, v)])):
+            return
+        x, v = np.array(x), np.array(v)
     d = x.shape[0]
     x, v = x.reshape(d, -1), v.reshape(d, -1)
     if not _outside(box, x + np.array([h, n * h]).reshape(2, 1, -1) * v).any():
@@ -267,105 +290,114 @@ def _check_line(spec: FlowSpec, x: np.ndarray, v: np.ndarray, n, h):
     raise BoxExitError((step + 1) * float(h[c]), P[step, :, c])
 
 
+def _rk4_step(f, y: np.ndarray, h):
+    """One RK4 step of y' = f(y) for an array y; h is a number, or one
+    step per column of a block."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _point_flow(spec: FlowSpec, y: list, t: float, m: int) -> list:
+    """The flow of the state Y = (x, W) of a symbolic generator, W of width
+    m, from the flat list y of Python floats after time t (not 0): the
+    closed form y + tF(y) on a straight flow, else RK4 steps with one call
+    of the compiled right-hand side F per stage, each step point
+    box-checked."""
+    gen = spec.generator
+    f, d = gen.rhs(m), gen.dim
+    n, h = _steps(spec, t)
+    if gen.straight:
+        F = f(y)
+        _check_line(spec, y[:d], F[:d], n, h)
+        return [a + t * b for a, b in zip(y, F)]
+    box, h2, h6 = spec.box, 0.5 * h, h / 6.0
+    for k in range(n):
+        k1 = f(y)
+        k2 = f([a + h2 * b for a, b in zip(y, k1)])
+        k3 = f([a + h2 * b for a, b in zip(y, k2)])
+        k4 = f([a + h * b for a, b in zip(y, k3)])
+        y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        if box is not None and not box.contains(y[:d]):
+            raise BoxExitError((k + 1) * h, y[:d])
+    return y
+
+
 def integrate_flow(spec: FlowSpec, p0, t: float) -> np.ndarray:
-    """Solve x' = V(x), x(0) = p0 up to time t."""
+    """Solve x' = V(x), x(0) = p0 up to time t.  A symbolic generator
+    takes `_point_flow` with no frame; any other steps numpy arrays on its
+    `value`."""
     x = np.asarray(p0, dtype=float).copy()
     if t == 0.0:
         return x
     gen = spec.generator
+    if isinstance(gen, CompiledField):
+        return np.array(_point_flow(spec, x.tolist(), t, 0))
     n, h = _steps(spec, t)
-    if _straight(gen):
-        v = gen.value(x)
-        _check_line(spec, x, v, n, h)
-        return x + t * v
-    V = gen.value
     for k in range(n):
-        k1 = V(x)
-        k2 = V(x + 0.5 * h * k1)
-        k3 = V(x + 0.5 * h * k2)
-        k4 = V(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = _rk4_step(gen.value, x, h)
         _check_box(spec, (k + 1) * h, x)
     return x
 
 
-def _line(spec: FlowSpec, V, DV, x, W, n, h, tx, tw) -> tuple:
-    """(x + tV(x), W + t DV(x) W) on a straight flow, box-checked; tx and
-    tw are t shaped for x and W.  DV W is an elementwise sum, which rounds
-    alike for one (d, d) jacobian and an (N, d, d) stack."""
-    v = V(x)
-    _check_line(spec, x, v, n, h)
-    return x + tx * v, W + tw * (DV(x)[..., :, :, None]
-                                 * W[..., None, :, :]).sum(-2)
-
-
-def _rk4_transport_step(V, DV, x, W, hx, hw) -> tuple:
-    """One RK4 step of (x, W) with W' = DV(x) W; hx and hw are the step,
-    shaped to broadcast over x and over W."""
-    k1 = V(x)
-    K1 = DV(x) @ W
-    x2 = x + 0.5 * hx * k1
-    k2 = V(x2)
-    K2 = DV(x2) @ (W + 0.5 * hw * K1)
-    x3 = x + 0.5 * hx * k2
-    k3 = V(x3)
-    K3 = DV(x3) @ (W + 0.5 * hw * K2)
-    x4 = x + hx * k3
-    k4 = V(x4)
-    K4 = DV(x4) @ (W + hw * K3)
-    return (x + (hx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
-            W + (hw / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4))
-
-
 def integrate_with_transport(spec: FlowSpec, p0, t: float, W0) -> tuple:
     """Co-integrate the trajectory from the start p0, shape (d,), and the
-    variational equation W' = DV(x) W applied to W0, shape (d, m), on the
-    point evaluators: (x(t), W(t)).  The generator must be symbolic: only
-    `CompiledField` has a jacobian.  A straight generator takes `_line`.
-    """
-    x = np.asarray(p0, dtype=float).copy()
-    W = np.asarray(W0, dtype=float).copy()
+    variational equation W' = DV(x) W applied to W0, shape (d, m):
+    (x(t), W(t)).  The generator must be symbolic (`CompiledField`): the
+    state (x, W) flows as one list of Python floats (`_point_flow`), by
+    the same right-hand side and the same arithmetic per entry as a column
+    of `transport_block`."""
+    x = np.asarray(p0, dtype=float)
+    W = np.asarray(W0, dtype=float)
     if t == 0.0:
-        return x, W
+        return x.copy(), W.copy()
+    d, m = W.shape
+    y = _point_flow(spec, x.tolist() + W.ravel().tolist(), t, m)
+    return np.array(y[:d]), np.array(y[d:]).reshape(d, m)
+
+
+def _block_flow(spec: FlowSpec, y: np.ndarray, t: np.ndarray, m: int):
+    """`_point_flow` for the columns of a (d + d m, N) state array y,
+    column c after time t[c] (not 0) with its own `_steps`, on the batch
+    compilation of the right-hand side; all columns step together and a
+    column whose steps are done is left as it is."""
     gen = spec.generator
-    n, h = _steps(spec, t)
-    if _straight(gen):
-        return _line(spec, gen.value, gen.jacobian, x, W, n, h, t, t)
-    for k in range(n):
-        x, W = _rk4_transport_step(gen.value, gen.jacobian, x, W, h, h)
-        _check_box(spec, (k + 1) * h, x)
-    return x, W
+    f, d = gen.batch_rhs(m), gen.dim
+    n, h = map(np.array, zip(*(_steps(spec, tc) for tc in t.tolist())))
+    if gen.straight:
+        F = f(y)
+        _check_line(spec, y[:d], F[:d], n, h)
+        return y + t * F
+    for k in range(int(n.max())):
+        cols, hk = np.flatnonzero(n > k), h[n > k]
+        y[:, cols] = _rk4_step(f, y[:, cols], hk)
+        _check_box(spec, (k + 1) * hk, y[:d, cols])
+    return y
 
 
 def transport_block(spec: FlowSpec, x, t, W) -> tuple:
     """`integrate_with_transport` for N starts, the columns of x (d, N),
-    each with its own time t[c] and frame W[c] (W is (N, d, m)), on the
-    batch evaluators.  Column c takes `_steps` of t[c], as its single
-    start does; one with t[c] = 0 or whose steps are done is left as it is.
-    It equals its single start bit for bit when the field's expressions are
-    sums, products and quotients (numpy's array kernels may round integer
-    powers and exp differently in the last place).  Each column is
-    box-checked at its own step times; a BoxExitError names the first
-    column out at the earliest step index."""
-    x, W = np.array(x, dtype=float), np.array(W, dtype=float)
+    each with its own time t[c] and frame W[c] (W is (N, d, m)).  The
+    states (x, W) are the columns of one (d + d m, N) array, which
+    `_block_flow` steps; column c takes `_steps` of t[c], as its single
+    start does, and one with t[c] = 0 is left as it is.  A column equals
+    its single start bit for bit when the field's expressions are sums,
+    products and quotients (numpy's array kernels may round integer powers
+    and exp differently in the last place).  Each column is box-checked at
+    its own step times; a BoxExitError names the first column out at the
+    earliest step index."""
+    x, W = np.asarray(x, dtype=float), np.asarray(W, dtype=float)
     t = np.asarray(t, dtype=float)
+    N, d, m = W.shape
+    y = np.concatenate([x, W.transpose(1, 2, 0).reshape(d * m, N)])
     live = np.flatnonzero(t != 0.0)
-    if live.size == 0:
-        return x, W
-    gen = spec.generator
-    n, h = map(np.array, zip(*(_steps(spec, tc) for tc in t[live].tolist())))
-    if _straight(gen):
-        x[:, live], W[live] = _line(spec, gen.batch_value, gen.batch_jacobian,
-                                    x[:, live], W[live], n, h, t[live],
-                                    t[live, None, None])
-        return x, W
-    for k in range(int(n.max())):
-        cols, hk = live[n > k], h[n > k]
-        x[:, cols], W[cols] = _rk4_transport_step(
-            gen.batch_value, gen.batch_jacobian, x[:, cols], W[cols], hk,
-            hk[:, None, None])
-        _check_box(spec, (k + 1) * hk, x[:, cols])
-    return x, W
+    if live.size:
+        y[:, live] = _block_flow(spec, y[:, live], t[live], m)
+    W = y[d:].reshape(d, m, N).transpose(2, 0, 1)
+    return y[:d], np.ascontiguousarray(W)
 
 
 def numeric_bracket(X, Y, p, h: float = 1e-3) -> np.ndarray:

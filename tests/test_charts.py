@@ -385,6 +385,27 @@ class TestOneCheckPerStage:
         jordanize(data["field"], data["chart"])
         assert calls == [0, 1]
 
+    @pytest.mark.parametrize("name", ["example35-n2", "example35-n3"])
+    def test_jordanize_compiles_each_expression_list_once(self, name,
+                                                          monkeypatch):
+        # every symbolic field of the pipeline is one `CompiledField`, by
+        # value, which compiles each frame width once for points and once
+        # for blocks: no stage and no clause compiles a list again
+        compiled = []
+        for fn in ("compile_vector", "compile_batch"):
+            original = getattr(flows, fn)
+            monkeypatch.setattr(flows, fn, lambda exprs, fn=fn, f=original: (
+                compiled.append((fn, tuple(exprs))) or f(exprs)))
+        data = build_corpus_field(name)
+        jordanize(data["field"], data["chart"])
+        assert compiled and len(set(compiled)) == len(compiled)
+
+    def test_stage0_generators_are_kept(self):
+        data = build_corpus_field("example35-n3")
+        pipe = initial_frame(data["field"], data["chart"], check=False).pipeline
+        for a, i in pipe.slots:
+            assert pipe.generator(a, i, 0) is pipe.generator(a, i, 0)
+
     def test_initial_frame_message(self):
         box = Box.cube(4, 1.0)
         with pytest.raises(InductionError, match="initial frame violates clause"):

@@ -326,8 +326,10 @@ class TestScalarPath:
                                           expect.view(np.uint64), err_msg=name)
 
     def test_shared_subtree_is_computed_once(self, monkeypatch):
-        # example35-n3's stage-0 generator A d/ds (s = x3): each of its 5
-        # non-zero jacobian entries holds x2 x3^4 + 1
+        # example35-n3's stage-0 generator A d/ds (s = x3): its first two
+        # components and each of its 5 non-zero jacobian entries hold
+        # x2 x3^4 + 1, which the transport's right-hand side (V, DV W)
+        # computes once
         from endochart import corpus
         from endochart.fields import apply_endo, coordinate_field
         from endochart.flows import CompiledField
@@ -340,8 +342,10 @@ class TestScalarPath:
         generator, bodies, define = CompiledField(V), [], ex._define
         monkeypatch.setattr(ex, "_define", lambda body, namespace: (
             bodies.append(body) or define(body, namespace)))
-        generator.jacobian(np.array([0.1, 0.2, 0.25]))
+        generator.rhs(3)(np.array([0.1, 0.2, 0.25, *np.eye(3).ravel()]))
         (body,) = bodies
+        assert all("((x[1]*(x[2])**4)+1.0)" in _unshared_source(e)
+                   for e in V.components[:2])
         assert "\n".join(body).count("+1.0)") == 1
         assert any(re.fullmatch(r"_\d+ = \(\(x\[1\]\*_\d+\)\+1\.0\)", line)
                    for line in body)

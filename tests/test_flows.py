@@ -476,15 +476,120 @@ class TestSingleStartLineCheck:
             assert abs(outcomes["on"][1]) > abs(t) / 50
 
 
-def test_zero_denominator_at_a_single_start(monkeypatch, capsys):
+@pytest.mark.parametrize("run", [
+    lambda spec: integrate_flow(spec, (0.0, 0.0), 0.5),
+    lambda spec: integrate_with_transport(spec, (0.0, 0.0), 0.5, np.eye(2)),
+], ids=["integrate_flow", "integrate_with_transport"])
+def test_zero_denominator_at_a_single_start(run, monkeypatch, capsys):
     # the point evaluator works on Python floats, so 1/x1 at x1 = 0 raises
     # instead of stepping on inf until the box check fails
     from endochart import cli
     spec = FlowSpec(VectorField((ex.div(ex.const(1.0), ex.var(1)), ex.const(1.0))),
                     RK4, box=Box.cube(2, 1.0))
     with pytest.raises(ZeroDivisionError):
-        integrate_flow(spec, (0.0, 0.0), 0.5)
-    monkeypatch.setattr(cli, "_cmd_selftest",
-                        lambda args: integrate_flow(spec, (0.0, 0.0), 0.5))
+        run(spec)
+    monkeypatch.setattr(cli, "_cmd_selftest", lambda args: run(spec))
     assert cli.main(["selftest"]) == 1
     assert "zero denominator" in capsys.readouterr().err
+
+
+def test_non_finite_block_right_hand_side(monkeypatch, capsys):
+    # the batch evaluators step on arrays: 1/x1 at the second start's
+    # x1 = 0 is inf, which the block names by its subtree
+    from endochart import cli
+    pole = ex.div(ex.const(1.0), ex.var(1))
+    spec = FlowSpec(VectorField((pole, ex.const(1.0))), RK4,
+                    box=Box.cube(2, 1.0))
+    P = np.array([[0.5, 0.0], [0.0, 0.0]])
+    W0 = np.repeat(np.eye(2)[None], 2, axis=0)
+
+    def run(args=None):
+        return transport_block(spec, P, np.full(2, 0.5), W0)
+    with pytest.raises(ex.EvaluationError) as err:
+        run()
+    assert err.value.subtree == pole
+    monkeypatch.setattr(cli, "_cmd_selftest", run)
+    assert cli.main(["selftest"]) == 1
+    assert "no finite value" in capsys.readouterr().err
+
+
+def example35_n3_generator() -> VectorField:
+    """example35-n3's stage-0 generator A d/dx3: not straight, with x3^4."""
+    from endochart.corpus import build_corpus_field
+    from endochart.fields import apply_endo
+    A = build_corpus_field("example35-n3")["field"]
+    return apply_endo(A, coordinate_field(3, 3))
+
+
+def reference_transport(field: VectorField, p0, t: float, W0) -> tuple:
+    """RK4 of (x, W) with W' = DV(x) W written out on numpy arrays, V and
+    DV from the point evaluators, DV W as the elementwise product summed
+    over j."""
+    V = ex.compile_vector(field.components)
+    DV = ex.compile_vector([e for row in field.jacobian_exprs() for e in row])
+    d = field.dim
+
+    def rhs(x, W):
+        D = np.array(DV(x)).reshape(d, d)
+        DW = (D[..., :, :, None] * W[..., None, :, :]).sum(-2)
+        return np.array(V(x)), DW
+
+    n = max(1, math.ceil(abs(t) / RK4.step))
+    h = t / n
+    x, W = np.array(p0, dtype=float), np.array(W0, dtype=float)
+    for _ in range(n):
+        k1, K1 = rhs(x, W)
+        k2, K2 = rhs(x + 0.5 * h * k1, W + 0.5 * h * K1)
+        k3, K3 = rhs(x + 0.5 * h * k2, W + 0.5 * h * K2)
+        k4, K4 = rhs(x + h * k3, W + h * K3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        W = W + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    return x, W
+
+
+class TestOneProductRule:
+    """A symbolic transport is RK4 of (x, W) with DV W summed in j order,
+    on single starts and blocks alike."""
+
+    FIELDS = {"example35-n3": example35_n3_generator,
+              "block": lambda: BLOCK_FIELD}
+
+    @pytest.mark.parametrize("t", [0.37, -0.21])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_single_start_equals_the_numpy_reference(self, name, m, t):
+        field = self.FIELDS[name]()
+        spec = FlowSpec(field, RK4)
+        assert not spec.generator.straight
+        rng = np.random.default_rng(17)
+        for _ in range(4):
+            p0 = rng.uniform(-0.4, 0.4, 3)
+            W0 = rng.normal(size=(3, m))
+            x, W = integrate_with_transport(spec, p0, t, W0)
+            xr, Wr = reference_transport(field, p0, t, W0)
+            assert x.tobytes() == xr.tobytes()
+            assert W.tobytes() == Wr.tobytes()
+            assert integrate_flow(spec, p0, t).tobytes() == xr.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(FIELDS) + ["straight"])
+    def test_frame_columns_transport_alone(self, name):
+        field = STRAIGHT_FIELD if name == "straight" else self.FIELDS[name]()
+        spec = FlowSpec(field, RK4)
+        d = field.dim
+        rng = np.random.default_rng(19)
+        P = rng.uniform(-0.4, 0.4, (d, 5))
+        W0 = rng.normal(size=(5, d, 3))
+        t = np.array([0.37, -0.21, 0.0, 0.05, 0.37])
+        xs, Ws = transport_block(spec, P, t, W0)
+        for c in range(3):
+            xc, Wc = transport_block(spec, P, t, W0[:, :, c:c + 1])
+            assert xc.tobytes() == xs.tobytes()
+            expect = np.ascontiguousarray(Ws[:, :, c:c + 1])
+            assert Wc.tobytes() == expect.tobytes()
+        for n in range(5):
+            x, W = integrate_with_transport(spec, P[:, n], float(t[n]), W0[n])
+            cols = [integrate_with_transport(spec, P[:, n], float(t[n]),
+                                             W0[n][:, c:c + 1])
+                    for c in range(3)]
+            assert all(xc.tobytes() == x.tobytes() for xc, _ in cols)
+            assert np.hstack([Wc for _, Wc in cols]).tobytes() == W.tobytes()
