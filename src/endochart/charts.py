@@ -67,17 +67,21 @@ class NewtonError(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineSettings:
-    """The values callers set (the command line and benchmark the first two,
-    tests the rest); every other number is a module constant below."""
+    """The values callers set; every other number is a module constant below.
+
+    The command line and the benchmark set `integrator` and `seed`.
+    `flow_order` ("desc" | "asc") is the composition order of the flows:
+    the flow-order independence check runs "asc" as an independent path
+    that the default order is compared against.
+    """
 
     integrator: IntegratorSettings = IntegratorSettings(step=1e-2)
     seed: int = 2026
-    box_margin: float = 1.5          # working-box inflation for flow monitoring
-    hk_samples: int = 5
-    flow_order: str = "desc"         # composition order: "desc" | "asc"
-    section_offsets: tuple | None = None   # ((axis, value), ...) for sigma
+    flow_order: str = "desc"
 
 
+BOX_MARGIN = 1.5         # working-box inflation for flow monitoring
+HK_SAMPLES = 5           # sample points of each induction-hypothesis check
 NEWTON_TOL = 1e-10       # chart inversion, relative to 1 + |q|
 NEWTON_MAXITER = 50
 H_BRACKET = 2e-3         # FD step in chart coordinates for brackets
@@ -155,30 +159,24 @@ class AdaptedChart:
 
 @dataclass(frozen=True)
 class Section:
-    """A level set of the non-quotient adapted coordinates.
+    """A level set of the non-quotient adapted coordinates through the
+    origin.
 
     Parametrised by the x^(n,*) coordinates; the remaining axes are pinned
-    to constant offsets (the arbitrary choice of sigma).
+    to 0 (the paper leaves sigma arbitrary).
     """
 
     dim: int
     axes: tuple            # parametrising axes, in field order
-    offsets: tuple         # length-dim constants; entries on `axes` ignored
 
     @staticmethod
-    def for_chart(chart: AdaptedChart, offsets=None) -> "Section":
-        base = [0.0] * chart.dim
-        if offsets is not None:
-            for axis, value in offsets.items():
-                base[axis] = float(value)
-        return Section(chart.dim, tuple(chart.section_axes()), tuple(base))
+    def for_chart(chart: AdaptedChart) -> "Section":
+        return Section(chart.dim, tuple(chart.section_axes()))
 
     def embed(self, s) -> np.ndarray:
         """The point sigma(s); for an (m, N) array s, the (d, N) points of
         its columns."""
-        x = np.array(self.offsets, dtype=float)
-        if np.ndim(s) == 2:
-            x = np.repeat(x[:, None], len(s[0]), axis=1)
+        x = np.zeros((self.dim, len(s[0])) if np.ndim(s) == 2 else self.dim)
         for axis, v in zip(self.axes, s):
             x[axis] = v
         return x
@@ -610,10 +608,9 @@ class _Pipeline:
         self.eigenvalue = float(eigenvalue)
         self.A = A.shifted(eigenvalue) if eigenvalue != 0.0 else A
         self.chart_box = chart.box
-        self.working_box = chart.box.inflate(settings.box_margin)
+        self.working_box = chart.box.inflate(BOX_MARGIN)
         self.settings = settings
-        offsets = dict(settings.section_offsets) if settings.section_offsets else None
-        self.section = Section.for_chart(chart, offsets)
+        self.section = Section.for_chart(chart)
         self.mults = chart.multiplicities
         self.orders = _orders(self.mults)
         self.n = chart.index
@@ -877,21 +874,19 @@ def hk_residuals(state: FrameState,
     (`structure.span_residuals`).
     """
     pipe = state.pipeline
-    st = pipe.settings
     k = state.k
-    samples = st.hk_samples
-    seed = st.seed
+    seed = pipe.settings.seed
     n = pipe.n
     A = pipe.A
 
     if k == 0:
-        pts = _Samples(sample_box(pipe.chart_box.inflate(0.7), samples, seed,
-                                  include_corners=False,
+        pts = _Samples(sample_box(pipe.chart_box.inflate(0.7), HK_SAMPLES,
+                                  seed, include_corners=False,
                                   include_center=True).T)
     else:
         parent = pipe.stage_chart(k - 1)
         pts = _Samples.on(parent, sample_box(
-            Box(tuple(parent.chart_ranges())), samples, seed,
+            Box(tuple(parent.chart_ranges())), HK_SAMPLES, seed,
             include_corners=False, include_center=True).T)
     x = pts.x
     N = x.shape[1]
@@ -910,9 +905,9 @@ def hk_residuals(state: FrameState,
             rng = np.random.default_rng(seed)
             lo, hi = np.array([pipe.chart_box.bounds[ax]
                                for ax in pipe.section.axes]).T
-            s = rng.uniform(0.6 * lo, 0.6 * hi, size=(samples, m)).T
-            on = _Samples.on(parent,
-                             np.vstack([np.zeros((parent.n_flows, samples)), s]))
+            s = rng.uniform(0.6 * lo, 0.6 * hi, size=(HK_SAMPLES, m)).T
+            on = _Samples.on(parent, np.vstack(
+                [np.zeros((parent.n_flows, HK_SAMPLES)), s]))
             E = pipe.section.basis_matrix()
             R = np.array([np.max(np.abs(fields[(0, i)].value(on)
                                         - E[:, i:i + 1]), axis=0)

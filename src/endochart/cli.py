@@ -4,7 +4,6 @@ Subcommands:
     check <field-file>       condition report (general check when factors given)
     jordanize <field-file>   full constructive pipeline plus verification
     corpus <name>            run a built-in example end to end
-    selftest                 run the internal invariant suites
 
 Exit codes: 0 on pass, 2 on a condition/verification failure, 1 on usage,
 I/O or field-document errors and on fields without a finite value on the
@@ -21,9 +20,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .charts import (AdaptedChart, AdaptedChartError, InductionError,
-                     NewtonError, PipelineSettings, build_chart,
-                     induction_step, initial_frame, jordanize,
-                     validate_adapted_chart)
+                     NewtonError, PipelineSettings, jordanize)
 from .expr import Box, EvaluationError
 from .fieldfile import FieldFileError, load_field_document
 from .flows import BoxExitError, IntegratorSettings
@@ -54,7 +51,8 @@ def _parse_box(text: str, dim: int) -> Box:
         raise UsageError(f"--box {text!r}: {err}") from None
 
 
-_LOWEST = {"samples": 1, "grid": 1, "chart_samples": 0}   # integer options
+# integer options
+_LOWEST = {"samples": 1, "seed": 0, "grid": 1, "chart_samples": 0}
 
 
 def _check_options(args):
@@ -66,6 +64,11 @@ def _check_options(args):
                              f"{lowest}, got {value}")
     if not (math.isfinite(args.step) and args.step > 0):
         raise UsageError(f"--step must be positive and finite, got {args.step}")
+    for name in ("tol", "verify_tol"):
+        value = getattr(args, name, None)   # --tol: None unless given
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite "
+                             f"and >= 0, got {value}")
 
 
 def _settings(args) -> PipelineSettings:
@@ -214,133 +217,6 @@ def _cmd_corpus(args) -> int:
                       data.get("chart"), 0.0)
 
 
-def _cmd_selftest(args) -> int:
-    """Fast invariant suites across the modules."""
-    from . import expr as ex
-    from .fields import (coordinate_field, nijenhuis, prop22_residual,
-                         _nprime_raw, endo_power)
-    from .flows import (CompiledField, ComputedVectorField, FlowSpec,
-                        IntegratorSettings, integrate_flow, numeric_bracket)
-    from .fields import VectorField, lie_bracket
-    from .structure import (image_frame, involutivity_residual,
-                            nijenhuis_residual, torsion_tol)
-
-    failures = 0
-
-    def check(label, ok, detail=""):
-        nonlocal failures
-        _statusline(label, ok, detail)
-        failures += 0 if ok else 1
-
-    A37 = corpus_mod.example37_field()
-    A38 = corpus_mod.example38_field()
-    box4 = Box.cube(4, 1.0)
-    pts = ex.sample_box(box4, 20, args.seed, include_corners=False)
-
-    # expression engine: exact derivatives against central differences
-    e = ex.mul(ex.exp(ex.mul(ex.const(0.4), ex.var(2))),
-               ex.add(ex.var(1), ex.intpow(ex.var(3), 3)))
-    de = ex.compile_expr(ex.differentiate(e, 2))
-    f = ex.compile_expr(e)
-    worst = 0.0
-    for p in pts:
-        up = p.copy(); up[1] += 1e-5
-        dn = p.copy(); dn[1] -= 1e-5
-        worst = max(worst, abs(de(p) - (f(up) - f(dn)) / 2e-5))
-    check("exact derivatives vs central differences", worst <= 1e-6,
-          f"residual {worst:.2e}")
-
-    # tensor identities
-    X, Y = coordinate_field(4, 3), coordinate_field(4, 4)
-    anti = nijenhuis(A38, X, Y) + nijenhuis(A38, Y, X)
-    worst = max(float(np.max(np.abs(anti(p)))) for p in pts)
-    check("torsion antisymmetry", worst <= 1e-12, f"residual {worst:.2e}")
-    Aq = endo_power(A38, 1)
-    swap = _nprime_raw(A38, Aq, X, Y) + _nprime_raw(Aq, A38, Y, X)
-    worst = max(float(np.max(np.abs(swap(p)))) for p in pts)
-    check("auxiliary torsion swap identity", worst <= 1e-12,
-          f"residual {worst:.2e}")
-
-    r = prop22_residual(A37, 2, 1, box4, samples=40, seed=args.seed)
-    check("torsion reduction identities (vanishing torsion)",
-          r.max_residual <= 1e-9, f"residual {r.max_residual:.2e}")
-    r = prop22_residual(A38, 2, 1, box4, samples=40, seed=args.seed)
-    check("torsion reduction identities (nonzero torsion)",
-          r.max_residual <= 1e-9, f"residual {r.max_residual:.2e}")
-
-    x = ex.sample_box(box4, 60, args.seed).T
-    t37 = nijenhuis_residual(A37, x, torsion_tol(A37, box4, args.seed))
-    check("counterexample pair: vanishing torsion", t37.passed,
-          f"residual {t37.max_residual:.2e}")
-    t38 = nijenhuis_residual(A38, x, torsion_tol(A38, box4, args.seed))
-    check("counterexample pair: nonzero torsion", not t38.passed,
-          f"residual {t38.max_residual:.2e}")
-
-    D = image_frame(A37, 1, box4, seed=args.seed)
-    res = involutivity_residual(D, ex.sample_box(box4, 40, args.seed).T)
-    check("image distribution involutive", bool(res),
-          f"residual {res.max_residual:.2e}")
-
-    # flow engine: group law, determinism, numeric-vs-exact brackets
-    V = VectorField((ex.add(ex.mul(ex.const(0.3), ex.var(2)), ex.const(0.2)),
-                     ex.mul(ex.const(-0.4), ex.mul(ex.var(1), ex.var(1)))))
-    spec = FlowSpec(V, IntegratorSettings(step=1e-2))
-    a = integrate_flow(spec, (0.1, 0.2), 0.23 + 0.41)
-    b = integrate_flow(spec, integrate_flow(spec, (0.1, 0.2), 0.41), 0.23)
-    worst = float(np.max(np.abs(a - b)))
-    check("flow group law", worst <= 10 * spec.settings.accuracy(),
-          f"residual {worst:.2e}")
-    c = integrate_flow(FlowSpec(V, IntegratorSettings(step=1e-2)), (0.1, 0.2), 0.64)
-    check("flow determinism", a.tobytes() == c.tobytes())
-    # x1 and x2 read only x3, which they do not move: the closed form
-    S = VectorField((ex.exp(ex.mul(ex.const(0.5), ex.var(3))),
-                     ex.mul(ex.const(0.3), ex.var(3), ex.var(3)),
-                     ex.const(0.0)))
-    line = FlowSpec(S, spec.settings)
-    rk4 = FlowSpec(ComputedVectorField(line.generator.value, 3), spec.settings)
-    worst = float(np.max(np.abs(integrate_flow(line, (0.1, 0.2, 0.3), 0.64)
-                                - integrate_flow(rk4, (0.1, 0.2, 0.3), 0.64))))
-    check("straight flow vs RK4",
-          line.generator.straight and worst <= 10 * spec.settings.accuracy(),
-          f"residual {worst:.2e}")
-    W = VectorField((ex.exp(ex.var(2)), ex.const(0.0)))
-    exact = lie_bracket(V, W)((0.2, -0.1))
-    num = numeric_bracket(CompiledField(V), CompiledField(W), (0.2, -0.1), h=1e-4)
-    worst = float(np.max(np.abs(num - exact)))
-    check("numeric bracket vs exact bracket", worst <= 1e-7,
-          f"residual {worst:.2e}")
-
-    spec35 = corpus_mod.Example35Spec.from_theta(3)
-    resid = corpus_mod.example35_compat_residual(spec35)
-    check("triangular family compatibility", resid <= 1e-12,
-          f"residual {resid:.2e}")
-
-    oracle = corpus_mod.conjugated_constant(seed=args.seed, d=3,
-                                            multiplicities=(1, 1),
-                                            shear_degree=2)
-    obox = oracle.chart.box
-    t = nijenhuis_residual(oracle.field, ex.sample_box(obox, 60, args.seed).T,
-                           torsion_tol(oracle.field, obox, args.seed))
-    check("conjugated-constant torsion vanishes", t.passed,
-          f"residual {t.max_residual:.2e}")
-    rep = validate_adapted_chart(oracle.field, oracle.chart, seed=args.seed)
-    check("conjugated-constant chart adapted", rep.passed)
-
-    # chart frame: DPhi's columns against central differences of Phi
-    data = corpus_mod.build_corpus_field("conjugated-n2")
-    state = initial_frame(data["field"], data["chart"], check=False)
-    cmap = build_chart(induction_step(state), check=False)
-    worst, h = 0.0, 1e-5
-    for y in cmap.sample_coords(3, args.seed):
-        _, frame = cmap.forward_with_frame(y)
-        for j, e in enumerate(np.eye(len(y))):
-            fd = (cmap.forward(y + h * e) - cmap.forward(y - h * e)) / (2 * h)
-            worst = max(worst, float(np.max(np.abs(frame[:, j] - fd))))
-    check("chart frame is the chart differential", worst <= 1e-6,
-          f"residual {worst:.2e}")
-    return 0 if failures == 0 else 2
-
-
 def _args_settings(args) -> dict:
     return {"tol": args.tol, "samples": args.samples, "seed": args.seed,
             "step": args.step, "grid": getattr(args, "grid", None),
@@ -387,9 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", parents=[common, pipeline],
                        help="run a built-in example end to end")
     p.add_argument("name", help=", ".join(sorted(corpus_mod.CORPUS)))
-
-    sub.add_parser("selftest", parents=[common],
-                   help="run the internal invariant suites")
     return ap
 
 
@@ -407,8 +280,6 @@ def main(argv=None) -> int:
             return _cmd_jordanize(args)
         if args.command == "corpus":
             return _cmd_corpus(args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
         return 1
     except (UsageError, FieldFileError, FileNotFoundError,
             IsADirectoryError) as err:

@@ -95,10 +95,6 @@ class IntegratorSettings:
         if self.step <= 0:
             raise ValueError("step size must be positive")
 
-    def accuracy(self) -> float:
-        """Rough global error scale, for test tolerances."""
-        return self.step ** 4
-
 
 class CompiledField:
     """Symbolic vector field V, compiled as the right-hand side of the flow

@@ -134,10 +134,12 @@ class TestFileCommands:
         (command, option)
         for command in ("check", "jordanize", "corpus")
         for option in ("--box=1:0", "--box=a:b", "--box=0:1,0:1,0:1",
-                       "--samples=0", "--step=0", "--step=nan")
+                       "--samples=0", "--step=0", "--step=nan", "--seed=-1",
+                       "--tol=nan", "--tol=-1")
     ] + [(command, option)
          for command in ("jordanize", "corpus")
-         for option in ("--chart-samples=-1", "--grid=0")])
+         for option in ("--chart-samples=-1", "--grid=0", "--verify-tol=nan",
+                        "--verify-tol=-1")])
     def test_bad_option_value(self, tmp_path, capsys, command, option):
         # every input is d = 2: example35-n2 and a nilpotent Jordan block
         path = tmp_path / "block.json"
@@ -381,11 +383,16 @@ class TestModuleEntryPoint:
         assert "[PASS] constant matrix in chart frame" in run.stdout
 
 
-class TestSelftest:
-    def test_selftest_passes(self, capsys):
-        assert main(["selftest"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert all(line.startswith("[PASS]") for line in lines if line.startswith("["))
+class TestReadmeLibrary:
+    def test_library_block_runs_as_written(self, capsys):
+        # the README's python block is the documented API: it imports from
+        # the package root and prints the theorem13_report verdict first
+        readme = (pathlib.Path(__file__).resolve().parents[1]
+                  / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Library\n", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(block, {})
+        assert capsys.readouterr().out.splitlines()[0] == "True"
 
 
 class TestGoldenReport:
