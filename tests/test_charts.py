@@ -936,3 +936,45 @@ def jordanize_answers(name: str, seed: int) -> dict:
 def test_jordanize_reports_pinned(name, seed):
     golden = json.loads(JORDANIZE_GOLDEN.read_text())
     assert jordanize_answers(name, seed) == golden[f"{name}@{seed}"]
+
+
+JORDANIZE_N3_GOLDEN = (pathlib.Path(__file__).resolve().parent / "golden"
+                       / "jordanize_n3_reports.json")
+
+
+@pytest.mark.parametrize("name", ["example35-n3", "example35-n3-xn"])
+def test_jordanize_n3_reports_pinned(name):
+    # written by json.dump({f"{n}@2026": jordanize_answers(n, 2026) ...},
+    # indent=1) over both names
+    golden = json.loads(JORDANIZE_N3_GOLDEN.read_text())
+    assert jordanize_answers(name, 2026) == golden[f"{name}@2026"]
+
+
+CHART_N3_GOLDEN = (pathlib.Path(__file__).resolve().parent / "golden"
+                   / "chart_n3_points.json")
+
+
+def chart_answers(chart: ChartMap, points) -> list:
+    """forward, forward_with_frame and coords(forward) of the chart at each
+    chart point, every float as its repr.
+
+    The golden file is written by ``json.dump({"points": P, "answers":
+    chart_answers(assemble_chart("example35-n3"), P)}, indent=1)`` with P
+    the repr lists of ``latin_hypercube(chart.chart_ranges(), 8, 2026)``.
+    """
+    out = []
+    for y in points:
+        q = chart.forward(y)
+        x, D = chart.forward_with_frame(y)
+        out.append({"forward": _repr_floats(q.tolist()),
+                    "frame_point": _repr_floats(x.tolist()),
+                    "frame": _repr_floats(D.tolist()),
+                    "coords": _repr_floats(chart.coords(q).tolist())})
+    return out
+
+
+def test_chart_n3_answers_pinned():
+    golden = json.loads(CHART_N3_GOLDEN.read_text())
+    points = [np.array([float(v) for v in p]) for p in golden["points"]]
+    chart = assemble_chart("example35-n3")
+    assert chart_answers(chart, points) == golden["answers"]
