@@ -28,8 +28,8 @@ from .expr import Box, compile_batch, sample_box
 from .fields import (EndoField, VectorField, apply_endo, coordinate_field,
                      endo_power, first_max, lie_bracket)
 from .flows import (CompiledField, ComputedVectorField, FlowSpec,
-                    IntegratorSettings, integrate_flow,
-                    integrate_with_transport, transport_block)
+                    IntegratorSettings, _point_flow, integrate_flow,
+                    transport_block)
 from .structure import image_frame, kernel_frame, span_residuals
 
 __all__ = [
@@ -432,29 +432,52 @@ class _StageChart:
         """Transport W from sigma(s) through the flows; with `times`, each
         flow's generator value at its endpoint joins W as a new column.  A
         block (s, t of shape (., N), W of shape (N, d, m)) takes a symbolic
-        flow in one `transport_block`, a computed one column by column."""
+        flow in one `transport_block`, a computed one column by column; one
+        start goes through `_compose_point`."""
         x, at = self.section.embed(s), None
-        block = x.ndim == 2
+        if x.ndim == 1:
+            return self._compose_point(x, t, W, times)
         for alpha in self.application_order:
             spec = self.specs[alpha]
             if spec.generator.symbolic:
+                x, W = transport_block(spec, x, t[alpha], W)
                 at = None
-                if block:
-                    x, W = transport_block(spec, x, t[alpha], W)
-                else:
-                    x, W = integrate_with_transport(spec, x, float(t[alpha]), W)
-            elif block:
+            else:
                 x, W, at = zip(*[
                     self._transport_computed(alpha, *start) for start in
                     zip(x.T, W, t[alpha], at or itertools.repeat(None))])
                 x, W = np.column_stack(x), np.stack(W)
-            else:
-                x, W, at = self._transport_computed(alpha, x, W, t[alpha], at)
             if times:
                 value = self.generators[alpha].value
-                v = np.array([value(c) for c in x.T]) if block else value(x)
+                v = np.array([value(c) for c in x.T])
                 W = np.concatenate([W, v[..., None]], axis=-1)
         return x, W
+
+    def _compose_point(self, x, t, W, times: bool) -> tuple:
+        """`_compose` of one start x = sigma(s).  The state (x, W) is one
+        flat list of Python floats, x then W row by row, through the
+        symbolic flows (`flows._point_flow`), and a symbolic flow's time
+        column is its compiled value there; arrays are built only for a
+        computed flow and for the answer."""
+        d, m = W.shape
+        y, at = x.tolist() + W.ravel().tolist(), None
+        for alpha in self.application_order:
+            spec, ta = self.specs[alpha], float(t[alpha])
+            if spec.generator.symbolic:
+                at = None
+                if ta != 0.0:
+                    y = _point_flow(spec, y, ta, m)
+            else:
+                x, W = np.array(y[:d]), np.array(y[d:]).reshape(d, m)
+                x, W, at = self._transport_computed(alpha, x, W, ta, at)
+                y = x.tolist() + W.ravel().tolist()
+            if times:
+                gen = self.generators[alpha]
+                v = (gen.rhs(0)(y[:d]) if gen.symbolic
+                     else gen.value(np.array(y[:d])).tolist())
+                rows = [y[d + i * m:d + (i + 1) * m] + [v[i]] for i in range(d)]
+                y, m = y[:d] + [w for row in rows for w in row], m + 1
+        return np.array(y[:d]), np.array(y[d:]).reshape(d, m)
 
     def _transport_computed(self, alpha: int, x, W, t, at) -> tuple:
         """(endpoint, frame, the endpoint's place in the parent chart) of the

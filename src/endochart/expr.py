@@ -19,6 +19,8 @@ objects) once into a local, for one of two paths:
   ndarray point is converted once), which beats numpy on one point.  Only
   sums, products and quotients agree bit for bit with the batch path:
   numpy's array kernels round `**` and `exp` differently in the last place.
+  `compile_rk4` writes the scalar path's trees, with locals for leaves,
+  into a whole loop of RK4 steps of a flat state.
 
 `evaluate` walks the tree directly; it is the reference the compiled paths
 are tested against and the way a failing subtree is located.  Both paths
@@ -40,8 +42,8 @@ __all__ = [
     "Exp", "PosPow", "Box", "ZeroTestResult", "EvaluationError",
     "const", "var", "add", "sub", "mul", "div", "intpow", "exp", "pospow",
     "negate", "differentiate", "evaluate", "substitute", "compile_expr",
-    "compile_vector", "compile_batch", "sample_box", "is_zero_on_box",
-    "kink_arguments", "kink_mask", "constants", "variables",
+    "compile_vector", "compile_rk4", "compile_batch", "sample_box",
+    "is_zero_on_box", "kink_arguments", "kink_mask", "constants", "variables",
 ]
 
 class EvaluationError(ArithmeticError):
@@ -440,11 +442,12 @@ _FORMS = {Sum: ("(", "+", ")"), Product: ("(", "*", ")"), Quotient: ("(", "/", "
           PosPow: ("_pp(", "", ",{})")}
 
 
-def _emit(exprs) -> tuple[list[str], list[str]]:
+def _emit(exprs, leaf: str = "x[{}]") -> tuple[list[str], list[str]]:
     """(assignments, one expression per tree) computing the trees exprs, each
     operation used more than once computed once into a local `_k`.  Keyed by
     text, with operands by value number, equal subtrees that are distinct
-    objects (as `differentiate` builds them) share one local."""
+    objects (as `differentiate` builds them) share one local.  Variable i+1
+    reads `leaf.format(i)`: an entry of the argument x, or a local."""
     numbers: dict = {}   # (type, operands, power) -> value number, in order
 
     def ref(e):     # the source of a leaf, or the value number of an operation
@@ -457,7 +460,7 @@ def _emit(exprs) -> tuple[list[str], list[str]]:
                     f"non-finite constant {e.value!r} in a derived expression", e)
             return repr(e.value)
         if kind is Var:
-            return f"x[{e.index - 1}]"
+            return leaf.format(e.index - 1)
         key = (kind, tuple(map(ref, _children(e))),
                e.power if kind is IntPow or kind is PosPow else None)
         return numbers.setdefault(key, len(numbers))
@@ -478,10 +481,10 @@ def _emit(exprs) -> tuple[list[str], list[str]]:
 _NAMESPACE = {"_exp": math.exp, "_pp": _pospow_rt, "_ndarray": np.ndarray}
 
 
-def _define(body: list[str], namespace: dict):
-    """The function `f(x)` with the body lines, in a copy of namespace."""
+def _define(body: list[str], namespace: dict, args: str = "x"):
+    """The function `f(args)` with the body lines, in a copy of namespace."""
     namespace = dict(namespace)
-    exec("def f(x):\n    " + "\n    ".join(body), namespace)  # noqa: S102
+    exec(f"def f({args}):\n    " + "\n    ".join(body), namespace)  # noqa: S102
     return namespace.pop("f")   # no function <-> globals cycle to wait on gc for
 
 
@@ -504,6 +507,46 @@ def compile_vector(exprs) -> "callable":
         consts = [e.value for e in exprs]
         return lambda x: list(consts)
     return _define([_TO_FLOATS, *lines, f"return [{','.join(values)}]"], _NAMESPACE)
+
+
+def compile_rk4(exprs, box: "Box | None" = None) -> "callable":
+    """Compile the right-hand side F of y' = F(y), the trees exprs over the
+    entries of a flat state y, to `f(y, n, h) -> (k, y)`: n RK4 steps of
+    size h from y, a list of Python floats, on local variables.
+
+    Each stage evaluates F as `compile_vector` would, and each entry takes
+    the same arithmetic as RK4 on lists: a + (h/2) b, a + h b, then
+    a + (h/6) (b1 + 2 b2 + 2 b3 + b4).  With a box, the first box.dim
+    entries are tested after each step by |v - mid| <= half, which a NaN
+    fails; k is the first step whose point is outside, returned with the
+    state after it, or 0 after all n steps.
+    """
+    exprs = tuple(exprs)
+    read = set().union(*map(variables, exprs))      # 1-based
+    entries = range(len(exprs))
+    ys = ", ".join(f"y{i}" for i in entries)
+    step = []       # the body of the loop over steps
+    stages = []     # per stage, each entry's slope: a local, or a constant
+    for leaf, out, scale in [("y{}", "a", "h2"), ("z{}", "b", "h2"),
+                             ("z{}", "c", "h")]:
+        lines, values = _emit(exprs, leaf)
+        slopes = [v if type(e) is Const else f"{out}{i}"
+                  for i, (e, v) in enumerate(zip(exprs, values))]
+        step += [*lines, *(f"{k} = {v}" for k, v in zip(slopes, values) if k != v),
+                 *(f"z{i} = y{i} + {scale} * {slopes[i]}" for i in entries
+                   if i + 1 in read)]
+        stages.append(slopes)
+    lines, values = _emit(exprs, "z{}")
+    step += [*lines, *(f"y{i} = y{i} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {v})"
+                       for i, (a, b, c, v) in enumerate(zip(*stages, values)))]
+    if box is not None:
+        _, _, mid, half = box.mid_half
+        inside = " and ".join(f"abs(y{i} - {m!r}) <= {r!r}"
+                              for i, (m, r) in enumerate(zip(mid, half)))
+        step += [f"if not ({inside}):", f"    return k + 1, [{ys}]"]
+    return _define([f"{ys}, = y", "h2 = 0.5 * h", "h6 = h / 6.0",
+                    "for k in range(n):", *("    " + line for line in step),
+                    f"return 0, [{ys}]"], _NAMESPACE, "y, n, h")
 
 
 def compile_batch(exprs) -> "callable":
@@ -616,8 +659,9 @@ class Box:
         return np.array(mid)[:, None], np.array(half)[:, None], mid, half
 
     def contains(self, p) -> bool:
+        """Whether p is in the box; a NaN coordinate is not."""
         p = p.tolist() if isinstance(p, np.ndarray) else p
-        return not any(abs(v - m) > h for v, m, h in zip(p, *self.mid_half[2:]))
+        return all(abs(v - m) <= h for v, m, h in zip(p, *self.mid_half[2:]))
 
     def inflate(self, factor: float) -> "Box":
         _, _, mid, half = self.mid_half

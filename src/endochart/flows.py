@@ -8,8 +8,10 @@ blocks of starts and straight flows: a frame W is transported by RK4 of
 the state Y = (x, W) with right-hand side (V(x), DV(x) W), the
 variational equation co-integrated with the trajectory (Hairer, Norsett &
 Wanner, *Solving ODEs I*, sec. I.14), compiled once per field and frame
-width m with (DV W)_ic summed in j order; a plain flow is m = 0.  Single
-starts step lists of Python floats, one compiled call per RK4 stage; a
+width m with (DV W)_ic summed in j order; a plain flow is m = 0.  A
+single start runs one generated RK4 loop on Python floats
+(`CompiledField.rk4`, one per width and box: n steps on local variables,
+the box tested inline after each step, a NaN coordinate outside); a
 block (`transport_block`) steps the stacked (d + d m, N) array, one flow
 time per column.  So W's columns transport alone, bit for bit, and block
 columns equal single starts on fields built from sums, products and
@@ -65,8 +67,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .expr import (Box, Const, Var, add, compile_batch, compile_vector, mul,
-                   variables)
+from .expr import (Box, Const, Var, add, compile_batch, compile_rk4,
+                   compile_vector, mul, variables)
 from .fields import VectorField
 
 __all__ = [
@@ -103,14 +105,16 @@ class CompiledField:
         Y' = (V(x), K),  K_ic = sum_j d_jV_i(x) W_jc, summed in j order.
 
     Y is flat: x, then W row by row.  Each width is compiled on first use:
-    on Python floats for single starts (`rhs`), and for blocks whose
-    columns are states (`batch_rhs`).  The width 0 is V alone.
+    on Python floats for single starts (`rhs`), as RK4 steps of single
+    starts in one box (`rk4`), and for blocks whose columns are states
+    (`batch_rhs`).  The width 0 is V alone.
     """
 
     def __init__(self, field: VectorField):
         self.field = field
         self.dim = field.dim
         self._point: dict[int, object] = {}
+        self._rk4: dict[tuple, object] = {}
         self._block: dict[int, object] = {}
 
     @property
@@ -132,6 +136,15 @@ class CompiledField:
         f = self._point.get(m)
         if f is None:
             f = self._point[m] = compile_vector(self._trees(m))
+        return f
+
+    def rk4(self, m: int, box: Box | None):
+        """`f(Y, n, h) -> (k, Y)`: n RK4 steps of size h of the flat state Y
+        of width m (a list of Python floats), box-checked after each step
+        when box is given, k the first step outside (`compile_rk4`)."""
+        f = self._rk4.get((m, box))
+        if f is None:
+            f = self._rk4[m, box] = compile_rk4(self._trees(m), box)
         return f
 
     def batch_rhs(self, m: int):
@@ -245,9 +258,10 @@ def _check_box(spec: FlowSpec, t, x: np.ndarray):
 
 
 def _outside(box: Box, x: np.ndarray) -> np.ndarray:
-    """Mask of the points of x, coordinates along axis -2, outside box."""
+    """Mask of the points of x, coordinates along axis -2, outside box (a
+    NaN coordinate is outside)."""
     mid, half = box.mid_half[:2]
-    return np.any(np.abs(x - mid) > half, axis=-2)
+    return ~np.all(np.abs(x - mid) <= half, axis=-2)
 
 
 def _steps(spec: FlowSpec, t: float) -> tuple[int, float]:
@@ -263,14 +277,16 @@ def _check_line(spec: FlowSpec, x, v, n, h):
     whose step point x + k h v is outside the box, naming a block's first
     column out there.  Each coordinate of the step points is monotone in k,
     even rounded, so when the first and the last step points are inside
-    (for a single start, by `Box.contains`), all are.
+    (for a single start, tested coordinate by coordinate as `Box.contains`
+    tests them), all are.
     """
     box = spec.box
     if box is None:
         return
     if isinstance(x, list):
-        if (box.contains([a + h * b for a, b in zip(x, v)])
-                and box.contains([a + (n * h) * b for a, b in zip(x, v)])):
+        _, _, mid, half = box.mid_half
+        if all(abs(a + h * b - c) <= r and abs(a + (n * h) * b - c) <= r
+               for a, b, c, r in zip(x, v, mid, half)):
             return
         x, v = np.array(x), np.array(v)
     d = x.shape[0]
@@ -299,26 +315,18 @@ def _rk4_step(f, y: np.ndarray, h):
 def _point_flow(spec: FlowSpec, y: list, t: float, m: int) -> list:
     """The flow of the state Y = (x, W) of a symbolic generator, W of width
     m, from the flat list y of Python floats after time t (not 0): the
-    closed form y + tF(y) on a straight flow, else RK4 steps with one call
-    of the compiled right-hand side F per stage, each step point
-    box-checked."""
+    closed form y + tF(y) on a straight flow, else the generator's compiled
+    RK4 loop (`CompiledField.rk4`), every step point box-checked."""
     gen = spec.generator
-    f, d = gen.rhs(m), gen.dim
+    d = gen.dim
     n, h = _steps(spec, t)
     if gen.straight:
-        F = f(y)
+        F = gen.rhs(m)(y)
         _check_line(spec, y[:d], F[:d], n, h)
         return [a + t * b for a, b in zip(y, F)]
-    box, h2, h6 = spec.box, 0.5 * h, h / 6.0
-    for k in range(n):
-        k1 = f(y)
-        k2 = f([a + h2 * b for a, b in zip(y, k1)])
-        k3 = f([a + h2 * b for a, b in zip(y, k2)])
-        k4 = f([a + h * b for a, b in zip(y, k3)])
-        y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        if box is not None and not box.contains(y[:d]):
-            raise BoxExitError((k + 1) * h, y[:d])
+    k, y = gen.rk4(m, spec.box)(y, n, h)
+    if k:
+        raise BoxExitError(k * h, y[:d])
     return y
 
 

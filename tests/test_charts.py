@@ -369,20 +369,27 @@ class TestOneCheckPerStage:
         jordanize(data["field"], data["chart"])
         assert calls == [0, 1]
 
-    @pytest.mark.parametrize("name", ["example35-n2", "example35-n3"])
+    @pytest.mark.parametrize("name", ["example35-n2", "example35-n3",
+                                      "example35-n3-xn"])
     def test_jordanize_compiles_each_expression_list_once(self, name,
                                                           monkeypatch):
         # every symbolic field of the pipeline is one `CompiledField`, by
-        # value, which compiles each frame width once for points and once
-        # for blocks: no stage and no clause compiles a list again
+        # value, which compiles each frame width once for points, once for
+        # blocks and once per box as the RK4 loop of single starts: no
+        # stage and no clause compiles a list again
         compiled = []
-        for fn in ("compile_vector", "compile_batch"):
+        for fn in ("compile_vector", "compile_batch", "compile_rk4"):
             original = getattr(flows, fn)
-            monkeypatch.setattr(flows, fn, lambda exprs, fn=fn, f=original: (
-                compiled.append((fn, tuple(exprs))) or f(exprs)))
+            monkeypatch.setattr(flows, fn, lambda exprs, *box, fn=fn, f=original: (
+                compiled.append((fn, tuple(exprs), *box)) or f(exprs, *box)))
         data = build_corpus_field(name)
         jordanize(data["field"], data["chart"])
         assert compiled and len(set(compiled)) == len(compiled)
+        # example35-n3's computed flow reads stage-0 differentials, which
+        # flow single starts along A d/dx3, not straight; the other two
+        # charts' single starts flow straight generators only
+        loops = [c for c in compiled if c[0] == "compile_rk4"]
+        assert bool(loops) == (name == "example35-n3")
 
     def test_stage0_generators_are_kept(self):
         data = build_corpus_field("example35-n3")
@@ -474,7 +481,7 @@ class TestOneFramePath:
         assert stage.n_flows == 2
         assert all(g.symbolic for g in stage.generators)
         blocks, singles = [], []
-        block, single = charts.transport_block, charts.integrate_with_transport
+        block, single = charts.transport_block, charts._point_flow
 
         def recording_block(spec, x, t, W):
             blocks.append(x.shape[1])
@@ -484,8 +491,7 @@ class TestOneFramePath:
             singles.append(args)
             return single(*args)
         monkeypatch.setattr(charts, "transport_block", recording_block)
-        monkeypatch.setattr(charts, "integrate_with_transport",
-                            recording_single)
+        monkeypatch.setattr(charts, "_point_flow", recording_single)
         y = ex.sample_box(Box(tuple(stage.chart_ranges())), 7, 2026,
                           include_corners=False).T
         N = y.shape[1]

@@ -8,7 +8,7 @@ from endochart.expr import Box
 from endochart.fields import VectorField, coordinate_field, lie_bracket
 from endochart.flows import (BoxExitError, CompiledField,
                              ComputedVectorField, FlowSpec,
-                             IntegratorSettings, integrate_flow,
+                             IntegratorSettings, _outside, integrate_flow,
                              integrate_with_transport, numeric_bracket,
                              transport_block)
 
@@ -511,6 +511,56 @@ def test_non_finite_block_right_hand_side(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_check", run)
     assert cli.main(["check", "unused.json"]) == 1
     assert "no finite value" in capsys.readouterr().err
+
+
+class TestNonFiniteSteps:
+    """A step point with a NaN coordinate is outside every box."""
+
+    # products overflow to inf on Python floats, and inf - inf is NaN: from
+    # (0.5, 0.5), RK4 with step 0.1 steps to (nan, nan)
+    FIELD = VectorField((
+        ex.sub(ex.mul(ex.const(1e300), ex.var(1), ex.var(1)),
+               ex.mul(ex.const(1e300), ex.var(2), ex.var(2))),
+        ex.mul(ex.const(1e300), ex.var(1))))
+    SPEC = FlowSpec(FIELD, IntegratorSettings(step=0.1), Box.cube(2, 1.0))
+
+    def test_nan_is_outside(self):
+        box = Box.cube(2, 1.0)
+        assert box.contains([0.5, -1.0])
+        assert not box.contains([math.nan, 0.0])
+        assert not box.contains(np.array([0.0, math.nan]))
+        x = np.array([[0.5, math.nan, 0.0, 2.0], [-1.0, 0.0, math.nan, 0.0]])
+        assert _outside(box, x).tolist() == [False, True, True, True]
+
+    @pytest.mark.parametrize("run", [
+        lambda spec: integrate_flow(spec, (0.5, 0.5), 0.3),
+        lambda spec: integrate_with_transport(spec, (0.5, 0.5), 0.3, np.eye(2)),
+        lambda spec: integrate_flow(rk4_oracle(spec), (0.5, 0.5), 0.3),
+    ], ids=["integrate_flow", "integrate_with_transport", "numpy-rk4"])
+    def test_single_start_stepping_to_nan_leaves_the_box(self, run,
+                                                         monkeypatch, capsys):
+        from endochart import cli
+        err = box_exit(lambda: run(self.SPEC))
+        assert err.time == 0.3 / 3
+        assert len(err.point) == 2 and all(map(math.isnan, err.point))
+        monkeypatch.setattr(cli, "_cmd_check", lambda args: run(self.SPEC))
+        assert cli.main(["check", "unused.json"]) == 2
+        assert capsys.readouterr().err == (
+            "error: trajectory left the working box at t = 0.100000\n")
+
+    def test_block_refuses_the_non_finite_stage(self, monkeypatch, capsys):
+        # the batch evaluator raises at the first non-finite right-hand
+        # side, a stage before the step point is NaN
+        from endochart import cli
+
+        def run(args=None):
+            return transport_block(self.SPEC, np.full((2, 1), 0.5),
+                                   np.array([0.3]), np.eye(2)[None])
+        with pytest.raises(ex.EvaluationError, match="non-finite value"):
+            run()
+        monkeypatch.setattr(cli, "_cmd_check", run)
+        assert cli.main(["check", "unused.json"]) == 1
+        assert "no finite value" in capsys.readouterr().err
 
 
 def example35_n3_generator() -> VectorField:

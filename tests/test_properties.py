@@ -6,11 +6,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from endochart import expr as ex  # noqa: E402
 from endochart.charts import PipelineSettings, jordanize  # noqa: E402
 from endochart.corpus import conjugated_constant  # noqa: E402
-from endochart.expr import sample_box  # noqa: E402
+from endochart.expr import Box, sample_box  # noqa: E402
+from endochart.fields import VectorField  # noqa: E402
 from endochart.flows import (BoxExitError, ComputedVectorField,  # noqa: E402
-                             FlowSpec, integrate_flow)
+                             FlowSpec, IntegratorSettings, integrate_flow,
+                             integrate_with_transport)
 
 SETTINGS = PipelineSettings()     # the command-line defaults
 
@@ -49,3 +52,52 @@ def _run(spec, p, t) -> tuple:
         return t, integrate_flow(spec, p, t)
     except BoxExitError as err:
         return err.time, np.array(err.point)
+
+
+def _loop_field(a: float, b: float, c: float) -> VectorField:
+    """A field on R^3 that is not straight, with a quotient, integer powers
+    and exp."""
+    x1, x2, x3 = ex.var(1), ex.var(2), ex.var(3)
+    return VectorField((
+        ex.div(ex.mul(a, x2), ex.add(2.0, ex.mul(x1, x1))),
+        ex.sub(ex.mul(b, ex.exp(ex.mul(0.5, x3))), ex.intpow(x2, 3)),
+        ex.add(ex.mul(c, x1, x2), ex.intpow(x3, 2))))
+
+
+def _outcome(run) -> tuple:
+    """("end", the flat state's bytes), or ("exit", time, the first three
+    coordinates of the point) of the BoxExitError run raises."""
+    try:
+        return "end", np.concatenate([np.ravel(v) for v in run()]).tobytes()
+    except BoxExitError as err:
+        return "exit", err.time, np.array(err.point[:3]).tobytes()
+
+
+_coef = st.floats(-2.0, 2.0)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.given(coefs=st.tuples(_coef, _coef, _coef), m=st.integers(0, 2),
+                  start=st.tuples(*[st.floats(-0.9, 0.9)] * 3),
+                  t=st.floats(-2.0, 2.0), step=st.sampled_from([0.05, 0.1]),
+                  frame_seed=st.integers(0, 2 ** 16))
+def test_generated_rk4_loop_equals_numpy_rk4(coefs, m, start, t, step,
+                                            frame_seed):
+    # the oracle steps the flat state (x, W) as a numpy array by the same
+    # right-hand side, compiled for single points, and tests the box with
+    # `Box.contains`
+    box = Box.cube(3, 1.0)
+    spec = FlowSpec(_loop_field(*coefs), IntegratorSettings(step=step), box)
+    gen = spec.generator
+    assert not gen.straight
+    p = np.array(start)
+    W0 = np.random.default_rng(frame_seed).normal(size=(3, m))
+    oracle = FlowSpec(ComputedVectorField(gen.rhs(m), 3 + 3 * m),
+                      spec.settings, box)
+    expect = _outcome(lambda: [integrate_flow(oracle, np.concatenate(
+        [p, W0.ravel()]), t)])
+    if m == 0:
+        got = _outcome(lambda: [integrate_flow(spec, p, t)])
+    else:
+        got = _outcome(lambda: integrate_with_transport(spec, p, t, W0))
+    assert got == expect
