@@ -301,10 +301,21 @@ def validate_adapted_chart(A: EndoField, chart: AdaptedChart,
 # ---------------------------------------------------------------------------
 # Stage charts: flow compositions from the section.
 
+def _kept(memo: dict, key, make, size: int):
+    """memo[key], else make() kept there; past size entries the oldest is
+    dropped.  Callers only read what it returns: the arrays are shared."""
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = make()
+        if len(memo) > size:
+            del memo[next(iter(memo))]
+    return hit
+
+
 class _StageChart:
     """Parametrisation (s, t) -> Phi(sigma(s), t) by the stage's flows."""
 
-    MEMO = 4096     # differentials kept
+    MEMO = 4096     # differentials, and start coordinates, kept
 
     def __init__(self, pipeline: "_Pipeline", stage: int):
         self.pipeline = pipeline
@@ -328,38 +339,16 @@ class _StageChart:
             self.specs.append(gen.spec if isinstance(gen, _Pullback)
                               else FlowSpec(gen, st.integrator, box))
         self._differentials: dict[bytes, tuple] = {}
+        self._starts: dict[bytes, np.ndarray] = {}
 
     @property
     def n_flows(self) -> int:
         return len(self.flow_slots)
 
     def forward(self, s, t) -> np.ndarray:
-        x, at = self.section.embed(s), None
-        for alpha in self.application_order:
-            spec = self.specs[alpha]
-            if spec.generator.symbolic:
-                x, at = integrate_flow(spec, x, float(t[alpha])), None
-            else:
-                x, at, _ = self._computed_flow(alpha, x, float(t[alpha]), at)
-        return x
-
-    def _computed_flow(self, alpha: int, x, t: float, at=None,
-                       near=None) -> tuple:
-        """The computed flow alpha from x after time t: (endpoint, where it
-        is in the parent chart, start coordinates).
-
-        A pulled-back generator runs in its parent chart's coordinates
-        (`_Pullback.flow`), starting from `at` = (parent, y) when that
-        places x in the same parent chart (x is the end of an earlier flow
-        there); the end's place is (parent, y_end).  Any other computed
-        generator runs on x itself: place None, start x.
-        """
-        gen = self.specs[alpha].generator
-        if not isinstance(gen, _Pullback):
-            return integrate_flow(self.specs[alpha], x, t), None, x
-        y0 = at[1] if at is not None and at[0] is gen.parent else None
-        x, y, y0 = gen.flow(x, t, y0, near)
-        return x, (None if y is None else (gen.parent, y)), y0
+        """Phi(sigma(s), t): `_compose` of an empty (d, 0) frame."""
+        W = np.zeros((self.section.dim, 0))
+        return self._compose(s, t, W, times=False)[0]
 
     def chart_ranges(self) -> list:
         """Per-coordinate ranges, flow times then section coordinates, that
@@ -371,18 +360,20 @@ class _StageChart:
             out.append((mid[ax] - GRID_SCALE * half[ax], mid[ax] + GRID_SCALE * half[ax]))
         return out
 
-    def start_coords(self, x, near=None) -> np.ndarray:
+    def start_coords(self, x) -> np.ndarray:
         """Chart coordinates y = (t, s) of x: t = 0 when x lies exactly on
-        the section, else one inversion started at the flow times of the
-        chart point `near` (default t = 0)."""
+        the section, else one inversion.  The last MEMO are kept by the
+        exact bytes of x: a transport at the flow times a Newton solve
+        found starts its computed flows where the solve's last forward map
+        started them."""
         x = np.asarray(x, dtype=float)
-        s = self.section.project(x)
-        if np.array_equal(self.section.embed(s), x):
-            t = np.zeros(self.n_flows)
-        else:
-            t0 = np.zeros(self.n_flows) if near is None else near[:self.n_flows]
-            s, t = self.inverse(x, t0)
-        return np.concatenate([t, s])
+
+        def solve():
+            s, t = self.section.project(x), np.zeros(self.n_flows)
+            if not np.array_equal(self.section.embed(s), x):
+                s, t = self.inverse(x)
+            return np.concatenate([t, s])
+        return _kept(self._starts, x.tobytes(), solve, self.MEMO)
 
     def differential(self, y) -> tuple[np.ndarray, np.ndarray]:
         """`forward_differential` at the chart point y, kept for the last
@@ -391,14 +382,8 @@ class _StageChart:
         flow and the start of the next one in this chart; trajectories of a
         pulled-back flow from one start meet the same points again.  Blocks
         (`_Samples.on`) do not pass through this memo."""
-        key = y.tobytes()
-        hit = self._differentials.get(key)
-        if hit is None:
-            hit = self.forward_differential(y)
-            self._differentials[key] = hit
-            if len(self._differentials) > self.MEMO:
-                del self._differentials[next(iter(self._differentials))]
-        return hit
+        return _kept(self._differentials, y.tobytes(),
+                     lambda: self.forward_differential(y), self.MEMO)
 
     def forward_differential(self, y) -> tuple[np.ndarray, np.ndarray]:
         """Phi(y) and the full differential DPhi(y) at y = (t, s), or at the
@@ -481,39 +466,58 @@ class _StageChart:
 
     def _transport_computed(self, alpha: int, x, W, t, at) -> tuple:
         """(endpoint, frame, the endpoint's place in the parent chart) of the
-        computed flow alpha from x, at place `at`, after time t; the frame W
-        goes by central differences of the flow map, step H_TRANSPORT, along
-        each unit column.  A shifted start off the section is inverted from
-        the central start's coordinates."""
-        h, t = H_TRANSPORT, float(t)
-        end, at_end, y0 = self._computed_flow(alpha, x, t, at)
-        frame = np.zeros_like(W)
+        computed flow alpha from x, at place `at`, after time t.  The frame
+        W goes by central differences of the flow map, step H_TRANSPORT,
+        along each unit column u.
+
+        A pulled-back generator flows in its parent chart P's coordinates
+        from y0, which is `at`'s when that names P, else P.start_coords(x),
+        and differences the flows from y0 +- h w, w = DPhi_P(y0)^-1 u: the
+        rule of `_Samples.along`, so no shifted start inverts P.  The end's
+        place is (P, y_end).  Any other computed flow differences its flows
+        from x +- h u in the ambient space, place None; so does every
+        computed flow at t = 0, the identity, which leaves `at` as it is.
+        """
+        spec, h, t = self.specs[alpha], H_TRANSPORT, float(t)
+        gen = spec.generator
+        pulled = isinstance(gen, _Pullback) and t != 0.0
+
+        def run(start):
+            return (gen.point(gen.flow(start, t)) if pulled
+                    else integrate_flow(spec, start, t))
+        if pulled:
+            P = gen.parent
+            z = at[1] if at is not None and at[0] is P else P.start_coords(x)
+            at = (P, gen.flow(z, t))
+            end = gen.point(at[1])
+        else:
+            z, at = x, (at if t == 0.0 else None)
+            end = run(z)
+        frame = np.zeros(W.shape)
         for j in range(W.shape[1]):
             nw = float(np.linalg.norm(W[:, j]))
             if nw != 0.0:
-                u = W[:, j] / nw
-                up, _, _ = self._computed_flow(alpha, x + h * u, t, near=y0)
-                dn, _, _ = self._computed_flow(alpha, x - h * u, t, near=y0)
-                frame[:, j] = nw * (up - dn) / (2.0 * h)
-        return end, frame, at_end
+                w = W[:, j] / nw
+                if pulled:
+                    w = np.linalg.solve(P.differential(z)[1], w)
+                frame[:, j] = nw * (run(z + h * w) - run(z - h * w)) / (2.0 * h)
+        return end, frame, at
 
-    def inverse(self, q, t0=None) -> tuple[np.ndarray, np.ndarray]:
+    def inverse(self, q) -> tuple[np.ndarray, np.ndarray]:
         """Solve Phi(sigma(s), t) = q for the flow times t.
 
         The quotient coordinates are preserved by every flow, so s is read
         off q directly and only t is solved for, by damped Gauss-Newton
         with generator values as approximate jacobian columns.  Newton
-        starts at t0, by default t = 0: the section projection, where the
-        forward map costs nothing.  Only `start_coords` passes another
-        start, the flow times of a neighbouring chart point its caller
-        holds, so every answer depends on the arguments alone.
+        starts at t = 0, the section projection, where the forward map
+        costs nothing, so the answer depends on q alone.
         """
         q = np.asarray(q, dtype=float)
         s = self.section.project(q)
         N = self.n_flows
         if N == 0:
             return s, np.zeros(0)
-        t = np.zeros(N) if t0 is None else np.asarray(t0, dtype=float).copy()
+        t = np.zeros(N)
         tmax = 4.0 * self.pipeline.chart_box.diameter
         x = self.forward(s, t)
         r = x - q
@@ -547,19 +551,23 @@ class _Pullback:
 
     Z_i^(r)(Phi_P(y)) is the section column i of DPhi_P(y), so V pulls back
     to solve(DPhi_P(y), A^p(Phi_P(y)) DPhi_P(y)[:, N_P + i]) with no
-    inversion of Phi_P.  One pullback serves every stage chart that flows
-    along V (`_Pipeline.flow_generator`).
+    inversion of Phi_P.  Its flows run from chart points of P to chart
+    points of P (`flow`): a stage chart places a flow's start in P once,
+    from the end of an earlier flow or by one inversion, and shifts the
+    +-h starts of its frame differences there, so they invert nothing
+    (`_StageChart._transport_computed`).  One pullback serves every stage
+    chart that flows along V (`_Pipeline.flow_generator`).
     """
 
     symbolic = False
-    MEMO = 1024     # trajectories kept by each key
+    MEMO = 1024     # trajectories kept
 
     def __init__(self, parent: _StageChart, Ap, i: int, settings, box):
         self.parent = parent
         self.Ap = Ap
         self.col = parent.n_flows + i
         self.spec = FlowSpec(self, settings, box)
-        self._flows: dict[tuple, tuple] = {}
+        self._flows: dict[tuple, np.ndarray] = {}
 
     def point(self, y) -> np.ndarray:
         """The ambient point Phi_P(y)."""
@@ -569,42 +577,16 @@ class _Pullback:
         x, D = self.parent.differential(y)
         return np.linalg.solve(D, self.Ap(x) @ D[:, self.col])
 
-    def flow(self, x, t: float, y0=None, near=None) -> tuple:
-        """The flow from the ambient point x after time t: (endpoint,
-        parent coordinates of the endpoint, start coordinates).
-
-        The flow runs in the parent's coordinates: the same RK4 loop, step
-        count and step as in the ambient space, with the box check on the
-        ambient points.  It starts at y0 when given (x = Phi_P(y0)), else
-        at `start_coords(x, near)`.  Results are kept by the exact bytes of
-        these inputs and, so that no inversion runs before a lookup, by
-        those of (t, start), for every stage chart that flows along V; the
-        last MEMO of each are kept, since a Newton line search, the
-        transport after a Newton solve and the +-h starts on the section
-        repeat recent trajectories.
-        """
-        x = np.asarray(x, dtype=float)
-        if t == 0.0:
-            return x.copy(), y0, y0
-        key = (t, x.tobytes(), None if y0 is None else y0.tobytes(),
-               None if near is None or y0 is not None else near.tobytes())
-        hit = self._flows.get(key)
-        if hit is None:
-            if y0 is None:
-                y0 = self.parent.start_coords(x, near)
-            run = (t, y0.tobytes())
-            hit = self._flows.get(run)
-            if hit is None:
-                y = integrate_flow(self.spec, y0, t)
-                hit = (self.point(y), y, y0)
-                self._keep(run, hit)
-            self._keep(key, hit)
-        return hit[0].copy(), hit[1], hit[2]
-
-    def _keep(self, key: tuple, hit: tuple):
-        self._flows[key] = hit
-        if len(self._flows) > 2 * self.MEMO:
-            del self._flows[next(iter(self._flows))]
+    def flow(self, y0: np.ndarray, t: float) -> np.ndarray:
+        """The parent coordinates of the end of the flow from the parent
+        chart point y0 after time t: the same RK4 loop, step count and step
+        as in the ambient space, with the box check on the ambient points.
+        The last MEMO ends are kept by the exact bytes of (t, y0), for every
+        stage chart that flows along V: a Newton line search, the transport
+        after a Newton solve and grid points that share their first flows
+        repeat recent trajectories."""
+        return _kept(self._flows, (t, y0.tobytes()),
+                     lambda: integrate_flow(self.spec, y0, t), self.MEMO)
 
 
 class _SectionField:

@@ -6,8 +6,9 @@ Subcommands:
     corpus <name>            run a built-in example end to end
 
 Exit codes: 0 on pass, 2 on a condition/verification failure, 1 on usage,
-I/O or field-document errors and on fields without a finite value on the
-box (a zero denominator, an overflow).
+I/O or field-document errors, on fields without a finite value on the
+box (a zero denominator, an overflow) and on expressions too long or deep
+to compile.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from .charts import (AdaptedChart, AdaptedChartError, InductionError,
                      NewtonError, PipelineSettings, jordanize)
-from .expr import Box, EvaluationError
+from .expr import Box, CompileLimitError, EvaluationError
 from .fieldfile import FieldFileError, load_field_document
 from .flows import BoxExitError, IntegratorSettings
 from .reporting import (corollary15_to_dict, hk_to_dict, render_report,
@@ -284,6 +285,10 @@ def main(argv=None) -> int:
     except (UsageError, FieldFileError, FileNotFoundError,
             IsADirectoryError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except CompileLimitError as err:
+        print(f"error: field expressions are too long or deep to compile "
+              f"({err})", file=sys.stderr)
         return 1
     except (EvaluationError, OverflowError) as err:
         print(f"error: field has no finite value on the box ({err}); "

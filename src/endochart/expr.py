@@ -40,6 +40,7 @@ import numpy as np
 __all__ = [
     "ScalarExpr", "Const", "Var", "Sum", "Product", "Quotient", "IntPow",
     "Exp", "PosPow", "Box", "ZeroTestResult", "EvaluationError",
+    "CompileLimitError",
     "const", "var", "add", "sub", "mul", "div", "intpow", "exp", "pospow",
     "negate", "differentiate", "evaluate", "substitute", "compile_expr",
     "compile_vector", "compile_rk4", "compile_batch", "sample_box",
@@ -54,9 +55,15 @@ class EvaluationError(ArithmeticError):
     larger expression failed.
     """
 
-    def __init__(self, message: str, subtree: "ScalarExpr"):
+    def __init__(self, message: str, subtree: "ScalarExpr | None"):
         super().__init__(message)
         self.subtree = subtree
+
+
+class CompileLimitError(EvaluationError):
+    """Raised when generated source is past the compiler's limits: a sum or
+    product of thousands of terms, or parentheses nested past its depth.
+    No single subtree is at fault (subtree None)."""
 
 
 class ScalarExpr:
@@ -482,9 +489,13 @@ _NAMESPACE = {"_exp": math.exp, "_pp": _pospow_rt, "_ndarray": np.ndarray}
 
 
 def _define(body: list[str], namespace: dict, args: str = "x"):
-    """The function `f(args)` with the body lines, in a copy of namespace."""
+    """The function `f(args)` with the body lines, in a copy of namespace;
+    `CompileLimitError` when the compiler cannot take them."""
     namespace = dict(namespace)
-    exec(f"def f({args}):\n    " + "\n    ".join(body), namespace)  # noqa: S102
+    try:
+        exec(f"def f({args}):\n    " + "\n    ".join(body), namespace)  # noqa: S102
+    except (RecursionError, SyntaxError) as err:
+        raise CompileLimitError(str(err), None) from None
     return namespace.pop("f")   # no function <-> globals cycle to wait on gc for
 
 

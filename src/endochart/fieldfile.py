@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .charts import AdaptedChart
-from .expr import Box, constants
+from .expr import Box, constants, variables
 from .fields import EndoField
 from .grammar import ParseError, parse_expr
 
@@ -98,6 +98,10 @@ def loads_field_document(text: str, source: str = "<string>") -> FieldDocument:
         if not all(math.isfinite(c) for c in constants(entries[-1])):
             raise _fail(f"{source}: matrix entry {k} ({text_entry!r}) has a "
                         "non-finite constant")
+        outside = max(variables(entries[-1]), default=0)
+        if outside > d:
+            raise _fail(f"{source}: matrix entry {k} ({text_entry!r}) reads "
+                        f"x{outside}, but dim is {d}")
     rows = tuple(tuple(entries[i * d: (i + 1) * d]) for i in range(d))
     A = EndoField(rows)
 

@@ -44,7 +44,10 @@ field, each with its own step:
   the ambient space on the generator's `value`, which inverts P.  Frames
   are carried along computed flows by central differences of flow maps
   with step `charts.H_TRANSPORT`, one start at a time
-  (`charts._StageChart._transport_computed`);
+  (`charts._StageChart._transport_computed`).  A flow in P's coordinates
+  takes them there, as the brackets below do: its start y0 is shifted by
+  +-h DPhi_P(y0)^-1 u for each frame column u, so no shifted start
+  inverts P; an ambient flow shifts its start in the ambient space;
 - Lie brackets follow one rule (`charts._bracket`) and are evaluated as
   blocks over a sample set: the exact tree, compiled for blocks, when both
   fields are symbolic; else in the coordinates y of the stage chart the

@@ -6,7 +6,11 @@
             | 'exp(' expr ')' | 'pospow(' expr ',' integer ')' | '-' factor
 
 '^' takes an integer exponent and binds tighter than unary minus, so
-`-x1^2` parses as `-(x1^2)`.
+`-x1^2` parses as `-(x1^2)`.  Variables are x1, x2, ...  An expression
+nests at most MAX_DEPTH levels, in the text (parentheses, calls, unary
+minus) and in the tree it builds (chains of '/' and '^' nest their left
+operands), so the parser and the recursive walks of the tree stay well
+inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import re
 from . import expr as ex
 
 __all__ = ["parse_expr", "ParseError"]
+
+MAX_DEPTH = 64
 
 
 class ParseError(ValueError):
@@ -54,6 +60,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -71,10 +78,24 @@ class _Parser:
     def fail(self, message):
         raise ParseError(message, self.text, self.peek()[2])
 
+    def nested(self, parse) -> ex.ScalarExpr:
+        """parse() one nesting level down, refused past MAX_DEPTH."""
+        if self.depth == MAX_DEPTH:
+            self.fail(f"expression nests deeper than {MAX_DEPTH} levels")
+        self.depth += 1
+        e = parse()
+        self.depth -= 1
+        return e
+
     def parse(self) -> ex.ScalarExpr:
         e = self.expr()
         if self.peek()[0] != "end":
             self.fail(f"trailing input {self.peek()[1]!r}")
+        level, height = [e], 0
+        while level:        # the tree's height, without recursion
+            level, height = [c for n in level for c in ex._children(n)], height + 1
+        if height > MAX_DEPTH:
+            self.fail(f"expression nests deeper than {MAX_DEPTH} levels")
         return e
 
     def expr(self) -> ex.ScalarExpr:
@@ -106,7 +127,7 @@ class _Parser:
     def factor(self) -> ex.ScalarExpr:
         if self.peek()[1] == "-":
             self.next()
-            return ex.negate(self.factor())
+            return ex.negate(self.nested(self.factor))
         e = self.primary()
         while self.peek()[1] == "^":
             self.next()
@@ -120,21 +141,23 @@ class _Parser:
         if kind == "name":
             if text == "exp":
                 self.expect("(")
-                arg = self.expr()
+                arg = self.nested(self.expr)
                 self.expect(")")
                 return ex.exp(arg)
             if text == "pospow":
                 self.expect("(")
-                arg = self.expr()
+                arg = self.nested(self.expr)
                 self.expect(",")
                 k = self.integer()
                 if k < 0:
                     raise ParseError("pospow exponent must be >= 0", self.text, pos)
                 self.expect(")")
                 return ex.pospow(arg, k)
+            if int(text[1:]) < 1:
+                raise ParseError("variables are numbered from x1", self.text, pos)
             return ex.var(int(text[1:]))
         if text == "(":
-            e = self.expr()
+            e = self.nested(self.expr)
             self.expect(")")
             return e
         raise ParseError(f"unexpected token {text!r}", self.text, pos)

@@ -692,6 +692,35 @@ def ambient_forward(chart: ChartMap, y) -> np.ndarray:
     return x
 
 
+class InversionLog:
+    """Every chart inversion (`_StageChart.inverse`) while it is installed,
+    as (asker, point bytes): asker "frame" for a section-frame value,
+    "start" for a flow start (`start_coords`), else "direct"."""
+
+    def __init__(self, monkeypatch):
+        self.log, asking = [], ["direct"]
+        inverse = charts._StageChart.inverse
+
+        def logged(self_, q):
+            self.log.append((asking[-1], np.asarray(q).tobytes()))
+            return inverse(self_, q)
+        monkeypatch.setattr(charts._StageChart, "inverse", logged)
+        for name, asker in (("section_frame", "frame"),
+                            ("start_coords", "start")):
+            original = getattr(charts._StageChart, name)
+
+            def asked(self_, q, original=original, asker=asker):
+                asking.append(asker)
+                try:
+                    return original(self_, q)
+                finally:
+                    asking.pop()
+            monkeypatch.setattr(charts._StageChart, name, asked)
+
+    def count(self, asker: str) -> int:
+        return sum(1 for entry in self.log if entry[0] == asker)
+
+
 class TestParentCoordinateFlows:
     """Computed generators flow in their parent chart's coordinates."""
 
@@ -809,11 +838,12 @@ class TestParentCoordinateFlows:
             t = rng.uniform(-0.05, 0.05, size=stage.n_flows)
             x = pipe.section.embed(s)
             for alpha in stage.application_order:
-                spec = stage.specs[alpha]
-                if spec.generator.symbolic:
-                    x = integrate_flow(spec, x, float(t[alpha]))
+                gen = stage.specs[alpha].generator
+                if isinstance(gen, charts._Pullback):
+                    y = gen.flow(stage0.start_coords(x), float(t[alpha]))
+                    x = gen.point(y)
                 else:
-                    x, _, _ = stage._computed_flow(alpha, x, float(t[alpha]))
+                    x = integrate_flow(stage.specs[alpha], x, float(t[alpha]))
             assert np.max(np.abs(stage.forward(s, t) - x)) <= tol
 
     @pytest.mark.parametrize("order", ["desc", "asc"])
@@ -821,47 +851,40 @@ class TestParentCoordinateFlows:
                                                       monkeypatch):
         # section_frame = inverse (Newton, ending on a forward map at the
         # solution) + forward_transport there: the transport integrates only
-        # the +-h trajectories of the computed flow.  Under "asc" the
-        # computed flow starts off the section, so each start inverts the
-        # parent once: the transport does so for the +-h starts only.
+        # the +-h trajectories of the computed flow, which start at chart
+        # points of its parent (stage 0).  Under "asc" the computed flow
+        # starts off the section, so each forward map inverts the parent
+        # once; the transport starts where Newton's last forward map did,
+        # and its +-h starts invert nothing.
         settings = PipelineSettings(flow_order=order)
-        runs, starts = [], []
+        runs = []
         integrate = charts.integrate_flow
-        start_inverse = charts._StageChart.inverse
 
         def counting(spec, p0, t):
-            if isinstance(spec.generator, charts._Pullback) and t != 0.0:
+            if isinstance(spec.generator, charts._Pullback):
                 runs.append((t, np.asarray(p0).tobytes()))
             return integrate(spec, p0, t)
-
-        def counting_inverse(self, q, t0=None):
-            if t0 is not None:          # a flow start, not a frame value
-                starts.append(q)
-            return start_inverse(self, q, t0)
         monkeypatch.setattr(charts, "integrate_flow", counting)
-        monkeypatch.setattr(charts._StageChart, "inverse", counting_inverse)
+        inversions = InversionLog(monkeypatch)
         q = np.array([0.031, -0.047, 0.052])
         assemble_chart("example35-n3", settings)._chart.inverse(q)
-        newton_runs, newton_starts = len(runs), len(starts)
+        newton_runs, newton_starts = len(runs), inversions.count("start")
         assert newton_runs > 0
         runs.clear()
-        starts.clear()
+        inversions.log.clear()
         chart = assemble_chart("example35-n3", settings)
         chart._chart.section_frame(q)
         m = len(chart.pipeline.section.axes)
         assert len(runs) == newton_runs + 2 * m
         assert len(set(runs)) == len(runs)
-        if order == "desc":
-            assert newton_starts == 0 and starts == []
-        else:
-            assert newton_starts > 0
-            assert len(starts) == newton_starts + 2 * m
+        assert inversions.count("start") == newton_starts
+        assert (newton_starts > 0) == (order == "asc")
 
     def test_trajectory_memo_keys_and_bound(self, monkeypatch):
-        # a start on the section resolves to (0, s) whatever `near` says, so
-        # a second lookup with another `near` integrates nothing; the memo
-        # keeps at most 2 MEMO entries (input keys and (t, start) keys), and
-        # the parent at most its MEMO differentials
+        # a pulled-back flow is kept by (t, start) alone, at most MEMO of
+        # them, and the parent keeps at most its MEMO differentials and
+        # start coordinates.  Kept arrays stay inside the chart: a caller
+        # that writes an answer changes no later answer
         monkeypatch.setattr(charts._Pullback, "MEMO", 2)
         monkeypatch.setattr(charts._StageChart, "MEMO", 3)
         chart = assemble_chart("example35-n3")
@@ -875,14 +898,46 @@ class TestParentCoordinateFlows:
             return integrate(spec, p0, t)
         monkeypatch.setattr(charts, "integrate_flow", counting)
         x = chart.pipeline.section.embed(np.array([0.05]))
-        a = gen.flow(x, 0.04, near=np.array([0.01, 0.02, 0.05]))
-        b = gen.flow(x, 0.04, near=np.array([-0.03, 0.0, 0.05]))
-        assert len(runs) == 1
-        assert a[0].tobytes() == b[0].tobytes()
+        y0 = gen.parent.start_coords(x)
+        a = gen.flow(y0, 0.04)
+        b = gen.flow(y0.copy(), 0.04)
+        assert len(runs) == 1 and a is b
         for t in (0.01, 0.02, 0.03, 0.05):
-            gen.flow(x, t)
-        assert len(gen._flows) == 4
+            gen.flow(y0, t)
+        assert list(gen._flows) == [(0.03, y0.tobytes()), (0.05, y0.tobytes())]
         assert len(gen.parent._differentials) == 3
+        for y in chart.sample_coords(4, seed=3):
+            gen.parent.start_coords(chart.forward(y))
+        assert len(gen.parent._starts) == 3
+        y = chart.sample_coords(1, seed=4)[0]
+        q = chart.forward(y)
+        expect = q.tobytes()
+        q[:] = 0.0
+        assert chart.forward(y).tobytes() == expect
+
+    def test_n4_jordanize_inverts_no_shifted_start(self, monkeypatch):
+        # n = 4 end to end: every stage report and the verification pass.
+        # A^2 Z^(2) starts where the ambient flow of A Z^(2) ends, so the
+        # stage-2 chart inverts its parent for flow starts; each of them is
+        # the start of a transport, none a +-h shift of one
+        data = build_corpus_field("example35-n4-const")
+        centres = set()
+        transport = charts._StageChart._transport_computed
+
+        def recording(self, alpha, x, *args):
+            centres.add(np.asarray(x).tobytes())
+            return transport(self, alpha, x, *args)
+        monkeypatch.setattr(charts._StageChart, "_transport_computed",
+                            recording)
+        inversions = InversionLog(monkeypatch)
+        settings = PipelineSettings(integrator=IntegratorSettings(step=5e-2))
+        result = jordanize(data["field"], data["chart"], settings, grid=3)
+        assert [rep.k for rep in result.stage_reports] == [0, 1, 2, 3]
+        assert all(rep.passed for rep in result.stage_reports)
+        assert result.verification.passed
+        starts = [q for asker, q in inversions.log if asker == "start"]
+        assert starts and inversions.count("direct") == 0
+        assert sum(q not in centres for q in starts) == 0
 
     def test_computed_flow_leaving_box(self):
         # the computed flow (slot (1, 0)) at t = 2 carries sigma(s) out of

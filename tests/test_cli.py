@@ -293,7 +293,7 @@ class TestFileCommands:
         from endochart import charts
         from endochart.flows import BoxExitError
         left = []
-        original = charts._StageChart._computed_flow
+        original = charts._Pullback.flow
 
         def recording(self, *args, **kwargs):
             try:
@@ -301,7 +301,7 @@ class TestFileCommands:
             except BoxExitError:
                 left.append(args)
                 raise
-        monkeypatch.setattr(charts._StageChart, "_computed_flow", recording)
+        monkeypatch.setattr(charts._Pullback, "flow", recording)
         field, chart = self.unchecked_chart(path)
         with pytest.raises(BoxExitError, match=r"at t = -0\.075000$"):
             charts.verify_integral_chart(field, chart)

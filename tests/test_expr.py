@@ -6,7 +6,7 @@ import pytest
 
 from endochart import expr as ex
 from endochart.expr import Box, is_zero_on_box
-from endochart.grammar import ParseError, parse_expr
+from endochart.grammar import MAX_DEPTH, ParseError, parse_expr
 
 
 def central_diff(f, p, i, h=1e-5):
@@ -183,6 +183,46 @@ class TestGrammar:
     def test_unbalanced(self):
         with pytest.raises(ParseError):
             parse_expr("(x1 + 2")
+
+    def test_variables_start_at_x1(self):
+        with pytest.raises(ParseError, match="numbered from x1") as err:
+            parse_expr("x1 + x0")
+        assert err.value.column == 6
+
+    @pytest.mark.parametrize("text", [
+        "(" * 300 + "x1" + ")" * 300,
+        "-" * 3000 + "x1",
+        "exp(" * 300 + "x1" + ")" * 300,
+        # chains nest their left operands in the tree, not in the text
+        "/".join(["x1"] * 3000),
+        "x1" + "^2" * 300,
+    ], ids=["parentheses", "unary-minus", "calls", "quotients", "powers"])
+    def test_nesting_past_the_limit_is_refused(self, text):
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} "):
+            parse_expr(text)
+
+    def test_nesting_up_to_the_limit_parses(self):
+        D = MAX_DEPTH
+        assert ex.evaluate(parse_expr("(" * D + "x1" + ")" * D), (2.0,)) == 2.0
+        assert ex.evaluate(parse_expr("-" * D + "x1"), (2.0,)) == 2.0
+        # a tree of height D: D - 1 quotients over a leaf
+        assert ex.evaluate(parse_expr("/".join(["x1"] * D)), (1.0,)) == 1.0
+        with pytest.raises(ParseError):
+            parse_expr("-" * (D + 1) + "x1")
+        with pytest.raises(ParseError):
+            parse_expr("/".join(["x1"] * (D + 1)))
+
+    @pytest.mark.parametrize("text", [
+        "+".join(f"{k}*x1" for k in range(1, 5001)),
+        "*".join(["x1"] * 3000),
+    ], ids=["sum-5000", "product-3000"])
+    def test_source_past_the_compiler_limits(self, text):
+        # flat trees, but Python compiles a + b + ... as nested operations
+        e = parse_expr(text)
+        for compile_ in (ex.compile_batch, ex.compile_vector):
+            with pytest.raises(ex.CompileLimitError):
+                compile_([e])
+        assert issubclass(ex.CompileLimitError, ex.EvaluationError)
 
 
 class TestCompileBatch:

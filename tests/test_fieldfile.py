@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -127,3 +130,46 @@ def test_malformed_value_is_a_field_file_error(text, tmp_path, capsys):
     assert main(["check", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+DEEP_OR_LONG = {
+    "parentheses-300": "(" * 300 + "x1" + ")" * 300,
+    "unary-minus-3000": "-" * 3000 + "x1",
+    "sum-5000": "+".join(f"{k}*x1" for k in range(1, 5001)),
+    "product-3000": "*".join(["x1"] * 3000),
+}
+
+
+def _run_entry(tmp_path, command, entry):
+    """main(command) on a 2-D document with `entry` above the diagonal."""
+    from endochart.cli import main
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"dim": 2, "matrix": [["0", entry], ["0", "0"]],
+                                "groups": [[1, 1, 1], [2, 2, 1]]}))
+    return main([command, str(path)])
+
+
+@pytest.mark.parametrize("command", ["check", "jordanize"])
+@pytest.mark.parametrize("entry, message", [
+    ("x5", "matrix entry 1 ('x5') reads x5, but dim is 2"),
+    ("x1 * x0", "matrix entry 1 ('x1 * x0'): variables are numbered from x1"),
+])
+def test_variable_outside_the_dimension(entry, message, command, tmp_path,
+                                        capsys):
+    text = json.dumps({"dim": 2, "matrix": [["0", entry], ["0", "0"]]})
+    with pytest.raises(FieldFileError, match=re.escape(message)):
+        loads_field_document(text)
+    assert _run_entry(tmp_path, command, entry) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["check", "jordanize"])
+@pytest.mark.parametrize("name", DEEP_OR_LONG)
+def test_deep_or_long_expression_exits_1(name, command, tmp_path, capsys):
+    # nesting is refused by the parser, a sum or product too long for the
+    # compiler when the field is compiled
+    assert _run_entry(tmp_path, command, DEEP_OR_LONG[name]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert ("nests deeper than" in err) == name.startswith(("paren", "unary"))

@@ -1,4 +1,9 @@
-"""Property tests over random fields (hypothesis)."""
+"""Property tests over random fields and documents (hypothesis)."""
+
+import contextlib
+import io
+import json
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ st = hypothesis.strategies
 
 from endochart import expr as ex  # noqa: E402
 from endochart.charts import PipelineSettings, jordanize  # noqa: E402
+from endochart.cli import main  # noqa: E402
 from endochart.corpus import conjugated_constant  # noqa: E402
 from endochart.expr import Box, sample_box  # noqa: E402
 from endochart.fields import VectorField  # noqa: E402
@@ -101,3 +107,74 @@ def test_generated_rk4_loop_equals_numpy_rk4(coefs, m, start, t, step,
     else:
         got = _outcome(lambda: integrate_with_transport(spec, p, t, W0))
     assert got == expect
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8)
+
+# expression texts: token soup, and the deep or long shapes that once
+# ended in a traceback (nesting in the parser, sums and products in the
+# compiler, variables outside the dimension)
+_EXPR = st.one_of(
+    st.lists(st.sampled_from(
+        ["x0", "x1", "x2", "x5", "0", "1", "2.5", "1e400", "+", "-", "*",
+         "/", "^", "(", ")", "exp(", "pospow(", ",", " ", "$"]),
+        max_size=10).map("".join),
+    st.sampled_from([
+        "(" * 300 + "x1" + ")" * 300, "-" * 3000 + "x2",
+        "/".join(["x1"] * 3000), "x1" + "^2" * 300,
+        "+".join(["x1"] * 5000), "*".join(["x2"] * 3000),
+        "x5", "x0", "x1 * x2", "exp(x2)", "1"]))
+
+_KEYS = ["dim", "matrix", "box", "groups", "factors", "eigenvalue", "dims",
+         ""]
+
+
+@st.composite
+def _field_documents(draw) -> str:
+    """The text of a field document, nearly always malformed: not JSON, any
+    JSON value, or a d x d document, strictly upper triangular with entries
+    from `_EXPR`, whose keys may be overwritten or joined by others."""
+    shape = draw(st.sampled_from(["text", "json", "document", "document"]))
+    if shape == "text":
+        return draw(st.text(max_size=20))
+    if shape == "json":
+        return json.dumps(draw(_JSON))
+    d = draw(st.integers(1, 3))
+    doc = {"dim": d, "matrix": [[draw(_EXPR) if j > i else "0"
+                                 for j in range(d)] for i in range(d)]}
+    if draw(st.booleans()):
+        doc["groups"] = [[1, 1, 1], [2, 2, d - 1]]
+    for key in draw(st.lists(st.sampled_from(_KEYS), max_size=2)):
+        doc[key] = draw(_JSON)
+    return json.dumps(doc)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(text=_field_documents(),
+                  command=st.sampled_from(["check", "jordanize"]))
+def test_malformed_field_documents_never_raise_past_main(text, command,
+                                                         tmp_path_factory):
+    path = tmp_path_factory.mktemp("doc") / "field.json"
+    path.write_text(text)
+    args = [command, str(path)]
+    if command == "jordanize":
+        args += ["--grid", "2", "--chart-samples", "0"]
+    # hypothesis raises the recursion limit while it runs a test; the
+    # command line runs at Python's default, where the compiler refuses
+    # the long sums and products
+    limit = sys.getrecursionlimit()
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        sys.setrecursionlimit(1000)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
