@@ -12,8 +12,7 @@ Orderings are fixed once and for all: basis slots (a, i) — the a-th image
 of the i-th section field — are sorted by descending power a, then
 ascending field index i.  Flow times and section coordinates inherit this
 order as chart coordinates.  The application order of the flows inside the
-parametrisation is configurable (`flow_order`), and the results of two
-orders can be compared with `compare_charts`.
+parametrisation is configurable (`flow_order`).
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from .expr import Box, compile_batch, sample_box
 from .fields import (EndoField, VectorField, apply_endo, coordinate_field,
                      endo_power, first_max, lie_bracket)
 from .flows import (CompiledField, ComputedVectorField, FlowSpec,
-                    IntegratorSettings, _point_flow, integrate_flow,
-                    transport_block)
+                    IntegratorSettings, _check_line, _point_flow,
+                    integrate_flow, transport_block)
 from .structure import image_frame, kernel_frame, span_residuals
 
 __all__ = [
@@ -37,7 +36,7 @@ __all__ = [
     "AdaptedChartError", "InductionError", "NewtonError",
     "validate_adapted_chart", "initial_frame", "induction_step",
     "hk_residuals", "build_chart", "jordan_matrix", "verify_integral_chart",
-    "compare_charts", "jordanize", "basis_slots",
+    "jordanize", "basis_slots",
 ]
 
 
@@ -301,6 +300,12 @@ def validate_adapted_chart(A: EndoField, chart: AdaptedChart,
 # ---------------------------------------------------------------------------
 # Stage charts: flow compositions from the section.
 
+def _chart_point(s, t) -> list:
+    """The chart point (t, s) as a list of Python floats."""
+    return (np.asarray(t, dtype=float).tolist()
+            + np.asarray(s, dtype=float).tolist())
+
+
 def _kept(memo: dict, key, make, size: int):
     """memo[key], else make() kept there; past size entries the oldest is
     dropped.  Callers only read what it returns: the arrays are shared."""
@@ -340,15 +345,17 @@ class _StageChart:
                               else FlowSpec(gen, st.integrator, box))
         self._differentials: dict[bytes, tuple] = {}
         self._starts: dict[bytes, np.ndarray] = {}
+        self._plans: dict[tuple, object] = {}
+        self._basis = self.section.basis_matrix().ravel().tolist()
 
     @property
     def n_flows(self) -> int:
         return len(self.flow_slots)
 
     def forward(self, s, t) -> np.ndarray:
-        """Phi(sigma(s), t): `_compose` of an empty (d, 0) frame."""
-        W = np.zeros((self.section.dim, 0))
-        return self._compose(s, t, W, times=False)[0]
+        """Phi(sigma(s), t): the point plan of an empty frame."""
+        z = self._point_plan(0, False)(_chart_point(s, t), [])
+        return np.array(z[:self.section.dim])
 
     def chart_ranges(self) -> list:
         """Per-coordinate ranges, flow times then section coordinates, that
@@ -395,16 +402,21 @@ class _StageChart:
         gives them.
         """
         y = np.asarray(y, dtype=float)
-        N = self.n_flows
-        E = self.section.basis_matrix()
-        if y.ndim == 2:
-            E = np.repeat(E[None], y.shape[1], axis=0)
-        x, W = self._compose(y[N:], y[:N], E, times=True)
+        d, N = self.section.dim, self.n_flows
+        if y.ndim == 1:
+            z = self._point_plan(len(self.section.axes), True)(
+                y.tolist(), self._basis)
+            return np.array(z[:d]), np.array(z[d:]).reshape(d, d)
+        E = np.repeat(self.section.basis_matrix()[None], y.shape[1], axis=0)
+        x, W = self._compose(y[N:], y[:N], E)
         return x, W[..., self.chart_order]
 
     def forward_transport(self, s, t, W0: np.ndarray) -> tuple:
         """Transport the columns of W0 from sigma(s) through the composition."""
-        return self._compose(s, t, W0, times=False)
+        d, m = W0.shape
+        W = np.asarray(W0, dtype=float).ravel().tolist()
+        z = self._point_plan(m, False)(_chart_point(s, t), W)
+        return np.array(z[:d]), np.array(z[d:]).reshape(d, m)
 
     def section_frame(self, q) -> np.ndarray:
         """The section fields Z^(k+1)(q) of the next stage as columns: one
@@ -413,15 +425,13 @@ class _StageChart:
         s, t = self.inverse(q)
         return self.forward_transport(s, t, self.section.basis_matrix())[1]
 
-    def _compose(self, s, t, W, times: bool) -> tuple:
-        """Transport W from sigma(s) through the flows; with `times`, each
-        flow's generator value at its endpoint joins W as a new column.  A
-        block (s, t of shape (., N), W of shape (N, d, m)) takes a symbolic
-        flow in one `transport_block`, a computed one column by column; one
-        start goes through `_compose_point`."""
+    def _compose(self, s, t, W) -> tuple:
+        """Transport the frames W, (N, d, m), from the points sigma(s) of a
+        block (s, t of shape (., N)) through the flows, each flow's
+        generator value at its endpoint joining W as a new column: a
+        symbolic flow in one `transport_block`, a computed one column by
+        column."""
         x, at = self.section.embed(s), None
-        if x.ndim == 1:
-            return self._compose_point(x, t, W, times)
         for alpha in self.application_order:
             spec = self.specs[alpha]
             if spec.generator.symbolic:
@@ -432,37 +442,93 @@ class _StageChart:
                     self._transport_computed(alpha, *start) for start in
                     zip(x.T, W, t[alpha], at or itertools.repeat(None))])
                 x, W = np.column_stack(x), np.stack(W)
-            if times:
-                value = self.generators[alpha].value
-                v = np.array([value(c) for c in x.T])
-                W = np.concatenate([W, v[..., None]], axis=-1)
+            value = self.generators[alpha].value
+            v = np.array([value(c) for c in x.T])
+            W = np.concatenate([W, v[..., None]], axis=-1)
         return x, W
 
-    def _compose_point(self, x, t, W, times: bool) -> tuple:
-        """`_compose` of one start x = sigma(s).  The state (x, W) is one
-        flat list of Python floats, x then W row by row, through the
-        symbolic flows (`flows._point_flow`), and a symbolic flow's time
-        column is its compiled value there; arrays are built only for a
-        computed flow and for the answer."""
-        d, m = W.shape
-        y, at = x.tolist() + W.ravel().tolist(), None
-        for alpha in self.application_order:
-            spec, ta = self.specs[alpha], float(t[alpha])
-            if spec.generator.symbolic:
-                at = None
-                if ta != 0.0:
-                    y = _point_flow(spec, y, ta, m)
-            else:
-                x, W = np.array(y[:d]), np.array(y[d:]).reshape(d, m)
-                x, W, at = self._transport_computed(alpha, x, W, ta, at)
-                y = x.tolist() + W.ravel().tolist()
+    def _point_plan(self, m: int, times: bool):
+        """The composition of one start for a starting frame of width m,
+        planned on first use: `run(y, W) -> z`, with y the chart point
+        (t, s) and W the starting frame, flat row by row, both lists of
+        Python floats, and z the end point, then the end frame flat.  With
+        `times` (from the section frame), each flow's generator value at
+        its end joins the frame as a new column, and the end frame's
+        columns are in chart order.
+
+        Resolved once: the application order; each symbolic flow's
+        compiled step for the frame width it has there (`rhs` for a
+        straight generator, `rk4` otherwise), its integrator step and its
+        box's middles and half widths; each time-column evaluator; and the
+        index lists that lay out sigma(s) and each new column.  A run steps the state (x, W) as one list: a symbolic flow
+        with `flows._steps`'s step count and step, a straight one as
+        y + tF(y) after `_check_line`'s list test, a box exit raised by
+        `_check_line` or `_point_flow` as the flow alone would raise it; a
+        computed flow goes through `_transport_computed` on arrays.
+        """
+        plan = self._plans.get((m, times))
+        if plan is not None:
+            return plan
+        key, d, axes = (m, times), self.section.dim, self.section.axes
+        # sigma(s) gathered from y + [0.0]: s on the section axes, else 0
+        N = self.n_flows
+        start = [N + axes.index(i) if i in axes else -1 for i in range(d)]
+        flows = []
+        for k, alpha in enumerate(self.application_order, 1):
+            spec = self.specs[alpha]
+            gen = spec.generator
+            f = straight = value = layout = None
+            if gen.symbolic:
+                straight = gen.straight
+                f = gen.rhs(m) if straight else gen.rk4(m, spec.box)
             if times:
                 gen = self.generators[alpha]
-                v = (gen.rhs(0)(y[:d]) if gen.symbolic
-                     else gen.value(np.array(y[:d])).tolist())
-                rows = [y[d + i * m:d + (i + 1) * m] + [v[i]] for i in range(d)]
-                y, m = y[:d] + [w for row in rows for w in row], m + 1
-        return np.array(y[:d]), np.array(y[d:]).reshape(d, m)
+                if gen.symbolic:
+                    value = gen.rhs(0)
+                else:
+                    def value(z, get=gen.value):
+                        return get(np.array(z[:d])).tolist()
+                # z + value(z) laid out with the value as column m, in chart
+                # order after the last flow
+                cols = self.chart_order if k == N else range(m + 1)
+                layout = [*range(d), *(d + i * m + c if c < m else d + d * m + i
+                                       for i in range(d) for c in cols)]
+            flows.append((alpha, spec, m, f, straight, spec.settings.step,
+                          *spec.box.mid_half[2:], value, layout))
+            m += times
+
+        def run(y: list, W: list) -> list:
+            src = y + [0.0]
+            z, at = [src[k] for k in start] + W, None
+            for (alpha, spec, m, f, straight, step, mid, half, value,
+                 layout) in flows:
+                t = y[alpha]
+                if f is None:
+                    x, F, at = self._transport_computed(
+                        alpha, np.array(z[:d]), np.array(z[d:]).reshape(d, m),
+                        t, at)
+                    z = x.tolist() + F.ravel().tolist()
+                else:
+                    at = None
+                    if t != 0.0:
+                        n = max(1, math.ceil(abs(t) / step))
+                        h = t / n
+                        if straight:
+                            F = f(z)
+                            if not all(abs(a + h * b - c) <= r
+                                       and abs(a + (n * h) * b - c) <= r
+                                       for a, b, c, r in zip(z, F, mid, half)):
+                                _check_line(spec, z[:d], F[:d], n, h)
+                            z = [a + t * b for a, b in zip(z, F)]
+                        else:
+                            out, end = f(z, n, h)
+                            z = _point_flow(spec, z, t, m) if out else end
+                if value is not None:
+                    src = z + value(z)
+                    z = [src[k] for k in layout]
+            return z
+        self._plans[key] = run
+        return run
 
     def _transport_computed(self, alpha: int, x, W, t, at) -> tuple:
         """(endpoint, frame, the endpoint's place in the parent chart) of the
@@ -1124,18 +1190,6 @@ def verify_integral_chart(A: EndoField, chart: ChartMap, grid: int = 5,
             for fa, fb in itertools.combinations(fields, 2))
     return VerificationReport(worst, max_bracket, grid, chart.jordan,
                               witness, worst <= tol)
-
-
-def compare_charts(c1: ChartMap, c2: ChartMap, samples: int = 100,
-                   seed: int = 2026) -> float:
-    """Max distance between the two charts' outputs at shared coordinates."""
-    if c1.slots != c2.slots:
-        raise ValueError("charts must share slot structure")
-    ys = c1.sample_coords(samples, seed)
-    worst = 0.0
-    for y in ys:
-        worst = max(worst, float(np.max(np.abs(c1.forward(y) - c2.forward(y)))))
-    return worst
 
 
 # ---------------------------------------------------------------------------

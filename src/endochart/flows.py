@@ -11,7 +11,11 @@ Wanner, *Solving ODEs I*, sec. I.14), compiled once per field and frame
 width m with (DV W)_ic summed in j order; a plain flow is m = 0.  A
 single start runs one generated RK4 loop on Python floats
 (`CompiledField.rk4`, one per width and box: n steps on local variables,
-the box tested inline after each step, a NaN coordinate outside); a
+the box tested inline after each step, a NaN coordinate outside): alone
+through `_point_flow`, or inside a stage chart's single-point plan
+(`charts._StageChart._point_plan`), which looks each flow's loop or
+right-hand side up once per frame width and takes `_steps`'s step count
+and `_check_line`'s box test inline, leaving a box exit to them.  A
 block (`transport_block`) steps the stacked (d + d m, N) array, one flow
 time per column.  So W's columns transport alone, bit for bit, and block
 columns equal single starts on fields built from sums, products and

@@ -18,6 +18,7 @@ attaining the strict maximum, pairs in (i, j) order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -213,12 +214,18 @@ class Distribution:
     def dim(self) -> int:
         return self.frame[0].dim if self.frame else self.box.dim
 
+    @cached_property
+    def _batch(self):
+        """The frame's components, one field after another, compiled for
+        blocks on first use."""
+        return ex.compile_batch([c for F in self.frame for c in F.components])
+
     def values_on(self, x: np.ndarray) -> np.ndarray:
         """(N, d, k) frame matrices at the points of a (d, N) array x."""
         if not self.frame:
             return np.zeros((x.shape[1], self.box.dim, 0))
-        flat = ex.compile_batch([c for F in self.frame for c in F.components])
-        return flat(x).reshape(self.rank, self.dim, -1).transpose(2, 1, 0)
+        flat = self._batch(x)
+        return flat.reshape(self.rank, self.dim, -1).transpose(2, 1, 0)
 
 
 def _check_pivot_expr(e: ex.ScalarExpr, x: np.ndarray, what: str):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from endochart import expr as ex
-from endochart.charts import (PipelineSettings, compare_charts, jordanize)
+from endochart.charts import PipelineSettings, jordanize
 from endochart.cli import main
 from endochart.corpus import (CORPUS, Example35Spec, build_corpus_field,
                               conjugated_constant, example35_field,
@@ -26,6 +26,7 @@ from endochart.structure import (image_frame, invariant_factors,
                                  involutivity_residual, kernel_frame,
                                  nijenhuis_residual, rank_profile,
                                  sum_distribution, torsion_tol)
+from test_charts import compare_charts
 from test_structure import kernel_chain_multiplicities, random_nilpotent
 
 SETTINGS = PipelineSettings(integrator=IntegratorSettings(step=1e-2))

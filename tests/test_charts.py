@@ -10,7 +10,7 @@ from endochart import charts, flows
 from endochart.charts import (AdaptedChart, AdaptedChartError, ChartMap,
                               FrameState, InductionError, PipelineSettings,
                               Section, basis_slots, build_chart,
-                              compare_charts, hk_residuals, induction_step,
+                              hk_residuals, induction_step,
                               initial_frame, jordan_matrix, jordanize,
                               validate_adapted_chart, verify_integral_chart)
 from endochart.corpus import (Example35Spec, build_corpus_field,
@@ -209,6 +209,13 @@ class TestConjugatedPipeline:
             True, False]
         assert all(rep.passed for rep in result.stage_reports)
         assert result.verification.passed
+        # one point plan per frame width serves forward and
+        # forward_with_frame, and coords inverts forward
+        chart = result.chart
+        for y in latin_hypercube(chart.chart_ranges(), 8, seed=seed + 40):
+            q = chart.forward(y)
+            assert q.tobytes() == chart.forward_with_frame(y)[0].tobytes()
+            assert np.max(np.abs(chart.coords(q) - y)) <= 1e-8
 
     def test_chart_matches_known_inverse_up_to_section_choice(self):
         # with quotient slots unsheared, the two charts differ only by the
@@ -391,6 +398,36 @@ class TestOneCheckPerStage:
         loops = [c for c in compiled if c[0] == "compile_rk4"]
         assert bool(loops) == (name == "example35-n3")
 
+    def test_point_plans_compile_once(self, monkeypatch):
+        # a stage chart plans its single-point composition once per frame
+        # width: after a first differential and forward, further points
+        # compile nothing, and the RK4 loops are those of the one stage-0
+        # flow that is not straight, at widths 0 and 1, in the working box
+        data = build_corpus_field("example35-n3")
+        chart = jordanize(data["field"], data["chart"]).chart
+        pipe = chart.pipeline
+        stage0 = pipe.stage_chart(0)
+        N = stage0.n_flows
+
+        def query(y):
+            stage0.forward_differential(y)
+            stage0.forward(y[N:], y[:N])
+            chart.coords(chart.forward_with_frame(y)[0])
+        ys = latin_hypercube(chart.chart_ranges(), 6, seed=9)
+        query(ys[0])
+        compiled = []
+        for module in (flows, ex):
+            for fn in ("compile_expr", "compile_vector", "compile_batch",
+                       "compile_rk4"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, lambda *args, fn=fn, f=(
+                        getattr(module, fn)): compiled.append(fn) or f(*args))
+        for y in ys[1:]:
+            query(y)
+        assert compiled == []
+        loops = {key for gen in pipe._compiled.values() for key in gen._rk4}
+        assert loops == {(0, pipe.working_box), (1, pipe.working_box)}
+
     def test_stage0_generators_are_kept(self):
         data = build_corpus_field("example35-n3")
         pipe = initial_frame(data["field"], data["chart"], check=False).pipeline
@@ -501,6 +538,38 @@ class TestOneFramePath:
             x, D = stage.forward_differential(y[:, n])
             assert x.tobytes() == pts.x[:, n].tobytes()
             assert D.tobytes() == pts.D[n].tobytes()
+
+    @pytest.mark.parametrize("name, slot, straight", [
+        ("example35-n2", (1, 0), False),    # the final chart's one flow
+        ("conjugated-n2", (1, 1), True),
+        ("example35-n3", (1, 0), False),    # stage 0, applied first
+        ("example35-n3", (2, 0), True),     # stage 0, applied second
+    ])
+    def test_box_exit_is_the_flows_own(self, name, slot, straight):
+        # a stage-0 chart point whose flow leaves the working box, the other
+        # flows at t = 0: every single-point path raises the BoxExitError
+        # that the flow alone raises from sigma(s)
+        chart = assemble_chart(name)
+        stage = chart.pipeline.stage_chart(0)
+        alpha, N = stage.flow_slots.index(slot), stage.n_flows
+        spec = stage.specs[alpha]
+        assert spec.generator.straight == straight
+        y = np.zeros(chart.pipeline.d)
+        y[N:], y[alpha] = 0.05, 1.0
+        s, t = y[N:], y[:N]
+        with pytest.raises(BoxExitError) as alone:
+            flows._point_flow(spec, stage.section.embed(s).tolist(), 1.0, 0)
+        E = stage.section.basis_matrix()
+        runs = [lambda: stage.forward(s, t),
+                lambda: stage.forward_transport(s, t, E),
+                lambda: stage.forward_differential(y)]
+        if stage is chart._chart:
+            runs.append(lambda: chart.forward_with_frame(y))
+        for run in runs:
+            with pytest.raises(BoxExitError) as err:
+                run()
+            assert err.value.time == alone.value.time
+            assert err.value.point == alone.value.point
 
     @pytest.mark.parametrize("name", ["example35-n3", "n3_strong"])
     def test_samples_leave_the_differential_memo_alone(self, name):
@@ -658,6 +727,17 @@ def assemble_chart(name_or_data, settings=PipelineSettings()) -> ChartMap:
     for _ in range(data["chart"].index - 1):
         state = induction_step(state)
     return build_chart(state, check=False)
+
+
+def compare_charts(c1: ChartMap, c2: ChartMap, samples: int = 100,
+                   seed: int = 2026) -> float:
+    """Max distance between the two charts' outputs at shared coordinates."""
+    if c1.slots != c2.slots:
+        raise ValueError("charts must share slot structure")
+    worst = 0.0
+    for y in c1.sample_coords(samples, seed):
+        worst = max(worst, float(np.max(np.abs(c1.forward(y) - c2.forward(y)))))
+    return worst
 
 
 def frame_field(chart: ChartMap, slot):

@@ -307,6 +307,28 @@ class TestFileCommands:
             charts.verify_integral_chart(field, chart)
         assert left
 
+    def test_chart_sample_leaves_box(self, tmp_path, capsys, monkeypatch):
+        # a chart sample whose flow leaves the working box: the single-point
+        # composition raises the flow's own BoxExitError, and the command
+        # exits 2 with its message
+        import numpy as np
+
+        from endochart import charts, flows
+        path = tmp_path / "jordan2.json"
+        path.write_text('{"dim": 2, "matrix": [["0", "1"], ["0", "0"]], '
+                        '"groups": [[1, 1, 1], [2, 2, 1]]}')
+        y = np.array([3.0, 0.05])
+        _, chart = self.unchecked_chart(path)
+        stage = chart._chart
+        with pytest.raises(flows.BoxExitError) as alone:
+            flows._point_flow(stage.specs[0], [0.0, 0.05], 3.0, 0)
+        monkeypatch.setattr(charts.ChartMap, "sample_coords",
+                            lambda self, count, seed: y[None])
+        assert main(["jordanize", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: trajectory left the working box at t = "
+            f"{alone.value.time:.6f}"]
+
 
 class TestScalarPlusNilpotent:
     """Documents with an eigenvalue: A = lambda * Id + N is decided by the

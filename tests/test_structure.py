@@ -416,6 +416,39 @@ def test_report_draws_its_sample_set_once(monkeypatch, report):
     assert draws.count((box, 100, 7)) == 1
 
 
+@pytest.mark.parametrize("run", ["theorem13", "jordanize"])
+def test_each_distribution_compiles_its_frame_once(monkeypatch, run):
+    # a distribution keeps its compiled frame list: the image frame that is
+    # checked for full rank and then read by a stage check compiles once
+    from endochart.charts import jordanize
+    reading, reads, compiles = [], [], []
+    values_on, compile_batch = Distribution.values_on, ex.compile_batch
+
+    def recording_values(self, x):
+        reading.append(self)
+        reads.append(self)
+        try:
+            return values_on(self, x)
+        finally:
+            reading.pop()
+
+    def recording_compile(exprs):
+        if reading:
+            compiles.append(reading[-1])
+        return compile_batch(exprs)
+    monkeypatch.setattr(Distribution, "values_on", recording_values)
+    monkeypatch.setattr(ex, "compile_batch", recording_compile)
+    data = corpus.build_corpus_field("example35-n2")
+    if run == "theorem13":
+        theorem13_report(data["field"], data["box"])
+    else:
+        jordanize(data["field"], data["chart"])
+    framed = {id(D) for D in reads if D.frame}
+    assert framed
+    assert sorted(map(id, compiles)) == sorted(framed)
+    assert (len(reads) > len(framed)) == (run == "jordanize")
+
+
 def test_corollary15_report_computes_the_entry_scale_once(monkeypatch):
     # the annihilation gate and the torsion gate share one entry scale
     calls = []
