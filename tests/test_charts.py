@@ -995,6 +995,27 @@ class TestParentCoordinateFlows:
         q[:] = 0.0
         assert chart.forward(y).tobytes() == expect
 
+    def test_round_trips_compute_a_fixed_number_of_differentials(
+            self, monkeypatch):
+        # forward + coords at 4 fixed chart points of a fresh chart: every
+        # stage-0 single-point differential the pulled-back flows compute
+        # (a miss of the parent's memo) runs stage 0's single-point plan
+        # with the section frame and time columns, and no other query does
+        chart = assemble_chart("example35-n3")
+        stage0 = chart.pipeline.stage_chart(0)
+        m = len(chart.pipeline.section.axes)
+        runs = []
+        plan = charts._StageChart._point_plan
+
+        def counting(self, width, times):
+            runs.append((self is stage0, width, times))
+            return plan(self, width, times)
+        monkeypatch.setattr(charts._StageChart, "_point_plan", counting)
+        for y in latin_hypercube(chart.chart_ranges(), 4, seed=2026):
+            chart.coords(chart.forward(y))
+        assert runs.count((True, m, True)) == 252
+        assert all(stage or not times for stage, _, times in runs)
+
     def test_n4_jordanize_inverts_no_shifted_start(self, monkeypatch):
         # n = 4 end to end: every stage report and the verification pass.
         # A^2 Z^(2) starts where the ambient flow of A Z^(2) ends, so the
@@ -1099,9 +1120,12 @@ def chart_answers(chart: ChartMap, points) -> list:
     """forward, forward_with_frame and coords(forward) of the chart at each
     chart point, every float as its repr.
 
-    The golden file is written by ``json.dump({"points": P, "answers":
-    chart_answers(assemble_chart("example35-n3"), P)}, indent=1)`` with P
-    the repr lists of ``latin_hypercube(chart.chart_ranges(), 8, 2026)``.
+    The golden file holds {"points": P, "answers": chart_answers(chart,
+    P)} of `assemble_chart("example35-n3")` at its top level, and of
+    `example35-n3-xn` and of `example35-n3` under flow_order "asc" under
+    the keys "example35-n3-xn" and "example35-n3@asc", with P the repr
+    lists of ``latin_hypercube(chart.chart_ranges(), 8, 2026)``; written
+    by `json.dump(..., indent=1)`.
     """
     out = []
     for y in points:
@@ -1114,8 +1138,15 @@ def chart_answers(chart: ChartMap, points) -> list:
     return out
 
 
-def test_chart_n3_answers_pinned():
+@pytest.mark.parametrize("key, name, order", [
+    (None, "example35-n3", "desc"),
+    ("example35-n3-xn", "example35-n3-xn", "desc"),
+    # the pulled-back flow starts off the section, through start_coords
+    ("example35-n3@asc", "example35-n3", "asc"),
+], ids=["example35-n3", "example35-n3-xn", "example35-n3-asc"])
+def test_chart_n3_answers_pinned(key, name, order):
     golden = json.loads(CHART_N3_GOLDEN.read_text())
+    golden = golden[key] if key else golden
     points = [np.array([float(v) for v in p]) for p in golden["points"]]
-    chart = assemble_chart("example35-n3")
+    chart = assemble_chart(name, PipelineSettings(flow_order=order))
     assert chart_answers(chart, points) == golden["answers"]
