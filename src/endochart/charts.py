@@ -19,16 +19,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .expr import Box, compile_batch, sample_box
 from .fields import (EndoField, VectorField, apply_endo, coordinate_field,
                      endo_power, first_max, lie_bracket)
-from .flows import (CompiledField, ComputedVectorField, FlowSpec,
-                    IntegratorSettings, _check_line, _point_flow,
-                    integrate_flow, transport_block)
+from .flows import (BoxExitError, CompiledField, ComputedVectorField,
+                    FlowSpec, IntegratorSettings, _check_line, _point_flow,
+                    _steps, integrate_flow, transport_block)
 from .structure import image_frame, kernel_frame, span_residuals
 
 __all__ = [
@@ -317,6 +319,22 @@ def _kept(memo: dict, key, make, size: int):
     return hit
 
 
+def _solving():
+    """The error state of `np.linalg.solve`: LinAlgError if singular."""
+    return np.errstate(call=_singular, invalid="call")
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve(D, b) -> np.ndarray:
+    """`np.linalg.solve(D, b)` for a (d, d) array D and a (d,) array b, bit
+    for bit: the LAPACK gesv gufunc it calls, without its per-call checks
+    and error state, which the caller holds (`_solving`)."""
+    return _umath_linalg.solve1(D, b, signature="dd->d")
+
+
 class _StageChart:
     """Parametrisation (s, t) -> Phi(sigma(s), t) by the stage's flows."""
 
@@ -347,6 +365,7 @@ class _StageChart:
         self._starts: dict[bytes, np.ndarray] = {}
         self._plans: dict[tuple, object] = {}
         self._basis = self.section.basis_matrix().ravel().tolist()
+        self._key = struct.Struct(f"{self.section.dim}d").pack
 
     @property
     def n_flows(self) -> int:
@@ -382,15 +401,20 @@ class _StageChart:
             return np.concatenate([t, s])
         return _kept(self._starts, x.tobytes(), solve, self.MEMO)
 
-    def differential(self, y) -> tuple[np.ndarray, np.ndarray]:
-        """`forward_differential` at the chart point y, kept for the last
-        MEMO points asked by their exact bytes.  A flow step's box check and
-        the next step's first stage share a point, and so do the end of a
-        flow and the start of the next one in this chart; trajectories of a
-        pulled-back flow from one start meet the same points again.  Blocks
-        (`_Samples.on`) do not pass through this memo."""
-        return _kept(self._differentials, y.tobytes(),
-                     lambda: self.forward_differential(y), self.MEMO)
+    def differential(self, y: list) -> tuple[np.ndarray, np.ndarray]:
+        """`forward_differential` at the chart point y, a list of Python
+        floats, as two views of one array of the plan's answer; the last
+        MEMO points asked are kept by their exact bytes, those of y as an
+        array.  The end of a flow and the start of the next one in this
+        chart share a point; trajectories of a pulled-back flow from one
+        start meet the same points again.  Blocks (`_Samples.on`) do not
+        pass through this memo."""
+        def make():
+            z = np.array(self._point_plan(len(self.section.axes), True)(
+                y, self._basis))
+            return z[:d], z[d:].reshape(d, d)
+        d = self.section.dim
+        return _kept(self._differentials, self._key(*y), make, self.MEMO)
 
     def forward_differential(self, y) -> tuple[np.ndarray, np.ndarray]:
         """Phi(y) and the full differential DPhi(y) at y = (t, s), or at the
@@ -565,7 +589,8 @@ class _StageChart:
             if nw != 0.0:
                 w = W[:, j] / nw
                 if pulled:
-                    w = np.linalg.solve(P.differential(z)[1], w)
+                    with _solving():
+                        w = _solve(P.differential(z.tolist())[1], w)
                 frame[:, j] = nw * (run(z + h * w) - run(z - h * w)) / (2.0 * h)
         return end, frame, at
 
@@ -618,9 +643,11 @@ class _Pullback:
     Z_i^(r)(Phi_P(y)) is the section column i of DPhi_P(y), so V pulls back
     to solve(DPhi_P(y), A^p(Phi_P(y)) DPhi_P(y)[:, N_P + i]) with no
     inversion of Phi_P.  Its flows run from chart points of P to chart
-    points of P (`flow`): a stage chart places a flow's start in P once,
-    from the end of an earlier flow or by one inversion, and shifts the
-    +-h starts of its frame differences there, so they invert nothing
+    points of P (`flow`) by their own RK4 loop on Python floats, which
+    reads DPhi_P from P's single-point plan (`_StageChart.differential`)
+    and box-checks Phi_P(y).  A stage chart places a flow's start in P
+    once, from the end of an earlier flow or by one inversion, and shifts
+    the +-h starts of its frame differences there, so they invert nothing
     (`_StageChart._transport_computed`).  One pullback serves every stage
     chart that flows along V (`_Pipeline.flow_generator`).
     """
@@ -637,22 +664,45 @@ class _Pullback:
 
     def point(self, y) -> np.ndarray:
         """The ambient point Phi_P(y)."""
-        return self.parent.differential(y)[0]
-
-    def value(self, y) -> np.ndarray:
-        x, D = self.parent.differential(y)
-        return np.linalg.solve(D, self.Ap(x) @ D[:, self.col])
+        return self.parent.differential(y.tolist())[0]
 
     def flow(self, y0: np.ndarray, t: float) -> np.ndarray:
         """The parent coordinates of the end of the flow from the parent
-        chart point y0 after time t: the same RK4 loop, step count and step
-        as in the ambient space, with the box check on the ambient points.
-        The last MEMO ends are kept by the exact bytes of (t, y0), for every
-        stage chart that flows along V: a Newton line search, the transport
-        after a Newton solve and grid points that share their first flows
-        repeat recent trajectories."""
+        chart point y0 after time t (not 0), by `_rk4`.  The last MEMO ends
+        are kept by the exact bytes of (t, y0), for every stage chart that
+        flows along V: a Newton line search, the transport after a Newton
+        solve and grid points that share their first flows repeat recent
+        trajectories."""
         return _kept(self._flows, (t, y0.tobytes()),
-                     lambda: integrate_flow(self.spec, y0, t), self.MEMO)
+                     lambda: self._rk4(y0, t), self.MEMO)
+
+    def _rk4(self, y0: np.ndarray, t: float) -> np.ndarray:
+        """`flows._rk4_step`'s steps (`flows._steps`) of y' = V(y) from y0
+        after time t (not 0), on a list y of Python floats: per stage one
+        `differential` of P, one matvec and one LAPACK solve.  Each step
+        end's Phi_P is box-checked, and its differential serves the next
+        step's first stage."""
+        n, h = _steps(self.spec, t)
+        h2, h6 = 0.5 * h, h / 6.0
+        box, diff = self.spec.box, self.parent.differential
+        Ap, col = self.Ap, self.col
+
+        def slope(x, D) -> list:
+            return _solve(D, Ap(x) @ D[:, col]).tolist()
+        y = y0.tolist()
+        with _solving():
+            x, D = diff(y)
+            for k in range(1, n + 1):
+                k1 = slope(x, D)
+                k2 = slope(*diff([a + h2 * b for a, b in zip(y, k1)]))
+                k3 = slope(*diff([a + h2 * b for a, b in zip(y, k2)]))
+                k4 = slope(*diff([a + h * b for a, b in zip(y, k3)]))
+                y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+                x, D = diff(y)
+                if not box.contains(x):
+                    raise BoxExitError(k * h, x)
+        return np.array(y)
 
 
 class _SectionField:

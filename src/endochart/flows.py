@@ -36,22 +36,24 @@ field, each with its own step:
 
 - symbolic generators transport frames by the variational equation, as
   above;
-- computed generators A^p Z^(r) have no jacobian; their flows step numpy
-  arrays on the generator's `value`.  When the flows of the parent chart
-  Phi_P (stage r-1) are all symbolic, theirs run in P's coordinates
-  y = (t, s): Z^(r) at Phi_P(y) is a section column of DPhi_P(y), which
-  P's variational transports give
-  (`charts._StageChart.forward_differential`), so a flow step inverts
-  nothing; the generator's `point` maps y to the ambient point the box
-  check tests.  A parent with computed flows (n >= 4) would need central
-  differences of those for every RK4 stage, so there the flow runs in
-  the ambient space on the generator's `value`, which inverts P.  Frames
-  are carried along computed flows by central differences of flow maps
-  with step `charts.H_TRANSPORT`, one start at a time
-  (`charts._StageChart._transport_computed`).  A flow in P's coordinates
-  takes them there, as the brackets below do: its start y0 is shifted by
-  +-h DPhi_P(y0)^-1 u for each frame column u, so no shifted start
-  inverts P; an ambient flow shifts its start in the ambient space;
+- computed generators A^p Z^(r) have no jacobian.  When the flows of the
+  parent chart Phi_P (stage r-1) are all symbolic, theirs run in P's
+  coordinates y = (t, s): Z^(r) at Phi_P(y) is a section column of
+  DPhi_P(y), which P's single-point plan gives by its variational
+  transports (`charts._StageChart.differential`), so a flow step inverts
+  nothing.  Such a flow runs its own RK4 loop on a list of Python floats,
+  with `_rk4_step`'s arithmetic per entry, one plan run and one LAPACK
+  solve per stage, and box-checks the ambient point Phi_P(y) at each step
+  end (`charts._Pullback`).  A parent with computed flows (n >= 4) would
+  need central differences of those for every RK4 stage, so there the
+  flow steps numpy arrays on the generator's `value` in the ambient
+  space, which inverts P.  Frames are carried along computed flows by
+  central differences of flow maps with step `charts.H_TRANSPORT`, one
+  start at a time (`charts._StageChart._transport_computed`).  A flow in
+  P's coordinates takes them there, as the brackets below do: its start
+  y0 is shifted by +-h DPhi_P(y0)^-1 u for each frame column u, so no
+  shifted start inverts P; an ambient flow shifts its start in the
+  ambient space;
 - Lie brackets follow one rule (`charts._bracket`) and are evaluated as
   blocks over a sample set: the exact tree, compiled for blocks, when both
   fields are symbolic; else in the coordinates y of the stage chart the
@@ -180,10 +182,6 @@ class CompiledField:
         """(d, N) values at the columns of a (d, N) point array."""
         return self.batch_rhs(0)(x)
 
-    def point(self, x) -> np.ndarray:
-        """The ambient point of the state x: x itself."""
-        return x
-
     def __call__(self, p) -> np.ndarray:
         return self.value(p)
 
@@ -220,24 +218,15 @@ class ComputedVectorField:
     def cache_size(self) -> int:
         return len(self._cache)
 
-    def point(self, x) -> np.ndarray:
-        """The ambient point of the state x: x itself."""
-        return x
-
     def __call__(self, p) -> np.ndarray:
         return self.value(p)
 
 
 @dataclass
 class FlowSpec:
-    """A flow problem: generator plus integrator configuration and trust box.
+    """A flow problem: generator, integrator configuration and trust box."""
 
-    The generator's `point(x)` is the ambient point of a state x, which the
-    box check tests; it is x itself except for a generator integrated in
-    chart coordinates (`charts._Pullback`).
-    """
-
-    generator: object            # VectorField, or a field with value, point
+    generator: object            # VectorField, or a computed field
     settings: IntegratorSettings = IntegratorSettings()
     box: Box | None = None       # working box; trajectories must stay inside
 
@@ -249,11 +238,10 @@ class FlowSpec:
 def _check_box(spec: FlowSpec, t, x: np.ndarray):
     """Raise BoxExitError if the point x, or a column of the (d, N) block
     x, is outside the working box; a block names its first such column c,
-    at its time t[c].  The point tested is the generator's `point(x)`."""
+    at its time t[c]."""
     box = spec.box
     if box is None:
         return
-    x = spec.generator.point(x)
     if x.ndim == 1:
         if not box.contains(x):
             raise BoxExitError(t, x)

@@ -938,13 +938,12 @@ class TestParentCoordinateFlows:
         # and its +-h starts invert nothing.
         settings = PipelineSettings(flow_order=order)
         runs = []
-        integrate = charts.integrate_flow
+        rk4 = charts._Pullback._rk4
 
-        def counting(spec, p0, t):
-            if isinstance(spec.generator, charts._Pullback):
-                runs.append((t, np.asarray(p0).tobytes()))
-            return integrate(spec, p0, t)
-        monkeypatch.setattr(charts, "integrate_flow", counting)
+        def counting(self, y0, t):
+            runs.append((t, y0.tobytes()))
+            return rk4(self, y0, t)
+        monkeypatch.setattr(charts._Pullback, "_rk4", counting)
         inversions = InversionLog(monkeypatch)
         q = np.array([0.031, -0.047, 0.052])
         assemble_chart("example35-n3", settings)._chart.inverse(q)
@@ -971,12 +970,12 @@ class TestParentCoordinateFlows:
         stage = chart._chart
         gen = stage.specs[stage.flow_slots.index((1, 0))].generator
         runs = []
-        integrate = charts.integrate_flow
+        rk4 = charts._Pullback._rk4
 
-        def counting(spec, p0, t):
+        def counting(self, y0, t):
             runs.append(t)
-            return integrate(spec, p0, t)
-        monkeypatch.setattr(charts, "integrate_flow", counting)
+            return rk4(self, y0, t)
+        monkeypatch.setattr(charts._Pullback, "_rk4", counting)
         x = chart.pipeline.section.embed(np.array([0.05]))
         y0 = gen.parent.start_coords(x)
         a = gen.flow(y0, 0.04)
@@ -1039,6 +1038,34 @@ class TestParentCoordinateFlows:
         starts = [q for asker, q in inversions.log if asker == "start"]
         assert starts and inversions.count("direct") == 0
         assert sum(q not in centres for q in starts) == 0
+
+    def test_box_check_tests_the_parents_point(self, monkeypatch):
+        # a pulled-back flow in the coordinates y of its parent chart P is
+        # box-checked at Phi_P(y), not at y.  Steps of 2^-6 make every step
+        # time exact; after 25 of them from y0 the second coordinate of y
+        # is past that of Phi_P(y)
+        settings = PipelineSettings(
+            integrator=IntegratorSettings(step=2.0 ** -6))
+        stage = assemble_chart("example35-n3", settings)._chart
+        gen = stage.specs[stage.flow_slots.index((1, 0))].generator
+        y0, h = np.array([0.1, -0.1, 0.2]), 2.0 ** -6
+        monkeypatch.setattr(gen.spec, "box", Box.cube(3, 10.0))
+        y = gen.flow(y0, 25 * h)
+        x = gen.point(y)
+        assert x[1] < y[1]
+        # in a box whose bound lies between them, the flow goes on past
+        # that step and leaves where Phi_P(y) does
+        b = (x[1] + y[1]) / 2.0
+        box = Box(((-1.0, 1.0), (-b, b), (-1.0, 1.0)))
+        monkeypatch.setattr(gen.spec, "box", box)
+        with pytest.raises(BoxExitError) as err:
+            gen.flow(y0, 3.0)
+        k = int(err.value.time / h)
+        assert err.value.time == k * h and k > 25
+        monkeypatch.setattr(gen.spec, "box", Box.cube(3, 10.0))
+        before, y = gen.flow(y0, (k - 1) * h), gen.flow(y0, k * h)
+        assert box.contains(gen.point(before))
+        assert err.value.point == tuple(gen.point(y))
 
     def test_computed_flow_leaving_box(self):
         # the computed flow (slot (1, 0)) at t = 2 carries sigma(s) out of

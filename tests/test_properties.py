@@ -1,9 +1,11 @@
 """Property tests over random fields and documents (hypothesis)."""
 
 import contextlib
+import functools
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,14 +14,16 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from endochart import expr as ex  # noqa: E402
-from endochart.charts import PipelineSettings, jordanize  # noqa: E402
+from endochart.charts import (PipelineSettings, _Pullback,  # noqa: E402
+                              induction_step, initial_frame, jordanize)
 from endochart.cli import main  # noqa: E402
-from endochart.corpus import conjugated_constant  # noqa: E402
+from endochart.corpus import (build_corpus_field,  # noqa: E402
+                              conjugated_constant)
 from endochart.expr import Box, sample_box  # noqa: E402
 from endochart.fields import VectorField  # noqa: E402
 from endochart.flows import (BoxExitError, ComputedVectorField,  # noqa: E402
-                             FlowSpec, IntegratorSettings, integrate_flow,
-                             integrate_with_transport)
+                             FlowSpec, IntegratorSettings, _rk4_step, _steps,
+                             integrate_flow, integrate_with_transport)
 
 SETTINGS = PipelineSettings()     # the command-line defaults
 
@@ -107,6 +111,73 @@ def test_generated_rk4_loop_equals_numpy_rk4(coefs, m, start, t, step,
     else:
         got = _outcome(lambda: integrate_with_transport(spec, p, t, W0))
     assert got == expect
+
+
+@functools.cache
+def _stage0_pullback(name: str) -> _Pullback:
+    """The stage-1 flow of A Z^(1) of an n = 3 corpus field, pulled back to
+    the stage-0 chart, at the command-line defaults."""
+    data = build_corpus_field(name)
+    state = induction_step(initial_frame(data["field"], data["chart"],
+                                         SETTINGS, check=False))
+    [gen] = [spec.generator for spec in state.pipeline.stage_chart(1).specs
+             if isinstance(spec.generator, _Pullback)]
+    return gen
+
+
+def _pullback_rk4(gen: _Pullback, y0, t: float) -> np.ndarray:
+    """A pulled-back flow as it ran before its list loop (the reference):
+    `flows._rk4_step` on numpy arrays of the pulled-back value
+    solve(DPhi_P, A^p(Phi_P) DPhi_P e_col) by `np.linalg.solve`, and the box
+    tested at the ambient point Phi_P(y) after each step."""
+    P = gen.parent
+
+    def value(y):
+        x, D = P.differential(y.tolist())
+        return np.linalg.solve(D, gen.Ap(x) @ D[:, gen.col])
+    y = np.array(y0, dtype=float)
+    n, h = _steps(gen.spec, t)
+    for k in range(n):
+        y = _rk4_step(value, y, h)
+        x = P.differential(y.tolist())[0]
+        if not gen.spec.box.contains(x):
+            raise BoxExitError((k + 1) * h, x)
+    return y
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+@hypothesis.given(name=st.sampled_from(["example35-n3", "example35-n3-xn"]),
+                  start=st.tuples(*[st.floats(-0.3, 0.3)] * 3),
+                  t=st.floats(-0.8, 0.8).filter(lambda t: t != 0.0))
+def test_pullback_loop_equals_numpy_rk4(name, start, t):
+    # the list loop of a pulled-back flow, from chart points of its parent
+    # in and near the chart's ranges, against the numpy RK4 it replaced:
+    # the same end bit for bit, or the same box exit (time and point)
+    gen = _stage0_pullback(name)
+    y0 = np.array(start)
+    expect = _outcome(lambda: [_pullback_rk4(gen, y0, t)])
+    assert _outcome(lambda: [gen._rk4(y0, t)]) == expect
+
+
+def test_pullback_loop_raises_on_a_singular_differential(monkeypatch):
+    # where DPhi_P is singular the loop raises LinAlgError, as
+    # np.linalg.solve does, and nothing warns
+    gen = _stage0_pullback("example35-n3")
+    differential = gen.parent.differential
+
+    def singular(y):
+        x, D = differential(y)
+        D = D.copy()
+        D[:, 0] = 0.0
+        return x, D
+    monkeypatch.setattr(gen.parent, "differential", singular)
+    y0 = np.array([0.01, -0.02, 0.03])
+    for run in (gen._rk4, functools.partial(_pullback_rk4, gen)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(np.linalg.LinAlgError):
+                run(y0, 0.1)
+        assert caught == []
 
 
 _JSON = st.recursive(
