@@ -409,11 +409,12 @@ class _StageChart:
         chart share a point; trajectories of a pulled-back flow from one
         start meet the same points again.  Blocks (`_Samples.on`) do not
         pass through this memo."""
+        d = self.section.dim
+
         def make():
             z = np.array(self._point_plan(len(self.section.axes), True)(
                 y, self._basis))
             return z[:d], z[d:].reshape(d, d)
-        d = self.section.dim
         return _kept(self._differentials, self._key(*y), make, self.MEMO)
 
     def forward_differential(self, y) -> tuple[np.ndarray, np.ndarray]:
