@@ -30,7 +30,7 @@ from .fields import (EndoField, VectorField, apply_endo, coordinate_field,
                      endo_power, first_max, lie_bracket)
 from .flows import (BoxExitError, CompiledField, ComputedVectorField,
                     FlowSpec, IntegratorSettings, _check_line, _point_flow,
-                    _steps, integrate_flow, transport_block)
+                    _steps, integrate_flow)
 from .structure import image_frame, kernel_frame, span_residuals
 
 __all__ = [
@@ -175,11 +175,9 @@ class Section:
         return Section(chart.dim, tuple(chart.section_axes()))
 
     def embed(self, s) -> np.ndarray:
-        """The point sigma(s); for an (m, N) array s, the (d, N) points of
-        its columns."""
-        x = np.zeros((self.dim, len(s[0])) if np.ndim(s) == 2 else self.dim)
-        for axis, v in zip(self.axes, s):
-            x[axis] = v
+        """The point sigma(s)."""
+        x = np.zeros(self.dim)
+        x[list(self.axes)] = s
         return x
 
     def project(self, q) -> np.ndarray:
@@ -380,7 +378,7 @@ class _StageChart:
         """Per-coordinate ranges, flow times then section coordinates, that
         keep the chart inside the box: GRID_SCALE of the smallest half-width
         for times, of each section axis's half-width about its middle."""
-        _, _, mid, half = self.pipeline.chart_box.mid_half
+        mid, half = self.pipeline.chart_box.mid_half
         out = [(-GRID_SCALE * min(half), GRID_SCALE * min(half))] * self.n_flows
         for ax in self.section.axes:
             out.append((mid[ax] - GRID_SCALE * half[ax], mid[ax] + GRID_SCALE * half[ax]))
@@ -407,8 +405,8 @@ class _StageChart:
         MEMO points asked are kept by their exact bytes, those of y as an
         array.  The end of a flow and the start of the next one in this
         chart share a point; trajectories of a pulled-back flow from one
-        start meet the same points again.  Blocks (`_Samples.on`) do not
-        pass through this memo."""
+        start meet the same points again.  Blocks (`forward_differential`)
+        do not pass through this memo."""
         d = self.section.dim
 
         def make():
@@ -421,20 +419,20 @@ class _StageChart:
         """Phi(y) and the full differential DPhi(y) at y = (t, s), or at the
         columns of a (dim, N) block y as (d, N) points and (N, d, d) DPhi.
 
-        Time columns, in canonical slot order, are each flow's generator
-        value at its endpoint carried through the later flows; section
-        columns are the transported section frame, as `forward_transport`
-        gives them.
+        Each point runs the single-point plan with the section frame and
+        time columns, a block's columns one by one, so a column is its
+        single point bit for bit and raises its own box exit.  Time
+        columns, in canonical slot order, are each flow's generator value
+        at its endpoint carried through the later flows; section columns
+        are the transported section frame, as `forward_transport` gives
+        them.
         """
         y = np.asarray(y, dtype=float)
-        d, N = self.section.dim, self.n_flows
-        if y.ndim == 1:
-            z = self._point_plan(len(self.section.axes), True)(
-                y.tolist(), self._basis)
-            return np.array(z[:d]), np.array(z[d:]).reshape(d, d)
-        E = np.repeat(self.section.basis_matrix()[None], y.shape[1], axis=0)
-        x, W = self._compose(y[N:], y[:N], E)
-        return x, W[..., self.chart_order]
+        d, run = self.section.dim, self._point_plan(len(self.section.axes), True)
+        z = np.array([run(c, self._basis) for c in np.atleast_2d(y.T).tolist()])
+        x = np.ascontiguousarray(z[:, :d].T)
+        D = np.ascontiguousarray(z[:, d:]).reshape(-1, d, d)
+        return (x, D) if y.ndim == 2 else (x[:, 0], D[0])
 
     def forward_transport(self, s, t, W0: np.ndarray) -> tuple:
         """Transport the columns of W0 from sigma(s) through the composition."""
@@ -450,28 +448,6 @@ class _StageChart:
         s, t = self.inverse(q)
         return self.forward_transport(s, t, self.section.basis_matrix())[1]
 
-    def _compose(self, s, t, W) -> tuple:
-        """Transport the frames W, (N, d, m), from the points sigma(s) of a
-        block (s, t of shape (., N)) through the flows, each flow's
-        generator value at its endpoint joining W as a new column: a
-        symbolic flow in one `transport_block`, a computed one column by
-        column."""
-        x, at = self.section.embed(s), None
-        for alpha in self.application_order:
-            spec = self.specs[alpha]
-            if spec.generator.symbolic:
-                x, W = transport_block(spec, x, t[alpha], W)
-                at = None
-            else:
-                x, W, at = zip(*[
-                    self._transport_computed(alpha, *start) for start in
-                    zip(x.T, W, t[alpha], at or itertools.repeat(None))])
-                x, W = np.column_stack(x), np.stack(W)
-            value = self.generators[alpha].value
-            v = np.array([value(c) for c in x.T])
-            W = np.concatenate([W, v[..., None]], axis=-1)
-        return x, W
-
     def _point_plan(self, m: int, times: bool):
         """The composition of one start for a starting frame of width m,
         planned on first use: `run(y, W) -> z`, with y the chart point
@@ -479,17 +455,20 @@ class _StageChart:
         Python floats, and z the end point, then the end frame flat.  With
         `times` (from the section frame), each flow's generator value at
         its end joins the frame as a new column, and the end frame's
-        columns are in chart order.
+        columns are in chart order.  This is the one executor of the
+        composition: `forward`, `forward_transport` and each point of
+        `forward_differential`, a block's columns included, run it.
 
         Resolved once: the application order; each symbolic flow's
         compiled step for the frame width it has there (`rhs` for a
         straight generator, `rk4` otherwise), its integrator step and its
         box's middles and half widths; each time-column evaluator; and the
-        index lists that lay out sigma(s) and each new column.  A run steps the state (x, W) as one list: a symbolic flow
-        with `flows._steps`'s step count and step, a straight one as
-        y + tF(y) after `_check_line`'s list test, a box exit raised by
-        `_check_line` or `_point_flow` as the flow alone would raise it; a
-        computed flow goes through `_transport_computed` on arrays.
+        index lists that lay out sigma(s) and each new column.  A run steps
+        the state (x, W) as one list: a symbolic flow with `flows._steps`'s
+        step count and step, a straight one as y + tF(y) after
+        `_check_line`'s list test, a box exit raised by `_check_line` or
+        `_point_flow` as the flow alone would raise it; a computed flow
+        goes through `_transport_computed` on arrays.
         """
         plan = self._plans.get((m, times))
         if plan is not None:
@@ -519,7 +498,7 @@ class _StageChart:
                 layout = [*range(d), *(d + i * m + c if c < m else d + d * m + i
                                        for i in range(d) for c in cols)]
             flows.append((alpha, spec, m, f, straight, spec.settings.step,
-                          *spec.box.mid_half[2:], value, layout))
+                          *spec.box.mid_half, value, layout))
             m += times
 
         def run(y: list, W: list) -> list:
@@ -682,7 +661,8 @@ class _Pullback:
         after time t (not 0), on a list y of Python floats: per stage one
         `differential` of P, one matvec and one LAPACK solve.  Each step
         end's Phi_P is box-checked, and its differential serves the next
-        step's first stage."""
+        step's first stage from P's memo.  A box exit that P's own flows
+        raise inside step k is this flow's exit at k h, at P's point."""
         n, h = _steps(self.spec, t)
         h2, h6 = 0.5 * h, h / 6.0
         box, diff = self.spec.box, self.parent.differential
@@ -692,15 +672,17 @@ class _Pullback:
             return _solve(D, Ap(x) @ D[:, col]).tolist()
         y = y0.tolist()
         with _solving():
-            x, D = diff(y)
             for k in range(1, n + 1):
-                k1 = slope(x, D)
-                k2 = slope(*diff([a + h2 * b for a, b in zip(y, k1)]))
-                k3 = slope(*diff([a + h2 * b for a, b in zip(y, k2)]))
-                k4 = slope(*diff([a + h * b for a, b in zip(y, k3)]))
-                y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-                x, D = diff(y)
+                try:
+                    k1 = slope(*diff(y))
+                    k2 = slope(*diff([a + h2 * b for a, b in zip(y, k1)]))
+                    k3 = slope(*diff([a + h2 * b for a, b in zip(y, k2)]))
+                    k4 = slope(*diff([a + h * b for a, b in zip(y, k3)]))
+                    y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                         for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+                    x = diff(y)[0]
+                except BoxExitError as err:
+                    raise BoxExitError(k * h, err.point) from err
                 if not box.contains(x):
                     raise BoxExitError(k * h, x)
         return np.array(y)
@@ -747,6 +729,7 @@ class _Pipeline:
         self._stage_charts: dict[int, _StageChart] = {}
         self._gen_cache: dict[tuple, object] = {}
         self._compiled: dict[VectorField, CompiledField] = {}
+        self._frames: dict[tuple, object] = {}
 
     # -- frame fields ------------------------------------------------------
 
@@ -786,6 +769,16 @@ class _Pipeline:
         if hit is None:
             hit = self._compiled[field] = CompiledField(field)
         return hit
+
+    def frame(self, build, power: int):
+        """`build(A, power)` on the chart box, `structure.kernel_frame` or
+        `image_frame`, built once per pipeline: every stage's clauses read
+        the same frame of a power."""
+        key = (build, power)
+        if key not in self._frames:
+            self._frames[key] = build(self.A, power, self.chart_box,
+                                      seed=self.settings.seed)
+        return self._frames[key]
 
     def power_batch(self, p: int):
         """The batch evaluator of A^p, compiled on first use."""
@@ -888,8 +881,9 @@ class _Samples:
 
     @staticmethod
     def on(chart: _StageChart, y: np.ndarray) -> "_Samples":
-        """The chart points that are the columns of y, by one
-        `chart.forward_differential` of the block: no chart inversion."""
+        """The chart points that are the columns of y, by
+        `chart.forward_differential` of the block, which runs the chart's
+        single-point plan on each column: no chart inversion."""
         x, D = chart.forward_differential(y)
         return _Samples(x, chart, y, D)
 
@@ -993,13 +987,13 @@ def hk_residuals(state: FrameState,
     are read off DPhi_P(y) (`_ChartField`) and brackets follow `_bracket`,
     so no value inverts a chart.  Each clause evaluates its sample set as
     one (d, N) block; span residuals are stacked QR projections
-    (`structure.span_residuals`).
+    (`structure.span_residuals`).  Kernel and image frames are the
+    pipeline's (`_Pipeline.frame`), built once per power.
     """
     pipe = state.pipeline
     k = state.k
     seed = pipe.settings.seed
     n = pipe.n
-    A = pipe.A
 
     if k == 0:
         pts = _Samples(sample_box(pipe.chart_box.inflate(0.7), HK_SAMPLES,
@@ -1043,7 +1037,7 @@ def hk_residuals(state: FrameState,
     if "2" in clauses:
         R, labels = np.zeros((0, N)), []
         for qq in range(1, n):
-            K = kernel_frame(A, qq, pipe.chart_box, seed=seed)
+            K = pipe.frame(kernel_frame, qq)
             frame = [_ChartField(gen=pipe.compiled(F)) for F in K.frame]
             V = [_bracket(fields[(0, i)], F)(pts) for F in frame
                  for i in range(m)]
@@ -1065,8 +1059,7 @@ def hk_residuals(state: FrameState,
         if target_power >= n:
             F = np.zeros((N, pipe.d, 0))
         else:
-            F = image_frame(A, target_power, pipe.chart_box,
-                            seed=seed).values_on(x)
+            F = pipe.frame(image_frame, target_power).values_on(x)
         slots = [(a, i) for (a, i) in pipe.slots if a >= min_power]
         pairs = list(itertools.combinations(slots, 2))
         V = [_bracket(fields[u], fields[v])(pts) for u, v in pairs]
@@ -1209,8 +1202,9 @@ def verify_integral_chart(A: EndoField, chart: ChartMap, grid: int = 5,
     """Assemble the field's matrix in the chart differential on a grid.
 
     The frames DPhi(y) at the grid points (`_grid`) are one
-    `forward_differential` of the grid as a block.  At each grid point the
-    matrix solve(DPhi, A(p) DPhi) is compared entrywise with the constant
+    `forward_differential` of the grid as a block, each point by the
+    chart's single-point plan.  At each grid point the matrix
+    solve(DPhi, A(p) DPhi) is compared entrywise with the constant
     Jordan matrix; the witness is (section coordinates, flow times in
     application order, point).  Pairwise brackets of the frame fields are
     measured at a few sampled chart points of the chart's own stage chart,

@@ -551,7 +551,7 @@ def compile_rk4(exprs, box: "Box | None" = None) -> "callable":
     step += [*lines, *(f"y{i} = y{i} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {v})"
                        for i, (a, b, c, v) in enumerate(zip(*stages, values)))]
     if box is not None:
-        _, _, mid, half = box.mid_half
+        mid, half = box.mid_half
         inside = " and ".join(f"abs(y{i} - {m!r}) <= {r!r}"
                               for i, (m, r) in enumerate(zip(mid, half)))
         step += [f"if not ({inside}):", f"    return k + 1, [{ys}]"]
@@ -664,18 +664,18 @@ class Box:
 
     @cached_property
     def mid_half(self) -> tuple:
-        """Midpoints and half widths, as (d, 1) arrays and as lists."""
+        """Midpoints and half widths, as lists."""
         mid = [(lo + hi) / 2.0 for lo, hi in self.bounds]
         half = [(hi - lo) / 2.0 for lo, hi in self.bounds]
-        return np.array(mid)[:, None], np.array(half)[:, None], mid, half
+        return mid, half
 
     def contains(self, p) -> bool:
         """Whether p is in the box; a NaN coordinate is not."""
         p = p.tolist() if isinstance(p, np.ndarray) else p
-        return all(abs(v - m) <= h for v, m, h in zip(p, *self.mid_half[2:]))
+        return all(abs(v - m) <= h for v, m, h in zip(p, *self.mid_half))
 
     def inflate(self, factor: float) -> "Box":
-        _, _, mid, half = self.mid_half
+        mid, half = self.mid_half
         return Box(tuple((m - h * factor, m + h * factor) for m, h in zip(mid, half)))
 
     def corners(self) -> np.ndarray:

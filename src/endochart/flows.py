@@ -3,32 +3,30 @@
 Flows use fixed-step RK4: determinism and simple error budgeting matter
 more than speed at these dimensions.
 
-A symbolic generator V (`CompiledField`) has one rule for single starts,
-blocks of starts and straight flows: a frame W is transported by RK4 of
-the state Y = (x, W) with right-hand side (V(x), DV(x) W), the
-variational equation co-integrated with the trajectory (Hairer, Norsett &
-Wanner, *Solving ODEs I*, sec. I.14), compiled once per field and frame
-width m with (DV W)_ic summed in j order; a plain flow is m = 0.  A
-single start runs one generated RK4 loop on Python floats
-(`CompiledField.rk4`, one per width and box: n steps on local variables,
-the box tested inline after each step, a NaN coordinate outside): alone
-through `_point_flow`, or inside a stage chart's single-point plan
-(`charts._StageChart._point_plan`), which looks each flow's loop or
-right-hand side up once per frame width and takes `_steps`'s step count
-and `_check_line`'s box test inline, leaving a box exit to them.  A
-block (`transport_block`) steps the stacked (d + d m, N) array, one flow
-time per column.  So W's columns transport alone, bit for bit, and block
-columns equal single starts on fields built from sums, products and
-quotients.
+A symbolic generator V (`CompiledField`) has one rule for every start: a
+frame W is transported by RK4 of the state Y = (x, W) with right-hand side
+(V(x), DV(x) W), the variational equation co-integrated with the
+trajectory (Hairer, Norsett & Wanner, *Solving ODEs I*, sec. I.14),
+compiled once per field and frame width m with (DV W)_ic summed in j
+order; a plain flow is m = 0.  A start runs one generated RK4
+loop on Python floats (`CompiledField.rk4`, one per width and box: n steps
+on local variables, the box tested inline after each step, a NaN
+coordinate outside): alone through `_point_flow`, or inside a stage
+chart's single-point plan (`charts._StageChart._point_plan`), which looks
+each flow's loop or right-hand side up once per frame width and takes
+`_steps`'s step count and `_check_line`'s box test inline, leaving a box
+exit to them.  So W's columns transport alone, bit for bit.  A block of
+chart points runs that plan once per column, so each column is its
+single point.
 
 V is *straight* (`CompiledField.straight`, decided once per field by which
 variables occur in its components) when its components read only
 coordinates x_j with V_j the constant 0: its flow never moves what V
 reads, so V is constant along its own trajectory and the flow is exactly
-Y + tF(Y) with F the same right-hand side (DV^2 = 0).  Straight flows, of
-one start or of a block, take that closed form instead of RK4 steps; the
-box check still tests the RK4 step points x + k h V(x) (Groebner, *Die
-Lie-Reihen*, 1960: the Lie series of x terminates after its linear term).
+Y + tF(Y) with F the same right-hand side (DV^2 = 0).  Straight flows take
+that closed form instead of RK4 steps; the box check still tests the RK4
+step points x + k h V(x) (Groebner, *Die Lie-Reihen*, 1960: the Lie series
+of x terminates after its linear term).
 In flag-adapted coordinates most stage-0 generators A^p d/ds are straight.
 
 Derivatives in the chart construction come from one place per kind of
@@ -62,9 +60,10 @@ field, each with its own step:
   differences in y with step `charts.H_BRACKET`, so no bracket inverts a
   chart.  `numeric_bracket` (central differences of ambient fields) stays
   as the reference a test holds that rule to;
-- the chart differential DPhi at one chart point or at a block of them is
-  `charts._StageChart.forward_differential`, the one path that the stage
-  checks, the frame brackets and the verification grid read frames from.
+- the chart differential DPhi at one chart point, or at each column of a
+  block of them, is `charts._StageChart.forward_differential`, the one
+  path that the stage checks, the frame brackets and the verification
+  grid read frames from.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ from .fields import VectorField
 __all__ = [
     "IntegratorSettings", "FlowSpec", "ComputedVectorField",
     "CompiledField", "BoxExitError", "integrate_flow",
-    "integrate_with_transport", "transport_block", "numeric_bracket",
+    "integrate_with_transport", "numeric_bracket",
 ]
 
 
@@ -113,10 +112,10 @@ class CompiledField:
 
         Y' = (V(x), K),  K_ic = sum_j d_jV_i(x) W_jc, summed in j order.
 
-    Y is flat: x, then W row by row.  Each width is compiled on first use:
-    on Python floats for single starts (`rhs`), as RK4 steps of single
-    starts in one box (`rk4`), and for blocks whose columns are states
-    (`batch_rhs`).  The width 0 is V alone.
+    Y is flat: x, then W row by row.  Each width is compiled on first use,
+    on Python floats (`rhs`) and as RK4 steps in one box (`rk4`); flows
+    take no other path.  The width 0 is V alone, which `batch_value` also
+    evaluates at sample sets.
     """
 
     def __init__(self, field: VectorField):
@@ -124,7 +123,6 @@ class CompiledField:
         self.dim = field.dim
         self._point: dict[int, object] = {}
         self._rk4: dict[tuple, object] = {}
-        self._block: dict[int, object] = {}
 
     @property
     def symbolic(self) -> bool:
@@ -156,14 +154,6 @@ class CompiledField:
             f = self._rk4[m, box] = compile_rk4(self._trees(m), box)
         return f
 
-    def batch_rhs(self, m: int):
-        """`f(Y) -> (d + d m, N)` right-hand sides at the columns of a
-        (d + d m, N) state array."""
-        f = self._block.get(m)
-        if f is None:
-            f = self._block[m] = compile_batch(self._trees(m))
-        return f
-
     def _trees(self, m: int) -> list:
         """V's components, then K_ic for i, c in order."""
         trees = list(self.field.components)
@@ -178,9 +168,11 @@ class CompiledField:
     def value(self, p) -> np.ndarray:
         return np.array(self.rhs(0)(p))
 
-    def batch_value(self, x) -> np.ndarray:
-        """(d, N) values at the columns of a (d, N) point array."""
-        return self.batch_rhs(0)(x)
+    @cached_property
+    def batch_value(self):
+        """`f(x) -> (d, N)` values at the columns of a (d, N) point array,
+        compiled on first use."""
+        return compile_batch(self.field.components)
 
     def __call__(self, p) -> np.ndarray:
         return self.value(p)
@@ -235,71 +227,35 @@ class FlowSpec:
             self.generator = CompiledField(self.generator)
 
 
-def _check_box(spec: FlowSpec, t, x: np.ndarray):
-    """Raise BoxExitError if the point x, or a column of the (d, N) block
-    x, is outside the working box; a block names its first such column c,
-    at its time t[c]."""
-    box = spec.box
-    if box is None:
-        return
-    if x.ndim == 1:
-        if not box.contains(x):
-            raise BoxExitError(t, x)
-        return
-    outside = _outside(box, x)
-    if outside.any():
-        c = int(np.argmax(outside))
-        raise BoxExitError(float(t[c]), x[:, c])
-
-
-def _outside(box: Box, x: np.ndarray) -> np.ndarray:
-    """Mask of the points of x, coordinates along axis -2, outside box (a
-    NaN coordinate is outside)."""
-    mid, half = box.mid_half[:2]
-    return ~np.all(np.abs(x - mid) <= half, axis=-2)
-
-
 def _steps(spec: FlowSpec, t: float) -> tuple[int, float]:
-    """RK4 step count and step for flow time t (a block's column's too)."""
+    """RK4 step count and step for flow time t."""
     n = max(1, math.ceil(abs(t) / spec.settings.step))
     return n, t / n
 
 
-def _check_line(spec: FlowSpec, x, v, n, h):
+def _check_line(spec: FlowSpec, x: list, v: list, n: int, h: float):
     """The box check of RK4 on the straight flow x + sV(x) with n steps of
-    size h: of a single start, x and v lists of Python floats, or of a
-    (d, N) block, one n and h per column.  BoxExitError at the first step
-    whose step point x + k h v is outside the box, naming a block's first
-    column out there.  Each coordinate of the step points is monotone in k,
-    even rounded, so when the first and the last step points are inside
-    (for a single start, tested coordinate by coordinate as `Box.contains`
-    tests them), all are.
+    size h, x and v lists of Python floats: BoxExitError at the first step
+    whose step point x + k h v is outside the box.  Each coordinate of the
+    step points is monotone in k, even rounded, so when the first and the
+    last step points are inside (tested coordinate by coordinate as
+    `Box.contains` tests them), all are.
     """
     box = spec.box
     if box is None:
         return
-    if isinstance(x, list):
-        _, _, mid, half = box.mid_half
-        if all(abs(a + h * b - c) <= r and abs(a + (n * h) * b - c) <= r
-               for a, b, c, r in zip(x, v, mid, half)):
-            return
-        x, v = np.array(x), np.array(v)
-    d = x.shape[0]
-    x, v = x.reshape(d, -1), v.reshape(d, -1)
-    if not _outside(box, x + np.array([h, n * h]).reshape(2, 1, -1) * v).any():
+    mid, half = box.mid_half
+    if all(abs(a + h * b - c) <= r and abs(a + (n * h) * b - c) <= r
+           for a, b, c, r in zip(x, v, mid, half)):
         return
-    n, h = np.broadcast_to(n, x.shape[1:]), np.broadcast_to(h, x.shape[1:])
-    k = np.arange(1, int(n.max()) + 1)[:, None]
-    P = x + (k * h)[:, None, :] * v                       # (K, d, N)
-    outside = _outside(box, P) & (k <= n)                 # (K, N)
-    step = int(np.argmax(outside.any(axis=1)))
-    c = int(np.argmax(outside[step]))
-    raise BoxExitError((step + 1) * float(h[c]), P[step, :, c])
+    for k in range(1, n + 1):
+        p = [a + (k * h) * b for a, b in zip(x, v)]
+        if not box.contains(p):
+            raise BoxExitError(k * h, p)
 
 
 def _rk4_step(f, y: np.ndarray, h):
-    """One RK4 step of y' = f(y) for an array y; h is a number, or one
-    step per column of a block."""
+    """One RK4 step of y' = f(y) for an array y."""
     k1 = f(y)
     k2 = f(y + 0.5 * h * k1)
     k3 = f(y + 0.5 * h * k2)
@@ -336,9 +292,10 @@ def integrate_flow(spec: FlowSpec, p0, t: float) -> np.ndarray:
     if isinstance(gen, CompiledField):
         return np.array(_point_flow(spec, x.tolist(), t, 0))
     n, h = _steps(spec, t)
-    for k in range(n):
+    for k in range(1, n + 1):
         x = _rk4_step(gen.value, x, h)
-        _check_box(spec, (k + 1) * h, x)
+        if spec.box is not None and not spec.box.contains(x):
+            raise BoxExitError(k * h, x)
     return x
 
 
@@ -346,9 +303,7 @@ def integrate_with_transport(spec: FlowSpec, p0, t: float, W0) -> tuple:
     """Co-integrate the trajectory from the start p0, shape (d,), and the
     variational equation W' = DV(x) W applied to W0, shape (d, m):
     (x(t), W(t)).  The generator must be symbolic (`CompiledField`): the
-    state (x, W) flows as one list of Python floats (`_point_flow`), by
-    the same right-hand side and the same arithmetic per entry as a column
-    of `transport_block`."""
+    state (x, W) flows as one list of Python floats (`_point_flow`)."""
     x = np.asarray(p0, dtype=float)
     W = np.asarray(W0, dtype=float)
     if t == 0.0:
@@ -356,47 +311,6 @@ def integrate_with_transport(spec: FlowSpec, p0, t: float, W0) -> tuple:
     d, m = W.shape
     y = _point_flow(spec, x.tolist() + W.ravel().tolist(), t, m)
     return np.array(y[:d]), np.array(y[d:]).reshape(d, m)
-
-
-def _block_flow(spec: FlowSpec, y: np.ndarray, t: np.ndarray, m: int):
-    """`_point_flow` for the columns of a (d + d m, N) state array y,
-    column c after time t[c] (not 0) with its own `_steps`, on the batch
-    compilation of the right-hand side; all columns step together and a
-    column whose steps are done is left as it is."""
-    gen = spec.generator
-    f, d = gen.batch_rhs(m), gen.dim
-    n, h = map(np.array, zip(*(_steps(spec, tc) for tc in t.tolist())))
-    if gen.straight:
-        F = f(y)
-        _check_line(spec, y[:d], F[:d], n, h)
-        return y + t * F
-    for k in range(int(n.max())):
-        cols, hk = np.flatnonzero(n > k), h[n > k]
-        y[:, cols] = _rk4_step(f, y[:, cols], hk)
-        _check_box(spec, (k + 1) * hk, y[:d, cols])
-    return y
-
-
-def transport_block(spec: FlowSpec, x, t, W) -> tuple:
-    """`integrate_with_transport` for N starts, the columns of x (d, N),
-    each with its own time t[c] and frame W[c] (W is (N, d, m)).  The
-    states (x, W) are the columns of one (d + d m, N) array, which
-    `_block_flow` steps; column c takes `_steps` of t[c], as its single
-    start does, and one with t[c] = 0 is left as it is.  A column equals
-    its single start bit for bit when the field's expressions are sums,
-    products and quotients (numpy's array kernels may round integer powers
-    and exp differently in the last place).  Each column is box-checked at
-    its own step times; a BoxExitError names the first column out at the
-    earliest step index."""
-    x, W = np.asarray(x, dtype=float), np.asarray(W, dtype=float)
-    t = np.asarray(t, dtype=float)
-    N, d, m = W.shape
-    y = np.concatenate([x, W.transpose(1, 2, 0).reshape(d * m, N)])
-    live = np.flatnonzero(t != 0.0)
-    if live.size:
-        y[:, live] = _block_flow(spec, y[:, live], t[live], m)
-    W = y[d:].reshape(d, m, N).transpose(2, 0, 1)
-    return y[:d], np.ascontiguousarray(W)
 
 
 def numeric_bracket(X, Y, p, h: float = 1e-3) -> np.ndarray:

@@ -199,16 +199,19 @@ class TestConjugatedPipeline:
         assert result.verification.max_bracket <= 1e-5
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_n3_fields(self, seed):
-        # the final chart flows the computed generator A Z^(1): the stage-2
-        # check and the verification grid take the block path's column by
-        # column branch for it
+    def test_random_n3_fields(self, seed, monkeypatch):
+        # the final chart flows the computed generator A Z^(1).  The shears
+        # hold integer powers, yet every block the stage checks and the
+        # verification read equals its columns' single points bit for bit
         oracle = conjugated_constant(seed=seed, d=3, multiplicities=(0, 0, 1))
-        result = jordanize(oracle.field, oracle.chart)
+        result, blocks = jordanize_recording_blocks(monkeypatch, oracle.field,
+                                                    oracle.chart)
         assert [g.symbolic for g in result.chart._chart.generators] == [
             True, False]
         assert all(rep.passed for rep in result.stage_reports)
         assert result.verification.passed
+        assert any(y.shape[1] == 5 ** 3 for _, y, _, _ in blocks)
+        assert_blocks_are_their_columns(blocks)
         # one point plan per frame width serves forward and
         # forward_with_frame, and coords inverts forward
         chart = result.chart
@@ -265,6 +268,34 @@ def n3_strong_data() -> dict:
     spec = Example35Spec.from_theta(3, r=1, box=Box.cube(3, 0.5))
     A, chart = example35_field(spec)
     return {"spec": spec, "field": A, "chart": chart}
+
+
+def jordanize_recording_blocks(monkeypatch, A, chart) -> tuple:
+    """`jordanize(A, chart)` and (stage chart, y, x, D) of every
+    block y that `forward_differential` answered with (x, D) in it: the
+    stage checks' and the verification's samples, and the grid."""
+    blocks = []
+    original = charts._StageChart.forward_differential
+
+    def recording(self, y):
+        x, D = original(self, y)
+        if np.ndim(y) == 2:
+            blocks.append((self, np.array(y), x, D))
+        return x, D
+    monkeypatch.setattr(charts._StageChart, "forward_differential", recording)
+    result = jordanize(A, chart)
+    monkeypatch.setattr(charts._StageChart, "forward_differential", original)
+    return result, blocks
+
+
+def assert_blocks_are_their_columns(blocks):
+    """Each column of each block answers as its single point, bit for bit."""
+    for stage, y, x, D in blocks:
+        assert x.shape == y.shape
+        for c in range(y.shape[1]):
+            xc, Dc = stage.forward_differential(y[:, c])
+            assert xc.tobytes() == x[:, c].tobytes()
+            assert Dc.tobytes() == D[c].tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -381,22 +412,25 @@ class TestOneCheckPerStage:
     def test_jordanize_compiles_each_expression_list_once(self, name,
                                                           monkeypatch):
         # every symbolic field of the pipeline is one `CompiledField`, by
-        # value, which compiles each frame width once for points, once for
-        # blocks and once per box as the RK4 loop of single starts: no
-        # stage and no clause compiles a list again
+        # value, which compiles each frame width once for points and once
+        # per box as the RK4 loop, and its components once for sample
+        # sets: no stage and no clause compiles a list again
         compiled = []
         for fn in ("compile_vector", "compile_batch", "compile_rk4"):
             original = getattr(flows, fn)
             monkeypatch.setattr(flows, fn, lambda exprs, *box, fn=fn, f=original: (
                 compiled.append((fn, tuple(exprs), *box)) or f(exprs, *box)))
         data = build_corpus_field(name)
-        jordanize(data["field"], data["chart"])
+        pipe = jordanize(data["field"], data["chart"]).chart.pipeline
         assert compiled and len(set(compiled)) == len(compiled)
-        # example35-n3's computed flow reads stage-0 differentials, which
-        # flow single starts along A d/dx3, not straight; the other two
-        # charts' single starts flow straight generators only
+        # flows never take the batch path: it compiles V's components alone
+        components = {gen.field.components for gen in pipe._compiled.values()}
+        assert {c[1] for c in compiled if c[0] == "compile_batch"} <= components
+        # example35-n2's flow and example35-n3's stage-0 flow along A d/dx3
+        # are not straight, so chart points take their RK4 loops; every
+        # flow of example35-n3-xn is straight
         loops = [c for c in compiled if c[0] == "compile_rk4"]
-        assert bool(loops) == (name == "example35-n3")
+        assert bool(loops) == (name != "example35-n3-xn")
 
     def test_point_plans_compile_once(self, monkeypatch):
         # a stage chart plans its single-point composition once per frame
@@ -428,6 +462,21 @@ class TestOneCheckPerStage:
         loops = {key for gen in pipe._compiled.values() for key in gen._rk4}
         assert loops == {(0, pipe.working_box), (1, pipe.working_box)}
 
+    def test_jordanize_builds_each_frame_once(self, monkeypatch):
+        # clause 2 of stages 0 and 1 reads the kernel frames of A and A^2,
+        # clauses 4 and 5 the image frames of A and A^2 (A^2's twice): each
+        # is built once per pipeline
+        built = []
+        for name in ("kernel_frame", "image_frame"):
+            monkeypatch.setattr(charts, name, lambda A, p, *args, name=name,
+                                f=getattr(charts, name), **kwargs: (
+                                    built.append((name, p))
+                                    or f(A, p, *args, **kwargs)))
+        data = build_corpus_field("example35-n3")
+        jordanize(data["field"], data["chart"])
+        assert sorted(built) == [("image_frame", 1), ("image_frame", 2),
+                                 ("kernel_frame", 1), ("kernel_frame", 2)]
+
     def test_stage0_generators_are_kept(self):
         data = build_corpus_field("example35-n3")
         pipe = initial_frame(data["field"], data["chart"], check=False).pipeline
@@ -450,8 +499,7 @@ class TestOneFramePath:
 
     @staticmethod
     def assert_grid_frames_match(chart, grid):
-        # grid frames come from block transports, forward_with_frame from
-        # one start at a time
+        # the grid is one block, forward_with_frame one point at a time
         _, y = charts._grid(chart, grid)
         points, frames = chart._chart.forward_differential(y)
         assert len(frames) == grid ** chart.pipeline.d
@@ -509,35 +557,18 @@ class TestOneFramePath:
             assert q.tobytes() == p.tobytes()
             assert frame.tobytes() == D.tobytes()
 
-    def test_samples_take_one_block_transport_per_symbolic_flow(
-            self, monkeypatch):
-        # stage 0 of example35-n3 flows two symbolic generators: a sample
-        # block of N chart points is two transport_block calls of N columns
-        # and no single-start transport
-        stage = assemble_chart("example35-n3").pipeline.stage_chart(0)
-        assert stage.n_flows == 2
-        assert all(g.symbolic for g in stage.generators)
-        blocks, singles = [], []
-        block, single = charts.transport_block, charts._point_flow
-
-        def recording_block(spec, x, t, W):
-            blocks.append(x.shape[1])
-            return block(spec, x, t, W)
-
-        def recording_single(*args):
-            singles.append(args)
-            return single(*args)
-        monkeypatch.setattr(charts, "transport_block", recording_block)
-        monkeypatch.setattr(charts, "_point_flow", recording_single)
-        y = ex.sample_box(Box(tuple(stage.chart_ranges())), 7, 2026,
-                          include_corners=False).T
-        N = y.shape[1]
-        pts = charts._Samples.on(stage, y)
-        assert blocks == [N, N] and singles == []
-        for n in range(N):
-            x, D = stage.forward_differential(y[:, n])
-            assert x.tobytes() == pts.x[:, n].tobytes()
-            assert D.tobytes() == pts.D[n].tobytes()
+    def test_blocks_are_their_columns(self, monkeypatch):
+        # example35-n3: the stage-1 check samples stage 0, whose flows are
+        # symbolic, the final check and the verification stage 1, which
+        # flows a pulled-back generator; its fields hold x^4
+        data = build_corpus_field("example35-n3")
+        result, blocks = jordanize_recording_blocks(monkeypatch, data["field"],
+                                                    data["chart"])
+        pipe = result.chart.pipeline
+        assert {stage for stage, *_ in blocks} == {pipe.stage_chart(0),
+                                                   pipe.stage_chart(1)}
+        assert any(y.shape[1] == 5 ** 3 for _, y, _, _ in blocks)
+        assert_blocks_are_their_columns(blocks)
 
     @pytest.mark.parametrize("name, slot, straight", [
         ("example35-n2", (1, 0), False),    # the final chart's one flow
@@ -547,8 +578,8 @@ class TestOneFramePath:
     ])
     def test_box_exit_is_the_flows_own(self, name, slot, straight):
         # a stage-0 chart point whose flow leaves the working box, the other
-        # flows at t = 0: every single-point path raises the BoxExitError
-        # that the flow alone raises from sigma(s)
+        # flows at t = 0: every path raises the BoxExitError that the flow
+        # alone raises from sigma(s)
         chart = assemble_chart(name)
         stage = chart.pipeline.stage_chart(0)
         alpha, N = stage.flow_slots.index(slot), stage.n_flows
@@ -560,9 +591,15 @@ class TestOneFramePath:
         with pytest.raises(BoxExitError) as alone:
             flows._point_flow(spec, stage.section.embed(s).tolist(), 1.0, 0)
         E = stage.section.basis_matrix()
+        # a block whose middle column is y: its own exit, not its mates'
+        inside = np.zeros_like(y)
+        inside[N:] = 0.05
+        block = np.column_stack([inside, y, inside])
         runs = [lambda: stage.forward(s, t),
                 lambda: stage.forward_transport(s, t, E),
-                lambda: stage.forward_differential(y)]
+                lambda: stage.forward_differential(y),
+                lambda: stage.forward_differential(block),
+                lambda: charts._Samples.on(stage, block)]
         if stage is chart._chart:
             runs.append(lambda: chart.forward_with_frame(y))
         for run in runs:
@@ -573,10 +610,9 @@ class TestOneFramePath:
 
     @pytest.mark.parametrize("name", ["example35-n3", "n3_strong"])
     def test_samples_leave_the_differential_memo_alone(self, name):
-        # the final chart of both flows a computed generator, which the
-        # block takes column by column through _transport_computed; the
-        # fields have x^4 terms, which the batch evaluators of the symbolic
-        # flow may round differently in the last place
+        # the final chart of both flows a computed generator through
+        # _transport_computed, and the fields have x^4 terms; a block's
+        # columns still equal their single points bit for bit
         data = n3_strong_data() if name == "n3_strong" else name
         stage = assemble_chart(data)._chart
         assert not all(g.symbolic for g in stage.generators)
@@ -587,8 +623,8 @@ class TestOneFramePath:
         assert stage._differentials == before
         for n in range(y.shape[1]):
             x, D = stage.forward_differential(y[:, n])
-            assert np.allclose(x, pts.x[:, n], rtol=1e-14, atol=1e-16)
-            assert np.allclose(D, pts.D[n], rtol=1e-14, atol=1e-16)
+            assert x.tobytes() == pts.x[:, n].tobytes()
+            assert D.tobytes() == pts.D[n].tobytes()
 
 
 class TestOneBracketRule:
@@ -1066,6 +1102,26 @@ class TestParentCoordinateFlows:
         before, y = gen.flow(y0, (k - 1) * h), gen.flow(y0, k * h)
         assert box.contains(gen.point(before))
         assert err.value.point == tuple(gen.point(y))
+
+    def test_parents_box_exit_is_the_flows_own_step(self):
+        # from y0 the stage-0 flows leave the working box at an RK4 stage
+        # point of the pulled-back flow, inside its step k: the exit is the
+        # flow's own, at k h (steps of 2^-6 make it exact), at the parent's
+        # point, and the flow to (k - 1) h stays inside
+        settings = PipelineSettings(
+            integrator=IntegratorSettings(step=2.0 ** -6))
+        stage = assemble_chart("example35-n3", settings)._chart
+        gen = stage.specs[stage.flow_slots.index((1, 0))].generator
+        y0, h = np.array([0.1, -0.1, 0.2]), 2.0 ** -6
+        with pytest.raises(BoxExitError) as err:
+            gen.flow(y0, 3.0)
+        k = round(err.value.time / h)
+        assert err.value.time == k * h and k > 1
+        cause = err.value.__cause__
+        assert isinstance(cause, BoxExitError)
+        assert err.value.point == cause.point
+        assert stage.pipeline.working_box.contains(
+            gen.point(gen.flow(y0, (k - 1) * h)))
 
     def test_computed_flow_leaving_box(self):
         # the computed flow (slot (1, 0)) at t = 2 carries sigma(s) out of

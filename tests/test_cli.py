@@ -289,7 +289,8 @@ class TestFileCommands:
         assert err == ["error: trajectory left the working box at t = 0.078351"]
         # the grid alone: the first grid flow to leave the working box is
         # the computed generator A Z^(1), integrated in the stage-0 chart's
-        # coordinates
+        # coordinates.  The stage-0 flows leave inside its 8th step of
+        # -0.01, at t = -0.075 of theirs; the exit is the computed flow's
         from endochart import charts
         from endochart.flows import BoxExitError
         left = []
@@ -303,9 +304,11 @@ class TestFileCommands:
                 raise
         monkeypatch.setattr(charts._Pullback, "flow", recording)
         field, chart = self.unchecked_chart(path)
-        with pytest.raises(BoxExitError, match=r"at t = -0\.075000$"):
+        with pytest.raises(BoxExitError, match=r"at t = -0\.080000$") as err:
             charts.verify_integral_chart(field, chart)
         assert left
+        assert err.value.__cause__.time == pytest.approx(-0.075)
+        assert err.value.point == err.value.__cause__.point
 
     def test_chart_sample_leaves_box(self, tmp_path, capsys, monkeypatch):
         # a chart sample whose flow leaves the working box: the single-point

@@ -8,9 +8,8 @@ from endochart.expr import Box
 from endochart.fields import VectorField, coordinate_field, lie_bracket
 from endochart.flows import (BoxExitError, CompiledField,
                              ComputedVectorField, FlowSpec,
-                             IntegratorSettings, _outside, integrate_flow,
-                             integrate_with_transport, numeric_bracket,
-                             transport_block)
+                             IntegratorSettings, _check_line, integrate_flow,
+                             integrate_with_transport, numeric_bracket)
 
 RK4 = IntegratorSettings(step=1e-2)
 
@@ -94,91 +93,11 @@ class TestFlowDifferential:
             assert np.max(np.abs(J[:, j] - col)) <= max(1e-6, 10 * h * h)
 
 
-# sums, products and quotients round identically on the point and the batch
-# evaluators, so block and single-start transports agree bit for bit
+# not straight, from sums, products and quotients
 BLOCK_FIELD = VectorField((
     ex.add(ex.mul(ex.const(0.3), ex.var(2), ex.var(3)), ex.const(0.2)),
     ex.sub(ex.mul(ex.const(-0.4), ex.var(1), ex.var(1)), ex.var(3)),
     ex.div(ex.mul(ex.var(1), ex.var(2)), ex.add(ex.const(2.0), ex.var(3)))))
-
-
-def block_starts(count: int, seed: int = 5):
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-0.5, 0.5, (3, count)), rng.normal(size=(count, 3, 2))
-
-
-def assert_block_equals_single_starts(spec, P, t, W0):
-    xs, Ws = transport_block(spec, P, t, W0)
-    assert xs.shape == P.shape and Ws.shape == W0.shape
-    for n in range(P.shape[1]):
-        x, W = integrate_with_transport(spec, P[:, n], float(t[n]), W0[n])
-        assert x.tobytes() == xs[:, n].tobytes()
-        assert W.tobytes() == Ws[n].tobytes()
-
-
-class TestBlockTransport:
-    @pytest.mark.parametrize("t", [0.37, -0.21, 0.0])
-    def test_block_equals_single_starts(self, t):
-        spec = FlowSpec(BLOCK_FIELD, RK4)
-        P, W0 = block_starts(9)
-        assert_block_equals_single_starts(spec, P, np.full(9, t), W0)
-
-    @pytest.mark.parametrize("field", [BLOCK_FIELD, "straight"])
-    def test_mixed_times_equal_single_starts(self, field):
-        # each column takes its own step count and step; t = 0 columns and
-        # columns whose steps are done are left as they are
-        field = STRAIGHT_FIELD if field == "straight" else field
-        spec = FlowSpec(field, RK4, box=Box.cube(field.dim, 2.0))
-        rng = np.random.default_rng(3)
-        P = rng.uniform(-0.5, 0.5, (field.dim, 8))
-        W0 = rng.normal(size=(8, field.dim, 2))
-        t = np.array([0.37, 0.0, -0.21, 0.004, 0.0, 0.37, -0.6, 0.1])
-        assert_block_equals_single_starts(spec, P, t, W0)
-        xs, Ws = transport_block(spec, P, t, W0)
-        assert xs[:, 1].tobytes() == P[:, 1].tobytes()
-        assert Ws[4].tobytes() == W0[4].tobytes()
-
-    def test_mixed_times_box_exit_is_a_single_starts(self):
-        # start 0 leaves at step 25 of 40, start 1 at step 5 of 100; start
-        # 2 is outside the box but has t = 0, so nothing checks it
-        spec = FlowSpec(BLOCK_FIELD, RK4, box=Box.cube(3, 0.6))
-        P = np.array([[0.55, 0.59, 0.9], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        W0 = np.repeat(np.eye(3)[None], 3, axis=0)
-        t = np.array([0.4, 1.0, 0.0])
-        single = [box_exit(lambda n=n: integrate_with_transport(
-            spec, P[:, n], float(t[n]), W0[n])) for n in range(2)]
-        got = box_exit(lambda: transport_block(spec, P, t, W0))
-        assert single[0].time > single[1].time
-        assert (got.time, got.point) == (single[1].time, single[1].point)
-        got = box_exit(lambda: transport_block(spec, P[:, [0, 2]], t[[0, 2]],
-                                               W0[:2]))
-        assert (got.time, got.point) == (single[0].time, single[0].point)
-
-    def test_column_independent_of_batch_mates(self):
-        spec = FlowSpec(BLOCK_FIELD, RK4)
-        P, W0 = block_starts(9)
-        t = np.full(9, 0.37)
-        xs, Ws = transport_block(spec, P, t, W0)
-        perm = np.random.default_rng(11).permutation(9)
-        xp, Wp = transport_block(spec, P[:, perm], t, W0[perm])
-        assert xp.tobytes() == np.ascontiguousarray(xs[:, perm]).tobytes()
-        assert Wp.tobytes() == Ws[perm].tobytes()
-        xh, Wh = transport_block(spec, P[:, 4:], t[4:], W0[4:])
-        assert xh.tobytes() == np.ascontiguousarray(xs[:, 4:]).tobytes()
-        assert Wh.tobytes() == Ws[4:].tobytes()
-
-    def test_box_exit_names_first_start_of_earliest_step(self):
-        # starts 1 and 3 leave at the same, earliest step; start 0 later
-        spec = FlowSpec(coordinate_field(2, 1), RK4, box=Box.cube(2, 1.0))
-        P = np.array([[0.5, 0.8, -0.5, 0.8], [0.1, 0.2, 0.3, -0.4]])
-        W0 = np.repeat(np.eye(2)[None], 4, axis=0)
-        with pytest.raises(BoxExitError) as block:
-            transport_block(spec, P, np.full(4, 1.0), W0)
-        with pytest.raises(BoxExitError) as single:
-            integrate_with_transport(spec, P[:, 1], 1.0, W0[1])
-        assert block.value.time == single.value.time
-        assert block.value.point == single.value.point
-        assert block.value.point[1] == 0.2
 
 
 class TestGroupLawAndDeterminism:
@@ -251,8 +170,7 @@ class TestSettings:
             IntegratorSettings(step=0.0)
 
 
-# reads only x3, x4 and x5, which it does not move; sums, products and
-# quotients, so the point and the batch evaluators round alike
+# reads only x3, x4 and x5, which it does not move
 STRAIGHT_FIELD = VectorField((
     ex.add(ex.mul(ex.const(0.3), ex.var(3), ex.var(4)),
            ex.mul(ex.const(0.2), ex.var(5)), ex.const(0.2)),
@@ -325,50 +243,6 @@ class TestStraightFlows:
             assert got.time == expect.time
             assert np.max(np.abs(np.subtract(got.point, expect.point))) <= 1e-12
 
-    def test_block_box_exit_names_first_start_of_earliest_step(self):
-        # start 2 is outside and re-enters: it fails at the first step
-        # time, before start 0 leaves; start 1 stays inside
-        spec = FlowSpec(STRAIGHT_FIELD, RK4, box=Box.cube(5, 1.0))
-        P = np.array([[0.5, 0.0, -1.3, 0.9],
-                      [0.0, 0.0, 0.0, 0.0],
-                      [0.2, 0.1, 0.5, 0.5],
-                      [0.1, 0.0, 0.0, 0.0],
-                      [0.0, 0.0, 0.0, 0.0]])
-        W0 = np.repeat(np.eye(5)[None], 4, axis=0)
-        got = box_exit(lambda: transport_block(spec, P, np.full(4, 3.0), W0))
-        expect = box_exit(lambda: integrate_flow(rk4_oracle(spec), P[:, 2], 3.0))
-        assert got.time == expect.time
-        assert np.max(np.abs(np.subtract(got.point, expect.point))) <= 1e-12
-        # without start 2, start 3 leaves first
-        got = box_exit(lambda: transport_block(spec, P[:, [0, 1, 3]],
-                                               np.full(3, 3.0), W0[:3]))
-        expect = box_exit(lambda: integrate_flow(rk4_oracle(spec), P[:, 3], 3.0))
-        assert got.time == expect.time
-        assert np.max(np.abs(np.subtract(got.point, expect.point))) <= 1e-12
-
-    def test_mixed_times_box_exit_checks_only_each_columns_steps(self):
-        # start 1 would leave after 25 steps of its size, but it takes 20:
-        # the error is start 0's, which leaves at step 243 of 300
-        spec = FlowSpec(STRAIGHT_FIELD, RK4, box=Box.cube(5, 1.0))
-        P = np.array([[0.5, 0.95], [0.0, 0.0], [0.2, 0.0], [0.1, 0.0],
-                      [0.0, 0.0]])
-        W0 = np.repeat(np.eye(5)[None], 2, axis=0)
-        t = np.array([3.0, 0.2])
-        integrate_with_transport(spec, P[:, 1], 0.2, W0[1])
-        got = box_exit(lambda: transport_block(spec, P, t, W0))
-        expect = box_exit(lambda: integrate_with_transport(spec, P[:, 0], 3.0,
-                                                           W0[0]))
-        assert (got.time, got.point) == (expect.time, expect.point)
-
-    @pytest.mark.parametrize("t", [0.37, -0.21])
-    @pytest.mark.parametrize("m", [1, 3])
-    def test_block_equals_single_starts(self, t, m):
-        spec = FlowSpec(STRAIGHT_FIELD, RK4, box=Box.cube(5, 1.0))
-        rng = np.random.default_rng(13)
-        P = rng.uniform(-0.5, 0.5, (5, 9))
-        W0 = rng.normal(size=(9, 5, m))
-        assert_block_equals_single_starts(spec, P, np.full(9, t), W0)
-
     # per corpus entry: (power, slot) of each stage-0 flow generator
     # A^p d/ds and whether it is straight
     @pytest.mark.parametrize("name, flags", [
@@ -408,6 +282,21 @@ def flow_outcome(run):
     return ("inside",)
 
 
+def line_reference(spec: FlowSpec, x, t: float) -> tuple:
+    """The box check of a straight flow from x after time t, written out on
+    numpy arrays: the outcome at the first step point x + (k h) V(x) that
+    `Box.contains` rejects, or ("inside",)."""
+    n = max(1, math.ceil(abs(t) / spec.settings.step))
+    h = t / n
+    x = np.asarray(x, dtype=float)
+    v = spec.generator.value(x)
+    for k in range(1, n + 1):
+        p = x + (k * h) * v
+        if not spec.box.contains(p):
+            return ("exit", k * h, tuple(p))
+    return ("inside",)
+
+
 class TestSingleStartLineCheck:
     # straight: V reads x2 only, and x2 does not move
     FIELD = VectorField((ex.add(ex.const(0.3), ex.mul(ex.const(0.2), ex.var(2))),
@@ -437,16 +326,15 @@ class TestSingleStartLineCheck:
 
     @pytest.mark.parametrize("t", [0.5, -0.5])
     @pytest.mark.parametrize("step", [1, "last"])
-    def test_matches_a_one_column_block(self, t, step):
+    def test_matches_box_contains_on_the_step_points(self, t, step):
         spec = FlowSpec(self.FIELD, RK4, box=Box.cube(2, 1.0))
         outcomes = {}
         for kind, x in self.starts(spec, t, step).items():
-            block = flow_outcome(lambda: transport_block(
-                spec, x[:, None], np.array([t]), np.eye(2)[None]))
+            expect = line_reference(spec, x, t)
             for run in (lambda: integrate_flow(spec, x, t),
                         lambda: integrate_with_transport(spec, x, t, np.eye(2))):
-                assert flow_outcome(run) == block, kind
-            outcomes[kind] = block
+                assert flow_outcome(run) == expect, kind
+            outcomes[kind] = expect
         # the last step point decides alone; a first one on or inside the
         # face leaves the last one outside, a first one outside fails there
         kinds = {kind: got[0] for kind, got in outcomes.items()}
@@ -475,26 +363,6 @@ def test_zero_denominator_at_a_single_start(run, monkeypatch, capsys):
     assert "zero denominator" in capsys.readouterr().err
 
 
-def test_non_finite_block_right_hand_side(monkeypatch, capsys):
-    # the batch evaluators step on arrays: 1/x1 at the second start's
-    # x1 = 0 is inf, which the block names by its subtree
-    from endochart import cli
-    pole = ex.div(ex.const(1.0), ex.var(1))
-    spec = FlowSpec(VectorField((pole, ex.const(1.0))), RK4,
-                    box=Box.cube(2, 1.0))
-    P = np.array([[0.5, 0.0], [0.0, 0.0]])
-    W0 = np.repeat(np.eye(2)[None], 2, axis=0)
-
-    def run(args=None):
-        return transport_block(spec, P, np.full(2, 0.5), W0)
-    with pytest.raises(ex.EvaluationError) as err:
-        run()
-    assert err.value.subtree == pole
-    monkeypatch.setattr(cli, "_cmd_check", run)
-    assert cli.main(["check", "unused.json"]) == 1
-    assert "no finite value" in capsys.readouterr().err
-
-
 class TestNonFiniteSteps:
     """A step point with a NaN coordinate is outside every box."""
 
@@ -511,8 +379,12 @@ class TestNonFiniteSteps:
         assert box.contains([0.5, -1.0])
         assert not box.contains([math.nan, 0.0])
         assert not box.contains(np.array([0.0, math.nan]))
-        x = np.array([[0.5, math.nan, 0.0, 2.0], [-1.0, 0.0, math.nan, 0.0]])
-        assert _outside(box, x).tolist() == [False, True, True, True]
+        # the straight flows' line check: a start with a NaN coordinate
+        # leaves at its first step point
+        spec = FlowSpec(coordinate_field(2, 1), RK4, box)
+        for x in ([math.nan, 0.0], [0.0, math.nan]):
+            err = box_exit(lambda: _check_line(spec, x, [1.0, 0.0], 3, 0.1))
+            assert err.time == 0.1 and not box.contains(list(err.point))
 
     @pytest.mark.parametrize("run", [
         lambda spec: integrate_flow(spec, (0.5, 0.5), 0.3),
@@ -529,21 +401,6 @@ class TestNonFiniteSteps:
         assert cli.main(["check", "unused.json"]) == 2
         assert capsys.readouterr().err == (
             "error: trajectory left the working box at t = 0.100000\n")
-
-    def test_block_refuses_the_non_finite_stage(self, monkeypatch, capsys):
-        # the batch evaluator raises at the first non-finite right-hand
-        # side, a stage before the step point is NaN
-        from endochart import cli
-
-        def run(args=None):
-            return transport_block(self.SPEC, np.full((2, 1), 0.5),
-                                   np.array([0.3]), np.eye(2)[None])
-        with pytest.raises(ex.EvaluationError, match="non-finite value"):
-            run()
-        monkeypatch.setattr(cli, "_cmd_check", run)
-        assert cli.main(["check", "unused.json"]) == 1
-        assert "no finite value" in capsys.readouterr().err
-
 
 def example35_n3_generator() -> VectorField:
     """example35-n3's stage-0 generator A d/dx3: not straight, with x3^4."""
@@ -580,8 +437,7 @@ def reference_transport(field: VectorField, p0, t: float, W0) -> tuple:
 
 
 class TestOneProductRule:
-    """A symbolic transport is RK4 of (x, W) with DV W summed in j order,
-    on single starts and blocks alike."""
+    """A symbolic transport is RK4 of (x, W) with DV W summed in j order."""
 
     FIELDS = {"example35-n3": example35_n3_generator,
               "block": lambda: BLOCK_FIELD}
@@ -612,12 +468,6 @@ class TestOneProductRule:
         P = rng.uniform(-0.4, 0.4, (d, 5))
         W0 = rng.normal(size=(5, d, 3))
         t = np.array([0.37, -0.21, 0.0, 0.05, 0.37])
-        xs, Ws = transport_block(spec, P, t, W0)
-        for c in range(3):
-            xc, Wc = transport_block(spec, P, t, W0[:, :, c:c + 1])
-            assert xc.tobytes() == xs.tobytes()
-            expect = np.ascontiguousarray(Ws[:, :, c:c + 1])
-            assert Wc.tobytes() == expect.tobytes()
         for n in range(5):
             x, W = integrate_with_transport(spec, P[:, n], float(t[n]), W0[n])
             cols = [integrate_with_transport(spec, P[:, n], float(t[n]),

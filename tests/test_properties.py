@@ -15,15 +15,17 @@ st = hypothesis.strategies
 
 from endochart import expr as ex  # noqa: E402
 from endochart.charts import (PipelineSettings, _Pullback,  # noqa: E402
-                              induction_step, initial_frame, jordanize)
+                              induction_step, initial_frame, jordan_matrix,
+                              jordanize)
 from endochart.cli import main  # noqa: E402
 from endochart.corpus import (build_corpus_field,  # noqa: E402
                               conjugated_constant)
 from endochart.expr import Box, sample_box  # noqa: E402
-from endochart.fields import VectorField  # noqa: E402
+from endochart.fields import EndoField, VectorField  # noqa: E402
 from endochart.flows import (BoxExitError, ComputedVectorField,  # noqa: E402
                              FlowSpec, IntegratorSettings, _rk4_step, _steps,
                              integrate_flow, integrate_with_transport)
+from endochart.structure import invariant_factors, rank_profile  # noqa: E402
 
 SETTINGS = PipelineSettings()     # the command-line defaults
 
@@ -126,10 +128,11 @@ def _stage0_pullback(name: str) -> _Pullback:
 
 
 def _pullback_rk4(gen: _Pullback, y0, t: float) -> np.ndarray:
-    """A pulled-back flow as it ran before its list loop (the reference):
-    `flows._rk4_step` on numpy arrays of the pulled-back value
-    solve(DPhi_P, A^p(Phi_P) DPhi_P e_col) by `np.linalg.solve`, and the box
-    tested at the ambient point Phi_P(y) after each step."""
+    """A pulled-back flow on numpy arrays (the reference): `flows._rk4_step`
+    on the pulled-back value solve(DPhi_P, A^p(Phi_P) DPhi_P e_col) by
+    `np.linalg.solve`, and the box tested at the ambient point Phi_P(y)
+    after each step k; a box exit of P's own flows inside step k is the
+    flow's exit at k h, at P's point."""
     P = gen.parent
 
     def value(y):
@@ -137,11 +140,14 @@ def _pullback_rk4(gen: _Pullback, y0, t: float) -> np.ndarray:
         return np.linalg.solve(D, gen.Ap(x) @ D[:, gen.col])
     y = np.array(y0, dtype=float)
     n, h = _steps(gen.spec, t)
-    for k in range(n):
-        y = _rk4_step(value, y, h)
-        x = P.differential(y.tolist())[0]
+    for k in range(1, n + 1):
+        try:
+            y = _rk4_step(value, y, h)
+            x = P.differential(y.tolist())[0]
+        except BoxExitError as err:
+            raise BoxExitError(k * h, err.point) from err
         if not gen.spec.box.contains(x):
-            raise BoxExitError((k + 1) * h, x)
+            raise BoxExitError(k * h, x)
     return y
 
 
@@ -178,6 +184,35 @@ def test_pullback_loop_raises_on_a_singular_differential(monkeypatch):
             with pytest.raises(np.linalg.LinAlgError):
                 run(y0, 0.1)
         assert caught == []
+
+
+@st.composite
+def _multiplicities(draw) -> tuple:
+    """Jordan block multiplicities (d_1, ..., d_n), d_n >= 1, of a
+    dimension sum(a d_a) <= 6."""
+    n = draw(st.integers(1, 6))
+    mults, left = [0] * (n - 1) + [1], 6 - n
+    for a in range(1, n + 1):
+        extra = draw(st.integers(0, left // a))
+        mults[a - 1] += extra
+        left -= a * extra
+    return tuple(mults)
+
+
+@hypothesis.settings(max_examples=60, deadline=1000, derandomize=True)
+@hypothesis.given(mults=_multiplicities(), seed=st.integers(0, 2 ** 16))
+def test_rank_profile_recovers_conjugated_jordan_multiplicities(mults, seed):
+    # M = P J P^-1 with P = U S V^T, U and V orthogonal and the singular
+    # values S in [0.5, 2], so P's condition number is at most 4
+    J = jordan_matrix(mults)
+    d = len(J)
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    V, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    P = U @ np.diag(rng.uniform(0.5, 2.0, d)) @ V.T
+    M = P @ J @ np.linalg.inv(P)
+    ranks = rank_profile(EndoField.from_constant(M), [0.0] * d).ranks
+    assert invariant_factors(ranks).multiplicities == mults
 
 
 _JSON = st.recursive(
