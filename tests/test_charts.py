@@ -608,6 +608,58 @@ class TestOneFramePath:
             assert err.value.time == alone.value.time
             assert err.value.point == alone.value.point
 
+    @pytest.mark.parametrize("stage_index", [0, 1])
+    @pytest.mark.parametrize("later_first", [True, False])
+    def test_block_exit_is_its_first_failing_columns(self, stage_index,
+                                                     later_first):
+        # example35-n3: from s = (0.05,), the flow in slot (2, 0) leaves at
+        # step 45 and the flow in slot (1, 0) at step 46 (symbolic in stage
+        # 0, pulled back in stage 1).  A block raises the exit of its first
+        # column that leaves, not the earliest step across its columns
+        stage = assemble_chart("example35-n3").pipeline.stage_chart(stage_index)
+        assert stage.flow_slots == [(2, 0), (1, 0)]
+        columns, exits = [], []
+        for alpha in range(2):
+            y = np.array([0.0, 0.0, 0.05])
+            y[alpha] = 1.0
+            with pytest.raises(BoxExitError) as alone:
+                stage.forward_differential(y)
+            columns.append(y)
+            exits.append((alone.value.time, alone.value.point))
+        assert exits[0][0] < exits[1][0]
+        order = [1, 0] if later_first else [0, 1]
+        inside = np.array([0.1, -0.1, 0.05])
+        block = np.column_stack([inside] + [columns[a] for a in order])
+        for run in (lambda: stage.forward_differential(block),
+                    lambda: charts._Samples.on(stage, block)):
+            with pytest.raises(BoxExitError) as err:
+                run()
+            assert (err.value.time, err.value.point) == exits[order[0]]
+
+    @pytest.mark.parametrize("name, stage_index", [
+        ("example35-n2", 1),        # a symbolic flow, not straight
+        ("example35-n3", 0),        # symbolic flows, one straight
+        ("example35-n3", 1),        # a pulled-back flow
+        ("example35-n3-xn", 1),
+    ])
+    def test_block_column_independent_of_batch_mates(self, name,
+                                                     stage_index):
+        # a permuted block answers with its permuted columns, and a part of
+        # a block with that part of the answer, bit for bit
+        stage = assemble_chart(name).pipeline.stage_chart(stage_index)
+        y = ex.sample_box(Box(tuple(stage.chart_ranges())), 9, 11,
+                          include_corners=False).T
+        N, d = y.shape[1], len(y)
+        x, D = stage.forward_differential(y)
+        assert x.shape == y.shape and D.shape == (N, d, d)
+        perm = np.random.default_rng(11).permutation(N)
+        xp, Dp = stage.forward_differential(y[:, perm])
+        assert xp.tobytes() == np.ascontiguousarray(x[:, perm]).tobytes()
+        assert Dp.tobytes() == D[perm].tobytes()
+        xh, Dh = stage.forward_differential(y[:, 4:])
+        assert xh.tobytes() == np.ascontiguousarray(x[:, 4:]).tobytes()
+        assert Dh.tobytes() == D[4:].tobytes()
+
     @pytest.mark.parametrize("name", ["example35-n3", "n3_strong"])
     def test_samples_leave_the_differential_memo_alone(self, name):
         # the final chart of both flows a computed generator through

@@ -243,6 +243,36 @@ class TestStraightFlows:
             assert got.time == expect.time
             assert np.max(np.abs(np.subtract(got.point, expect.point))) <= 1e-12
 
+    @pytest.mark.parametrize("t", [0.2, 0.24, 3.0, -3.0])
+    def test_box_exit_checks_only_the_flows_own_steps(self, t):
+        # x1 = 0.95 + 0.2 s reaches the face x1 = 1 at s = 0.25: a flow to
+        # t checks its own step points of size t / n and no later ones
+        spec = FlowSpec(STRAIGHT_FIELD, RK4, box=Box.cube(5, 1.0))
+        x = (0.95, 0.0, 0.0, 0.0, 0.0)
+        expect = line_reference(spec, x, t)
+        assert (expect[0] == "exit") == (t == 3.0)
+        oracle = flow_outcome(lambda: integrate_flow(rk4_oracle(spec), x, t))
+        assert oracle[:2] == expect[:2]
+        for run in (lambda: integrate_flow(spec, x, t),
+                    lambda: integrate_with_transport(spec, x, t, np.eye(5))):
+            assert flow_outcome(run) == expect
+
+    @pytest.mark.parametrize("t", [0.37, -0.21])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_transport_matches_the_numpy_reference(self, t, m):
+        # V is constant along its line and DV^2 = 0, so RK4 of (x, W) is
+        # the closed form x + tV, W + t DV W up to rounding
+        spec = FlowSpec(STRAIGHT_FIELD, RK4, box=Box.cube(5, 1.0))
+        rng = np.random.default_rng(13)
+        P = rng.uniform(-0.5, 0.5, (5, 9))
+        W0 = rng.normal(size=(9, 5, m))
+        for n in range(9):
+            x, W = integrate_with_transport(spec, P[:, n], t, W0[n])
+            xr, Wr = reference_transport(STRAIGHT_FIELD, P[:, n], t, W0[n])
+            assert W.shape == (5, m)
+            assert np.max(np.abs(x - xr)) <= 1e-12
+            assert np.max(np.abs(W - Wr)) <= 1e-12
+
     # per corpus entry: (power, slot) of each stage-0 flow generator
     # A^p d/ds and whether it is straight
     @pytest.mark.parametrize("name, flags", [
@@ -361,6 +391,25 @@ def test_zero_denominator_at_a_single_start(run, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_check", lambda args: run(spec))
     assert cli.main(["check", "unused.json"]) == 1
     assert "zero denominator" in capsys.readouterr().err
+
+
+def test_non_finite_sample_value(monkeypatch, capsys):
+    # fields evaluated at sample sets step on arrays: 1/x1 at the second
+    # sample's x1 = 0 is inf, which the batch evaluator names by its subtree
+    from endochart import cli
+    pole = ex.div(ex.const(1.0), ex.var(1))
+    field = CompiledField(VectorField((pole, ex.const(1.0))))
+    x = np.array([[0.5, 0.0], [0.0, 0.0]])
+
+    def run(args=None):
+        return field.batch_value(x)
+    with pytest.raises(ex.EvaluationError) as err:
+        run()
+    assert err.value.subtree == pole
+    assert field.batch_value(x[:, :1]).tolist() == [[2.0], [1.0]]
+    monkeypatch.setattr(cli, "_cmd_check", run)
+    assert cli.main(["check", "unused.json"]) == 1
+    assert "no finite value" in capsys.readouterr().err
 
 
 class TestNonFiniteSteps:
