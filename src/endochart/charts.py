@@ -461,12 +461,11 @@ class _StageChart:
 
         Resolved once: the application order; each symbolic flow's
         compiled step for the frame width it has there (`rhs` for a
-        straight generator, `rk4` otherwise), its integrator step and its
-        box's middles and half widths; each time-column evaluator; and the
-        index lists that lay out sigma(s) and each new column.  A run steps
-        the state (x, W) as one list: a symbolic flow with `flows._steps`'s
-        step count and step, a straight one as y + tF(y) after
-        `_check_line`'s list test, a box exit raised by `_check_line` or
+        straight generator, `rk4` otherwise) and its integrator step; each
+        time-column evaluator; and the index lists that lay out sigma(s)
+        and each new column.  A run steps the state (x, W) as one list: a
+        symbolic flow with `flows._steps`'s step count and step, a straight
+        one as y + tF(y) after `_check_line`, a box exit raised by it or
         `_point_flow` as the flow alone would raise it; a computed flow
         goes through `_transport_computed` on arrays.
         """
@@ -498,14 +497,13 @@ class _StageChart:
                 layout = [*range(d), *(d + i * m + c if c < m else d + d * m + i
                                        for i in range(d) for c in cols)]
             flows.append((alpha, spec, m, f, straight, spec.settings.step,
-                          *spec.box.mid_half, value, layout))
+                          value, layout))
             m += times
 
         def run(y: list, W: list) -> list:
             src = y + [0.0]
             z, at = [src[k] for k in start] + W, None
-            for (alpha, spec, m, f, straight, step, mid, half, value,
-                 layout) in flows:
+            for alpha, spec, m, f, straight, step, value, layout in flows:
                 t = y[alpha]
                 if f is None:
                     x, F, at = self._transport_computed(
@@ -519,10 +517,7 @@ class _StageChart:
                         h = t / n
                         if straight:
                             F = f(z)
-                            if not all(abs(a + h * b - c) <= r
-                                       and abs(a + (n * h) * b - c) <= r
-                                       for a, b, c, r in zip(z, F, mid, half)):
-                                _check_line(spec, z[:d], F[:d], n, h)
+                            _check_line(spec, z[:d], F[:d], n, h)
                             z = [a + t * b for a, b in zip(z, F)]
                         else:
                             out, end = f(z, n, h)
@@ -661,8 +656,9 @@ class _Pullback:
         after time t (not 0), on a list y of Python floats: per stage one
         `differential` of P, one matvec and one LAPACK solve.  Each step
         end's Phi_P is box-checked, and its differential serves the next
-        step's first stage from P's memo.  A box exit that P's own flows
-        raise inside step k is this flow's exit at k h, at P's point."""
+        step's first stage.  A box exit that P's own flows raise inside
+        step k is this flow's exit at k h, at P's point; one they raise at
+        y0 itself, before any step, stays P's."""
         n, h = _steps(self.spec, t)
         h2, h6 = 0.5 * h, h / 6.0
         box, diff = self.spec.box, self.parent.differential
@@ -672,15 +668,16 @@ class _Pullback:
             return _solve(D, Ap(x) @ D[:, col]).tolist()
         y = y0.tolist()
         with _solving():
+            x, D = diff(y)
             for k in range(1, n + 1):
                 try:
-                    k1 = slope(*diff(y))
+                    k1 = slope(x, D)
                     k2 = slope(*diff([a + h2 * b for a, b in zip(y, k1)]))
                     k3 = slope(*diff([a + h2 * b for a, b in zip(y, k2)]))
                     k4 = slope(*diff([a + h * b for a, b in zip(y, k3)]))
                     y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                          for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-                    x = diff(y)[0]
+                    x, D = diff(y)
                 except BoxExitError as err:
                     raise BoxExitError(k * h, err.point) from err
                 if not box.contains(x):

@@ -14,8 +14,8 @@ on local variables, the box tested inline after each step, a NaN
 coordinate outside): alone through `_point_flow`, or inside a stage
 chart's single-point plan (`charts._StageChart._point_plan`), which looks
 each flow's loop or right-hand side up once per frame width and takes
-`_steps`'s step count and `_check_line`'s box test inline, leaving a box
-exit to them.  So W's columns transport alone, bit for bit.  A block of
+`_steps`'s step count inline, leaving the box test to the loop or to
+`_check_line`.  So W's columns transport alone, bit for bit.  A block of
 chart points runs that plan once per column, so each column is its
 single point.
 

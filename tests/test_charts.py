@@ -1175,6 +1175,22 @@ class TestParentCoordinateFlows:
         assert stage.pipeline.working_box.contains(
             gen.point(gen.flow(y0, (k - 1) * h)))
 
+    def test_start_outside_raises_the_parents_exit(self):
+        # Phi_P(y0) itself leaves the working box, before any step: the
+        # exit is the parent's own, not re-labelled as this flow's at 1 h
+        settings = PipelineSettings(
+            integrator=IntegratorSettings(step=2.0 ** -6))
+        stage = assemble_chart("example35-n3", settings)._chart
+        gen = stage.specs[stage.flow_slots.index((1, 0))].generator
+        y0 = np.array([3.0, 0.0, 0.0])
+        with pytest.raises(BoxExitError) as err:
+            gen.flow(y0, 0.5)
+        with pytest.raises(BoxExitError) as own:
+            gen.parent.differential(y0.tolist())
+        assert err.value.__cause__ is None
+        assert err.value.time == own.value.time != 2.0 ** -6
+        assert err.value.point == own.value.point
+
     def test_computed_flow_leaving_box(self):
         # the computed flow (slot (1, 0)) at t = 2 carries sigma(s) out of
         # the working box
