@@ -517,7 +517,7 @@ class _StageChart:
                         h = t / n
                         if straight:
                             F = f(z)
-                            _check_line(spec, z[:d], F[:d], n, h)
+                            _check_line(spec, z, F, n, h)
                             z = [a + t * b for a, b in zip(z, F)]
                         else:
                             out, end = f(z, n, h)

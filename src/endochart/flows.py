@@ -235,11 +235,12 @@ def _steps(spec: FlowSpec, t: float) -> tuple[int, float]:
 
 def _check_line(spec: FlowSpec, x: list, v: list, n: int, h: float):
     """The box check of RK4 on the straight flow x + sV(x) with n steps of
-    size h, x and v lists of Python floats: BoxExitError at the first step
-    whose step point x + k h v is outside the box.  Each coordinate of the
-    step points is monotone in k, even rounded, so when the first and the
-    last step points are inside (tested coordinate by coordinate as
-    `Box.contains` tests them), all are.
+    size h, x and v lists of Python floats that start with the point and
+    V there (a frame's entries may follow, and are not read): BoxExitError
+    at the first step whose step point x + k h v is outside the box.  Each
+    coordinate of the step points is monotone in k, even rounded, so when
+    the first and the last step points are inside (tested coordinate by
+    coordinate as `Box.contains` tests them), all are.
     """
     box = spec.box
     if box is None:
@@ -248,8 +249,9 @@ def _check_line(spec: FlowSpec, x: list, v: list, n: int, h: float):
     if all(abs(a + h * b - c) <= r and abs(a + (n * h) * b - c) <= r
            for a, b, c, r in zip(x, v, mid, half)):
         return
+    d = len(mid)
     for k in range(1, n + 1):
-        p = [a + (k * h) * b for a, b in zip(x, v)]
+        p = [a + (k * h) * b for a, b in zip(x[:d], v[:d])]
         if not box.contains(p):
             raise BoxExitError(k * h, p)
 
@@ -273,7 +275,7 @@ def _point_flow(spec: FlowSpec, y: list, t: float, m: int) -> list:
     n, h = _steps(spec, t)
     if gen.straight:
         F = gen.rhs(m)(y)
-        _check_line(spec, y[:d], F[:d], n, h)
+        _check_line(spec, y, F, n, h)
         return [a + t * b for a, b in zip(y, F)]
     k, y = gen.rk4(m, spec.box)(y, n, h)
     if k:
