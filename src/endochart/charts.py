@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .expr import Box, compile_batch, sample_box
+from .expr import Box, compile_batch, sample_box, shared_compiles
 from .fields import (EndoField, VectorField, apply_endo, coordinate_field,
                      endo_power, first_max, lie_bracket)
 from .flows import (BoxExitError, CompiledField, ComputedVectorField,
-                    FlowSpec, IntegratorSettings, _check_line, _point_flow,
-                    _steps, integrate_flow)
+                    FlowSpec, IntegratorSettings, _steps, integrate_flow)
 from .structure import image_frame, kernel_frame, span_residuals
 
 __all__ = [
@@ -459,15 +458,14 @@ class _StageChart:
         composition: `forward`, `forward_transport` and each point of
         `forward_differential`, a block's columns included, run it.
 
-        Resolved once: the application order; each symbolic flow's
-        compiled step for the frame width it has there (`rhs` for a
-        straight generator, `rk4` otherwise) and its integrator step; each
-        time-column evaluator; and the index lists that lay out sigma(s)
-        and each new column.  A run steps the state (x, W) as one list: a
-        symbolic flow with `flows._steps`'s step count and step, a straight
-        one as y + tF(y) after `_check_line`, a box exit raised by it or
-        `_point_flow` as the flow alone would raise it; a computed flow
-        goes through `_transport_computed` on arrays.
+        Resolved once: the application order, the index list that lays out
+        sigma(s), and per flow one step.  A symbolic flow's step is its
+        generated plan step (`CompiledField.plan_step`) for the frame width
+        it has there, the working box, its integrator step and, with
+        `times`, the layout of its time column; it raises a box exit as the
+        flow alone would.  A computed flow's step goes through
+        `_transport_computed` on arrays, which threads the end's place in a
+        parent chart to the next computed flow.
         """
         plan = self._plans.get((m, times))
         if plan is not None:
@@ -479,55 +477,49 @@ class _StageChart:
         flows = []
         for k, alpha in enumerate(self.application_order, 1):
             spec = self.specs[alpha]
-            gen = spec.generator
-            f = straight = value = layout = None
-            if gen.symbolic:
-                straight = gen.straight
-                f = gen.rhs(m) if straight else gen.rk4(m, spec.box)
+            layout = None
             if times:
-                gen = self.generators[alpha]
-                if gen.symbolic:
-                    value = gen.rhs(0)
-                else:
-                    def value(z, get=gen.value):
-                        return get(np.array(z[:d])).tolist()
                 # z + value(z) laid out with the value as column m, in chart
                 # order after the last flow
                 cols = self.chart_order if k == N else range(m + 1)
-                layout = [*range(d), *(d + i * m + c if c < m else d + d * m + i
-                                       for i in range(d) for c in cols)]
-            flows.append((alpha, spec, m, f, straight, spec.settings.step,
-                          value, layout))
+                layout = (*range(d), *(d + i * m + c if c < m else d + d * m + i
+                                       for i in range(d) for c in cols))
+            if spec.generator.symbolic:
+                flows.append((alpha, True, spec.generator.plan_step(
+                    m, spec.box, spec.settings.step, layout)))
+            else:
+                flows.append((alpha, False, self._computed_step(
+                    alpha, m, layout)))
             m += times
 
         def run(y: list, W: list) -> list:
             src = y + [0.0]
             z, at = [src[k] for k in start] + W, None
-            for alpha, spec, m, f, straight, step, value, layout in flows:
-                t = y[alpha]
-                if f is None:
-                    x, F, at = self._transport_computed(
-                        alpha, np.array(z[:d]), np.array(z[d:]).reshape(d, m),
-                        t, at)
-                    z = x.tolist() + F.ravel().tolist()
+            for alpha, symbolic, step in flows:
+                if symbolic:
+                    z, at = step(z, y[alpha]), None
                 else:
-                    at = None
-                    if t != 0.0:
-                        n = max(1, math.ceil(abs(t) / step))
-                        h = t / n
-                        if straight:
-                            F = f(z)
-                            _check_line(spec, z, F, n, h)
-                            z = [a + t * b for a, b in zip(z, F)]
-                        else:
-                            out, end = f(z, n, h)
-                            z = _point_flow(spec, z, t, m) if out else end
-                if value is not None:
-                    src = z + value(z)
-                    z = [src[k] for k in layout]
+                    z, at = step(z, y[alpha], at)
             return z
         self._plans[key] = run
         return run
+
+    def _computed_step(self, alpha: int, m: int, layout: tuple | None):
+        """The plan step `f(z, t, at) -> (z, at)` of the computed flow alpha
+        for a frame of width m: `_transport_computed` on arrays, then, with
+        a layout, the generator's value at the end as `_point_plan` lays it
+        out."""
+        d, get = self.section.dim, self.generators[alpha].value
+
+        def step(z: list, t: float, at) -> tuple:
+            x, F, at = self._transport_computed(
+                alpha, np.array(z[:d]), np.array(z[d:]).reshape(d, m), t, at)
+            z = x.tolist() + F.ravel().tolist()
+            if layout is not None:
+                src = z + get(x).tolist()
+                z = [src[k] for k in layout]
+            return z, at
+        return step
 
     def _transport_computed(self, alpha: int, x, W, t, at) -> tuple:
         """(endpoint, frame, the endpoint's place in the parent chart) of the
@@ -1248,24 +1240,28 @@ def jordanize(A: EndoField, chart: AdaptedChart,
               settings: PipelineSettings = PipelineSettings(),
               eigenvalue: float = 0.0, grid: int = 5,
               verify_tol: float = 1e-5) -> JordanizeResult:
-    """Full pipeline: validate, run the induction, build and verify the chart."""
-    N = A.shifted(eigenvalue) if eigenvalue != 0.0 else A
-    validation = validate_adapted_chart(N, chart, seed=settings.seed)
-    if not validation.passed:
-        raise AdaptedChartError(
-            f"chart grouping does not match the flag array: worst kernel "
-            f"residual {validation.max_kernel_residual:.3e}, image residual "
-            f"{validation.max_image_residual:.3e} at {validation.witness}")
-    state = initial_frame(A, chart, settings, eigenvalue, check=False)
-    reports = [_passed(hk_residuals(state), "initial frame")]
-    n = chart.index
-    for k in range(n - 1):
-        state = induction_step(state)
-        if state.k < n - 1:
-            rep = hk_residuals(state)
-        else:
-            rep = hk_residuals(state, clauses=_FINAL_CLAUSES)
-        reports.append(_passed(rep, f"stage {state.k}"))
-    cmap = build_chart(state, check=False)
-    verification = verify_integral_chart(A, cmap, grid=grid, tol=verify_tol)
-    return JordanizeResult(cmap, tuple(reports), verification)
+    """Full pipeline: validate, run the induction, build and verify the
+    chart, with each expression list compiled for sample sets once
+    (`expr.shared_compiles`): A's, for one, by the validation, the stage
+    checks and the verification."""
+    with shared_compiles():
+        N = A.shifted(eigenvalue) if eigenvalue != 0.0 else A
+        validation = validate_adapted_chart(N, chart, seed=settings.seed)
+        if not validation.passed:
+            raise AdaptedChartError(
+                f"chart grouping does not match the flag array: worst kernel "
+                f"residual {validation.max_kernel_residual:.3e}, image residual "
+                f"{validation.max_image_residual:.3e} at {validation.witness}")
+        state = initial_frame(A, chart, settings, eigenvalue, check=False)
+        reports = [_passed(hk_residuals(state), "initial frame")]
+        n = chart.index
+        for k in range(n - 1):
+            state = induction_step(state)
+            if state.k < n - 1:
+                rep = hk_residuals(state)
+            else:
+                rep = hk_residuals(state, clauses=_FINAL_CLAUSES)
+            reports.append(_passed(rep, f"stage {state.k}"))
+        cmap = build_chart(state, check=False)
+        verification = verify_integral_chart(A, cmap, grid=grid, tol=verify_tol)
+        return JordanizeResult(cmap, tuple(reports), verification)

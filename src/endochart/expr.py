@@ -19,8 +19,9 @@ objects) once into a local, for one of two paths:
   ndarray point is converted once), which beats numpy on one point.  Only
   sums, products and quotients agree bit for bit with the batch path:
   numpy's array kernels round `**` and `exp` differently in the last place.
-  `compile_rk4` writes the scalar path's trees, with locals for leaves,
-  into a whole loop of RK4 steps of a flat state.
+  The flows' plan steps (`flows._compile_step`) write the scalar path's
+  trees with locals for leaves, and hoist the subexpressions that read
+  only variables a loop holds still (`_emit`'s `fixed`).
 
 `evaluate` walks the tree directly; it is the reference the compiled paths
 are tested against and the way a failing subtree is located.  Both paths
@@ -32,6 +33,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,7 +46,7 @@ __all__ = [
     "CompileLimitError",
     "const", "var", "add", "sub", "mul", "div", "intpow", "exp", "pospow",
     "negate", "differentiate", "evaluate", "substitute", "compile_expr",
-    "compile_vector", "compile_rk4", "compile_batch", "sample_box",
+    "compile_vector", "compile_batch", "shared_compiles", "sample_box",
     "is_zero_on_box", "kink_arguments", "kink_mask", "constants", "variables",
 ]
 
@@ -449,13 +452,25 @@ _FORMS = {Sum: ("(", "+", ")"), Product: ("(", "*", ")"), Quotient: ("(", "/", "
           PosPow: ("_pp(", "", ",{})")}
 
 
-def _emit(exprs, leaf: str = "x[{}]") -> tuple[list[str], list[str]]:
-    """(assignments, one expression per tree) computing the trees exprs, each
-    operation used more than once computed once into a local `_k`.  Keyed by
-    text, with operands by value number, equal subtrees that are distinct
-    objects (as `differentiate` builds them) share one local.  Variable i+1
-    reads `leaf.format(i)`: an entry of the argument x, or a local."""
+def _emit(exprs, leaf: str = "x[{}]",
+          fixed=()) -> tuple[list[str], list[str], list[str]]:
+    """(hoisted, assignments, one expression per tree) computing the trees
+    exprs, each operation used more than once computed once into a local
+    `_k`.  Keyed by text, with operands by value number, equal subtrees that
+    are distinct objects (as `differentiate` builds them) share one local.
+    Variable i+1 reads `leaf.format(i)`, an entry of the argument x or a
+    local, or `leaf[i]` for a list of names.
+
+    An operation that reads no variable outside `fixed` (0-based indices) is
+    invariant; the hoisted assignments compute each invariant operation that
+    a tree or another operation reads into its local `_k`, ahead of the
+    others.  Locals are numbered alike for any leaves that name distinct
+    variables apart, so such leaves give the same hoisted locals as long as
+    the fixed variables' leaves are the same.  Without `fixed`, nothing is
+    hoisted."""
     numbers: dict = {}   # (type, operands, power) -> value number, in order
+    name = leaf.format if type(leaf) is str else leaf.__getitem__
+    varying = set()      # with fixed, the leaves of the other variables
 
     def ref(e):     # the source of a leaf, or the value number of an operation
         kind = type(e)
@@ -467,22 +482,40 @@ def _emit(exprs, leaf: str = "x[{}]") -> tuple[list[str], list[str]]:
                     f"non-finite constant {e.value!r} in a derived expression", e)
             return repr(e.value)
         if kind is Var:
-            return leaf.format(e.index - 1)
+            text = name(e.index - 1)
+            if fixed and e.index - 1 not in fixed:
+                varying.add(text)
+            return text
         key = (kind, tuple(map(ref, _children(e))),
                e.power if kind is IntPow or kind is PosPow else None)
         return numbers.setdefault(key, len(numbers))
 
     roots = [ref(e) for e in exprs]
     uses = Counter(roots + [a for _, args, _ in numbers for a in args])
-    lines, texts = [], []
+    hoist = [False] * len(numbers)
+    if fixed:
+        invariant = []
+        for _, args, _ in numbers:
+            invariant.append(all(invariant[a] if type(a) is int
+                                 else a not in varying for a in args))
+        # invariant operations read by a tree or by an operation that varies
+        outer = {r for r in roots if type(r) is int} | {
+            a for vn, (_, args, _) in enumerate(numbers) if not invariant[vn]
+            for a in args if type(a) is int}
+        hoist = [inv and (uses[vn] > 1 or vn in outer)
+                 for vn, inv in enumerate(invariant)]
+    hoisted, lines, texts = [], [], []
     for vn, (kind, args, power) in enumerate(numbers):
         op, sep, close = _FORMS[kind]
         texts.append(op + sep.join([texts[a] if type(a) is int else a for a in args])
                      + close.format(power))
-        if uses[vn] > 1:
+        if hoist[vn]:
+            hoisted.append(f"_{vn} = {texts[vn]}")
+            texts[vn] = f"_{vn}"
+        elif uses[vn] > 1:
             lines.append(f"_{vn} = {texts[vn]}")
             texts[vn] = f"_{vn}"
-    return lines, [texts[r] if type(r) is int else r for r in roots]
+    return hoisted, lines, [texts[r] if type(r) is int else r for r in roots]
 
 
 _NAMESPACE = {"_exp": math.exp, "_pp": _pospow_rt, "_ndarray": np.ndarray}
@@ -506,74 +539,60 @@ def compile_expr(e: ScalarExpr):
     """Compile to `f(x) -> float` with x an indexable point.  A zero
     denominator raises ZeroDivisionError, an integer power that overflows
     OverflowError; `evaluate` names the offending subtree."""
-    lines, (value,) = _emit([e])
+    _, lines, (value,) = _emit([e])
     return _define([_TO_FLOATS, *lines, f"return {value}"], _NAMESPACE)
 
 
 def compile_vector(exprs) -> "callable":
     """Compile a sequence of expressions to `f(x) -> list[float]`."""
     exprs = tuple(exprs)
-    lines, values = _emit(exprs)
+    _, lines, values = _emit(exprs)
     if all(type(e) is Const for e in exprs):    # no code to generate
         consts = [e.value for e in exprs]
         return lambda x: list(consts)
     return _define([_TO_FLOATS, *lines, f"return [{','.join(values)}]"], _NAMESPACE)
 
 
-def compile_rk4(exprs, box: "Box | None" = None) -> "callable":
-    """Compile the right-hand side F of y' = F(y), the trees exprs over the
-    entries of a flat state y, to `f(y, n, h) -> (k, y)`: n RK4 steps of
-    size h from y, a list of Python floats, on local variables.
+_SHARED: ContextVar[dict | None] = ContextVar("shared_compiles", default=None)
 
-    Each stage evaluates F as `compile_vector` would, and each entry takes
-    the same arithmetic as RK4 on lists: a + (h/2) b, a + h b, then
-    a + (h/6) (b1 + 2 b2 + 2 b3 + b4).  With a box, the first box.dim
-    entries are tested after each step by |v - mid| <= half, which a NaN
-    fails; k is the first step whose point is outside, returned with the
-    state after it, or 0 after all n steps.
-    """
-    exprs = tuple(exprs)
-    read = set().union(*map(variables, exprs))      # 1-based
-    entries = range(len(exprs))
-    ys = ", ".join(f"y{i}" for i in entries)
-    step = []       # the body of the loop over steps
-    stages = []     # per stage, each entry's slope: a local, or a constant
-    for leaf, out, scale in [("y{}", "a", "h2"), ("z{}", "b", "h2"),
-                             ("z{}", "c", "h")]:
-        lines, values = _emit(exprs, leaf)
-        slopes = [v if type(e) is Const else f"{out}{i}"
-                  for i, (e, v) in enumerate(zip(exprs, values))]
-        step += [*lines, *(f"{k} = {v}" for k, v in zip(slopes, values) if k != v),
-                 *(f"z{i} = y{i} + {scale} * {slopes[i]}" for i in entries
-                   if i + 1 in read)]
-        stages.append(slopes)
-    lines, values = _emit(exprs, "z{}")
-    step += [*lines, *(f"y{i} = y{i} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {v})"
-                       for i, (a, b, c, v) in enumerate(zip(*stages, values)))]
-    if box is not None:
-        mid, half = box.mid_half
-        inside = " and ".join(f"abs(y{i} - {m!r}) <= {r!r}"
-                              for i, (m, r) in enumerate(zip(mid, half)))
-        step += [f"if not ({inside}):", f"    return k + 1, [{ys}]"]
-    return _define([f"{ys}, = y", "h2 = 0.5 * h", "h6 = h / 6.0",
-                    "for k in range(n):", *("    " + line for line in step),
-                    f"return 0, [{ys}]"], _NAMESPACE, "y, n, h")
+
+@contextmanager
+def shared_compiles():
+    """A scope in which `compile_batch` compiles each expression list once:
+    an equal list (by value) asked again gets the same function.  What is
+    compiled is dropped when the scope ends, so nothing is served past it."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
 
 
 def compile_batch(exprs) -> "callable":
     """Compile m expressions to `f(x) -> (m, N) array` for a (d, N) point
-    array x (column n is the n-th point).
+    array x (column n is the n-th point), once per list inside
+    `shared_compiles`.
 
     Constant rows are filled, never evaluated.  Any non-finite value
     raises `EvaluationError` naming the innermost failing subtree at the
     first point (in sample order) where a value is not finite.
     """
     exprs = tuple(exprs)
+    shared = _SHARED.get()
+    if shared is None:
+        return _batch(exprs)
+    f = shared.get(exprs)
+    if f is None:
+        f = shared[exprs] = _batch(exprs)
+    return f
+
+
+def _batch(exprs: tuple):
     consts = np.array([[e.value if type(e) is Const else 0.0] for e in exprs])
     if not np.isfinite(consts).all():
         _emit(exprs)    # raises EvaluationError naming the constant
     rows = [i for i, e in enumerate(exprs) if type(e) is not Const]
-    lines, values = _emit([exprs[i] for i in rows])
+    _, lines, values = _emit([exprs[i] for i in rows])
     raw = rows and _define(
         ["out = _consts.repeat(x.shape[1], 1)", *lines,
          *(f"out[{i}] = {v}" for i, v in zip(rows, values)), "return out"],

@@ -6,18 +6,18 @@ more than speed at these dimensions.
 A symbolic generator V (`CompiledField`) has one rule for every start: a
 frame W is transported by RK4 of the state Y = (x, W) with right-hand side
 (V(x), DV(x) W), the variational equation co-integrated with the
-trajectory (Hairer, Norsett & Wanner, *Solving ODEs I*, sec. I.14),
-compiled once per field and frame width m with (DV W)_ic summed in j
-order; a plain flow is m = 0.  A start runs one generated RK4
-loop on Python floats (`CompiledField.rk4`, one per width and box: n steps
-on local variables, the box tested inline after each step, a NaN
-coordinate outside): alone through `_point_flow`, or inside a stage
-chart's single-point plan (`charts._StageChart._point_plan`), which looks
-each flow's loop or right-hand side up once per frame width and takes
-`_steps`'s step count inline, leaving the box test to the loop or to
-`_check_line`.  So W's columns transport alone, bit for bit.  A block of
-chart points runs that plan once per column, so each column is its
-single point.
+trajectory (Hairer, Norsett & Wanner, *Solving ODEs I*, sec. I.14), with
+(DV W)_ic summed in j order; a plain flow is m = 0.  A start runs one
+generated function on Python floats, the plan step
+(`CompiledField.plan_step`, one per frame width, box, integrator step and
+time-column layout): the step count, the whole flow on local variables
+with every step point box-checked (a NaN coordinate is outside), then,
+when the plan carries times, V at the end as a new frame column and the
+state in the plan's order.  It runs alone through `_point_flow`, or as
+one step of a stage chart's single-point plan
+(`charts._StageChart._point_plan`).  So W's columns transport alone, bit
+for bit.  A block of chart points runs that plan once per column, so each
+column is its single point.
 
 V is *straight* (`CompiledField.straight`, decided once per field by which
 variables occur in its components) when its components read only
@@ -26,8 +26,21 @@ reads, so V is constant along its own trajectory and the flow is exactly
 Y + tF(Y) with F the same right-hand side (DV^2 = 0).  Straight flows take
 that closed form instead of RK4 steps; the box check still tests the RK4
 step points x + k h V(x) (Groebner, *Die Lie-Reihen*, 1960: the Lie series
-of x terminates after its linear term).
+of x terminates after its linear term): the first and the last inline,
+and all of them (`_check_line`) only when one of those is outside.
 In flag-adapted coordinates most stage-0 generators A^p d/ds are straight.
+
+Any other flow's RK4 loop holds still what the flow does not move
+(loop-invariant code motion; Aho, Lam, Sethi & Ullman, *Compilers*, 2nd
+ed., sec. 9.5).  An entry whose right-hand side is the constant 0 keeps
+its value up to the sign of a zero: stage 1 of step 1 reads the start
+value y, and every later stage reads y + (h/2) 0, y + h 0 or the step's
+end, each equal to y + h 0 (a zero's sign is h's, and adding a zero
+changes only a zero).  So stage 1 of step 1 runs before the loop, and
+each subexpression that reads only such entries is computed there twice,
+at y and at y + h 0, and not in the loop; answers are the same bit for
+bit.  A flow whose right-hand side and time column are constants
+generates no code.
 
 Derivatives in the chart construction come from one place per kind of
 field, each with its own step:
@@ -75,8 +88,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .expr import (Box, Const, Var, add, compile_batch, compile_rk4,
-                   compile_vector, mul, variables)
+from .expr import (_NAMESPACE, Box, Const, Var, _define, _emit, add,
+                   compile_batch, compile_vector, mul, variables)
 from .fields import VectorField
 
 __all__ = [
@@ -112,8 +125,9 @@ class CompiledField:
 
         Y' = (V(x), K),  K_ic = sum_j d_jV_i(x) W_jc, summed in j order.
 
-    Y is flat: x, then W row by row.  Each width is compiled on first use,
-    on Python floats (`rhs`) and as RK4 steps in one box (`rk4`); flows
+    Y is flat: x, then W row by row.  Each width is compiled on first use:
+    on Python floats (`rhs`), and as the whole flow of a plan step for a
+    box, an integrator step and a time-column layout (`plan_step`); flows
     take no other path.  The width 0 is V alone, which `batch_value` also
     evaluates at sample sets.
     """
@@ -122,7 +136,7 @@ class CompiledField:
         self.field = field
         self.dim = field.dim
         self._point: dict[int, object] = {}
-        self._rk4: dict[tuple, object] = {}
+        self._plan_steps: dict[tuple, object] = {}
 
     @property
     def symbolic(self) -> bool:
@@ -145,13 +159,19 @@ class CompiledField:
             f = self._point[m] = compile_vector(self._trees(m))
         return f
 
-    def rk4(self, m: int, box: Box | None):
-        """`f(Y, n, h) -> (k, Y)`: n RK4 steps of size h of the flat state Y
-        of width m (a list of Python floats), box-checked after each step
-        when box is given, k the first step outside (`compile_rk4`)."""
-        f = self._rk4.get((m, box))
+    def plan_step(self, m: int, box: Box | None, step: float,
+                  layout: tuple | None = None):
+        """`f(Y, t) -> list`: the flow of the flat state Y of width m (a list
+        of Python floats) after time t, with `_steps`'s step count for the
+        integrator step `step`, and with a box BoxExitError at the first
+        step point outside it (`_compile_step`).  With a layout, V at the
+        end joins the state, which is returned as
+        `[(Y + V)[k] for k in layout]`."""
+        key = (m, box, step, layout)
+        f = self._plan_steps.get(key)
         if f is None:
-            f = self._rk4[m, box] = compile_rk4(self._trees(m), box)
+            f = self._plan_steps[key] = _compile_step(
+                self._trees(m), self.straight, box, step, layout)
         return f
 
     def _trees(self, m: int) -> list:
@@ -233,27 +253,156 @@ def _steps(spec: FlowSpec, t: float) -> tuple[int, float]:
     return n, t / n
 
 
-def _check_line(spec: FlowSpec, x: list, v: list, n: int, h: float):
-    """The box check of RK4 on the straight flow x + sV(x) with n steps of
-    size h, x and v lists of Python floats that start with the point and
-    V there (a frame's entries may follow, and are not read): BoxExitError
-    at the first step whose step point x + k h v is outside the box.  Each
-    coordinate of the step points is monotone in k, even rounded, so when
-    the first and the last step points are inside (tested coordinate by
-    coordinate as `Box.contains` tests them), all are.
-    """
-    box = spec.box
-    if box is None:
-        return
-    mid, half = box.mid_half
-    if all(abs(a + h * b - c) <= r and abs(a + (n * h) * b - c) <= r
-           for a, b, c, r in zip(x, v, mid, half)):
-        return
-    d = len(mid)
+def _check_line(box: Box, x: list, v: list, n: int, h: float):
+    """The slow path of the box check of RK4 on the straight flow x + sV(x)
+    with n steps of size h, taken when its first or last step point is
+    outside: BoxExitError at the first step k whose step point x + (k h) v
+    is outside the box, x and v lists of Python floats that start with the
+    point and V there (a frame's entries may follow, and are not read)."""
+    d = box.dim
     for k in range(1, n + 1):
         p = [a + (k * h) * b for a, b in zip(x[:d], v[:d])]
         if not box.contains(p):
             raise BoxExitError(k * h, p)
+
+
+def _inside_line(box: Box, slopes: list) -> str:
+    """Source of the test that the first and the last RK4 step points
+    y + h v and y + (n h) v of a straight flow, v the slopes, are in the
+    box, coordinate by coordinate as `Box.contains` tests them: each
+    coordinate of the step points is monotone in k, even rounded, so then
+    all are.  A coordinate of slope 0 tests |y - mid| once: y plus a zero
+    differs from y only in a zero's sign, which the difference's abs drops."""
+    return " and ".join(
+        f"abs(y{i} - {c!r}) <= {r!r}" if b in ("0.0", "-0.0") else
+        f"abs(y{i} + h * {b} - {c!r}) <= {r!r} and "
+        f"abs(y{i} + (n * h) * {b} - {c!r}) <= {r!r}"
+        for i, (b, c, r) in enumerate(zip(slopes, *box.mid_half)))
+
+
+def _compile_step(exprs, straight: bool, box: Box | None, step: float,
+                  layout: tuple | None = None):
+    """The plan step `f(y, t) -> list` of the flow of y' = F(y), F the trees
+    exprs over the entries of a flat state y (a list of Python floats), on
+    local variables: n = max(1, ceil(|t| / step)) steps of h = t/n, none at
+    t = 0.  With a layout, the state and after it the first
+    len(layout) - len(y) trees at the end (V there, for `_trees`) are
+    returned in the layout's order.
+
+    A straight flow is y + tF(y); its first and last step points are tested
+    inline, and `_check_line` finds the exit when one is outside.  Any other
+    flow runs RK4 with the arithmetic of `_rk4_step` per entry: stages
+    a + (h/2) b, a + h b, then a + (h/6) (b1 + 2 b2 + 2 b3 + b4), the box
+    tested after each step by |v - mid| <= half, which a NaN fails, and
+    BoxExitError(k h, point) at the first step k outside.
+
+    The RK4 loop holds still the entries whose tree is the constant 0, as
+    the module docstring says (`_rk4_lines`).  With every tree constant
+    nothing is generated: the step is y + tF on lists.
+    """
+    exprs = tuple(exprs)
+    if all(type(e) is Const for e in exprs):
+        return _constant_step([e.value for e in exprs], box, step, layout)
+    count = [f"n = max(1, _ceil(abs(t) / {step!r}))", "h = t / n"]
+    if straight:
+        _, flow, v = _emit(exprs, "y{}")
+        slopes = _slopes(exprs, v, "a", flow)
+        if box is not None:
+            point = ", ".join(f"y{i}" for i in range(box.dim))
+            flow += [*count, f"if not ({_inside_line(box, slopes)}):",
+                     f"    _line(_box, [{point}], [{', '.join(slopes)}], n, h)"]
+        flow += [f"y{i} = y{i} + t * {b}" for i, b in enumerate(slopes)]
+    else:
+        flow = count + _rk4_lines(exprs, box)
+    out = [f"y{i}" for i in range(len(exprs))]
+    body = [f"{', '.join(out)}, = y", "if t != 0.0:",
+            *("    " + line for line in flow)]
+    if layout is not None:
+        _, lines, v = _emit(exprs[:len(layout) - len(exprs)], "y{}")
+        body += lines
+        out = [(out + v)[k] for k in layout]
+    body.append(f"return [{', '.join(out)}]")
+    return _define(body, {**_NAMESPACE, "_ceil": math.ceil, "_box": box,
+                          "_exit": BoxExitError, "_line": _check_line},
+                   "y, t")
+
+
+def _constant_step(F: list, box: Box | None, step: float,
+                   layout: tuple | None):
+    """`_compile_step` for constant trees F, on lists, with `_inside_line`'s
+    test."""
+    values = None if layout is None else F[:len(layout) - len(F)]
+    line = None if box is None else list(zip(F, *box.mid_half))
+
+    def f(y: list, t: float) -> list:
+        if t != 0.0:
+            if line is not None:
+                n = max(1, math.ceil(abs(t) / step))
+                h = t / n
+                nh = n * h
+                if not all(abs(a - c) <= r if b == 0.0 else
+                           abs(a + h * b - c) <= r and abs(a + nh * b - c) <= r
+                           for a, (b, c, r) in zip(y, line)):
+                    _check_line(box, y, F, n, h)
+            y = [a + t * b for a, b in zip(y, F)]
+        if values is None:
+            return y
+        src = y + values
+        return [src[k] for k in layout]
+    return f
+
+
+def _slopes(exprs, values: list, out: str, lines: list) -> list:
+    """Each tree's slope: its constant's source, or the local out<i>, whose
+    assignment is appended to lines."""
+    slopes = []
+    for i, (e, v) in enumerate(zip(exprs, values)):
+        if type(e) is Const:
+            slopes.append(v)
+        else:
+            slopes.append(f"{out}{i}")
+            lines.append(f"{out}{i} = {v}")
+    return slopes
+
+
+def _rk4_lines(exprs: tuple, box: Box | None) -> list:
+    """The RK4 steps of `_compile_step` after n and h.  The entries whose
+    tree is the constant c = 0 (`fixed`) do not move: stage 1 of step 1
+    runs before the loop on their start values y, then they become
+    y + h c, which every later stage reads (the module docstring), and the
+    subexpressions that read only them are computed at y and at y + h c
+    before the loop (`expr._emit`'s hoisted lines), not in it."""
+    entries = range(len(exprs))
+    read = set().union(*map(variables, exprs))      # 1-based
+    fixed = {i for i, e in enumerate(exprs)
+             if type(e) is Const and e.value == 0.0}
+    moved = [i for i in entries if i not in fixed]
+    later = [f"y{i}" if i in fixed else f"z{i}" for i in entries]
+    hoisted, lines, v = _emit(exprs, "y{}", fixed)
+    first = _slopes(exprs, v, "a", lines)
+    peel = any(i + 1 in read for i in fixed)
+    pre = ["h2 = 0.5 * h", "h6 = h / 6.0"]
+    if peel:
+        pre += [*hoisted, *lines]
+    pre += [*(f"y{i} = y{i} + h * {exprs[i].value!r}" for i in sorted(fixed)),
+            *hoisted]
+    step = ["if k:", *("    " + line for line in lines)] if peel else [*lines]
+    stages = [first]
+    for out, scale in [("b", "h2"), ("c", "h2"), (None, "h")]:
+        step += [f"z{i} = y{i} + {scale} * {stages[-1][i]}" for i in moved
+                 if i + 1 in read]
+        _, lines, v = _emit(exprs, later, fixed)
+        step += lines
+        stages.append(v if out is None else _slopes(exprs, v, out, step))
+    step += [f"y{i} = y{i} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {e})"
+             for i, (a, b, c, e) in enumerate(zip(*stages)) if i not in fixed]
+    if box is not None:
+        mid, half = box.mid_half
+        inside = " and ".join(f"abs(y{i} - {c!r}) <= {r!r}"
+                              for i, (c, r) in enumerate(zip(mid, half)))
+        point = ", ".join(f"y{i}" for i in range(box.dim))
+        step += [f"if not ({inside}):", f"    raise _exit((k + 1) * h, [{point}])"]
+    return [*pre, "for k in range(n):", *("    " + line for line in step)]
 
 
 def _rk4_step(f, y: np.ndarray, h):
@@ -267,20 +416,10 @@ def _rk4_step(f, y: np.ndarray, h):
 
 def _point_flow(spec: FlowSpec, y: list, t: float, m: int) -> list:
     """The flow of the state Y = (x, W) of a symbolic generator, W of width
-    m, from the flat list y of Python floats after time t (not 0): the
-    closed form y + tF(y) on a straight flow, else the generator's compiled
-    RK4 loop (`CompiledField.rk4`), every step point box-checked."""
-    gen = spec.generator
-    d = gen.dim
-    n, h = _steps(spec, t)
-    if gen.straight:
-        F = gen.rhs(m)(y)
-        _check_line(spec, y, F, n, h)
-        return [a + t * b for a, b in zip(y, F)]
-    k, y = gen.rk4(m, spec.box)(y, n, h)
-    if k:
-        raise BoxExitError(k * h, y[:d])
-    return y
+    m, from the flat list y of Python floats after time t: the generator's
+    plan step with no time column (`CompiledField.plan_step`), every step
+    point box-checked."""
+    return spec.generator.plan_step(m, spec.box, spec.settings.step)(y, t)
 
 
 def integrate_flow(spec: FlowSpec, p0, t: float) -> np.ndarray:

@@ -412,30 +412,51 @@ class TestOneCheckPerStage:
     def test_jordanize_compiles_each_expression_list_once(self, name,
                                                           monkeypatch):
         # every symbolic field of the pipeline is one `CompiledField`, by
-        # value, which compiles each frame width once for points and once
-        # per box as the RK4 loop, and its components once for sample
-        # sets: no stage and no clause compiles a list again
-        compiled = []
-        for fn in ("compile_vector", "compile_batch", "compile_rk4"):
-            original = getattr(flows, fn)
-            monkeypatch.setattr(flows, fn, lambda exprs, *box, fn=fn, f=original: (
-                compiled.append((fn, tuple(exprs), *box)) or f(exprs, *box)))
+        # value, which compiles each frame width once for points and each
+        # plan step once per (width, box, integrator step, layout); every
+        # binding of `compile_batch` (`charts`, `flows`, and `expr`'s own,
+        # which `fields` and `structure` call) gives an equal list the one
+        # function compiled for it in this `jordanize`: no stage, no clause
+        # and no check compiles a list again
+        asked, steps, points = [], [], []
+        batch = ex.compile_batch
+
+        def recording(exprs, via):
+            f = batch(exprs)
+            asked.append((via, tuple(exprs), f))
+            return f
+        for module in (ex, flows, charts):
+            monkeypatch.setattr(module, "compile_batch", lambda exprs, via=(
+                module.__name__): recording(exprs, via))
+        step, vector = flows._compile_step, flows.compile_vector
+        monkeypatch.setattr(flows, "_compile_step", lambda exprs, *args: (
+            steps.append((tuple(exprs), *args)) or step(exprs, *args)))
+        monkeypatch.setattr(flows, "compile_vector", lambda exprs: (
+            points.append(tuple(exprs)) or vector(exprs)))
         data = build_corpus_field(name)
         pipe = jordanize(data["field"], data["chart"]).chart.pipeline
-        assert compiled and len(set(compiled)) == len(compiled)
+        assert steps and len(set(steps)) == len(steps)
+        assert len(set(points)) == len(points)
+        functions = {(exprs, f) for _, exprs, f in asked}
+        assert len(functions) == len({exprs for exprs, _ in functions})
+        # A's batch evaluator: the validation (twice), the stage checks'
+        # A^1 and the verification grid read one compile
+        A = tuple(e for row in data["field"].entries for e in row)
+        assert len([via for via, exprs, _ in asked if exprs == A]) >= 3
         # flows never take the batch path: it compiles V's components alone
         components = {gen.field.components for gen in pipe._compiled.values()}
-        assert {c[1] for c in compiled if c[0] == "compile_batch"} <= components
+        assert {exprs for via, exprs, _ in asked
+                if via == flows.__name__} <= components
         # example35-n2's flow and example35-n3's stage-0 flow along A d/dx3
         # are not straight, so chart points take their RK4 loops; every
         # flow of example35-n3-xn is straight
-        loops = [c for c in compiled if c[0] == "compile_rk4"]
-        assert bool(loops) == (name != "example35-n3-xn")
+        assert any(not straight for _, straight, *_ in steps) == (
+            name != "example35-n3-xn")
 
     def test_point_plans_compile_once(self, monkeypatch):
         # a stage chart plans its single-point composition once per frame
         # width: after a first differential and forward, further points
-        # compile nothing, and the RK4 loops are those of the one stage-0
+        # compile nothing, and the RK4 steps are those of the one stage-0
         # flow that is not straight, at widths 0 and 1, in the working box
         data = build_corpus_field("example35-n3")
         chart = jordanize(data["field"], data["chart"]).chart
@@ -452,15 +473,16 @@ class TestOneCheckPerStage:
         compiled = []
         for module in (flows, ex):
             for fn in ("compile_expr", "compile_vector", "compile_batch",
-                       "compile_rk4"):
+                       "_compile_step", "_define"):
                 if hasattr(module, fn):
                     monkeypatch.setattr(module, fn, lambda *args, fn=fn, f=(
                         getattr(module, fn)): compiled.append(fn) or f(*args))
         for y in ys[1:]:
             query(y)
         assert compiled == []
-        loops = {key for gen in pipe._compiled.values() for key in gen._rk4}
-        assert loops == {(0, pipe.working_box), (1, pipe.working_box)}
+        loops = {(m, box, step) for gen in pipe._compiled.values()
+                 if not gen.straight for m, box, step, _ in gen._plan_steps}
+        assert loops == {(0, pipe.working_box, 1e-2), (1, pipe.working_box, 1e-2)}
 
     def test_jordanize_builds_each_frame_once(self, monkeypatch):
         # clause 2 of stages 0 and 1 reads the kernel frames of A and A^2,

@@ -407,6 +407,27 @@ class TestModuleEntryPoint:
         assert run.returncode == 0, run.stderr
         assert "[PASS] constant matrix in chart frame" in run.stdout
 
+    def test_importing_the_package_generates_no_code(self):
+        # every compile happens on first use: importing `charts` and `cli`
+        # after `expr` defines no generated function, so start-up time does
+        # not grow with the code generators.  The package's __init__, which
+        # imports `charts`, is stood in for until `expr._define` is wrapped.
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        script = (f"import sys, types\n"
+                  f"package = types.ModuleType('endochart')\n"
+                  f"package.__path__ = [{str(src / 'endochart')!r}]\n"
+                  f"sys.modules['endochart'] = package\n"
+                  f"from endochart import expr\n"
+                  f"defined, define = [], expr._define\n"
+                  f"expr._define = lambda *args: (defined.append(args)\n"
+                  f"                              or define(*args))\n"
+                  f"import endochart.charts, endochart.cli\n"
+                  f"print(len(defined), 'cli' in dir(package))\n")
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "0 True\n"
+
 
 class TestReadmeLibrary:
     def test_library_block_runs_as_written(self, capsys):

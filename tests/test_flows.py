@@ -8,7 +8,8 @@ from endochart.expr import Box
 from endochart.fields import VectorField, coordinate_field, lie_bracket
 from endochart.flows import (BoxExitError, CompiledField,
                              ComputedVectorField, FlowSpec,
-                             IntegratorSettings, _check_line, integrate_flow,
+                             IntegratorSettings, _check_line, _point_flow,
+                             integrate_flow,
                              integrate_with_transport, numeric_bracket)
 
 RK4 = IntegratorSettings(step=1e-2)
@@ -428,12 +429,15 @@ class TestNonFiniteSteps:
         assert box.contains([0.5, -1.0])
         assert not box.contains([math.nan, 0.0])
         assert not box.contains(np.array([0.0, math.nan]))
-        # the straight flows' line check: a start with a NaN coordinate
-        # leaves at its first step point
-        spec = FlowSpec(coordinate_field(2, 1), RK4, box)
+        # the straight flows' line check, inline in the plan step and its
+        # slow path alone: a start with a NaN coordinate leaves at its first
+        # step point
+        spec = FlowSpec(coordinate_field(2, 1), IntegratorSettings(step=0.1),
+                        box)
         for x in ([math.nan, 0.0], [0.0, math.nan]):
-            err = box_exit(lambda: _check_line(spec, x, [1.0, 0.0], 3, 0.1))
-            assert err.time == 0.1 and not box.contains(list(err.point))
+            for err in (box_exit(lambda: _check_line(box, x, [1.0, 0.0], 3, 0.1)),
+                        box_exit(lambda: _point_flow(spec, x, 0.2, 0))):
+                assert err.time == 0.1 and not box.contains(list(err.point))
 
     @pytest.mark.parametrize("run", [
         lambda spec: integrate_flow(spec, (0.5, 0.5), 0.3),

@@ -23,9 +23,11 @@ from endochart.corpus import (build_corpus_field,  # noqa: E402
 from endochart.expr import Box, sample_box  # noqa: E402
 from endochart.fields import EndoField, VectorField  # noqa: E402
 from endochart.flows import (BoxExitError, ComputedVectorField,  # noqa: E402
-                             FlowSpec, IntegratorSettings, _rk4_step, _steps,
-                             integrate_flow, integrate_with_transport)
+                             FlowSpec, IntegratorSettings, _point_flow,
+                             _rk4_step, _steps, integrate_flow,
+                             integrate_with_transport)
 from endochart.structure import invariant_factors, rank_profile  # noqa: E402
+from test_flows import line_reference  # noqa: E402
 
 SETTINGS = PipelineSettings()     # the command-line defaults
 
@@ -66,14 +68,29 @@ def _run(spec, p, t) -> tuple:
         return err.time, np.array(err.point)
 
 
-def _loop_field(a: float, b: float, c: float) -> VectorField:
-    """A field on R^3 that is not straight, with a quotient, integer powers
-    and exp."""
-    x1, x2, x3 = ex.var(1), ex.var(2), ex.var(3)
+def _loop_field(a: float, b: float, c: float, kind: str = "loop") -> VectorField:
+    """A field on R^4 that never moves x4 and reads it: "loop", with a
+    quotient, integer powers and exp, and "signs", of products only, so that
+    the sign of a zero reaches the end, are not straight; "straight" reads
+    only x3 and x4, which it does not move."""
+    x1, x2, x3, x4 = ex.var(1), ex.var(2), ex.var(3), ex.var(4)
+    zero = ex.const(0.0)
+    if kind == "straight":
+        return VectorField((
+            ex.div(a, ex.add(2.0, ex.mul(x3, x3))),
+            ex.add(ex.mul(b, ex.exp(ex.mul(0.5, x4))), ex.intpow(x4, 3)),
+            zero, zero))
+    if kind == "signs":
+        return VectorField((ex.mul(a, ex.intpow(x4, 3)),
+                            ex.mul(b, ex.intpow(x4, 3)),
+                            ex.mul(-c, x4, x2), zero))
     return VectorField((
-        ex.div(ex.mul(a, x2), ex.add(2.0, ex.mul(x1, x1))),
-        ex.sub(ex.mul(b, ex.exp(ex.mul(0.5, x3))), ex.intpow(x2, 3)),
-        ex.add(ex.mul(c, x1, x2), ex.intpow(x3, 2))))
+        ex.add(ex.div(ex.mul(a, x2), ex.add(2.0, ex.mul(x1, x1))),
+               ex.intpow(x4, 3)),
+        ex.sub(ex.mul(b, ex.exp(ex.mul(0.5, x3))),
+               ex.mul(ex.intpow(x2, 3), ex.exp(x4))),
+        ex.add(ex.mul(c, x1, x2), ex.intpow(x3, 2), ex.mul(x4, x4, x1)),
+        zero))
 
 
 def _outcome(run) -> tuple:
@@ -88,31 +105,71 @@ def _outcome(run) -> tuple:
 _coef = st.floats(-2.0, 2.0)
 
 
-@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
 @hypothesis.given(coefs=st.tuples(_coef, _coef, _coef), m=st.integers(0, 2),
-                  start=st.tuples(*[st.floats(-0.9, 0.9)] * 3),
-                  t=st.floats(-2.0, 2.0), step=st.sampled_from([0.05, 0.1]),
+                  start=st.tuples(*[st.sampled_from([0.0, -0.0])
+                                    | st.floats(-0.9, 0.9)] * 3),
+                  fixed=st.sampled_from([0.0, -0.0, 0.4, 1.5]),
+                  t=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+                  step=st.sampled_from([0.05, 0.1]),
+                  kind=st.sampled_from(["loop", "straight", "signs"]),
                   frame_seed=st.integers(0, 2 ** 16))
-def test_generated_rk4_loop_equals_numpy_rk4(coefs, m, start, t, step,
-                                            frame_seed):
-    # the oracle steps the flat state (x, W) as a numpy array by the same
+# stage 1 of step 1 reads x4 = -0.0, every later stage x4 = -0.0 + h 0.0,
+# which is 0.0 for h > 0; here the sign reaches the end
+@hypothesis.example(coefs=(1.0, 1.0, 1.0), m=0, start=(0.0, 0.0, -0.0),
+                    fixed=-0.0, t=0.1, step=0.1, kind="signs", frame_seed=0)
+def test_generated_rk4_loop_equals_numpy_rk4(coefs, m, start, fixed, t, step,
+                                            kind, frame_seed):
+    # the generated plan step against numpy references on the flat state
+    # (x, W), x4 a coordinate the flow does not move (a signed zero, or
+    # not, or outside the box): the RK4 oracle steps the state as a numpy array by the same
     # right-hand side, compiled for single points, and tests the box with
-    # `Box.contains`
-    box = Box.cube(3, 1.0)
-    spec = FlowSpec(_loop_field(*coefs), IntegratorSettings(step=step), box)
+    # `Box.contains`; a straight flow ends at y + tF(y) and leaves where
+    # `line_reference` says.  The time column is the field at the end.
+    box = Box.cube(4, 1.0)
+    spec = FlowSpec(_loop_field(*coefs, kind), IntegratorSettings(step=step),
+                    box)
     gen = spec.generator
-    assert not gen.straight
-    p = np.array(start)
-    W0 = np.random.default_rng(frame_seed).normal(size=(3, m))
-    oracle = FlowSpec(ComputedVectorField(gen.rhs(m), 3 + 3 * m),
-                      spec.settings, box)
-    expect = _outcome(lambda: [integrate_flow(oracle, np.concatenate(
-        [p, W0.ravel()]), t)])
-    if m == 0:
-        got = _outcome(lambda: [integrate_flow(spec, p, t)])
+    straight = kind == "straight"
+    assert gen.straight == straight
+    W0 = np.random.default_rng(frame_seed).normal(size=(4, m))
+    W0[1::2] = 0.0                  # zeros, which the closed form keeps
+    W0[3] = -0.0
+    y0 = np.concatenate([start, [fixed], W0.ravel()])
+    size = len(y0)
+    layout = (*range(size), *range(size, size + 4))
+
+    def stepped():
+        return [gen.plan_step(m, box, step, layout)(y0.tolist(), t)]
+
+    def ended(y):
+        return [y, gen.rhs(0)(y[:4])]
+    got = _outcome(stepped)
+    if straight:
+        end = y0 + t * np.array(gen.rhs(m)(y0.tolist())) if t != 0.0 else y0
+        expect = ("end", np.concatenate(ended(end)).tobytes())
+        if t != 0.0:
+            line = line_reference(spec, y0[:4], t)
+            if line[0] == "exit":
+                expect = ("exit", line[1], np.array(line[2][:3]).tobytes())
     else:
-        got = _outcome(lambda: integrate_with_transport(spec, p, t, W0))
+        oracle = FlowSpec(ComputedVectorField(gen.rhs(m), size), spec.settings,
+                          box)
+        expect = _outcome(lambda: ended(integrate_flow(oracle, y0, t)))
     assert got == expect
+    # `_point_flow`, `integrate_flow` and `integrate_with_transport` take the
+    # same step without the time column; at t = 0 the state is the start
+    alone = _outcome(lambda: [_point_flow(spec, y0.tolist(), t, m)])
+    assert alone[:1] == got[:1]
+    if got[0] == "exit":
+        assert alone == got
+    else:
+        assert alone[1] == got[1][:8 * size]
+    if t != 0.0:
+        x0 = y0[:4]
+        whole = _outcome(lambda: integrate_with_transport(spec, x0, t, W0)
+                         if m else [integrate_flow(spec, x0, t)])
+        assert whole == alone
 
 
 @functools.cache
