@@ -404,8 +404,12 @@ class _StageChart:
         MEMO points asked are kept by their exact bytes, those of y as an
         array.  The end of a flow and the start of the next one in this
         chart share a point; trajectories of a pulled-back flow from one
-        start meet the same points again.  Blocks (`forward_differential`)
-        do not pass through this memo."""
+        start meet the same points again.  A point missed here may still
+        share a prefix with the plan's last run: the RK4 stage points
+        y + (h/2) k1 and y + (h/2) k2 of a pulled-back flow can share the
+        section coordinates and the first flow's time, and then run that
+        flow once (`_point_plan`).  Blocks (`forward_differential`) do not
+        pass through this memo."""
         d = self.section.dim
 
         def make():
@@ -420,11 +424,12 @@ class _StageChart:
 
         Each point runs the single-point plan with the section frame and
         time columns, a block's columns one by one, so a column is its
-        single point bit for bit and raises its own box exit.  Time
-        columns, in canonical slot order, are each flow's generator value
-        at its endpoint carried through the later flows; section columns
-        are the transported section frame, as `forward_transport` gives
-        them.
+        single point bit for bit and raises its own box exit; consecutive
+        columns that share a prefix of flows run it once (`_point_plan`).
+        Time columns, in canonical slot order, are each flow's generator
+        value at its endpoint carried through the later flows; section
+        columns are the transported section frame, as `forward_transport`
+        gives them.
         """
         y = np.asarray(y, dtype=float)
         d, run = self.section.dim, self._point_plan(len(self.section.axes), True)
@@ -466,6 +471,21 @@ class _StageChart:
         flow alone would.  A computed flow's step goes through
         `_transport_computed` on arrays, which threads the end's place in a
         parent chart to the next computed flow.
+
+        A plan of two flows or more keeps the chain of its last run: the
+        bytes of (y, W) and the state (z, place) after each flow.  A run
+        resumes after the deepest flow whose inputs are unchanged bit for
+        bit: s and W, then each flow's time in application order
+        (-0.0 == 0.0, yet a section coordinate -0.0 gives another
+        sigma(s)).  So consecutive points that share a prefix, the columns
+        of a block in fan-out order or the RK4 stages of a pulled-back
+        flow, run each shared flow once; every step is a pure function of
+        (z, t, place), so no answer moves.  A run publishes its chain when
+        its last flow is done, and changes no chain published before: a run
+        that raises keeps nothing, so the next run that reaches the same
+        flow raises its exit again, and a plan re-entered through a computed
+        generator stays right.  A plan of one flow keeps no chain: only an
+        equal point could reuse its state.
         """
         plan = self._plans.get((m, times))
         if plan is not None:
@@ -474,6 +494,9 @@ class _StageChart:
         # sigma(s) gathered from y + [0.0]: s on the section axes, else 0
         N = self.n_flows
         start = [N + axes.index(i) if i in axes else -1 for i in range(d)]
+        # the bytes of (y, W): the times, then s and W (`rest`)
+        pack, rest = struct.Struct(f"{d * (1 + m)}d").pack, slice(8 * N, None)
+        time_bytes = [slice(8 * a, 8 * a + 8) for a in self.application_order]
         flows = []
         for k, alpha in enumerate(self.application_order, 1):
             spec = self.specs[alpha]
@@ -501,8 +524,33 @@ class _StageChart:
                 else:
                     z, at = step(z, y[alpha], at)
             return z
-        self._plans[key] = run
-        return run
+        tails = [flows[k:] for k in range(N + 1)]
+        chain = (b"", None)     # the last run's bytes and states: none yet
+
+        def shared(y: list, W: list) -> list:
+            nonlocal chain
+            packed = pack(*y, *W)
+            last, kept = chain
+            if packed[rest] == last[rest]:
+                states = kept[:1]
+                for t, state in zip(time_bytes, kept[1:]):
+                    if packed[t] != last[t]:
+                        break
+                    states.append(state)
+            else:
+                src = y + [0.0]
+                states = [([src[k] for k in start] + W, None)]
+            z, at = states[-1]
+            for alpha, symbolic, step in tails[len(states) - 1]:
+                if symbolic:
+                    z, at = step(z, y[alpha]), None
+                else:
+                    z, at = step(z, y[alpha], at)
+                states.append((z, at))
+            chain = (packed, states)
+            return z
+        plan = self._plans[key] = shared if N > 1 else run
+        return plan
 
     def _computed_step(self, alpha: int, m: int, layout: tuple | None):
         """The plan step `f(z, t, at) -> (z, at)` of the computed flow alpha
@@ -638,8 +686,9 @@ class _Pullback:
         chart point y0 after time t (not 0), by `_rk4`.  The last MEMO ends
         are kept by the exact bytes of (t, y0), for every stage chart that
         flows along V: a Newton line search, the transport after a Newton
-        solve and grid points that share their first flows repeat recent
-        trajectories."""
+        solve and chart points that share their first flows but do not
+        follow each other (a sample block and its bracket shifts) repeat
+        recent trajectories."""
         return _kept(self._flows, (t, y0.tobytes()),
                      lambda: self._rk4(y0, t), self.MEMO)
 
@@ -1178,7 +1227,10 @@ class VerificationReport:
 def _grid(chart: ChartMap, grid: int) -> tuple[list, np.ndarray]:
     """The verification grid: keys (section coordinates, then flow times in
     application order) in the order of the flows' fan-out, section
-    coordinates outermost, and the (dim, grid^dim) block of chart points."""
+    coordinates outermost, and the (dim, grid^dim) block of chart points.
+    Consecutive points share every flow but the last, and the plan's
+    retained chain (`_StageChart._point_plan`) runs each flow once per
+    distinct prefix."""
     N, stage = chart.n_flows, chart._chart
     axes = [np.linspace(lo, hi, grid) for lo, hi in chart.chart_ranges()]
     keys = list(itertools.product(
@@ -1192,7 +1244,8 @@ def verify_integral_chart(A: EndoField, chart: ChartMap, grid: int = 5,
 
     The frames DPhi(y) at the grid points (`_grid`) are one
     `forward_differential` of the grid as a block, each point by the
-    chart's single-point plan.  At each grid point the matrix
+    chart's single-point plan; in the grid's fan-out order each flow runs
+    once per distinct prefix of the grid.  At each grid point the matrix
     solve(DPhi, A(p) DPhi) is compared entrywise with the constant
     Jordan matrix; the witness is (section coordinates, flow times in
     application order, point).  Pairwise brackets of the frame fields are

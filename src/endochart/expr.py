@@ -560,7 +560,11 @@ _SHARED: ContextVar[dict | None] = ContextVar("shared_compiles", default=None)
 def shared_compiles():
     """A scope in which `compile_batch` compiles each expression list once:
     an equal list (by value) asked again gets the same function.  What is
-    compiled is dropped when the scope ends, so nothing is served past it."""
+    compiled is dropped when the scope ends, so nothing is served past it.
+    A scope opened inside another is the enclosing one."""
+    if _SHARED.get() is not None:
+        yield
+        return
     token = _SHARED.set({})
     try:
         yield

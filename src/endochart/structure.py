@@ -490,11 +490,14 @@ class Theorem13Report:
                 all(bool(r) for _, r in self.kernel_involutivity))
 
 
+@ex.shared_compiles()
 def theorem13_report(A: EndoField, box: Box, samples: int = 100,
                      seed: int = 2026,
                      tol: float | None = None) -> Theorem13Report:
     """Verdicts for the three integrability conditions of a nilpotent field,
-    each on the one sample set the report draws."""
+    each on the one sample set the report draws, with each expression list
+    compiled once (`expr.shared_compiles`): A's, for one, by the constancy
+    check and the torsion gate."""
     ranks = rank_profile(A, box.center)
     if ranks.ranks[-1] != 0:
         raise NonNilpotentError(
@@ -531,10 +534,13 @@ class Corollary15Report:
     integrable_conditions: bool
 
 
+@ex.shared_compiles()
 def corollary15_report(A: EndoField, factors, box: Box, samples: int = 100,
                        seed: int = 2026,
                        tol: float | None = None) -> Corollary15Report:
-    """Condition verdicts for a general field with user-supplied invariant factors."""
+    """Condition verdicts for a general field with user-supplied invariant
+    factors, with each expression list compiled once
+    (`expr.shared_compiles`)."""
     factors = [tuple(float(c) for c in f) for f in factors]
     if not factors:
         raise ValueError("at least one invariant factor is required")

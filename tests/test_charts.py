@@ -1,5 +1,7 @@
+import collections
 import itertools
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -1226,6 +1228,182 @@ class TestParentCoordinateFlows:
             chart.forward(y)
         assert 0.0 < err.value.time < 2.0
         assert not chart.pipeline.working_box.contains(err.value.point)
+
+
+def fresh_run(stage, m: int, times: bool, y: list, W: list):
+    """`answer` of a new plan of the stage chart for width m and `times`,
+    which has no retained chain, at (y, W); the chart keeps its own plan."""
+    kept = stage._plans.pop((m, times), None)
+    try:
+        return answer(lambda: stage._point_plan(m, times)(y, W))
+    finally:
+        stage._plans.pop((m, times), None)
+        if kept is not None:
+            stage._plans[(m, times)] = kept
+
+
+def answer(run):
+    """run()'s list of floats as bytes, or its box exit as (time, point)."""
+    try:
+        return np.array(run(), dtype=float).tobytes()
+    except BoxExitError as err:
+        return err.time, err.point
+
+
+def plan_inputs(stage) -> list:
+    """(m, times, W) of the stage chart's plans: `forward`'s,
+    `forward_transport`'s of the section frame and `differential`'s."""
+    m = len(stage.section.axes)
+    return [(0, False, []), (m, False, stage._basis), (m, True, stage._basis)]
+
+
+class TestSharedChain:
+    """A plan's run resumes after the deepest flow whose inputs its last run
+    shared, bit for bit (`_StageChart._point_plan`); every answer is a fresh
+    plan's."""
+
+    @pytest.mark.parametrize("name", ["example35-n3", "example35-n3-xn"])
+    def test_every_run_of_jordanize_is_a_fresh_plans(self, name,
+                                                      monkeypatch):
+        runs = []
+        point_plan = charts._StageChart._point_plan
+
+        def recording(self, m, times):
+            run = point_plan(self, m, times)
+
+            def recorded(y, W):
+                z = run(y, W)
+                runs.append((self, m, times, list(y), list(W),
+                             answer(lambda: z)))
+                return z
+            return recorded
+        monkeypatch.setattr(charts._StageChart, "_point_plan", recording)
+        data = build_corpus_field(name)
+        pipe = jordanize(data["field"], data["chart"]).chart.pipeline
+        monkeypatch.undo()
+        assert len(runs) > 1000
+        assert {stage for stage, *_ in runs} == {pipe.stage_chart(0),
+                                                 pipe.stage_chart(1)}
+        for stage, m, times, y, W, z in runs:
+            assert fresh_run(stage, m, times, y, W) == z
+
+    @pytest.mark.parametrize("stage_index", [0, 1])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_random_points_with_signed_zeros(self, stage_index, shuffled):
+        # 40 chart points from 5 values per coordinate, 0.0 and -0.0 among
+        # them, in fan-out order (section coordinates, then the times in
+        # application order), where consecutive points share prefixes
+        stage = assemble_chart("example35-n3").pipeline.stage_chart(
+            stage_index)
+        N, order = stage.n_flows, stage.application_order
+        rng = np.random.default_rng(40 + stage_index)
+        values = [[0.0, -0.0, *rng.uniform(lo, hi, 3)]
+                  for lo, hi in stage.chart_ranges()]
+        keys = list(itertools.product(*values[N:],
+                                      *(values[a] for a in order)))
+        picked = sorted(rng.choice(len(keys), 40, replace=False))
+        if shuffled:
+            picked = rng.permutation(picked)
+        m = len(stage.section.axes)
+        ys = [[keys[n][m + order.index(a)] for a in range(N)]
+              + list(keys[n][:m]) for n in picked]
+        for width, times, W in plan_inputs(stage):
+            run = stage._point_plan(width, times)
+            for y in ys:
+                assert answer(lambda: run(y, W)) == fresh_run(
+                    stage, width, times, y, W)
+
+    @pytest.mark.parametrize("stage_index", [0, 1])
+    def test_a_section_coordinate_minus_zero_is_not_zero(self, stage_index):
+        # sigma(s) keeps the sign of a zero s, and flows at t = 0 keep it:
+        # a run at s = -0.0 after one at s = 0.0 shares no flow
+        stage = assemble_chart("example35-n3").pipeline.stage_chart(
+            stage_index)
+        [axis] = stage.section.axes
+        for m, times, W in plan_inputs(stage):
+            run = stage._point_plan(m, times)
+            for t in ([0.0, 0.0], [0.03, -0.02]):
+                for s in (0.0, -0.0):
+                    y = t + [s]
+                    z = answer(lambda: run(y, W))
+                    assert z == fresh_run(stage, m, times, y, W)
+                    if t == [0.0, 0.0]:
+                        assert math.copysign(1.0, np.frombuffer(z)[axis]) == (
+                            math.copysign(1.0, s))
+
+    @pytest.mark.parametrize("stage_index", [0, 1])
+    def test_a_box_exit_is_never_kept(self, stage_index):
+        # example35-n3 from s = (0.05,): the flow applied second, slot
+        # (2, 0), leaves the working box at t = 1.0.  A run that shares the
+        # first flow with it gets the fresh answer, and a run that reaches
+        # it again raises the same exit
+        stage = assemble_chart("example35-n3").pipeline.stage_chart(
+            stage_index)
+        second = stage.application_order[1]
+        assert stage.flow_slots[second] == (2, 0)
+        out, inside = [0.02, 0.03, 0.05], [0.02, 0.03, 0.05]
+        out[second] = 1.0
+        for m, times, W in plan_inputs(stage):
+            run = stage._point_plan(m, times)
+            exit_ = answer(lambda: run(out, W))
+            assert isinstance(exit_, tuple)
+            assert exit_ == fresh_run(stage, m, times, out, W)
+            for y in (inside, out, out, inside, out):
+                assert answer(lambda: run(y, W)) == fresh_run(
+                    stage, m, times, y, W)
+
+    def test_the_grid_runs_each_flow_once_per_prefix(self, monkeypatch):
+        # one verify_integral_chart of example35-n3: its grid, the first
+        # 5^3 runs of the verified chart's differential plan, is in fan-out
+        # order, so each flow of that chart runs once per distinct prefix
+        # (s and the times up to it in application order) of the grid
+        chart = assemble_chart("example35-n3")
+        stage = chart._chart
+        N, order = stage.n_flows, stage.application_order
+        m = len(stage.section.axes)
+        building, calls, runs = [], collections.Counter(), []
+        point_plan = charts._StageChart._point_plan
+        plan_step = flows.CompiledField.plan_step
+        computed_step = charts._StageChart._computed_step
+
+        def counted(step):
+            if not building:        # the box exit of `flows._point_flow`
+                return step
+            plan = building[-1]
+            tag = (*plan[:2], plan[2])
+            plan[2] += 1
+            # a call inside the n-th run of the verified chart's plan is
+            # counted with len(runs) = n
+            return lambda *args: calls.update([(*tag, len(runs))]) or step(
+                *args)
+
+        def planning(self, m, times):
+            building.append([self, (m, times), 0])
+            try:
+                run = point_plan(self, m, times)
+            finally:
+                building.pop()
+            if self is not stage:
+                return run
+            return lambda y, W: runs.append((m, times, y)) or run(y, W)
+        monkeypatch.setattr(charts._StageChart, "_point_plan", planning)
+        monkeypatch.setattr(flows.CompiledField, "plan_step",
+                            lambda self, *a: counted(plan_step(self, *a)))
+        monkeypatch.setattr(charts._StageChart, "_computed_step",
+                            lambda self, *a: counted(computed_step(self, *a)))
+        data = build_corpus_field("example35-n3")
+        verify_integral_chart(data["field"], chart, grid=5)
+        grid = charts._grid(chart, 5)[1].T.tolist()
+        assert runs[:len(grid)] == [(m, True, y) for y in grid]
+        distinct = []
+        for k in range(N):
+            prefixes = {np.array(y[N:] + [y[a] for a in order[:k + 1]])
+                        .tobytes() for y in grid}
+            distinct.append(len(prefixes))
+            assert sum(n for (chart_, key, at, run), n in calls.items()
+                       if chart_ is stage and key == (m, True) and at == k
+                       and run <= len(grid)) == len(prefixes)
+        assert distinct == [5 ** 2, 5 ** 3]
 
 
 JORDANIZE_GOLDEN = (pathlib.Path(__file__).resolve().parent / "golden"

@@ -309,6 +309,21 @@ class TestCompileBatch:
         assert ex.kink_mask([e], x).tolist() == [True, True, False, False]
         assert ex.kink_mask([ex.var(1)], x).tolist() == [False] * 4
 
+    def test_a_nested_scope_is_the_enclosing_one(self):
+        # an equal list gets one function per outermost scope: an inner
+        # scope serves what the outer one compiled and keeps what it
+        # compiles until the outer scope ends
+        a, b = [ex.var(1), ex.const(2.0)], [ex.mul(ex.var(1), ex.var(2))]
+        assert ex.compile_batch(a) is not ex.compile_batch(a)
+        with ex.shared_compiles():
+            fa = ex.compile_batch(a)
+            with ex.shared_compiles():
+                assert ex.compile_batch(list(a)) is fa
+                fb = ex.compile_batch(b)
+            assert ex.compile_batch(b) is fb
+        with ex.shared_compiles():
+            assert ex.compile_batch(a) is not fa
+
 
 def _unshared_source(e) -> str:
     """The scalar source of e with no sharing: one inline expression, as

@@ -449,6 +449,32 @@ def test_each_distribution_compiles_its_frame_once(monkeypatch, run):
     assert (len(reads) > len(framed)) == (run == "jordanize")
 
 
+@pytest.mark.parametrize("name, lists", [("example35-n2", 4),
+                                         ("example35-n3", 7)])
+def test_theorem13_report_compiles_each_expression_list_once(monkeypatch,
+                                                            name, lists):
+    # the report runs in one `expr.shared_compiles` scope: A's batch
+    # evaluator (the constancy check, then the torsion gate's entry scale)
+    # and, at n = 3, the kernel frame's pivot expression compile once
+    compiled, batch = [], ex._batch
+    monkeypatch.setattr(ex, "_batch", lambda exprs: (
+        compiled.append(exprs) or batch(exprs)))
+    data = corpus.build_corpus_field(name)
+    theorem13_report(data["field"], data["box"])
+    A = tuple(e for row in data["field"].entries for e in row)
+    assert A in compiled
+    assert len(compiled) == len(set(compiled)) == lists
+
+
+def test_corollary15_report_compiles_each_expression_list_once(monkeypatch):
+    compiled, batch = [], ex._batch
+    monkeypatch.setattr(ex, "_batch", lambda exprs: (
+        compiled.append(exprs) or batch(exprs)))
+    doc = load_field_document(EXAMPLES / "diagonalizable.json")
+    corollary15_report(doc.field, doc.factors, doc.box)
+    assert compiled and len(compiled) == len(set(compiled))
+
+
 def test_corollary15_report_computes_the_entry_scale_once(monkeypatch):
     # the annihilation gate and the torsion gate share one entry scale
     calls = []
