@@ -472,20 +472,19 @@ class _StageChart:
         `_transport_computed` on arrays, which threads the end's place in a
         parent chart to the next computed flow.
 
-        A plan of two flows or more keeps the chain of its last run: the
-        bytes of (y, W) and the state (z, place) after each flow.  A run
-        resumes after the deepest flow whose inputs are unchanged bit for
-        bit: s and W, then each flow's time in application order
-        (-0.0 == 0.0, yet a section coordinate -0.0 gives another
-        sigma(s)).  So consecutive points that share a prefix, the columns
+        A plan keeps the chain of its last run: the bytes of (y, W) and the
+        state (z, place) after each flow.  A run resumes after the deepest
+        flow whose inputs are unchanged bit for bit: s and W, then each
+        flow's time in application order (-0.0 == 0.0, yet a section
+        coordinate -0.0 gives another sigma(s)).  So consecutive points that share a prefix, the columns
         of a block in fan-out order or the RK4 stages of a pulled-back
         flow, run each shared flow once; every step is a pure function of
         (z, t, place), so no answer moves.  A run publishes its chain when
         its last flow is done, and changes no chain published before: a run
         that raises keeps nothing, so the next run that reaches the same
         flow raises its exit again, and a plan re-entered through a computed
-        generator stays right.  A plan of one flow keeps no chain: only an
-        equal point could reuse its state.
+        generator stays right.  The z returned is also the last state of
+        the chain, so callers copy it and never change it in place.
         """
         plan = self._plans.get((m, times))
         if plan is not None:
@@ -515,19 +514,10 @@ class _StageChart:
                     alpha, m, layout)))
             m += times
 
-        def run(y: list, W: list) -> list:
-            src = y + [0.0]
-            z, at = [src[k] for k in start] + W, None
-            for alpha, symbolic, step in flows:
-                if symbolic:
-                    z, at = step(z, y[alpha]), None
-                else:
-                    z, at = step(z, y[alpha], at)
-            return z
         tails = [flows[k:] for k in range(N + 1)]
         chain = (b"", None)     # the last run's bytes and states: none yet
 
-        def shared(y: list, W: list) -> list:
+        def run(y: list, W: list) -> list:
             nonlocal chain
             packed = pack(*y, *W)
             last, kept = chain
@@ -549,7 +539,7 @@ class _StageChart:
                 states.append((z, at))
             chain = (packed, states)
             return z
-        plan = self._plans[key] = shared if N > 1 else run
+        plan = self._plans[key] = run
         return plan
 
     def _computed_step(self, alpha: int, m: int, layout: tuple | None):

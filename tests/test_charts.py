@@ -1262,9 +1262,12 @@ class TestSharedChain:
     shared, bit for bit (`_StageChart._point_plan`); every answer is a fresh
     plan's."""
 
-    @pytest.mark.parametrize("name", ["example35-n3", "example35-n3-xn"])
-    def test_every_run_of_jordanize_is_a_fresh_plans(self, name,
-                                                      monkeypatch):
+    @pytest.mark.parametrize("name, stages, least", [
+        ("example35-n3", 2, 1000), ("example35-n3-xn", 2, 1000),
+        # stage charts of one flow
+        ("example35-n2", 1, 50), ("conjugated-n2", 1, 150)])
+    def test_every_run_of_jordanize_is_a_fresh_plans(self, name, stages,
+                                                      least, monkeypatch):
         runs = []
         point_plan = charts._StageChart._point_plan
 
@@ -1281,27 +1284,30 @@ class TestSharedChain:
         data = build_corpus_field(name)
         pipe = jordanize(data["field"], data["chart"]).chart.pipeline
         monkeypatch.undo()
-        assert len(runs) > 1000
-        assert {stage for stage, *_ in runs} == {pipe.stage_chart(0),
-                                                 pipe.stage_chart(1)}
+        assert len(runs) > least
+        assert {stage for stage, *_ in runs} == {pipe.stage_chart(k)
+                                                 for k in range(stages)}
         for stage, m, times, y, W, z in runs:
             assert fresh_run(stage, m, times, y, W) == z
 
-    @pytest.mark.parametrize("stage_index", [0, 1])
+    @pytest.mark.parametrize("name, stage_index", [
+        ("example35-n3", 0), ("example35-n3", 1), ("conjugated-n2", 0)])
     @pytest.mark.parametrize("shuffled", [False, True])
-    def test_random_points_with_signed_zeros(self, stage_index, shuffled):
-        # 40 chart points from 5 values per coordinate, 0.0 and -0.0 among
-        # them, in fan-out order (section coordinates, then the times in
-        # application order), where consecutive points share prefixes
-        stage = assemble_chart("example35-n3").pipeline.stage_chart(
-            stage_index)
+    def test_random_points_with_signed_zeros(self, name, stage_index,
+                                             shuffled):
+        # up to 40 chart points from 5 values per coordinate, 0.0 and -0.0
+        # among them, in fan-out order (section coordinates, then the times
+        # in application order), where consecutive points share prefixes,
+        # then again in reverse, so the last point runs twice in a row
+        stage = assemble_chart(name).pipeline.stage_chart(stage_index)
         N, order = stage.n_flows, stage.application_order
         rng = np.random.default_rng(40 + stage_index)
         values = [[0.0, -0.0, *rng.uniform(lo, hi, 3)]
                   for lo, hi in stage.chart_ranges()]
         keys = list(itertools.product(*values[N:],
                                       *(values[a] for a in order)))
-        picked = sorted(rng.choice(len(keys), 40, replace=False))
+        picked = sorted(rng.choice(len(keys), min(40, len(keys)),
+                                   replace=False))
         if shuffled:
             picked = rng.permutation(picked)
         m = len(stage.section.axes)
@@ -1309,7 +1315,7 @@ class TestSharedChain:
               + list(keys[n][:m]) for n in picked]
         for width, times, W in plan_inputs(stage):
             run = stage._point_plan(width, times)
-            for y in ys:
+            for y in ys + ys[::-1]:
                 assert answer(lambda: run(y, W)) == fresh_run(
                     stage, width, times, y, W)
 
