@@ -335,7 +335,7 @@ def _solve(D, b) -> np.ndarray:
 class _StageChart:
     """Parametrisation (s, t) -> Phi(sigma(s), t) by the stage's flows."""
 
-    MEMO = 4096     # start coordinates kept
+    MEMO = 4096     # differentials, and start coordinates, kept
 
     def __init__(self, pipeline: "_Pipeline", stage: int):
         self.pipeline = pipeline
@@ -358,9 +358,11 @@ class _StageChart:
             gen = pipeline.flow_generator(a, i, stage)
             self.specs.append(gen.spec if isinstance(gen, _Pullback)
                               else FlowSpec(gen, st.integrator, box))
+        self._differentials: dict[bytes, tuple] = {}
         self._starts: dict[bytes, np.ndarray] = {}
         self._plans: dict[tuple, object] = {}
         self._basis = self.section.basis_matrix().ravel().tolist()
+        self._key = struct.Struct(f"{self.section.dim}d").pack
 
     @property
     def n_flows(self) -> int:
@@ -398,16 +400,23 @@ class _StageChart:
 
     def differential(self, y: list) -> tuple[np.ndarray, np.ndarray]:
         """`forward_differential` at the chart point y, a list of Python
-        floats, as two views of one array of the plan's answer.  A point
-        that shares a prefix with the plan's last run runs only the flows
-        after it (`_point_plan`): the end of a flow asked again for its box
-        check, and the RK4 stage points y + (h/2) k1 and y + (h/2) k2 of a
-        pulled-back flow, which can share the section coordinates and the
-        first flow's time."""
+        floats, as two views of one array of the plan's answer; the last
+        MEMO points asked are kept by their exact bytes, those of y as an
+        array.  The end of a flow and the start of the next one in this
+        chart share a point; trajectories of a pulled-back flow from one
+        start meet the same points again.  A point missed here may still
+        share a prefix with the plan's last run: the RK4 stage points
+        y + (h/2) k1 and y + (h/2) k2 of a pulled-back flow can share the
+        section coordinates and the first flow's time, and then run that
+        flow once (`_point_plan`).  Blocks (`forward_differential`) do not
+        pass through this memo."""
         d = self.section.dim
-        z = np.array(self._point_plan(len(self.section.axes), True)(
-            y, self._basis))
-        return z[:d], z[d:].reshape(d, d)
+
+        def make():
+            z = np.array(self._point_plan(len(self.section.axes), True)(
+                y, self._basis))
+            return z[:d], z[d:].reshape(d, d)
+        return _kept(self._differentials, self._key(*y), make, self.MEMO)
 
     def forward_differential(self, y) -> tuple[np.ndarray, np.ndarray]:
         """Phi(y) and the full differential DPhi(y) at y = (t, s), or at the
