@@ -27,10 +27,10 @@ from numpy.linalg import _umath_linalg
 
 from .expr import Box, compile_batch, sample_box, shared_compiles
 from .fields import (EndoField, VectorField, apply_endo, coordinate_field,
-                     endo_power, first_max, lie_bracket)
+                     first_max, lie_bracket)
 from .flows import (BoxExitError, CompiledField, ComputedVectorField,
                     FlowSpec, IntegratorSettings, _steps, integrate_flow)
-from .structure import image_frame, kernel_frame, span_residuals
+from .structure import column_frame, nullspace_frame, span_residuals
 
 __all__ = [
     "AdaptedChart", "Section", "PipelineSettings", "FrameState", "ChartMap",
@@ -472,14 +472,19 @@ class _StageChart:
         `_transport_computed` on arrays, which threads the end's place in a
         parent chart to the next computed flow.
 
-        A plan keeps the chain of its last run: the bytes of (y, W) and the
-        state (z, place) after each flow.  A run resumes after the deepest
-        flow whose inputs are unchanged bit for bit: s and W, then each
-        flow's time in application order (-0.0 == 0.0, yet a section
-        coordinate -0.0 gives another sigma(s)).  So consecutive points that share a prefix, the columns
-        of a block in fan-out order or the RK4 stages of a pulled-back
-        flow, run each shared flow once; every step is a pure function of
-        (z, t, place), so no answer moves.  A run publishes its chain when
+        A plan keeps the chain of its last run: W, the bytes of W and of y,
+        and the state (z, place) after each flow.  A run resumes after the
+        deepest flow whose inputs are unchanged bit for bit: s and W, then
+        each flow's time in application order (-0.0 == 0.0, yet a section
+        coordinate -0.0 gives another sigma(s)).  W is packed only when it
+        is not the object the last run got, so a caller never changes a W
+        it has passed: `differential` and `forward_differential` pass the
+        section frame's one list, packed once per plan; `forward` and
+        `forward_transport` build new lists, compared by bytes.  So
+        consecutive points that share a prefix, the columns of a block in
+        fan-out order or the RK4 stages of a pulled-back flow, run each
+        shared flow once; every step is a pure function of (z, t, place),
+        so no answer moves.  A run publishes its chain when
         its last flow is done, and changes no chain published before: a run
         that raises keeps nothing, so the next run that reaches the same
         flow raises its exit again, and a plan re-entered through a computed
@@ -493,8 +498,9 @@ class _StageChart:
         # sigma(s) gathered from y + [0.0]: s on the section axes, else 0
         N = self.n_flows
         start = [N + axes.index(i) if i in axes else -1 for i in range(d)]
-        # the bytes of (y, W): the times, then s and W (`rest`)
-        pack, rest = struct.Struct(f"{d * (1 + m)}d").pack, slice(8 * N, None)
+        # the bytes of y: the times, then s (`rest`); and those of W
+        pack, rest = self._key, slice(8 * N, None)
+        pack_frame = struct.Struct(f"{d * m}d").pack
         time_bytes = [slice(8 * a, 8 * a + 8) for a in self.application_order]
         flows = []
         for k, alpha in enumerate(self.application_order, 1):
@@ -515,13 +521,17 @@ class _StageChart:
             m += times
 
         tails = [flows[k:] for k in range(N + 1)]
-        chain = (b"", None)     # the last run's bytes and states: none yet
+        chain = (None, b"", b"", [])    # the last run's: none yet
 
         def run(y: list, W: list) -> list:
             nonlocal chain
-            packed = pack(*y, *W)
-            last, kept = chain
-            if packed[rest] == last[rest]:
+            kept_W, frame, last, kept = chain
+            packed = pack(*y)
+            if W is not kept_W:
+                fresh = pack_frame(*W)
+                if fresh != frame:
+                    frame, kept = fresh, []
+            if kept and packed[rest] == last[rest]:
                 states = kept[:1]
                 for t, state in zip(time_bytes, kept[1:]):
                     if packed[t] != last[t]:
@@ -537,7 +547,7 @@ class _StageChart:
                 else:
                     z, at = step(z, y[alpha], at)
                 states.append((z, at))
-            chain = (packed, states)
+            chain = (W, frame, packed, states)
             return z
         plan = self._plans[key] = run
         return plan
@@ -748,8 +758,10 @@ class _Pipeline:
         self.n = chart.index
         self.slots = basis_slots(self.mults)
         self.d = chart.dim
-        self._powers = [endo_power(self.A, p) for p in range(self.n + 1)]
-        self._power_ev = [P.evaluator() for P in self._powers]
+        self._powers = [EndoField.identity(self.d)]     # A^p, p = 0 .. n
+        for _ in range(self.n):
+            self._powers.append(self._powers[-1].matmul(self.A))
+        self._power_ev: dict[int, object] = {}
         self._power_batch: dict[int, object] = {}
         # stage data
         self._z0 = [coordinate_field(self.d, ax + 1)
@@ -784,7 +796,7 @@ class _Pipeline:
                                 if p else self._z0[i])
         else:
             z = self.generator(0, i, rep)
-            Ap = self._power_ev[p]
+            Ap = self.power_ev(p)
             gen = ComputedVectorField(
                 lambda q, z=z, Ap=Ap: Ap(q) @ z.value(q), self.d)
         self._gen_cache[key] = gen
@@ -798,15 +810,24 @@ class _Pipeline:
             hit = self._compiled[field] = CompiledField(field)
         return hit
 
-    def frame(self, build, power: int):
-        """`build(A, power)` on the chart box, `structure.kernel_frame` or
-        `image_frame`, built once per pipeline: every stage's clauses read
-        the same frame of a power."""
-        key = (build, power)
+    def frame(self, kind: str, power: int):
+        """The frame of ker A^power (kind "ker", `structure.nullspace_frame`)
+        or Im A^power ("Im", `column_frame`) on the chart box, built once per
+        pipeline from its power of A: every stage's clauses read the same
+        frame of a power."""
+        key = (kind, power)
         if key not in self._frames:
-            self._frames[key] = build(self.A, power, self.chart_box,
+            build = nullspace_frame if kind == "ker" else column_frame
+            self._frames[key] = build(self._powers[power], self.chart_box,
+                                      f"{kind} A^{power}",
                                       seed=self.settings.seed)
         return self._frames[key]
+
+    def power_ev(self, p: int):
+        """The point evaluator of A^p, compiled on first use."""
+        if p not in self._power_ev:
+            self._power_ev[p] = self._powers[p].evaluator()
+        return self._power_ev[p]
 
     def power_batch(self, p: int):
         """The batch evaluator of A^p, compiled on first use."""
@@ -843,7 +864,7 @@ class _Pipeline:
         key = ("pullback", p, i, rep)
         if key not in self._gen_cache:
             self._gen_cache[key] = _Pullback(
-                parent, self._power_ev[p], i, self.settings.integrator,
+                parent, self.power_ev(p), i, self.settings.integrator,
                 self.working_box)
         return self._gen_cache[key]
 
@@ -1065,7 +1086,7 @@ def hk_residuals(state: FrameState,
     if "2" in clauses:
         R, labels = np.zeros((0, N)), []
         for qq in range(1, n):
-            K = pipe.frame(kernel_frame, qq)
+            K = pipe.frame("ker", qq)
             frame = [_ChartField(gen=pipe.compiled(F)) for F in K.frame]
             V = [_bracket(fields[(0, i)], F)(pts) for F in frame
                  for i in range(m)]
@@ -1087,7 +1108,7 @@ def hk_residuals(state: FrameState,
         if target_power >= n:
             F = np.zeros((N, pipe.d, 0))
         else:
-            F = pipe.frame(image_frame, target_power).values_on(x)
+            F = pipe.frame("Im", target_power).values_on(x)
         slots = [(a, i) for (a, i) in pipe.slots if a >= min_power]
         pairs = list(itertools.combinations(slots, 2))
         V = [_bracket(fields[u], fields[v])(pts) for u, v in pairs]

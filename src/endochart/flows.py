@@ -28,7 +28,9 @@ that closed form instead of RK4 steps; the box check still tests the RK4
 step points x + k h V(x) (Groebner, *Die Lie-Reihen*, 1960: the Lie series
 of x terminates after its linear term): the first and the last inline,
 and all of them (`_check_line`) only when one of those is outside.
-In flag-adapted coordinates most stage-0 generators A^p d/ds are straight.
+In flag-adapted coordinates most stage-0 generators A^p d/ds are straight,
+and a field conjugate to a constant Jordan matrix has constant ones, whose
+flows are translations: they take the same generated step.
 
 Any other flow's RK4 loop holds still what the flow does not move
 (loop-invariant code motion; Aho, Lam, Sethi & Ullman, *Compilers*, 2nd
@@ -39,8 +41,7 @@ end, each equal to y + h 0 (a zero's sign is h's, and adding a zero
 changes only a zero).  So stage 1 of step 1 runs before the loop, and
 each subexpression that reads only such entries is computed there twice,
 at y and at y + h 0, and not in the loop; answers are the same bit for
-bit.  A flow whose right-hand side and time column are constants
-generates no code.
+bit.
 
 Derivatives in the chart construction come from one place per kind of
 field, each with its own step:
@@ -297,12 +298,10 @@ def _compile_step(exprs, straight: bool, box: Box | None, step: float,
     BoxExitError(k h, point) at the first step k outside.
 
     The RK4 loop holds still the entries whose tree is the constant 0, as
-    the module docstring says (`_rk4_lines`).  With every tree constant
-    nothing is generated: the step is y + tF on lists.
+    the module docstring says (`_rk4_lines`).  Trees that are all constant
+    are straight: their step is y + tF with the constants' sources inline.
     """
     exprs = tuple(exprs)
-    if all(type(e) is Const for e in exprs):
-        return _constant_step([e.value for e in exprs], box, step, layout)
     count = [f"n = max(1, _ceil(abs(t) / {step!r}))", "h = t / n"]
     if straight:
         _, flow, v = _emit(exprs, "y{}")
@@ -325,31 +324,6 @@ def _compile_step(exprs, straight: bool, box: Box | None, step: float,
     return _define(body, {**_NAMESPACE, "_ceil": math.ceil, "_box": box,
                           "_exit": BoxExitError, "_line": _check_line},
                    "y, t")
-
-
-def _constant_step(F: list, box: Box | None, step: float,
-                   layout: tuple | None):
-    """`_compile_step` for constant trees F, on lists, with `_inside_line`'s
-    test."""
-    values = None if layout is None else F[:len(layout) - len(F)]
-    line = None if box is None else list(zip(F, *box.mid_half))
-
-    def f(y: list, t: float) -> list:
-        if t != 0.0:
-            if line is not None:
-                n = max(1, math.ceil(abs(t) / step))
-                h = t / n
-                nh = n * h
-                if not all(abs(a - c) <= r if b == 0.0 else
-                           abs(a + h * b - c) <= r and abs(a + nh * b - c) <= r
-                           for a, (b, c, r) in zip(y, line)):
-                    _check_line(box, y, F, n, h)
-            y = [a + t * b for a, b in zip(y, F)]
-        if values is None:
-            return y
-        src = y + values
-        return [src[k] for k in layout]
-    return f
 
 
 def _slopes(exprs, values: list, out: str, lines: list) -> list:

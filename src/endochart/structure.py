@@ -30,12 +30,12 @@ from .fields import (EndoField, VectorField, endo_power, first_max,
 __all__ = [
     "StructureProfile", "Distribution", "RankResult", "rank_profile",
     "invariant_factors", "constancy_check", "kernel_frame", "image_frame",
-    "nullspace_frame", "involutivity_residual", "sum_distribution",
-    "theorem13_report", "corollary15_report", "Theorem13Report",
-    "Corollary15Report", "InvolutivityResult", "ConstancyResult",
-    "PivotDegenerationError", "NonNilpotentError", "InconsistentRanksError",
-    "AnnihilationError", "poly_endo", "nijenhuis_residual", "torsion_tol",
-    "span_residuals",
+    "nullspace_frame", "column_frame", "involutivity_residual",
+    "sum_distribution", "theorem13_report", "corollary15_report",
+    "Theorem13Report", "Corollary15Report", "InvolutivityResult",
+    "ConstancyResult", "PivotDegenerationError", "NonNilpotentError",
+    "InconsistentRanksError", "AnnihilationError", "poly_endo",
+    "nijenhuis_residual", "torsion_tol", "span_residuals",
 ]
 
 SVD_RELATIVE_THRESHOLD = 1e-8
@@ -335,14 +335,18 @@ def _select_columns(M: np.ndarray, rank: int) -> list:
 
 def image_frame(A: EndoField, p: int, box: Box,
                 seed: int = 2026) -> Distribution:
-    """Frame of rank(A^p) columns of A^p, selected by pivoting at the box center."""
-    d = A.dim
-    Ap = endo_power(A, p)
-    M0 = np.asarray(Ap(box.center), dtype=float)
-    rank = _numeric_rank(M0)
-    chosen = _select_columns(M0, rank)
-    frame = tuple(Ap.column(j + 1) for j in chosen)
-    dist = Distribution(frame, len(frame), f"Im A^{p}", box)
+    """Frame of rank(A^p) columns of A^p on the box."""
+    return column_frame(endo_power(A, p), box, provenance=f"Im A^{p}",
+                        seed=seed)
+
+
+def column_frame(M: EndoField, box: Box, provenance: str,
+                 seed: int = 2026) -> Distribution:
+    """Frame of rank(M) columns of M, selected by pivoting at the box center."""
+    M0 = np.asarray(M(box.center), dtype=float)
+    chosen = _select_columns(M0, _numeric_rank(M0))
+    frame = tuple(M.column(j + 1) for j in chosen)
+    dist = Distribution(frame, len(frame), provenance, box)
     _frame_full_rank_check(dist, seed)
     return dist
 
@@ -545,9 +549,10 @@ def corollary15_report(A: EndoField, factors, box: Box, samples: int = 100,
     if not factors:
         raise ValueError("at least one invariant factor is required")
     # product of all P(A) must annihilate A's tangent action
+    PAs = [poly_endo(A, coeffs) for coeffs in factors]
     prod = EndoField.identity(A.dim)
-    for coeffs in factors:
-        prod = prod.matmul(poly_endo(A, coeffs))
+    for PA in PAs:
+        prod = prod.matmul(PA)
     scale = A.entry_scale(box, seed=seed)
     x = sample_box(box, samples, seed).T
     worst = float(np.max(np.abs(prod.batch_evaluator()(x))))
@@ -557,8 +562,7 @@ def corollary15_report(A: EndoField, factors, box: Box, samples: int = 100,
 
     factor_ranks = []
     factor_inv = []
-    for coeffs in factors:
-        PA = poly_endo(A, coeffs)
+    for coeffs, PA in zip(factors, PAs):
         ranks, _ = _numeric_ranks(PA.batch_evaluator()(x))
         factor_ranks.append((coeffs, int(ranks[0]), bool(np.all(ranks == ranks[0]))))
         D = nullspace_frame(PA, box, provenance=f"ker P(A), P={list(coeffs)}",

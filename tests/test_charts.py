@@ -20,6 +20,7 @@ from endochart.corpus import (Example35Spec, build_corpus_field,
                               example35_field, example38_chart,
                               example38_field)
 from endochart.expr import Box
+from endochart.fields import EndoField
 from endochart.flows import (BoxExitError, ComputedVectorField, FlowSpec,
                              IntegratorSettings, integrate_flow,
                              numeric_bracket)
@@ -491,15 +492,35 @@ class TestOneCheckPerStage:
         # clauses 4 and 5 the image frames of A and A^2 (A^2's twice): each
         # is built once per pipeline
         built = []
-        for name in ("kernel_frame", "image_frame"):
-            monkeypatch.setattr(charts, name, lambda A, p, *args, name=name,
+        for name in ("nullspace_frame", "column_frame"):
+            monkeypatch.setattr(charts, name, lambda M, box, provenance, *args,
                                 f=getattr(charts, name), **kwargs: (
-                                    built.append((name, p))
-                                    or f(A, p, *args, **kwargs)))
+                                    built.append(provenance)
+                                    or f(M, box, provenance, *args, **kwargs)))
         data = build_corpus_field("example35-n3")
         jordanize(data["field"], data["chart"])
-        assert sorted(built) == [("image_frame", 1), ("image_frame", 2),
-                                 ("kernel_frame", 1), ("kernel_frame", 2)]
+        assert sorted(built) == ["Im A^1", "Im A^2", "ker A^1", "ker A^2"]
+
+    def test_jordanize_builds_each_power_once(self, monkeypatch):
+        # one ladder A^p = A^(p-1) A, p = 1 .. n, which the frames read
+        products = []
+        matmul = EndoField.matmul
+        monkeypatch.setattr(EndoField, "matmul", lambda self, other: (
+            products.append(other) or matmul(self, other)))
+        data = build_corpus_field("example35-n3")
+        jordanize(data["field"], data["chart"])
+        assert len(products) == data["chart"].index == 3
+
+    @pytest.mark.parametrize("name", JORDANIZE_N2)
+    def test_n2_pipeline_compiles_no_point_power(self, name, monkeypatch):
+        # every flow at n = 2 is symbolic, so nothing reads A^p at a point
+        compiled = []
+        evaluator = EndoField.evaluator
+        monkeypatch.setattr(EndoField, "evaluator", lambda self: (
+            compiled.append(self) or evaluator(self)))
+        data = build_corpus_field(name)
+        jordanize(data["field"], data["chart"])
+        assert compiled == []
 
     def test_stage0_generators_are_kept(self):
         data = build_corpus_field("example35-n3")
@@ -812,7 +833,7 @@ class TestOneBracketRule:
         pipe = state.pipeline
         assert pipe.slots == [(1, 0), (0, 0)]
         frames, brackets = [], []
-        kernel, bracket = charts.kernel_frame, charts._bracket
+        kernel, bracket = charts.nullspace_frame, charts._bracket
 
         def recording_frame(*args, **kwargs):
             frames.append(args)
@@ -821,7 +842,7 @@ class TestOneBracketRule:
         def recording_bracket(fa, fb):
             brackets.append((fa, fb))
             return bracket(fa, fb)
-        monkeypatch.setattr(charts, "kernel_frame", recording_frame)
+        monkeypatch.setattr(charts, "nullspace_frame", recording_frame)
         monkeypatch.setattr(charts, "_bracket", recording_bracket)
         rep = hk_residuals(state, clauses=("1", "3", "4"))
         assert [c.clause for c in rep.clauses] == ["1", "3", "4"]
@@ -1336,6 +1357,27 @@ class TestSharedChain:
                     if t == [0.0, 0.0]:
                         assert math.copysign(1.0, np.frombuffer(z)[axis]) == (
                             math.copysign(1.0, s))
+
+    @pytest.mark.parametrize("stage_index", [0, 1])
+    def test_a_frame_is_matched_by_object_or_bytes(self, stage_index):
+        # consecutive runs pass (a) the W object the last run got, (b) a new
+        # list of equal bytes and (c) a new list that differs only in the
+        # sign of a zero; at stage 0 and t = 0 that sign reaches the answer,
+        # so a frame compared with == would resume (c) from W's chain
+        stage = assemble_chart("example35-n3").pipeline.stage_chart(
+            stage_index)
+        for m, times, W in plan_inputs(stage)[1:]:
+            run = stage._point_plan(m, times)
+            zero = W.index(0.0)
+            flipped = W[:zero] + [-0.0] + W[zero + 1:]
+            for y in ([0.0, 0.0, 0.05], [0.03, -0.02, 0.05]):
+                for frame in (W, W, list(W), flipped, flipped, list(W)):
+                    assert answer(lambda: run(y, frame)) == fresh_run(
+                        stage, m, times, y, frame)
+            if stage_index == 0:
+                y = [0.0, 0.0, 0.05]
+                assert fresh_run(stage, m, times, y, W) != fresh_run(
+                    stage, m, times, y, flipped)
 
     @pytest.mark.parametrize("stage_index", [0, 1])
     def test_a_box_exit_is_never_kept(self, stage_index):

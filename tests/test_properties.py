@@ -71,10 +71,14 @@ def _run(spec, p, t) -> tuple:
 def _loop_field(a: float, b: float, c: float, kind: str = "loop") -> VectorField:
     """A field on R^4 that never moves x4 and reads it: "loop", with a
     quotient, integer powers and exp, and "signs", of products only, so that
-    the sign of a zero reaches the end, are not straight; "straight" reads
-    only x3 and x4, which it does not move."""
+    the sign of a zero reaches the end, are not straight (unless b or c is
+    0 in "signs"); "straight" reads
+    only x3 and x4, which it does not move.  "constant" is (a, b, c, 0),
+    which reads nothing and is straight."""
     x1, x2, x3, x4 = ex.var(1), ex.var(2), ex.var(3), ex.var(4)
     zero = ex.const(0.0)
+    if kind == "constant":
+        return VectorField((ex.const(a), ex.const(b), ex.const(c), zero))
     if kind == "straight":
         return VectorField((
             ex.div(a, ex.add(2.0, ex.mul(x3, x3))),
@@ -112,25 +116,45 @@ _coef = st.floats(-2.0, 2.0)
                   fixed=st.sampled_from([0.0, -0.0, 0.4, 1.5]),
                   t=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
                   step=st.sampled_from([0.05, 0.1]),
-                  kind=st.sampled_from(["loop", "straight", "signs"]),
+                  kind=st.sampled_from(["loop", "straight", "signs",
+                                        "constant"]),
                   frame_seed=st.integers(0, 2 ** 16))
 # stage 1 of step 1 reads x4 = -0.0, every later stage x4 = -0.0 + h 0.0,
 # which is 0.0 for h > 0; here the sign reaches the end
 @hypothesis.example(coefs=(1.0, 1.0, 1.0), m=0, start=(0.0, 0.0, -0.0),
                     fixed=-0.0, t=0.1, step=0.1, kind="signs", frame_seed=0)
+# constant flows: signed zeros that a zero slope keeps, under both signs of
+# t; exits at the first step point (x1 + h a = 1.1) and at the last (x2 + 5 h
+# b = -1.05 while 4 h b stays inside), with t of both signs
+@hypothesis.example(coefs=(0.0, -0.0, 0.5), m=2, start=(-0.0, 0.0, -0.0),
+                    fixed=-0.0, t=0.3, step=0.1, kind="constant", frame_seed=1)
+@hypothesis.example(coefs=(-0.0, 0.0, 0.5), m=1, start=(0.0, -0.0, -0.0),
+                    fixed=0.0, t=-0.3, step=0.1, kind="constant", frame_seed=2)
+@hypothesis.example(coefs=(2.0, 0.0, 0.0), m=0, start=(0.9, 0.0, 0.0),
+                    fixed=0.0, t=0.5, step=0.1, kind="constant", frame_seed=3)
+@hypothesis.example(coefs=(-2.0, 0.0, 0.0), m=2, start=(0.9, 0.0, 0.0),
+                    fixed=0.0, t=-0.5, step=0.1, kind="constant", frame_seed=4)
+@hypothesis.example(coefs=(0.0, -1.0, 0.0), m=1, start=(0.0, -0.55, 0.0),
+                    fixed=0.4, t=0.5, step=0.1, kind="constant", frame_seed=5)
+@hypothesis.example(coefs=(0.0, 1.0, 0.0), m=0, start=(0.0, -0.55, 0.0),
+                    fixed=0.4, t=-0.5, step=0.1, kind="constant", frame_seed=6)
 def test_generated_rk4_loop_equals_numpy_rk4(coefs, m, start, fixed, t, step,
                                             kind, frame_seed):
     # the generated plan step against numpy references on the flat state
     # (x, W), x4 a coordinate the flow does not move (a signed zero, or
     # not, or outside the box): the RK4 oracle steps the state as a numpy array by the same
     # right-hand side, compiled for single points, and tests the box with
-    # `Box.contains`; a straight flow ends at y + tF(y) and leaves where
-    # `line_reference` says.  The time column is the field at the end.
+    # `Box.contains`; a straight flow, a constant one included, ends at
+    # y + tF(y) and leaves where `line_reference` says.  The time column is
+    # the field at the end.
     box = Box.cube(4, 1.0)
     spec = FlowSpec(_loop_field(*coefs, kind), IntegratorSettings(step=step),
                     box)
     gen = spec.generator
-    straight = kind == "straight"
+    # "signs" reads x2 only through x2 x4, which folds away with c = 0, and
+    # moves it only by b x4^3
+    straight = kind in ("straight", "constant") or (
+        kind == "signs" and 0.0 in coefs[1:])
     assert gen.straight == straight
     W0 = np.random.default_rng(frame_seed).normal(size=(4, m))
     W0[1::2] = 0.0                  # zeros, which the closed form keeps

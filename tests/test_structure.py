@@ -416,6 +416,18 @@ def test_report_draws_its_sample_set_once(monkeypatch, report):
     assert draws.count((box, 100, 7)) == 1
 
 
+def test_corollary15_builds_each_factor_once(monkeypatch):
+    # the annihilation gate and the factor checks read the one P(A) of each
+    # of the document's two factors
+    built = []
+    original = structure.poly_endo
+    monkeypatch.setattr(structure, "poly_endo", lambda A, coeffs: (
+        built.append(tuple(coeffs)) or original(A, coeffs)))
+    doc = load_field_document(EXAMPLES / "diagonalizable.json")
+    corollary15_report(doc.field, doc.factors, doc.box, samples=100, seed=7)
+    assert sorted(built) == sorted(tuple(f) for f in doc.factors)
+
+
 @pytest.mark.parametrize("run", ["theorem13", "jordanize"])
 def test_each_distribution_compiles_its_frame_once(monkeypatch, run):
     # a distribution keeps its compiled frame list: the image frame that is
