@@ -69,12 +69,11 @@ def _run(spec, p, t) -> tuple:
 
 
 def _loop_field(a: float, b: float, c: float, kind: str = "loop") -> VectorField:
-    """A field on R^4 that never moves x4 and reads it: "loop", with a
-    quotient, integer powers and exp, and "signs", of products only, so that
-    the sign of a zero reaches the end, are not straight (unless b or c is
-    0 in "signs"); "straight" reads
-    only x3 and x4, which it does not move.  "constant" is (a, b, c, 0),
-    which reads nothing and is straight."""
+    """A field on R^4 that never moves x4: "loop", with a quotient, integer
+    powers and exp, and "signs", of products only, so that the sign of a
+    zero reaches the end, read x4 and are not straight (unless b or c is 0
+    in "signs"); "straight" reads only x3 and x4, which it does not move;
+    "constant" is (a, b, c, 0), which reads nothing and is straight."""
     x1, x2, x3, x4 = ex.var(1), ex.var(2), ex.var(3), ex.var(4)
     zero = ex.const(0.0)
     if kind == "constant":
