@@ -172,11 +172,11 @@ def apply_endo(A: EndoField, X: VectorField) -> VectorField:
 
 
 def endo_power(A: EndoField, p: int) -> EndoField:
-    """Pointwise p-th power; p = 0 gives the identity."""
+    """Pointwise p-th power, from p - 1 products; p = 0 gives the identity."""
     if p < 0:
         raise ValueError("power must be >= 0")
-    out = EndoField.identity(A.dim)
-    for _ in range(p):
+    out = EndoField.identity(A.dim) if p == 0 else A
+    for _ in range(p - 1):
         out = out.matmul(A)
     return out
 

@@ -10,9 +10,10 @@ Each condition report draws one sample set and passes its (d, N) point
 block to the rank, torsion and involutivity checks.  Every check evaluates
 it point-batched (`expr.compile_batch`) and works on stacked arrays: ranks
 by stacked SVD, torsion by the 1-jet kernel `fields.nprime_kernel`,
-involutivity by stacked QR projections (`span_residuals`, which the
-induction clauses of `charts` share).  A witness is the first sample point
-attaining the strict maximum, pairs in (i, j) order.
+involutivity by frame brackets from the frame's 1-jet and stacked QR
+projections (`span_residuals`, which the induction clauses of `charts`
+share).  A witness is the first sample point attaining the strict maximum,
+pairs in (i, j) order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import expr as ex
 from .expr import Box, sample_box
 from .fields import (EndoField, VectorField, endo_power, first_max,
-                     jet_evaluator, lie_bracket, nprime_kernel)
+                     jet_evaluator, nprime_kernel)
 
 __all__ = [
     "StructureProfile", "Distribution", "RankResult", "rank_profile",
@@ -71,7 +72,9 @@ class RankResult:
 def _numeric_ranks(Ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Numeric ranks of a stack of matrices, and whether each has a
     singular value near its rank threshold."""
-    s = np.linalg.svd(Ms, compute_uv=False)
+    live = np.any(Ms != 0.0, axis=(1, 2))   # exact zeros skip the SVD
+    s = np.zeros((len(Ms), min(Ms.shape[1:])))
+    s[live] = np.linalg.svd(Ms[live], compute_uv=False)
     if s.shape[-1] == 0:
         return np.zeros(len(Ms), dtype=int), np.zeros(len(Ms), dtype=bool)
     threshold = SVD_RELATIVE_THRESHOLD * s[:, :1] * Ms.shape[1]
@@ -93,16 +96,16 @@ def _power_ranks(Ms: np.ndarray) -> list:
     threshold."""
     count, d, _ = Ms.shape
     ranks, shaky = [np.full(count, d)], [np.zeros(count, dtype=bool)]
-    P = np.broadcast_to(np.eye(d), Ms.shape)
+    P = Ms
     reached_zero = np.zeros(count, dtype=bool)
     for _ in range(d):
-        P = P @ Ms
         r, s = _numeric_ranks(P)
         ranks.append(r)
         shaky.append(s)
         reached_zero |= r == 0
         if reached_zero.all():
             break
+        P = P @ Ms
     out = []
     for r, s in zip(np.array(ranks).T.tolist(), np.array(shaky).T.tolist()):
         stop = r.index(0) + 1 if 0 in r else len(r)
@@ -227,14 +230,18 @@ class Distribution:
         flat = self._batch(x)
         return flat.reshape(self.rank, self.dim, -1).transpose(2, 1, 0)
 
-
-def _check_pivot_expr(e: ex.ScalarExpr, x: np.ndarray, what: str):
-    vals = ex.compile_batch([e])(x)[0]
-    lo, hi = float(np.min(vals)), float(np.max(vals))
-    if min(abs(lo), abs(hi)) < 1e-7 or lo * hi <= 0.0:
-        raise PivotDegenerationError(
-            f"{what} degenerates on the box (range [{lo:.3e}, {hi:.3e}]); "
-            "shrink the box")
+    def brackets_on(self, x: np.ndarray) -> tuple[np.ndarray, list]:
+        """Frame values [i, m, n] = X_i^m at the points of a (d, N) array x,
+        and the (d, N) brackets [X_i, X_j] = DX_j X_i - DX_i X_j of pairs
+        i < j in order, from the frame's 1-jet compiled as one list."""
+        k, d = self.rank, self.dim
+        comps = [c for F in self.frame for c in F.components]
+        flat = ex.compile_batch(comps + [
+            ex.differentiate(c, l) for l in range(1, d + 1) for c in comps])(x)
+        X, dX = flat[:k * d].reshape(k, d, -1), flat[k * d:].reshape(d, k, d, -1)
+        return X, [np.einsum("ln,lmn->mn", X[i], dX[:, j])
+                   - np.einsum("ln,lmn->mn", X[j], dX[:, i])
+                   for i, j in zip(*np.triu_indices(k, 1))]
 
 
 def nullspace_frame(M: EndoField, box: Box, provenance: str,
@@ -249,7 +256,6 @@ def nullspace_frame(M: EndoField, box: Box, provenance: str,
     M0 = np.asarray(M(center), dtype=float)
     rank = _numeric_rank(M0)
 
-    x = sample_box(box, 60, seed).T        # the pivot checks' points
     rows = [list(r) for r in M.entries]
     work = M0.copy()
     pivots: list[tuple[int, int]] = []  # (row, col)
@@ -270,8 +276,6 @@ def nullspace_frame(M: EndoField, box: Box, provenance: str,
         pivots.append((br, bc))
         used_rows.add(br)
         used_cols.add(bc)
-        _check_pivot_expr(rows[br][bc], x,
-                          f"elimination pivot at row {br + 1}, column {bc + 1}")
         # eliminate column bc from every other row, numerically and symbolically
         for i in range(d):
             if i == br:
@@ -283,6 +287,21 @@ def nullspace_frame(M: EndoField, box: Box, provenance: str,
                 rows[i][j] = ex.sub(rows[i][j], ex.mul(factor_sym, rows[br][j]))
             work[i, bc] = 0.0
             rows[i][bc] = ex.const(0.0)
+
+    x = sample_box(box, 60, seed).T        # the pivot checks' points
+    pivot_exprs = [rows[pr][pc] for pr, pc in pivots]
+    try:
+        values = list(ex.compile_batch(pivot_exprs)(x)) if pivots else []
+    except ex.EvaluationError:
+        # not finite somewhere: one at a time, so earlier pivots check first
+        values = (ex.compile_batch([e])(x)[0] for e in pivot_exprs)
+    for (pr, pc), vals in zip(pivots, values):
+        lo, hi = float(np.min(vals)), float(np.max(vals))
+        if min(abs(lo), abs(hi)) < 1e-7 or lo * hi <= 0.0:
+            raise PivotDegenerationError(
+                f"elimination pivot at row {pr + 1}, column {pc + 1} "
+                f"degenerates on the box (range [{lo:.3e}, {hi:.3e}]); "
+                "shrink the box")
 
     free_cols = [j for j in range(d) if j not in used_cols]
     frame = []
@@ -409,18 +428,18 @@ def involutivity_residual(D: Distribution, x: np.ndarray) -> InvolutivityResult:
     brackets modulo the frame, which is what this measures: the norm of
     each bracket minus its orthogonal projection onto the frame span.  The
     projection needs a full-rank frame, which kernel frames are by
-    construction and image and sum frames are checked to be.
+    construction and image and sum frames are checked to be.  The brackets
+    come from the frame's 1-jet (`Distribution.brackets_on`), as the
+    torsion comes from A's.
     """
     k = len(D.frame)
-    F = D.values_on(x)
-    scale = float(np.max(np.abs(F))) if k else 0.0
+    X, V = D.brackets_on(x) if k > 1 else (D.values_on(x).T, None)
+    scale = float(np.max(np.abs(X))) if k else 0.0
     threshold = INVOLUTIVITY_TOL * (1.0 + scale)
     if k <= 1:
         return InvolutivityResult(True, 0.0, threshold, scale, None, None)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    brackets = [lie_bracket(D.frame[i], D.frame[j]) for i, j in pairs]
-    V = ex.compile_batch([c for B in brackets for c in B.components])(x)
-    R = span_residuals(F, V.reshape(len(pairs), D.dim, -1))
+    R = span_residuals(X.T, V)
     worst, r, n = first_max(R)
     witness = ((tuple(float(v) for v in x[:, n]), pairs[r])
                if worst > 0.0 else (None, None))
@@ -524,9 +543,10 @@ def theorem13_report(A: EndoField, box: Box, samples: int = 100,
 
 def poly_endo(A: EndoField, coeffs) -> EndoField:
     """P(A) for P given by ascending coefficients (c_0, c_1, ...)."""
-    out = EndoField.zero(A.dim)
-    for c in reversed(list(coeffs)):
-        out = out.matmul(A).add(EndoField.identity(A.dim).scaled(float(c)))
+    *rest, lead = [float(c) for c in coeffs] or [0.0]
+    out = EndoField.identity(A.dim).scaled(lead)     # Horner from c_n I
+    for c in reversed(rest):
+        out = out.matmul(A).add(EndoField.identity(A.dim).scaled(c))
     return out
 
 
@@ -550,8 +570,8 @@ def corollary15_report(A: EndoField, factors, box: Box, samples: int = 100,
         raise ValueError("at least one invariant factor is required")
     # product of all P(A) must annihilate A's tangent action
     PAs = [poly_endo(A, coeffs) for coeffs in factors]
-    prod = EndoField.identity(A.dim)
-    for PA in PAs:
+    prod = PAs[0]
+    for PA in PAs[1:]:
         prod = prod.matmul(PA)
     scale = A.entry_scale(box, seed=seed)
     x = sample_box(box, samples, seed).T

@@ -9,7 +9,8 @@ from endochart import expr as ex
 from endochart.expr import Box, sample_box
 from endochart.fields import (EndoField, _nprime_raw, apply_endo,
                               coordinate_field, endo_power, jet_evaluator,
-                              nijenhuis, nprime_kernel, power_jets)
+                              lie_bracket, nijenhuis, nprime_kernel,
+                              power_jets)
 from endochart.fieldfile import load_field_document
 from endochart.reporting import theorem13_to_dict
 from endochart.structure import (AnnihilationError, Distribution,
@@ -191,6 +192,39 @@ class TestKernelFrame:
         A = EndoField(tuple(tuple(r) for r in rows))
         with pytest.raises(PivotDegenerationError):
             kernel_frame(A, 1, Box.cube(2, 1.0))
+
+    @pytest.mark.parametrize("first, second, named", [
+        ("2 + x1", "1 + 2 x2", (2, 2)),       # only the second changes sign
+        ("2 + 3 x1", "1 + 2 x2", (1, 1)),     # both do: the first is named
+        ("2 + 3 x1", "1 / (1 + x2)", (1, 1)),  # the second is infinite too
+    ])
+    def test_first_degenerate_pivot_is_named(self, first, second, named):
+        # diag(first, second, 0): two pivots, chosen in that order since
+        # first > second at the center; the pivots are checked after the
+        # elimination, in pivot order, with one message format
+        x1, x2 = ex.var(1), ex.var(2)
+        exprs = {"2 + x1": ex.add(2.0, x1),
+                 "2 + 3 x1": ex.add(2.0, ex.mul(3.0, x1)),
+                 "1 + 2 x2": ex.add(1.0, ex.mul(2.0, x2)),
+                 "1 / (1 + x2)": ex.div(1.0, ex.add(1.0, x2))}
+        rows = [[exprs[first], Z, Z], [Z, exprs[second], Z], [Z, Z, Z]]
+        box = Box.cube(3, 1.0)
+        pivot = (exprs[first], exprs[second])[named[0] - 1]
+        vals = ex.compile_batch([pivot])(sample_box(box, 60, 2026).T)
+        with pytest.raises(PivotDegenerationError) as err:
+            nullspace_frame(EndoField(tuple(map(tuple, rows))), box, "ker")
+        assert str(err.value) == (
+            f"elimination pivot at row {named[0]}, column {named[1]} "
+            f"degenerates on the box (range [{np.min(vals):.3e}, "
+            f"{np.max(vals):.3e}]); shrink the box")
+
+    def test_infinite_pivot_after_a_sound_one_names_its_subtree(self):
+        # the second pivot is infinite at the box corners x2 = -1
+        rows = [[ex.add(2.0, ex.var(1)), Z],
+                [Z, ex.div(1.0, ex.add(1.0, ex.var(2)))]]
+        with pytest.raises(ex.EvaluationError, match="zero denominator"):
+            nullspace_frame(EndoField(tuple(map(tuple, rows))),
+                            Box.cube(2, 1.0), "ker")
 
 
 class TestImageFrame:
@@ -462,12 +496,14 @@ def test_each_distribution_compiles_its_frame_once(monkeypatch, run):
 
 
 @pytest.mark.parametrize("name, lists", [("example35-n2", 4),
-                                         ("example35-n3", 7)])
+                                         ("example35-n3", 6)])
 def test_theorem13_report_compiles_each_expression_list_once(monkeypatch,
                                                             name, lists):
     # the report runs in one `expr.shared_compiles` scope: A's batch
     # evaluator (the constancy check, then the torsion gate's entry scale)
-    # and, at n = 3, the kernel frame's pivot expression compile once
+    # compiles once.  At n = 3 the six lists are A, A's 1-jet, the pivots
+    # of ker A and of ker A^2 (one list per elimination), ker A's frame
+    # and the 1-jet of ker A^2's frame, which its brackets read
     compiled, batch = [], ex._batch
     monkeypatch.setattr(ex, "_batch", lambda exprs: (
         compiled.append(exprs) or batch(exprs)))
@@ -484,7 +520,9 @@ def test_corollary15_report_compiles_each_expression_list_once(monkeypatch):
         compiled.append(exprs) or batch(exprs)))
     doc = load_field_document(EXAMPLES / "diagonalizable.json")
     corollary15_report(doc.field, doc.factors, doc.box)
-    assert compiled and len(compiled) == len(set(compiled))
+    # A, the annihilation product, A's 1-jet, and per factor its P(A) and
+    # its kernel's pivots and 1-jet
+    assert len(compiled) == len(set(compiled)) == 9
 
 
 def test_corollary15_report_computes_the_entry_scale_once(monkeypatch):
@@ -514,3 +552,125 @@ def test_check_reports_pinned(seed):
         data = corpus.build_corpus_field(name)
         rep = theorem13_report(data["field"], data["box"], seed=seed)
         assert theorem13_to_dict(rep) == golden[f"{name}@{seed}"], name
+
+
+def _report_frames(name: str) -> tuple:
+    """(sample block, kernel frames) of a check report at seed 2026: each
+    ker A^p of `theorem13_report`, or each factor kernel ker P(A) of
+    `corollary15_report`."""
+    if name.startswith("docs-"):
+        doc = load_field_document(EXAMPLES / f"{name[5:]}.json")
+        A, box, factors = doc.field, doc.box, doc.factors
+    else:
+        data = corpus.build_corpus_field(name)
+        A, box, factors = data["field"], data["box"], None
+    if factors:
+        frames = [nullspace_frame(poly_endo(A, f), box, "ker P(A)")
+                  for f in factors]
+    else:
+        profile = theorem13_report(A, box).profile
+        frames = [kernel_frame(A, p, box)
+                  for p in range(1, profile.index if profile else 1)]
+    return sample_box(box, 100, 2026).T, frames
+
+
+def _dense_frame() -> tuple:
+    """The columns of `_dense_field` as a frame, with its sample block: no
+    kernel frame of the reports has a pair whose brackets read both terms
+    of DX_j X_i - DX_i X_j, and these do."""
+    A, box = _dense_field(), Box.cube(3, 0.5)
+    frame = tuple(A.column(j) for j in (1, 2, 3))
+    return sample_box(box, 100, 2026).T, [Distribution(frame, 3, "dense", box)]
+
+
+@pytest.mark.parametrize("name", [*corpus.CORPUS, "docs-diagonalizable",
+                                  "docs-triangular-n3", "dense"])
+def test_frame_brackets_match_symbolic_brackets(name):
+    # the 1-jet brackets against the exact `lie_bracket` trees, pair by pair
+    x, frames = _dense_frame() if name == "dense" else _report_frames(name)
+    for D in frames:
+        if D.rank < 2:
+            continue
+        X, V = D.brackets_on(x)
+        np.testing.assert_array_equal(X, D.values_on(x).T)
+        pairs = [(i, j) for i in range(D.rank) for j in range(i + 1, D.rank)]
+        assert len(V) == len(pairs)
+        tol = 1e-12 * (1.0 + np.max(np.abs(X)))
+        for (i, j), v in zip(pairs, V):
+            exact = ex.compile_batch(
+                lie_bracket(D.frame[i], D.frame[j]).components)(x)
+            assert np.max(np.abs(v - exact)) <= tol, (name, D.provenance, i, j)
+
+
+def test_numeric_ranks_of_a_stack_match_single_matrices():
+    rng = np.random.default_rng(4)
+    stack = np.array([
+        np.zeros((3, 3)),
+        -np.zeros((3, 3)),                            # negative zeros
+        np.array([[0.0, -0.0, 0.0]] * 3),
+        1e-13 * rng.standard_normal((3, 3)),          # under ABSOLUTE_FLOOR
+        np.diag([1.0, 5e-8, 0.0]),                    # near the threshold
+        rng.standard_normal((3, 3)),
+        rng.standard_normal((3, 2)) @ rng.standard_normal((2, 3)),
+        -np.diag([1.0, 2.0, 0.0]),                    # no positive entry
+    ])
+    ranks, shaky = structure._numeric_ranks(stack)
+    single = [structure._numeric_ranks(M[None]) for M in stack]
+    assert ranks.tolist() == [int(r[0]) for r, _ in single] == [
+        0, 0, 0, 0, 2, 3, 2, 2]
+    assert shaky.tolist() == [bool(s[0]) for _, s in single] == [
+        False, False, False, False, True, False, False, False]
+
+
+def test_constancy_check_passes_no_zero_matrix_to_the_svd(monkeypatch):
+    # constant-jordan's last power vanishes at every point: no SVD for it
+    stacks, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda M, **kw: (
+        stacks.append(np.array(M)) or svd(M, **kw)))
+    data = corpus.build_corpus_field("constant-jordan")
+    res = constancy_check(data["field"], sample_box(data["box"], 100, 2026).T)
+    assert res.constant and res.ranks[-1] == 0
+    assert stacks
+    assert all(np.any(M != 0.0, axis=(1, 2)).all() for M in stacks)
+
+
+@pytest.mark.parametrize("name, products", [("example35-n4-const", 3),
+                                            ("block-mixed", 1),
+                                            ("docs-diagonalizable", 3)])
+def test_condition_reports_build_powers_and_products_from_a(monkeypatch,
+                                                           name, products):
+    # A^p takes p - 1 products, P(A) of degree k takes k, and the
+    # annihilation product of m factors m - 1
+    calls, matmul = [], EndoField.matmul
+    monkeypatch.setattr(EndoField, "matmul", lambda self, other: (
+        calls.append(1) or matmul(self, other)))
+    if name.startswith("docs-"):
+        doc = load_field_document(EXAMPLES / f"{name[5:]}.json")
+        corollary15_report(doc.field, doc.factors, doc.box)
+    else:
+        data = corpus.build_corpus_field(name)
+        theorem13_report(data["field"], data["box"])
+    assert len(calls) == products
+
+
+# Full-precision values at seed 2026: the golden files round to 8 digits,
+# so these catch a last-bit drift.
+FULL_PRECISION = {
+    "example37": ("involutivity", "0.9385078997951388", (1, 2), (-1.0,) * 4),
+    "block-mixed": ("involutivity", "0.9121504180418513", (1, 2), (-0.8,) * 7),
+    "example35-n3": ("torsion", "1.734723475976807e-18", None, None),
+    "example38": ("torsion", "2.718281828459045", None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_PRECISION))
+def test_check_residuals_pinned_by_repr(name):
+    kind, residual, pair, point = FULL_PRECISION[name]
+    data = corpus.build_corpus_field(name)
+    rep = theorem13_report(data["field"], data["box"], seed=2026)
+    if kind == "torsion":
+        assert repr(rep.torsion.max_residual) == residual
+        return
+    (p, inv), *_ = rep.kernel_involutivity
+    assert (p, repr(inv.max_residual)) == (1, residual)
+    assert (inv.witness_pair, inv.witness_point) == (pair, point)
