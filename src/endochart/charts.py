@@ -29,7 +29,8 @@ from .expr import Box, compile_batch, sample_box, shared_compiles
 from .fields import (EndoField, VectorField, apply_endo, coordinate_field,
                      first_max, lie_bracket)
 from .flows import (BoxExitError, CompiledField, ComputedVectorField,
-                    FlowSpec, IntegratorSettings, _steps, integrate_flow)
+                    FlowSpec, IntegratorSettings, _kept, _steps,
+                    integrate_flow)
 from .structure import column_frame, nullspace_frame, span_residuals
 
 __all__ = [
@@ -305,17 +306,6 @@ def _chart_point(s, t) -> list:
             + np.asarray(s, dtype=float).tolist())
 
 
-def _kept(memo: dict, key, make, size: int):
-    """memo[key], else make() kept there; past size entries the oldest is
-    dropped.  Callers only read what it returns: the arrays are shared."""
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = make()
-        if len(memo) > size:
-            del memo[next(iter(memo))]
-    return hit
-
-
 def _solving():
     """The error state of `np.linalg.solve`: LinAlgError if singular."""
     return np.errstate(call=_singular, invalid="call")
@@ -361,7 +351,6 @@ class _StageChart:
         self._differentials: dict[bytes, tuple] = {}
         self._starts: dict[bytes, np.ndarray] = {}
         self._plans: dict[tuple, object] = {}
-        self._basis = self.section.basis_matrix().ravel().tolist()
         self._key = struct.Struct(f"{self.section.dim}d").pack
 
     @property
@@ -370,7 +359,7 @@ class _StageChart:
 
     def forward(self, s, t) -> np.ndarray:
         """Phi(sigma(s), t): the point plan of an empty frame."""
-        z = self._point_plan(0, False)(_chart_point(s, t), [])
+        z = self._point_plan(0, False)(_chart_point(s, t))
         return np.array(z[:self.section.dim])
 
     def chart_ranges(self) -> list:
@@ -413,8 +402,7 @@ class _StageChart:
         d = self.section.dim
 
         def make():
-            z = np.array(self._point_plan(len(self.section.axes), True)(
-                y, self._basis))
+            z = np.array(self._point_plan(len(self.section.axes), True)(y))
             return z[:d], z[d:].reshape(d, d)
         return _kept(self._differentials, self._key(*y), make, self.MEMO)
 
@@ -428,40 +416,38 @@ class _StageChart:
         columns that share a prefix of flows run it once (`_point_plan`).
         Time columns, in canonical slot order, are each flow's generator
         value at its endpoint carried through the later flows; section
-        columns are the transported section frame, as `forward_transport`
-        gives them.
+        columns are the transported section frame, as `section_frame` gives
+        them.
         """
         y = np.asarray(y, dtype=float)
         d, run = self.section.dim, self._point_plan(len(self.section.axes), True)
-        z = np.array([run(c, self._basis) for c in np.atleast_2d(y.T).tolist()])
+        z = np.array([run(c) for c in np.atleast_2d(y.T).tolist()])
         x = np.ascontiguousarray(z[:, :d].T)
         D = np.ascontiguousarray(z[:, d:]).reshape(-1, d, d)
         return (x, D) if y.ndim == 2 else (x[:, 0], D[0])
 
-    def forward_transport(self, s, t, W0: np.ndarray) -> tuple:
-        """Transport the columns of W0 from sigma(s) through the composition."""
-        d, m = W0.shape
-        W = np.asarray(W0, dtype=float).ravel().tolist()
-        z = self._point_plan(m, False)(_chart_point(s, t), W)
-        return np.array(z[:d]), np.array(z[d:]).reshape(d, m)
-
     def section_frame(self, q) -> np.ndarray:
         """The section fields Z^(k+1)(q) of the next stage as columns: one
-        inversion, then `forward_transport` there.  Not kept: the A^p Z
-        fields that read it keep their own values (`ComputedVectorField`)."""
+        inversion, then the section frame transported there by the plan
+        without time columns, which would cost a computed flow more +-h
+        trajectories.  Not kept: the A^p Z fields that read it keep their
+        own values (`ComputedVectorField`)."""
         s, t = self.inverse(q)
-        return self.forward_transport(s, t, self.section.basis_matrix())[1]
+        d, m = self.section.dim, len(self.section.axes)
+        z = self._point_plan(m, False)(_chart_point(s, t))
+        return np.array(z[d:]).reshape(d, m)
 
     def _point_plan(self, m: int, times: bool):
-        """The composition of one start for a starting frame of width m,
-        planned on first use: `run(y, W) -> z`, with y the chart point
-        (t, s) and W the starting frame, flat row by row, both lists of
-        Python floats, and z the end point, then the end frame flat.  With
-        `times` (from the section frame), each flow's generator value at
-        its end joins the frame as a new column, and the end frame's
-        columns are in chart order.  This is the one executor of the
-        composition: `forward`, `forward_transport` and each point of
-        `forward_differential`, a block's columns included, run it.
+        """The composition of one start, planned on first use: `run(y) -> z`,
+        with y the chart point (t, s), a list of Python floats, and z the
+        end point, then the end frame flat row by row.  The plan owns its
+        starting frame: none for m = 0 (`forward`), else the section frame
+        (m its width).  With `times` (`differential` and each point of
+        `forward_differential`, a block's columns included), each flow's
+        generator value at its end joins the frame as a new column, and
+        the end frame's columns are in chart order; without (`section_frame`)
+        the frame is the section frame alone.  This is the one executor of
+        the composition.
 
         Resolved once: the application order, the index list that lays out
         sigma(s), and per flow one step.  A symbolic flow's step is its
@@ -472,24 +458,20 @@ class _StageChart:
         `_transport_computed` on arrays, which threads the end's place in a
         parent chart to the next computed flow.
 
-        A plan keeps the chain of its last run: W, the bytes of W and of y,
-        and the state (z, place) after each flow.  A run resumes after the
-        deepest flow whose inputs are unchanged bit for bit: s and W, then
-        each flow's time in application order (-0.0 == 0.0, yet a section
-        coordinate -0.0 gives another sigma(s)).  W is packed only when it
-        is not the object the last run got, so a caller never changes a W
-        it has passed: `differential` and `forward_differential` pass the
-        section frame's one list, packed once per plan; `forward` and
-        `forward_transport` build new lists, compared by bytes.  So
-        consecutive points that share a prefix, the columns of a block in
-        fan-out order or the RK4 stages of a pulled-back flow, run each
-        shared flow once; every step is a pure function of (z, t, place),
-        so no answer moves.  A run publishes its chain when
-        its last flow is done, and changes no chain published before: a run
-        that raises keeps nothing, so the next run that reaches the same
-        flow raises its exit again, and a plan re-entered through a computed
-        generator stays right.  The z returned is also the last state of
-        the chain, so callers copy it and never change it in place.
+        A plan keeps the chain of its last run: the bytes of y and the
+        state (z, place) after each flow.  A run resumes after the deepest
+        flow whose inputs are unchanged bit for bit: s, then each flow's
+        time in application order (-0.0 == 0.0, yet a section coordinate
+        -0.0 gives another sigma(s)).  So consecutive points that share a
+        prefix, the columns of a block in fan-out order or the RK4 stages
+        of a pulled-back flow, run each shared flow once; every step is a
+        pure function of (z, t, place), so no answer moves.  A run
+        publishes its chain when its last flow is done, and changes no
+        chain published before: a run that raises keeps nothing, so the
+        next run that reaches the same flow raises its exit again, and a
+        plan re-entered through a computed generator stays right.  The z
+        returned is also the last state of the chain, so callers copy it
+        and never change it in place.
         """
         plan = self._plans.get((m, times))
         if plan is not None:
@@ -498,9 +480,9 @@ class _StageChart:
         # sigma(s) gathered from y + [0.0]: s on the section axes, else 0
         N = self.n_flows
         start = [N + axes.index(i) if i in axes else -1 for i in range(d)]
-        # the bytes of y: the times, then s (`rest`); and those of W
+        W = self.section.basis_matrix().ravel().tolist() if m else []
+        # the bytes of y: the times, then s (`rest`)
         pack, rest = self._key, slice(8 * N, None)
-        pack_frame = struct.Struct(f"{d * m}d").pack
         time_bytes = [slice(8 * a, 8 * a + 8) for a in self.application_order]
         flows = []
         for k, alpha in enumerate(self.application_order, 1):
@@ -521,16 +503,12 @@ class _StageChart:
             m += times
 
         tails = [flows[k:] for k in range(N + 1)]
-        chain = (None, b"", b"", [])    # the last run's: none yet
+        chain = (b"", [])    # the last run's: none yet
 
-        def run(y: list, W: list) -> list:
+        def run(y: list) -> list:
             nonlocal chain
-            kept_W, frame, last, kept = chain
+            last, kept = chain
             packed = pack(*y)
-            if W is not kept_W:
-                fresh = pack_frame(*W)
-                if fresh != frame:
-                    frame, kept = fresh, []
             if kept and packed[rest] == last[rest]:
                 states = kept[:1]
                 for t, state in zip(time_bytes, kept[1:]):
@@ -547,7 +525,7 @@ class _StageChart:
                 else:
                     z, at = step(z, y[alpha], at)
                 states.append((z, at))
-            chain = (W, frame, packed, states)
+            chain = (packed, states)
             return z
         plan = self._plans[key] = run
         return plan
@@ -726,21 +704,6 @@ class _Pullback:
         return np.array(y)
 
 
-class _SectionField:
-    """The section field Z_i^(k+1) at ambient points: column i of the
-    stage-k chart's `section_frame`."""
-
-    symbolic = False
-
-    def __init__(self, chart: _StageChart, i: int):
-        self.chart = chart
-        self.i = i
-        self.dim = chart.section.dim
-
-    def value(self, q) -> np.ndarray:
-        return self.chart.section_frame(q)[:, self.i]
-
-
 # ---------------------------------------------------------------------------
 # The pipeline.
 
@@ -782,10 +745,9 @@ class _Pipeline:
         return max(0, min(k, self.n - p - 1))
 
     def generator(self, p: int, i: int, k: int):
-        """The field A^p Z_i^(k) as a flow generator (stage-reduced); a
-        symbolic one is compiled once per pipeline."""
-        if p == 0 and k > 0:
-            return _SectionField(self.stage_chart(k - 1), i)
+        """The field A^p Z_i^(k) as a flow generator (stage-reduced), kept
+        per pipeline: a symbolic one compiled, any other computed from the
+        parent chart's `section_frame`, which inverts that chart."""
         rep = self.rep_stage(p, k)
         key = (p, i, rep)
         hit = self._gen_cache.get(key)
@@ -795,10 +757,9 @@ class _Pipeline:
             gen = self.compiled(apply_endo(self._powers[p], self._z0[i])
                                 if p else self._z0[i])
         else:
-            z = self.generator(0, i, rep)
-            Ap = self.power_ev(p)
+            parent, Ap = self.stage_chart(rep - 1), self.power_ev(p)
             gen = ComputedVectorField(
-                lambda q, z=z, Ap=Ap: Ap(q) @ z.value(q), self.d)
+                lambda q: Ap(q) @ parent.section_frame(q)[:, i], self.d)
         self._gen_cache[key] = gen
         return gen
 

@@ -238,20 +238,10 @@ class OracleChart35:
         self._P = [ex.compile_expr(p) for p in P]
         self._dP1_dxn = ex.compile_expr(ex.differentiate(P[0], spec.n)) \
             if spec.n >= 2 else None
-        self._memo: dict[tuple, np.ndarray] = {}
 
     def evaluate(self, point) -> np.ndarray:
-        key = tuple(round(float(v), 12) for v in point)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._evaluate(np.asarray(point, dtype=float))
-            self._memo[key] = hit
-        return hit
-
-    __call__ = evaluate
-
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        n = self.n
+        """The chart at the point, computed afresh for every call."""
+        x, n = np.asarray(point, dtype=float), self.n
         if n == 1:
             return x.copy()
         if n == 2:
@@ -260,6 +250,8 @@ class OracleChart35:
             y2, y1 = self._y_n3(x)
             return np.array([y1, y2, x[2]])
         return self._evaluate_general(x)
+
+    __call__ = evaluate
 
     def _y_n2(self, x) -> float:
         P1 = self._P[0]

@@ -199,6 +199,17 @@ class CompiledField:
         return self.value(p)
 
 
+def _kept(memo: dict, key, make, size: int):
+    """memo[key], else make() kept there; past size entries the oldest is
+    dropped.  Callers only read what it returns: the arrays are shared."""
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = make()
+        if len(memo) > size:
+            del memo[next(iter(memo))]
+    return hit
+
+
 class ComputedVectorField:
     """A vector field defined by a procedure, with memoised evaluations.
 
@@ -219,14 +230,8 @@ class ComputedVectorField:
         return False
 
     def value(self, p) -> np.ndarray:
-        key = np.asarray(p, dtype=float).tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = np.asarray(self.fn(p), dtype=float)
-            self._cache[key] = hit
-            if len(self._cache) > self.MEMO:
-                del self._cache[next(iter(self._cache))]
-        return hit
+        return _kept(self._cache, np.asarray(p, dtype=float).tobytes(),
+                     lambda: np.asarray(self.fn(p), dtype=float), self.MEMO)
 
     def cache_size(self) -> int:
         return len(self._cache)

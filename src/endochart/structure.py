@@ -233,9 +233,14 @@ class Distribution:
     def brackets_on(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         """Frame values [i, m, n] = X_i^m at the points of a (d, N) array x,
         and the (d, N) brackets [X_i, X_j] = DX_j X_i - DX_i X_j of pairs
-        i < j in order, from the frame's 1-jet compiled as one list."""
+        i < j in order, from the frame's 1-jet compiled as one list.  A
+        frame of constants has zero brackets and compiles no partials."""
         k, d = self.rank, self.dim
         comps = [c for F in self.frame for c in F.components]
+        if all(isinstance(c, ex.Const) for c in comps):
+            zero = np.zeros((d, x.shape[1]))
+            return (self._batch(x).reshape(k, d, -1),
+                    [zero] * (k * (k - 1) // 2))
         flat = ex.compile_batch(comps + [
             ex.differentiate(c, l) for l in range(1, d + 1) for c in comps])(x)
         X, dX = flat[:k * d].reshape(k, d, -1), flat[k * d:].reshape(d, k, d, -1)

@@ -207,6 +207,16 @@ class TestOracleChart:
         slow = oracle._evaluate_general(p)
         assert np.max(np.abs(fast - slow)) <= 1e-6
 
+    def test_a_neighbouring_point_gets_its_own_value(self):
+        # the two points agree to 12 decimals, yet each gets the value a
+        # fresh oracle computes for it
+        spec = build_corpus_field("example35-n3")["spec"]
+        oracle = example35_solve(spec)
+        p, near = (0.1, 0.2, 0.3), (0.1 + 1e-13, 0.2, 0.3)
+        first = oracle(p)
+        assert oracle(near).tobytes() == example35_solve(spec)(near).tobytes()
+        assert oracle(near)[0] != first[0]
+
     def test_vanishes_on_section(self):
         spec = Example35Spec.from_theta(3)
         oracle = example35_solve(spec, panels=64)

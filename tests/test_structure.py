@@ -602,6 +602,22 @@ def test_frame_brackets_match_symbolic_brackets(name):
             assert np.max(np.abs(v - exact)) <= tol, (name, D.provenance, i, j)
 
 
+def test_a_constant_frame_compiles_no_partials(monkeypatch):
+    # block-mixed's ker A^2 frame holds constants only: its brackets vanish
+    # identically, so only its values are compiled
+    x, frames = _report_frames("block-mixed")
+    [D] = [D for D in frames if all(isinstance(c, ex.Const)
+                                    for F in D.frame for c in F.components)]
+    asked, batch = [], ex.compile_batch
+    monkeypatch.setattr(ex, "compile_batch", lambda exprs: (
+        asked.append(len(exprs)) or batch(exprs)))
+    X, V = D.brackets_on(x)
+    assert asked == [D.rank * D.dim]
+    np.testing.assert_array_equal(X, D.values_on(x).T)
+    assert len(V) == D.rank * (D.rank - 1) // 2 > 0
+    assert all(v.shape == x.shape and not v.any() for v in V)
+
+
 def test_numeric_ranks_of_a_stack_match_single_matrices():
     rng = np.random.default_rng(4)
     stack = np.array([
