@@ -306,6 +306,31 @@ def _chart_point(s, t) -> list:
             + np.asarray(s, dtype=float).tolist())
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _lstsq(J, b) -> np.ndarray:
+    """`np.linalg.lstsq(J, b, rcond=None)[0]` for a (d, N) array J and a
+    (d,) array b, bit for bit: the LAPACK gelsd gufunc it calls, with its
+    rcond eps max(d, N), signature and error state, and without its
+    wrappers.  LinAlgError when the SVD does not converge, as numpy's."""
+    with np.errstate(call=_unconverged, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(J, b[:, None], _EPS * max(J.shape),
+                                signature="ddd->ddid")[0]
+    return x[:, 0]
+
+
+def _unconverged(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _norm(v) -> float:
+    """`np.linalg.norm` of a contiguous 1-D float array, bit for bit: the
+    square root of its dot with itself, numpy's own formula."""
+    return math.sqrt(v.dot(v))
+
+
 def _solving():
     """The error state of `np.linalg.solve`: LinAlgError if singular."""
     return np.errstate(call=_singular, invalid="call")
@@ -348,6 +373,8 @@ class _StageChart:
             gen = pipeline.flow_generator(a, i, stage)
             self.specs.append(gen.spec if isinstance(gen, _Pullback)
                               else FlowSpec(gen, st.integrator, box))
+        # every flow symbolic: the chart's DPhi costs no +-h trajectories
+        self.symbolic = all(spec.generator.symbolic for spec in self.specs)
         self._differentials: dict[bytes, tuple] = {}
         self._starts: dict[bytes, np.ndarray] = {}
         self._plans: dict[tuple, object] = {}
@@ -387,23 +414,25 @@ class _StageChart:
             return np.concatenate([t, s])
         return _kept(self._starts, x.tobytes(), solve, self.MEMO)
 
-    def differential(self, y: list) -> tuple[np.ndarray, np.ndarray]:
+    def differential(self, y: list) -> tuple[list, np.ndarray]:
         """`forward_differential` at the chart point y, a list of Python
-        floats, as two views of one array of the plan's answer; the last
-        MEMO points asked are kept by their exact bytes, those of y as an
-        array.  The end of a flow and the start of the next one in this
-        chart share a point; trajectories of a pulled-back flow from one
-        start meet the same points again.  A point missed here may still
-        share a prefix with the plan's last run: the RK4 stage points
-        y + (h/2) k1 and y + (h/2) k2 of a pulled-back flow can share the
-        section coordinates and the first flow's time, and then run that
-        flow once (`_point_plan`).  Blocks (`forward_differential`) do not
-        pass through this memo."""
+        floats, read off the plan's answer: Phi(y) as its list of Python
+        floats and DPhi(y) as one (d, d) array.  The last MEMO points asked
+        are kept by their exact bytes, those of y as an array, and callers
+        only read what is kept.  The end of a flow and the start of the
+        next one in this chart share a point; trajectories of a pulled-back
+        flow from one start meet the same points again, and an all-symbolic
+        chart's `section_frame` reads its frames here.  A point missed here
+        may still share a prefix with the plan's last run: the RK4 stage
+        points y + (h/2) k1 and y + (h/2) k2 of a pulled-back flow can share
+        the section coordinates and the first flow's time, and then run
+        that flow once (`_point_plan`).  Blocks (`forward_differential`) do
+        not pass through this memo."""
         d = self.section.dim
 
         def make():
-            z = np.array(self._point_plan(len(self.section.axes), True)(y))
-            return z[:d], z[d:].reshape(d, d)
+            z = self._point_plan(len(self.section.axes), True)(y)
+            return z[:d], np.array(z[d:]).reshape(d, d)
         return _kept(self._differentials, self._key(*y), make, self.MEMO)
 
     def forward_differential(self, y) -> tuple[np.ndarray, np.ndarray]:
@@ -428,13 +457,20 @@ class _StageChart:
 
     def section_frame(self, q) -> np.ndarray:
         """The section fields Z^(k+1)(q) of the next stage as columns: one
-        inversion, then the section frame transported there by the plan
-        without time columns, which would cost a computed flow more +-h
-        trajectories.  Not kept: the A^p Z fields that read it keep their
-        own values (`ComputedVectorField`)."""
+        inversion, then the section frame transported there.  When every
+        flow is symbolic, the frame is the section columns of `differential`
+        at the inverse's chart point, through its memo: a symbolic flow
+        carries each column alone, so they are the frame plan's bit for
+        bit.  A stage with a computed flow runs the plan without time
+        columns, which would cost that flow more +-h trajectories.  Not
+        kept here: the A^p Z fields that read it keep their own values
+        (`ComputedVectorField`)."""
         s, t = self.inverse(q)
         d, m = self.section.dim, len(self.section.axes)
-        z = self._point_plan(m, False)(_chart_point(s, t))
+        y = _chart_point(s, t)
+        if self.symbolic:
+            return self.differential(y)[1][:, self.n_flows:].copy()
+        z = self._point_plan(m, False)(y)
         return np.array(z[d:]).reshape(d, m)
 
     def _point_plan(self, m: int, times: bool):
@@ -445,9 +481,10 @@ class _StageChart:
         (m its width).  With `times` (`differential` and each point of
         `forward_differential`, a block's columns included), each flow's
         generator value at its end joins the frame as a new column, and
-        the end frame's columns are in chart order; without (`section_frame`)
-        the frame is the section frame alone.  This is the one executor of
-        the composition.
+        the end frame's columns are in chart order; without, the frame is
+        the section frame alone: `section_frame` runs that plan only on a
+        chart with a computed flow, and reads the others' frames off the
+        `differential` plan.  This is the one executor of the composition.
 
         Resolved once: the application order, the index list that lays out
         sigma(s), and per flow one step.  A symbolic flow's step is its
@@ -596,7 +633,7 @@ class _StageChart:
         starts at t = 0, the section projection, where the forward map
         costs nothing, so the answer depends on q alone.
         """
-        q = np.asarray(q, dtype=float)
+        q = np.ascontiguousarray(q, dtype=float)
         s = self.section.project(q)
         N = self.n_flows
         if N == 0:
@@ -605,19 +642,19 @@ class _StageChart:
         tmax = 4.0 * self.pipeline.chart_box.diameter
         x = self.forward(s, t)
         r = x - q
-        rn = float(np.linalg.norm(r))
-        tol = NEWTON_TOL * (1.0 + float(np.linalg.norm(q)))
+        rn = _norm(r)
+        tol = NEWTON_TOL * (1.0 + _norm(q))
         for _ in range(NEWTON_MAXITER):
             if rn <= tol:
                 return s, t
             J = np.column_stack([g.value(x) for g in self.generators])
-            delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
+            delta = _lstsq(J, -r)
             lam = 1.0
             while lam > 1.0 / 64.0:
                 t_new = np.clip(t + lam * delta, -tmax, tmax)
                 x_new = self.forward(s, t_new)
                 r_new = x_new - q
-                rn_new = float(np.linalg.norm(r_new))
+                rn_new = _norm(r_new)
                 if rn_new < rn:
                     t, x, r, rn = t_new, x_new, r_new, rn_new
                     break
@@ -657,7 +694,7 @@ class _Pullback:
 
     def point(self, y) -> np.ndarray:
         """The ambient point Phi_P(y)."""
-        return self.parent.differential(y.tolist())[0]
+        return np.array(self.parent.differential(y.tolist())[0])
 
     def flow(self, y0: np.ndarray, t: float) -> np.ndarray:
         """The parent coordinates of the end of the flow from the parent
@@ -673,11 +710,13 @@ class _Pullback:
     def _rk4(self, y0: np.ndarray, t: float) -> np.ndarray:
         """`flows._rk4_step`'s steps (`flows._steps`) of y' = V(y) from y0
         after time t (not 0), on a list y of Python floats: per stage one
-        `differential` of P, one matvec and one LAPACK solve.  Each step
-        end's Phi_P is box-checked, and its differential serves the next
-        step's first stage.  A box exit that P's own flows raise inside
-        step k is this flow's exit at k h, at P's point; one they raise at
-        y0 itself, before any step, stays P's."""
+        `differential` of P, then one matvec and one LAPACK solve.  Its
+        Phi_P is the plan's list, which A^p's compiled evaluator and the
+        box check read as it is; its DPhi_P is the one array a memo miss
+        makes.  Each step end's Phi_P is box-checked, and its differential
+        serves the next step's first stage.  A box exit that P's own flows
+        raise inside step k is this flow's exit at k h, at P's point; one
+        they raise at y0 itself, before any step, stays P's."""
         n, h = _steps(self.spec, t)
         h2, h6 = 0.5 * h, h / 6.0
         box, diff = self.spec.box, self.parent.differential
@@ -820,7 +859,7 @@ class _Pipeline:
             return gen
         rep = self.rep_stage(p, k)
         parent = self.stage_chart(rep - 1)
-        if not all(g.symbolic for g in parent.generators):
+        if not parent.symbolic:
             return gen
         key = ("pullback", p, i, rep)
         if key not in self._gen_cache:

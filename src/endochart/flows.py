@@ -175,13 +175,18 @@ class CompiledField:
                 self._trees(m), self.straight, box, step, layout)
         return f
 
+    @cached_property
+    def _jacobian(self) -> list:
+        """V's Jacobian trees, d_jV_i as [i][j], differentiated once."""
+        return self.field.jacobian_exprs()
+
     def _trees(self, m: int) -> list:
         """V's components, then K_ic for i, c in order."""
         trees = list(self.field.components)
         if m == 0:
             return trees
         d = self.dim
-        for row in self.field.jacobian_exprs():
+        for row in self._jacobian:
             trees += [add(*[mul(e, Var(d + 1 + j * m + c))
                             for j, e in enumerate(row)]) for c in range(m)]
         return trees
@@ -367,11 +372,11 @@ def _rk4_lines(exprs: tuple, box: Box | None) -> list:
             *hoisted]
     step = ["if k:", *("    " + line for line in lines)] if peel else [*lines]
     stages = [first]
+    _, body, v = _emit(exprs, later, fixed)     # stages b, c and the last
     for out, scale in [("b", "h2"), ("c", "h2"), (None, "h")]:
         step += [f"z{i} = y{i} + {scale} * {stages[-1][i]}" for i in moved
                  if i + 1 in read]
-        _, lines, v = _emit(exprs, later, fixed)
-        step += lines
+        step += body
         stages.append(v if out is None else _slopes(exprs, v, out, step))
     step += [f"y{i} = y{i} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {e})"
              for i, (a, b, c, e) in enumerate(zip(*stages)) if i not in fixed]

@@ -1139,9 +1139,10 @@ class TestParentCoordinateFlows:
     def test_round_trips_compute_a_fixed_number_of_differentials(
             self, monkeypatch):
         # forward + coords at 4 fixed chart points of a fresh chart: every
-        # stage-0 single-point differential the pulled-back flows compute
-        # (a miss of the parent's memo) runs stage 0's single-point plan
-        # with the section frame and time columns, and no other query does
+        # stage-0 single-point differential that the pulled-back flows or
+        # stage 0's section_frame compute (a miss of the parent's memo) runs
+        # stage 0's single-point plan with the section frame and time
+        # columns, and no other query does
         chart = assemble_chart("example35-n3")
         stage0 = chart.pipeline.stage_chart(0)
         m = len(chart.pipeline.section.axes)
@@ -1154,7 +1155,7 @@ class TestParentCoordinateFlows:
         monkeypatch.setattr(charts._StageChart, "_point_plan", counting)
         for y in latin_hypercube(chart.chart_ranges(), 4, seed=2026):
             chart.coords(chart.forward(y))
-        assert runs.count((True, m, True)) == 252
+        assert runs.count((True, m, True)) == 255
         assert all(stage or not times for stage, _, times in runs)
 
     def test_n4_jordanize_inverts_no_shifted_start(self, monkeypatch):
@@ -1184,7 +1185,7 @@ class TestParentCoordinateFlows:
         assert starts and inversions.count("direct") == 0
         assert sum(q not in centres for q in starts) == 0
         assert (inversions.count("frame"), len(starts)) == (1168, 51)
-        assert len(compiles) == 9
+        assert len(compiles) == 7
 
     def test_n3_jordanize_work_is_pinned(self, monkeypatch):
         # at the defaults every inversion is a section-frame value, the time
@@ -1194,7 +1195,7 @@ class TestParentCoordinateFlows:
         data = build_corpus_field("example35-n3")
         jordanize(data["field"], data["chart"])
         assert [asker for asker, _ in inversions.log] == ["frame"] * 79
-        assert len(compiles) == 6
+        assert len(compiles) == 4
 
     def test_box_check_tests_the_parents_point(self, monkeypatch):
         # a pulled-back flow in the coordinates y of its parent chart P is
@@ -1273,6 +1274,118 @@ class TestParentCoordinateFlows:
             chart.forward(y)
         assert 0.0 < err.value.time < 2.0
         assert not chart.pipeline.working_box.contains(err.value.point)
+
+
+class TestSectionFrameFork:
+    """`section_frame` reads a chart's frame off the differential plan when
+    every flow is symbolic, and runs the plan without time columns when a
+    flow is computed."""
+
+    @staticmethod
+    def frame_plan(stage, q) -> np.ndarray:
+        """The section frame at q by the plan without time columns."""
+        s, t = stage.inverse(q)
+        d, m = stage.section.dim, len(stage.section.axes)
+        z = stage._point_plan(m, False)(charts._chart_point(s, t))
+        return np.array(z[d:]).reshape(d, m)
+
+    @pytest.mark.parametrize("name", ["example35-n2", "example35-n3",
+                                      "example35-n3-xn", "conjugated-n2-d4"])
+    def test_symbolic_stage_reads_the_differential(self, name, monkeypatch):
+        stage = assemble_chart(name).pipeline.stage_chart(0)
+        assert stage.symbolic
+        N = stage.n_flows
+        ys = latin_hypercube(stage.chart_ranges(), 20, seed=29)
+        points = [stage.forward(y[N:], y[:N]) for y in ys]
+        # a section coordinate -0.0 gives another sigma(s) than 0.0; the
+        # flows keep a section coordinate up to a zero's sign
+        y = ys[0].copy()
+        y[N] = 0.0
+        q = stage.forward(y[N:], y[:N])
+        q[stage.section.axes[0]] = -0.0
+        points.append(q)
+        expect = [self.frame_plan(stage, q).tobytes() for q in points]
+        plans = []
+        point_plan = charts._StageChart._point_plan
+        monkeypatch.setattr(charts._StageChart, "_point_plan",
+                            lambda self, m, times: plans.append((m, times))
+                            or point_plan(self, m, times))
+        got = [stage.section_frame(q) for q in points]
+        assert [f.tobytes() for f in got] == expect
+        assert all(f.flags.c_contiguous for f in got)
+        assert (len(stage.section.axes), False) not in plans
+
+    def test_stage_with_a_computed_flow_runs_the_frame_plan(
+            self, monkeypatch):
+        # stage 1 of n = 4 flows A Z^(1) in the ambient space: time columns
+        # would add +-h trajectories of it
+        settings = PipelineSettings(integrator=IntegratorSettings(step=5e-2))
+        stage = assemble_chart("example35-n4-const",
+                               settings).pipeline.stage_chart(1)
+        assert not stage.symbolic
+        y = latin_hypercube(stage.chart_ranges(), 1, seed=29)[0]
+        q = stage.forward(y[stage.n_flows:], y[:stage.n_flows])
+        m = len(stage.section.axes)
+        plans = []
+        point_plan = charts._StageChart._point_plan
+        monkeypatch.setattr(
+            charts._StageChart, "_point_plan", lambda self, width, times: (
+                self is stage and plans.append((width, times)))
+            or point_plan(self, width, times))
+        frame = stage.section_frame(q)
+        assert (m, False) in plans and (m, True) not in plans
+        monkeypatch.undo()
+        assert frame.tobytes() == self.frame_plan(stage, q).tobytes()
+
+
+def lstsq_cases():
+    """(J, b): random (d, N) J for d = 2..7 and N = 1..d, then the same
+    shapes rank-deficient, with a zero column, and with -0.0 entries; where
+    N + 2 <= d, also one whose last singular value lies between the
+    cut-offs eps N and eps d, which only numpy's rcond eps max(d, N) drops."""
+    rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
+    for d in range(2, 8):
+        for N in range(1, d + 1):
+            J, b = rng.standard_normal((d, N)), rng.standard_normal(d)
+            yield J, b
+            if N + 2 <= d:
+                U = np.linalg.qr(rng.standard_normal((d, N)))[0]
+                V = np.linalg.qr(rng.standard_normal((N, N)))[0]
+                sigma = np.ones(N)
+                sigma[-1] = 0.5 * (N + d) * eps
+                yield (U * sigma) @ V, b
+            low = J.copy()
+            low[:, -1] = 2.0 * low[:, 0]
+            yield low, b
+            yield rng.standard_normal((d, 1)) * rng.standard_normal(N), b
+            zero = J.copy()
+            zero[:, rng.integers(N)] = 0.0
+            yield zero, b
+            signed = J.copy()
+            signed[rng.random(J.shape) < 0.4] = -0.0
+            yield signed, np.where(rng.random(d) < 0.4, -0.0, b)
+            yield np.full((d, N), -0.0), b
+
+
+def test_lstsq_is_numpys():
+    cases = list(lstsq_cases())
+    assert len(cases) == 6 * 27 + 15
+    for J, b in cases:
+        expect = np.linalg.lstsq(J, b, rcond=None)[0]
+        got = charts._lstsq(J, b)
+        assert got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+
+
+def test_lstsq_raises_numpys_error():
+    J = np.array([[np.nan, 1.0], [0.0, 1.0], [1.0, 2.0]])
+    b = np.ones(3)
+    with pytest.raises(np.linalg.LinAlgError) as numpy_err:
+        np.linalg.lstsq(J, b, rcond=None)
+    with pytest.raises(np.linalg.LinAlgError) as err:
+        charts._lstsq(J, b)
+    assert str(err.value) == str(numpy_err.value)
 
 
 def fresh_run(stage, m: int, times: bool, y: list):

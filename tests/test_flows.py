@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from endochart import expr as ex
+from endochart import flows
+from endochart.charts import initial_frame
+from endochart.corpus import CORPUS, build_corpus_field
 from endochart.expr import Box
-from endochart.fields import VectorField, coordinate_field, lie_bracket
+from endochart.fields import (VectorField, apply_endo, coordinate_field,
+                              lie_bracket)
 from endochart.flows import (BoxExitError, CompiledField,
                              ComputedVectorField, FlowSpec,
                              IntegratorSettings, _check_line, _point_flow,
@@ -528,3 +532,87 @@ class TestOneProductRule:
                     for c in range(3)]
             assert all(xc.tobytes() == x.tobytes() for xc, _ in cols)
             assert np.hstack([Wc for _, Wc in cols]).tobytes() == W.tobytes()
+
+
+def rk4_lines_per_stage(exprs: tuple, box: Box | None) -> list:
+    """`flows._rk4_lines` as it was, with one `_emit` per later RK4 stage:
+    the reference its single `_emit` of stages b, c and the last must
+    match."""
+    entries = range(len(exprs))
+    read = set().union(*map(ex.variables, exprs))
+    fixed = {i for i, e in enumerate(exprs)
+             if type(e) is ex.Const and e.value == 0.0}
+    moved = [i for i in entries if i not in fixed]
+    later = [f"y{i}" if i in fixed else f"z{i}" for i in entries]
+    hoisted, lines, v = ex._emit(exprs, "y{}", fixed)
+    first = flows._slopes(exprs, v, "a", lines)
+    peel = any(i + 1 in read for i in fixed)
+    pre = ["h2 = 0.5 * h", "h6 = h / 6.0"]
+    if peel:
+        pre += [*hoisted, *lines]
+    pre += [*(f"y{i} = y{i} + h * {exprs[i].value!r}" for i in sorted(fixed)),
+            *hoisted]
+    step = ["if k:", *("    " + line for line in lines)] if peel else [*lines]
+    stages = [first]
+    for out, scale in [("b", "h2"), ("c", "h2"), (None, "h")]:
+        step += [f"z{i} = y{i} + {scale} * {stages[-1][i]}" for i in moved
+                 if i + 1 in read]
+        _, lines, v = ex._emit(exprs, later, fixed)
+        step += lines
+        stages.append(v if out is None else flows._slopes(exprs, v, out, step))
+    step += [f"y{i} = y{i} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {e})"
+             for i, (a, b, c, e) in enumerate(zip(*stages)) if i not in fixed]
+    if box is not None:
+        mid, half = box.mid_half
+        inside = " and ".join(f"abs(y{i} - {c!r}) <= {r!r}"
+                              for i, (c, r) in enumerate(zip(mid, half)))
+        point = ", ".join(f"y{i}" for i in range(box.dim))
+        step += [f"if not ({inside}):", f"    raise _exit((k + 1) * h, [{point}])"]
+    return [*pre, "for k in range(n):", *("    " + line for line in step)]
+
+
+def corpus_flows(name: str) -> tuple:
+    """(box, flows) of a corpus field: the pipeline's flow generators
+    A^p Z_i^(0), p >= 1, and the working box; a field with no adapted
+    chart has no pipeline, so there the fields A d/dx_j of every axis and
+    the field's box."""
+    data = build_corpus_field(name)
+    if data["chart"] is None:
+        A = data["field"]
+        return data["box"], [CompiledField(apply_endo(A, coordinate_field(
+            A.dim, j + 1))) for j in range(A.dim)]
+    pipe = initial_frame(data["field"], data["chart"], check=False).pipeline
+    return pipe.working_box, [pipe.generator(a, i, 0)
+                              for a, i in pipe.slots if a >= 1]
+
+
+def step_source(monkeypatch, trees, box, layout) -> list:
+    """The body lines of the RK4 plan step `_compile_step` generates."""
+    bodies, define = [], flows._define
+    with monkeypatch.context() as patch:
+        patch.setattr(flows, "_define", lambda body, *args: (
+            bodies.append(body) or define(body, *args)))
+        flows._compile_step(trees, False, box, 1e-2, layout)
+    return bodies[0]
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_rk4_lines_emit_the_later_stages_once(name, monkeypatch):
+    # every flow of every corpus field, as RK4 (straight ones too), at frame
+    # widths 0-2, with and without a time-column layout: the source is the
+    # per-stage reference's
+    box, gens = corpus_flows(name)
+    assert gens
+    for gen in gens:
+        d = gen.dim
+        for m in range(3):
+            trees = tuple(gen._trees(m))
+            assert flows._rk4_lines(trees, box) == rk4_lines_per_stage(
+                trees, box)
+            layout = (*range(d), *(d + i * m + c if c < m else d + d * m + i
+                                   for i in range(d) for c in range(m + 1)))
+            for lay in (None, layout):
+                got = step_source(monkeypatch, trees, box, lay)
+                with monkeypatch.context() as patch:
+                    patch.setattr(flows, "_rk4_lines", rk4_lines_per_stage)
+                    assert step_source(monkeypatch, trees, box, lay) == got
